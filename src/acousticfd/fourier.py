@@ -23,7 +23,9 @@ class Wavevector:
 
     @staticmethod
     def from_phases(grid, thx, thy):
-        if not (-math.pi < thx <= math.pi and -math.pi < thy <= math.pi):
+        """Phases in (-pi, pi]; array phases give a Wavevector of arrays."""
+        tx, ty = np.asarray(thx), np.asarray(thy)
+        if not np.all((-math.pi < tx) & (tx <= math.pi) & (-math.pi < ty) & (ty <= math.pi)):
             raise ValueError("phases must lie in (-pi, pi]")
         return Wavevector(thx / grid.dx, thy / grid.dy, thx, thy)
 
@@ -35,12 +37,19 @@ class Wavevector:
 
 
 def jk_matrix(params, k):
-    """Continuous generator: rows (0,0,kx/eps^2), (0,0,ky/eps^2), (c^2 kx, c^2 ky, 0)."""
+    """Continuous generator: rows (0,0,kx/eps^2), (0,0,ky/eps^2), (c^2 kx, c^2 ky, 0).
+
+    Array-valued k.kx, k.ky give a (..., 3, 3) stack.
+    """
     e2 = params.eps ** 2
     c2 = params.c ** 2
-    return np.array([[0.0, 0.0, k.kx / e2],
-                     [0.0, 0.0, k.ky / e2],
-                     [c2 * k.kx, c2 * k.ky, 0.0]])
+    kx, ky = np.broadcast_arrays(np.asarray(k.kx, dtype=float), np.asarray(k.ky, dtype=float))
+    J = np.zeros(kx.shape + (3, 3))
+    J[..., 0, 2] = kx / e2
+    J[..., 1, 2] = ky / e2
+    J[..., 2, 0] = c2 * kx
+    J[..., 2, 1] = c2 * ky
+    return J
 
 
 @dataclass
@@ -61,30 +70,36 @@ class KernelDimensionError(ValueError):
         self.dim = dim
 
 
+def _svd_kernel(mat, tol_rel):
+    """One full SVD of a (..., n, n) stack: kernel dimensions, singular values, u, vh.
+
+    The kernel dimension counts singular values at or below tol_rel times the
+    largest (all n of them when the matrix is zero). Dimension and kernel
+    vectors come from the same factorization, so they cannot disagree.
+    """
+    u, s, vh = np.linalg.svd(mat)
+    dim = np.sum(s <= tol_rel * s[..., :1], axis=-1)
+    return dim, s, u, vh
+
+
 def kernel_dim(mat, tol_rel=1e-12):
     """Number of singular values at or below tol_rel times the largest."""
-    s = np.linalg.svd(mat, compute_uv=False)
-    smax = s[0]
-    if smax == 0.0:
-        return mat.shape[0]
-    return int(np.sum(s <= tol_rel * smax))
+    return int(_svd_kernel(mat, tol_rel)[0])
 
 
 def right_kernel(E, tol_rel=1e-12):
     """Unit right-kernel vector of a kernel-dimension-1 matrix."""
-    u, s, vh = np.linalg.svd(E)
-    dim = int(np.sum(s <= tol_rel * s[0])) if s[0] > 0 else E.shape[0]
+    dim, s, u, vh = _svd_kernel(E, tol_rel)
     if dim != 1:
-        raise KernelDimensionError(dim)
+        raise KernelDimensionError(int(dim))
     return vh[-1].conj()
 
 
 def left_kernel(E, tol_rel=1e-12):
     """Unit row w with w E = 0 for a kernel-dimension-1 matrix."""
-    u, s, vh = np.linalg.svd(E)
-    dim = int(np.sum(s <= tol_rel * s[0])) if s[0] > 0 else E.shape[0]
+    dim, s, u, vh = _svd_kernel(E, tol_rel)
     if dim != 1:
-        raise KernelDimensionError(dim)
+        raise KernelDimensionError(int(dim))
     return u[:, -1].conj()
 
 
@@ -173,7 +188,9 @@ def det_scan(stencil, grid, params, phases=None, tol_rel=1e-12, structured=True,
 
     The verdict compares dim ker E against dim ker J.k (computed, not assumed)
     at each generic sample; structured axis/diagonal samples are degenerate
-    lattice phases and never enter the verdict.
+    lattice phases and never enter the verdict. All samples are evaluated as
+    one stack: one symbol call, and per sample one full SVD (kernel dimension,
+    sigma ratio, right and left kernels), one determinant and one eig.
     """
     if phases is None:
         phases = generic_phases()
@@ -181,25 +198,31 @@ def det_scan(stencil, grid, params, phases=None, tol_rel=1e-12, structured=True,
     if structured:
         samples += structured_phases()
 
+    thx = np.array([ph[0] for _, ph in samples], dtype=float)
+    thy = np.array([ph[1] for _, ph in samples], dtype=float)
+    k = Wavevector.from_phases(grid, thx, thy)
+    E = -1j * stencil.symbol(thx, thy)
+    dims, s, u, vh = _svd_kernel(E, tol_rel)
+    smax = s[:, 0]
+    ratios = np.divide(s[:, -1], smax, out=np.zeros_like(smax), where=smax > 0)
+    # |det| from LU, not prod(s): the product turns an exact 0 into roundoff
+    absdets = np.abs(np.linalg.det(E))
+    cdims = _svd_kernel(jk_matrix(params, k), 1e-10)[0]
+    conds = np.linalg.cond(np.linalg.eig(E)[1])
+
     records = []
     withheld = 0
     ok = True
-    for kind, (thx, thy) in samples:
-        k = Wavevector.from_phases(grid, thx, thy)
-        E = -1j * stencil.symbol(thx, thy)
-        s = np.linalg.svd(E, compute_uv=False)
-        smax = float(s[0])
-        ratio = float(s[-1] / smax) if smax > 0 else 0.0
-        dim = kernel_dim(E, tol_rel)
-        cdim = kernel_dim(jk_matrix(params, k), tol_rel=1e-10)
-        rec = SampleRecord(thx=thx, thy=thy, kind=kind, absdet=float(abs(np.linalg.det(E))),
-                           sigma_ratio=ratio, kernel_dim=dim, continuous_dim=cdim)
-        w, vecs = np.linalg.eig(E)
-        rec.diag_condition = float(np.linalg.cond(vecs))
+    for i, (kind, (phx, phy)) in enumerate(samples):
+        dim = int(dims[i])
+        cdim = int(cdims[i])
+        rec = SampleRecord(thx=phx, thy=phy, kind=kind, absdet=float(absdets[i]),
+                           sigma_ratio=float(ratios[i]), kernel_dim=dim, continuous_dim=cdim,
+                           diag_condition=float(conds[i]))
         rec.non_diagonalizable = rec.diag_condition > DIAG_COND_LIMIT
         if dim == 1:
-            rec.right = right_kernel(E, tol_rel)
-            rec.left = left_kernel(E, tol_rel)
+            rec.right = vh[i, -1].conj()
+            rec.left = u[i, :, -1].conj()
         records.append(rec)
         if kind != "generic":
             continue
@@ -263,23 +286,29 @@ def eigenvalue_scaling_check(make_scheme, grid, phases=None, c0=1.0, eps0=1.0,
                              tol=1e-10, collision_tol=1e-8):
     """Eigenvalues of E must scale linearly in c at fixed eps and in 1/eps at fixed c.
 
-    make_scheme(c, eps) builds the scheme; eigenvalues are matched across the
+    make_scheme(c, eps) builds the scheme; it is called three times, at
+    (c0, eps0), (2 c0, eps0) and (c0, eps0/2), and each scheme's eigenvalues
+    are taken over all phases at once. Eigenvalues are matched across the
     rescaling by best permutation. Samples whose base eigenvalues collide are
     skipped with a note.
     """
     if phases is None:
         phases = generic_phases(40)
+    thx = np.array([ph[0] for ph in phases], dtype=float)
+    thy = np.array([ph[1] for ph in phases], dtype=float)
+
+    def spectra(c, eps):
+        return np.linalg.eigvals(-1j * make_scheme(c, eps).stencil.symbol(thx, thy))
+
+    bases, twice_cs, half_epss = spectra(c0, eps0), spectra(2 * c0, eps0), spectra(c0, eps0 / 2)
     skipped = []
     max_err = 0.0
-    for thx, thy in phases:
-        base = np.linalg.eigvals(-1j * make_scheme(c0, eps0).stencil.symbol(thx, thy))
+    for (thx_i, thy_i), base, twice_c, half_eps in zip(phases, bases, twice_cs, half_epss):
         scale = np.max(np.abs(base))
         gaps = [abs(base[i] - base[j]) for i in range(3) for j in range(i + 1, 3)]
         if scale == 0 or min(gaps) < collision_tol * scale:
-            skipped.append({"thx": thx, "thy": thy, "note": "eigenvalue collision"})
+            skipped.append({"thx": thx_i, "thy": thy_i, "note": "eigenvalue collision"})
             continue
-        twice_c = np.linalg.eigvals(-1j * make_scheme(2 * c0, eps0).stencil.symbol(thx, thy))
-        half_eps = np.linalg.eigvals(-1j * make_scheme(c0, eps0 / 2).stencil.symbol(thx, thy))
         max_err = max(max_err, _match_scaled(base, twice_c, 2.0))
         max_err = max(max_err, _match_scaled(base, half_eps, 2.0))
     return {"passed": bool(max_err <= tol), "max_rel_err": float(max_err),

@@ -290,6 +290,7 @@ class MatrixStencil:
         self.grid = grid
         self.exact = {}
         self._floats = None
+        self._radius = 0
 
     def add_entry(self, row, col, offset, value):
         self._floats = None
@@ -317,34 +318,42 @@ class MatrixStencil:
 
     @property
     def radius(self):
-        self._prune()
-        if not self.exact:
-            return 0
-        return max(max(abs(sx), abs(sy)) for sx, sy in self.exact)
+        self.float_blocks()
+        return self._radius
 
     def float_blocks(self):
+        """Float blocks by sorted offset; the radius is cached with them."""
         if self._floats is None:
             self._prune()
             self._floats = {off: np.array([[float(x) for x in r] for r in m])
                             for off, m in sorted(self.exact.items())}
+            self._radius = max((max(abs(sx), abs(sy)) for sx, sy in self._floats), default=0)
         return self._floats
 
     def apply_sum(self, q):
         """sum_S alpha_S q_{I+S} for q of shape (3, nx, ny)."""
         nx, ny = self.grid.nx, self.grid.ny
-        if 2 * self.radius + 1 > min(nx, ny):
-            raise ValueError("grid too small for stencil radius %d" % self.radius)
+        blocks = self.float_blocks()
+        if 2 * self._radius + 1 > min(nx, ny):
+            raise ValueError("grid too small for stencil radius %d" % self._radius)
         out = np.zeros_like(q)
-        for (sx, sy), mat in self.float_blocks().items():
+        for (sx, sy), mat in blocks.items():
             shifted = np.roll(q, (-sx, -sy), axis=(1, 2))
             out += (mat @ shifted.reshape(3, -1)).reshape(q.shape)
         return out
 
     def symbol(self, thx, thy):
-        """sum_S alpha_S tx^sx ty^sy at tx = exp(i thx); the evolution matrix is -i times this."""
-        out = np.zeros((3, 3), dtype=complex)
+        """sum_S alpha_S tx^sx ty^sy at tx = exp(i thx); the evolution matrix is -i times this.
+
+        Phases may be arrays of a common broadcast shape (...), giving a
+        (..., 3, 3) stack; scalar phases give one (3, 3) matrix. Taps are
+        summed in the same order either way, so each matrix of a stack is
+        bitwise equal to the scalar call at its phases.
+        """
+        thx, thy = np.broadcast_arrays(np.asarray(thx, dtype=float), np.asarray(thy, dtype=float))
+        out = np.zeros(thx.shape + (3, 3), dtype=complex)
         for (sx, sy), mat in self.float_blocks().items():
-            out += mat * np.exp(1j * (sx * thx + sy * thy))
+            out += mat * np.exp(1j * (sx * thx + sy * thy))[..., None, None]
         return out
 
     def exact_symbol(self):

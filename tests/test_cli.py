@@ -48,6 +48,17 @@ def test_analyze_dimsplit_verdict_follows_a1(tmp_path):
     assert doc["eigenvalue_scaling"]["passed"] is False
 
 
+@pytest.mark.parametrize("scheme", ["central", "lowmach1"])
+def test_analyze_small_eps_reports_json(tmp_path, scheme):
+    # kernel dimension and kernel vectors come from one SVD per sample, so a
+    # sample at the tolerance threshold cannot end the run in a traceback
+    rc = main(["analyze", "--scheme", scheme, "--eps", "0.000001", "--grid", "16",
+               "--k-samples", "25", "--out", str(tmp_path)])
+    assert rc in (EXIT_OK, EXIT_FAIL)
+    doc = _read_json(tmp_path / ("analyze_%s.json" % scheme))
+    assert isinstance(doc["verdict"], bool)
+
+
 def test_usage_errors():
     assert main(["analyze", "--scheme", "nosuch", "--grid", "8"]) == EXIT_USAGE
     assert main(["analyze", "--grid", "8"]) == EXIT_USAGE

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from acousticfd.fourier import (
+    DIAG_COND_LIMIT,
     GUARD,
     KernelDimensionError,
     SpectralVerdict,
@@ -54,6 +55,24 @@ def test_jk_matrix_spectrum(square_grid, params):
     assert align == pytest.approx(1.0, abs=1e-10)
     z = Wavevector(0.0, 0.0, 0.0, 0.0)
     assert np.all(jk_matrix(params, z) == 0.0)
+
+
+SYMBOL_SCHEMES = [(name, {}) for name in CATALOG_NAMES] + [
+    ("dimsplit", {"a1": 0.3, "a2": 0.7, "a3": -0.2, "a4": 1.1})]
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-4])
+@pytest.mark.parametrize("name,kwargs", SYMBOL_SCHEMES, ids=[n for n, _ in SYMBOL_SCHEMES])
+def test_batched_symbol_is_stacked_scalar_symbol(aniso_grid, name, kwargs, eps):
+    spec = make_scheme(name, AcousticParams(c=2.0, eps=eps), aniso_grid, **kwargs)
+    phases = generic_phases(30) + [ph for _, ph in structured_phases()]
+    thx = np.array([ph[0] for ph in phases])
+    thy = np.array([ph[1] for ph in phases])
+    stacked = np.array([spec.stencil.symbol(a, b) for a, b in phases])
+    assert stacked.shape == (len(phases), 3, 3)
+    assert np.array_equal(spec.stencil.symbol(thx, thy), stacked)
+    grid2 = spec.stencil.symbol(thx.reshape(6, -1), thy.reshape(6, -1))
+    assert np.array_equal(grid2, stacked.reshape(6, -1, 3, 3))
 
 
 def test_constant_states_are_stationary(square_grid, params):
@@ -200,3 +219,40 @@ def test_eigenvalue_scaling(square_grid):
     assert out["passed"]
     assert out["max_rel_err"] <= 1e-10
     assert out["n_samples"] + len(out["skipped"]) == 15
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-4])
+@pytest.mark.parametrize("name,kwargs", SYMBOL_SCHEMES, ids=[n for n, _ in SYMBOL_SCHEMES])
+def test_det_scan_matches_per_sample_oracle(aniso_grid, name, kwargs, eps):
+    params = AcousticParams(c=2.0, eps=eps)
+    stencil = make_scheme(name, params, aniso_grid, **kwargs).stencil
+    out = det_scan(stencil, aniso_grid, params, phases=generic_phases(40))
+    assert len(out.records) == 40 + 48
+    for rec in out.records:
+        k = Wavevector.from_phases(aniso_grid, rec.thx, rec.thy)
+        E = evolution_matrix(stencil, k).E
+        assert rec.kernel_dim == kernel_dim(E)
+        assert rec.continuous_dim == kernel_dim(jk_matrix(params, k), tol_rel=1e-10)
+        cond = np.linalg.cond(np.linalg.eig(E)[1])
+        assert rec.non_diagonalizable == (cond > DIAG_COND_LIMIT)
+        if rec.kernel_dim != 1:
+            assert rec.right is None and rec.left is None
+            continue
+        smax = np.linalg.norm(E, 2)
+        assert np.linalg.norm(E @ rec.right) <= 1e-12 * smax
+        assert np.linalg.norm(rec.left @ E) <= 1e-12 * smax
+        assert np.linalg.norm(rec.right) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(rec.left) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_eigenvalue_scaling_builds_three_schemes(square_grid):
+    built = []
+
+    def factory(c, eps):
+        built.append((c, eps))
+        return make_scheme("multid", AcousticParams(c=c, eps=eps), square_grid)
+
+    out = eigenvalue_scaling_check(factory, square_grid, c0=1.5, eps0=0.1)
+    assert out["passed"]
+    assert out["n_samples"] + len(out["skipped"]) == 40
+    assert built == [(1.5, 0.1), (3.0, 0.1), (1.5, 0.05)]

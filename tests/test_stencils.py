@@ -203,6 +203,25 @@ def test_matrix_stencil_json(square_grid):
     assert doc["entries"][0]["matrix"][0][0] == "0.375"
 
 
+def test_matrix_stencil_radius_follows_entries(square_grid, rng):
+    ms = MatrixStencil(square_grid)
+    ms.add_entry(0, 0, (1, 0), F(3, 8))
+    q = rng.standard_normal((3, 16, 16))
+    ms.apply_sum(q)
+    assert ms.radius == 1
+    ms.add_entry(1, 2, (0, -7), F(1, 2))
+    assert ms.radius == 7
+    ms.apply_sum(q)
+    ms.add_entry(2, 1, (8, 0), F(1))
+    with pytest.raises(ValueError, match="radius 8"):
+        ms.apply_sum(q)
+    # entries that cancel are pruned, and the radius shrinks with them
+    ms.add_entry(2, 1, (8, 0), F(-1))
+    ms.add_entry(1, 2, (0, -7), F(-1, 2))
+    assert ms.radius == 1
+    assert np.array_equal(ms.apply_sum(q)[0], 0.375 * np.roll(q[0], -1, axis=0))
+
+
 def test_curl_of_substitution():
     d = averaged_div()
     c = curl_of(d)
