@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .fourier import det_scan, eigenvalue_scaling_check, generic_phases
 from .grid import AcousticParams, GridSpec
@@ -30,11 +29,11 @@ EXIT_UNSTABLE = 3
 # keys a flat JSON config may set; identical to the flag dest names
 CONFIG_KEYS = ("scheme", "a1", "a2", "a3", "a4", "c1", "c2", "eps", "c",
                "grid", "dx", "dy", "cfl", "t_end", "k_samples", "seed",
-               "out", "jobs", "divergence", "radius", "identity_only",
+               "out", "divergence", "radius", "identity_only",
                "cfl_sweep")
 
 DEFAULTS = {"eps": 1.0, "c": 1.0, "grid": "50", "cfl": 0.45, "t_end": 0.3,
-            "k_samples": 200, "seed": 0, "jobs": 1,
+            "k_samples": 200, "seed": 0,
             "a1": 0.0, "a2": 0.0, "a3": 0.0, "a4": 0.0, "c1": None, "c2": None,
             "divergence": "both", "radius": 1, "identity_only": False,
             "cfl_sweep": False, "out": None, "dx": None, "dy": None,
@@ -60,7 +59,6 @@ def _add_common(p):
     p.add_argument("--k-samples", dest="k_samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, metavar="DIR")
-    p.add_argument("--jobs", type=int, default=None)
 
 
 def build_parser():
@@ -134,11 +132,8 @@ def build_scheme(cfg, grid, params):
     name = cfg["scheme"]
     if name is None:
         raise UsageError("--scheme is required")
-    kwargs = {}
-    if name == "dimsplit":
-        kwargs = {"a1": cfg["a1"], "a2": cfg["a2"], "a3": cfg["a3"], "a4": cfg["a4"]}
     try:
-        return make_scheme(name, params, grid, **kwargs)
+        return make_scheme(name, params, grid, **_scheme_kwargs(cfg))
     except KeyError:
         raise UsageError("unknown scheme %r (catalog: %s, dimsplit)"
                          % (name, ", ".join(CATALOG_NAMES)))
@@ -274,20 +269,7 @@ def cmd_sweep(cfg):
     spec = build_scheme(cfg, grid, params)
     state0 = gresho_vortex(grid, VortexParams(), params)
     cfl_grid = [round(0.05 * k, 2) for k in range(1, 33)]
-    jobs = max(1, int(cfg["jobs"]))
-    if jobs == 1:
-        result = cfl_sweep(spec, state0, cfl_grid)
-    else:
-        # each cfl point is independent; farm them out and reassemble
-        def one(cfl):
-            return cfl_sweep(spec, state0.copy(), [cfl])["results"][0]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(one, cfl_grid))
-        passing = [p["cfl"] for p in points if p["stable"]]
-        result = {"max_stable_cfl": max(passing) if passing else None,
-                  "horizon_steps": 500, "growth_factor": 2.0,
-                  "initial_norm": state0.norm_inf(),
-                  "normalization": CFL_NORMALIZATION, "results": points}
+    result = cfl_sweep(spec, state0, cfl_grid)
     result["scheme"] = spec.name
     result["eps"] = cfg["eps"]
     result["grid"] = [grid.nx, grid.ny]

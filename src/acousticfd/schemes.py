@@ -185,6 +185,6 @@ def catalog(params, grid):
 
 def rhs(spec, state):
     """Tendency -sum_S alpha_S q_{I+S} as a FieldSet-shaped object."""
-    if state.grid is not spec.grid and (state.grid.nx, state.grid.ny) != (spec.grid.nx, spec.grid.ny):
-        raise ValueError("state grid does not match scheme grid")
+    if state.grid != spec.grid:
+        raise ValueError("state grid %r does not match scheme grid %r" % (state.grid, spec.grid))
     return FieldSet.from_q(state.grid, -spec.stencil.apply_sum(state.q))

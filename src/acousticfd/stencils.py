@@ -158,10 +158,6 @@ def identity_stencil():
     return ScalarStencil({(0, 0): 1})
 
 
-def zero_stencil():
-    return ScalarStencil({})
-
-
 def _axis_pair(axis, value_plus, value_minus):
     if axis in (0, "x"):
         return {(1, 0): value_plus, (-1, 0): value_minus}
@@ -204,9 +200,6 @@ class VecStencilRow:
 
     def apply(self, u, v, grid):
         return self.bu.apply(u, grid) + self.bv.apply(v, grid)
-
-    def apply_fields(self, field):
-        return self.apply(field.u, field.v, field.grid)
 
     @property
     def cell_radius(self):
@@ -289,11 +282,10 @@ class MatrixStencil:
     def __init__(self, grid):
         self.grid = grid
         self.exact = {}
-        self._floats = None
-        self._radius = 0
+        self._floats = self._packed = self._radius = None
 
     def add_entry(self, row, col, offset, value):
-        self._floats = None
+        self._floats = self._packed = self._radius = None
         mat = self.exact.setdefault(tuple(offset), [[Fraction(0)] * 3 for _ in range(3)])
         mat[row][col] += as_fraction(value)
 
@@ -303,12 +295,6 @@ class MatrixStencil:
         unit = self.grid.dx_exact ** st.units[0] * self.grid.dy_exact ** st.units[1]
         for off, c in st.cell_offsets().items():
             self.add_entry(row, col, off, c * unit * scale)
-
-    def add_matrix(self, offset, mat):
-        for r in range(3):
-            for c in range(3):
-                if mat[r][c] != 0:
-                    self.add_entry(r, c, offset, mat[r][c])
 
     def _prune(self):
         dead = [off for off, m in self.exact.items()
@@ -322,25 +308,47 @@ class MatrixStencil:
         return self._radius
 
     def float_blocks(self):
-        """Float blocks by sorted offset; the radius is cached with them."""
+        """Float blocks by sorted offset; the radius and apply_sum's packing are cached with them."""
         if self._floats is None:
             self._prune()
             self._floats = {off: np.array([[float(x) for x in r] for r in m])
                             for off, m in sorted(self.exact.items())}
             self._radius = max((max(abs(sx), abs(sy)) for sx, sy in self._floats), default=0)
+            cols, taps = [], []
+            for (sx, sy), mat in self._floats.items():
+                comps = np.flatnonzero(mat.any(axis=0))
+                if comps.size:
+                    # any subset of the 3 components is an arithmetic progression
+                    step = comps[1] - comps[0] if comps.size > 1 else 1
+                    taps.append((len(cols), len(cols) + comps.size, sx, sy,
+                                 slice(comps[0], comps[-1] + 1, step)))
+                    cols.extend(mat[:, comps].T)
+            self._packed = (np.array(cols, dtype=float).reshape(-1, 3).T, taps)
         return self._floats
 
     def apply_sum(self, q):
-        """sum_S alpha_S q_{I+S} for q of shape (3, nx, ny)."""
+        """sum_S alpha_S q_{I+S} for q of shape (3, nx, ny), as one product W @ B.
+
+        W is (3, K), one column per nonzero (tap, component) pair; B stacks the
+        K matching shifts of q, cut from a periodic halo, as rows of length nx*ny."""
+        q = np.asarray(q, dtype=float)
         nx, ny = self.grid.nx, self.grid.ny
-        blocks = self.float_blocks()
-        if 2 * self._radius + 1 > min(nx, ny):
-            raise ValueError("grid too small for stencil radius %d" % self._radius)
-        out = np.zeros_like(q)
-        for (sx, sy), mat in blocks.items():
-            shifted = np.roll(q, (-sx, -sy), axis=(1, 2))
-            out += (mat @ shifted.reshape(3, -1)).reshape(q.shape)
-        return out
+        if q.shape != (3, nx, ny):
+            raise ValueError("q has shape %s, stencil wants (3, %d, %d)" % (q.shape, nx, ny))
+        r = self.radius
+        if 2 * r + 1 > min(nx, ny):
+            raise ValueError("grid too small for stencil radius %d" % r)
+        w, taps = self._packed
+        halo = np.empty((3, nx + 2 * r, ny + 2 * r))
+        halo[:, r:r + nx, r:r + ny] = q
+        halo[:, :r, r:r + ny] = q[:, nx - r:]
+        halo[:, r + nx:, r:r + ny] = q[:, :r]
+        halo[:, :, :r] = halo[:, :, ny:ny + r]
+        halo[:, :, ny + r:] = halo[:, :, r:2 * r]
+        buf = np.empty((w.shape[1], nx, ny))
+        for k0, k1, sx, sy, comps in taps:
+            buf[k0:k1] = halo[comps, r + sx:r + sx + nx, r + sy:r + sy + ny]
+        return (w @ buf.reshape(len(buf), nx * ny)).reshape(3, nx, ny)
 
     def symbol(self, thx, thy):
         """sum_S alpha_S tx^sx ty^sy at tx = exp(i thx); the evolution matrix is -i times this.

@@ -158,7 +158,7 @@ def test_simulate_outputs_deterministic(tmp_path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_via_simulate_flag(tmp_path):
     rc = main(["simulate", "--cfl-sweep", "--scheme", "roe", "--grid", "16",
-               "--jobs", "2", "--out", str(tmp_path)])
+               "--out", str(tmp_path)])
     assert rc == EXIT_OK
     doc = _read_json(tmp_path / "sweep_roe.json")
     assert doc["scheme"] == "roe"

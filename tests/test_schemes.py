@@ -155,6 +155,15 @@ def test_make_scheme_errors(square_grid, params):
         rhs(spec, state)
 
 
+def test_rhs_rejects_state_grid_with_other_spacings(square_grid, params):
+    spec = make_scheme("multid", params, square_grid)
+    same_shape = GridSpec(nx=16, ny=16, dx=0.5, dy=0.001)
+    with pytest.raises(ValueError, match="does not match"):
+        rhs(spec, FieldSet.zeros(same_shape))
+    # an equal grid built separately is accepted
+    assert rhs(spec, FieldSet.zeros(GridSpec.unit_square(16))).grid == square_grid
+
+
 def test_dimsplit_scheme_defaults(square_grid, params):
     dp = DiffusionParams.make(0, Fraction(1, 4), Fraction(1, 4), 0)
     spec = dimsplit_scheme(params, square_grid, dp)

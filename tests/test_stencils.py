@@ -3,8 +3,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from acousticfd import GridSpec
+from acousticfd import AcousticParams, GridSpec
+from acousticfd.experiments import kernel_adapted_state
+from acousticfd.schemes import CATALOG_NAMES, SP_NAMES, make_scheme, rhs
+from acousticfd.timestep import StepControl, cfl_dt, run
 from acousticfd.stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                                  averaged_curl, averaged_div, central_bracket,
                                  central_div, consistent_diffusion, curl_of,
@@ -220,6 +224,77 @@ def test_matrix_stencil_radius_follows_entries(square_grid, rng):
     ms.add_entry(1, 2, (0, -7), F(-1, 2))
     assert ms.radius == 1
     assert np.array_equal(ms.apply_sum(q)[0], 0.375 * np.roll(q[0], -1, axis=0))
+
+
+def roll_apply_sum(ms, q):
+    """Reference for MatrixStencil.apply_sum: one roll, 3x3 product and sum per tap."""
+    out = np.zeros_like(q)
+    for (sx, sy), mat in ms.float_blocks().items():
+        shifted = np.roll(q, (-sx, -sy), axis=(1, 2))
+        out += (mat @ shifted.reshape(3, -1)).reshape(q.shape)
+    return out
+
+
+def assert_matches_roll_oracle(ms, q):
+    out = ms.apply_sum(q)
+    assert out.shape == q.shape
+    scale = sum(np.max(np.abs(m)) for m in ms.float_blocks().values()) * np.max(np.abs(q))
+    assert np.max(np.abs(out - roll_apply_sum(ms, q))) <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(CATALOG_NAMES + ("dimsplit",)),
+       coeffs=st.lists(st.floats(-4, 4, allow_subnormal=False), min_size=4, max_size=4),
+       eps=st.sampled_from((1.0, 1e-2, 1e-6)),
+       nx=st.integers(3, 12), ny=st.integers(3, 12),
+       dx=st.sampled_from((1.0, 1 / 3, 0.05, 1e-3)),
+       dy=st.sampled_from((1.0, 0.07, 1 / 16)),
+       seed=st.integers(0, 2 ** 16))
+@example(name="multid", coeffs=[0, 0, 0, 0], eps=1.0, nx=3, ny=3, dx=1.0, dy=1.0, seed=0)
+@example(name="roe", coeffs=[0, 0, 0, 0], eps=1e-6, nx=12, ny=5, dx=1e-3, dy=0.07, seed=1)
+def test_apply_sum_matches_roll_oracle(name, coeffs, eps, nx, ny, dx, dy, seed):
+    grid = GridSpec(nx, ny, dx, dy)
+    kwargs = dict(zip(("a1", "a2", "a3", "a4"), coeffs)) if name == "dimsplit" else {}
+    ms = make_scheme(name, AcousticParams(c=1.0, eps=eps), grid, **kwargs).stencil
+    q = np.random.default_rng(seed).standard_normal((3, nx, ny))
+    assert_matches_roll_oracle(ms, q)
+
+
+def test_apply_sum_zero_and_radius_zero_stencils(aniso_grid, rng):
+    q = rng.standard_normal((3, aniso_grid.nx, aniso_grid.ny))
+    empty = MatrixStencil(aniso_grid)
+    assert np.array_equal(empty.apply_sum(q), np.zeros_like(q))
+    cancelled = MatrixStencil(aniso_grid)
+    cancelled.add_entry(0, 2, (1, -1), F(1, 3))
+    cancelled.add_entry(0, 2, (1, -1), F(-1, 3))
+    assert cancelled.radius == 0
+    assert np.array_equal(cancelled.apply_sum(q), np.zeros_like(q))
+    local = MatrixStencil(aniso_grid)
+    for row, col, value in ((0, 0, F(1, 2)), (0, 2, F(-3)), (2, 0, F(7, 5)), (2, 1, F(2))):
+        local.add_entry(row, col, (0, 0), value)
+    assert local.radius == 0
+    assert_matches_roll_oracle(local, q)
+
+
+def test_apply_sum_rejects_wrong_shape(square_grid):
+    ms = make_scheme("roe", AcousticParams(c=1.0, eps=1.0), square_grid).stencil
+    for shape in ((3, 20, 20), (16, 16), (2, 16, 16), (3, 16, 15)):
+        with pytest.raises(ValueError, match="shape"):
+            ms.apply_sum(np.zeros(shape))
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-2])
+@pytest.mark.parametrize("name", SP_NAMES)
+def test_dyadic_kernel_states_are_exact_fixed_points(name, eps):
+    grid = GridSpec.unit_square(32)
+    params = AcousticParams(c=1.0, eps=eps)
+    spec = make_scheme(name, params, grid)
+    state = kernel_adapted_state(spec, seed=3, dyadic=True)
+    assert np.max(np.abs(rhs(spec, state).q)) == 0.0
+    dt = cfl_dt(params, grid, 0.4)
+    out = run(spec, state, StepControl(cfl=0.4, t_end=1000 * dt))
+    assert out.n_steps == 1000
+    assert np.array_equal(out.final_state.q, state.q)
 
 
 def test_curl_of_substitution():
