@@ -1,23 +1,22 @@
 """Semi-discrete finite difference schemes for the linear acoustic system.
 
-Kernel analysis of evolution matrices (numeric and exact Laurent-polynomial),
-stationarity and vorticity preservation certificates, and vortex benchmarks.
+Kernel analysis of evolution matrices (numeric, and exact over stencils read
+as Laurent polynomials), stationarity and vorticity preservation
+certificates, and vortex benchmarks.
 """
 
 from .grid import (AcousticParams, FieldSet, GridSpec, as_fraction,
-                   central_diff, l1_norm_central_diff, make_field,
-                   read_field_csv, write_field_csv)
+                   central_diff, l1_norm_central_diff, write_field_csv)
 from .stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                        averaged_curl, averaged_div, central_bracket,
                        central_curl, central_div, consistent_diffusion,
                        curl_of, diff_half, dimsplit_div, dimsplit_vorticity,
                        rational_string, second_bracket, smooth_bracket,
-                       sum_half)
-from .laurent import (LaurentPoly, LaurentRow, consistency_nullspace,
-                      cross_consistency, divide_exact, moore_symmetry_scan,
-                      operator_identity_check, rref_nullspace, spans_match,
-                      stencil_to_symbol, symbol_to_stencil,
-                      symmetric_divergence_row, taylor_expand, tx, ty)
+                       sum_half, tx, ty)
+from .laurent import (consistency_nullspace, cross_consistency,
+                      moore_symmetry_scan, operator_identity_check, rref,
+                      rref_nullspace, spans_match, symmetric_divergence_row,
+                      taylor_expand)
 from .fourier import (KernelDimensionError, Wavevector, det_scan,
                       dimsplit_closed_form, dimsplit_right_kernel_formula,
                       eigenvalue_scaling_check, evolution_matrix,
@@ -29,13 +28,12 @@ from .schemes import (CATALOG_NAMES, SP_NAMES, DiffusionParams, SchemeSpec,
                       roe_scheme)
 from .timestep import (CFL_NORMALIZATION, InstabilityError, RunResult,
                        StepControl, cfl_dt, cfl_sweep, forward_euler_step,
-                       rk2_step, run)
+                       run)
 from .experiments import (ConservedOperator, DecayFit, VortexParams,
                           decay_window, divergence_observed_order,
                           extract_conserved_operator, fit_decay,
                           gresho_vortex, kernel_adapted_state,
-                          read_timeseries_csv, stationarity_residual,
-                          stream_velocity, vortex_benchmark,
-                          write_timeseries_csv)
+                          stationarity_residual, stream_velocity,
+                          vortex_benchmark, write_timeseries_csv)
 
 __version__ = "0.1.0"

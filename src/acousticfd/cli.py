@@ -17,7 +17,8 @@ from .laurent import (consistency_nullspace, moore_symmetry_scan,
 from .schemes import CATALOG_NAMES, SP_NAMES, make_scheme
 from .stencils import (averaged_div, central_div, consistent_diffusion,
                        rational_string)
-from .timestep import CFL_NORMALIZATION, InstabilityError, cfl_sweep
+from .timestep import (CFL_NORMALIZATION, InstabilityError, StepControl,
+                       cfl_sweep)
 from .experiments import (VortexParams, gresho_vortex, vortex_benchmark,
                           extract_conserved_operator)
 
@@ -26,39 +27,40 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSTABLE = 3
 
-# keys a flat JSON config may set; identical to the flag dest names
-CONFIG_KEYS = ("scheme", "a1", "a2", "a3", "a4", "c1", "c2", "eps", "c",
-               "grid", "dx", "dy", "cfl", "t_end", "k_samples", "seed",
-               "out", "divergence", "radius", "identity_only",
-               "cfl_sweep")
+# every option once: (subcommand, or None for all; name; default; argparse
+# keywords). The flag is --name with "-" for "_" and the name is also the
+# flat JSON config key.
+OPTIONS = (
+    (None, "scheme", None, {}),
+    (None, "a1", 0.0, {"type": float}),
+    (None, "a2", 0.0, {"type": float}),
+    (None, "a3", 0.0, {"type": float}),
+    (None, "a4", 0.0, {"type": float}),
+    (None, "c1", None, {"type": float}),
+    (None, "c2", None, {"type": float}),
+    (None, "eps", 1.0, {"type": float}),
+    (None, "c", 1.0, {"type": float}),
+    (None, "grid", "50", {"metavar": "NX[,NY]"}),
+    (None, "dx", None, {"type": float}),
+    (None, "dy", None, {"type": float}),
+    (None, "cfl", 0.45, {"type": float}),
+    (None, "t_end", 0.3, {"type": float}),
+    (None, "k_samples", 200, {"type": int}),
+    (None, "out", None, {"metavar": "DIR"}),
+    ("certify", "divergence", "both", {"choices": ("central", "averaged", "both")}),
+    ("certify", "radius", 1, {"type": int}),
+    ("certify", "identity_only", False, {"action": "store_true"}),
+    ("simulate", "cfl_sweep", False, {"action": "store_true"}),
+)
+DEFAULTS = {name: default for _, name, default, _ in OPTIONS}
 
-DEFAULTS = {"eps": 1.0, "c": 1.0, "grid": "50", "cfl": 0.45, "t_end": 0.3,
-            "k_samples": 200, "seed": 0,
-            "a1": 0.0, "a2": 0.0, "a3": 0.0, "a4": 0.0, "c1": None, "c2": None,
-            "divergence": "both", "radius": 1, "identity_only": False,
-            "cfl_sweep": False, "out": None, "dx": None, "dy": None,
-            "scheme": None}
-
-
-def _add_common(p):
-    p.add_argument("--config", default=None, help="flat JSON config; flags win")
-    p.add_argument("--scheme", default=None)
-    p.add_argument("--a1", type=float, default=None)
-    p.add_argument("--a2", type=float, default=None)
-    p.add_argument("--a3", type=float, default=None)
-    p.add_argument("--a4", type=float, default=None)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--grid", default=None, metavar="NX[,NY]")
-    p.add_argument("--dx", type=float, default=None)
-    p.add_argument("--dy", type=float, default=None)
-    p.add_argument("--cfl", type=float, default=None)
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--k-samples", dest="k_samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, metavar="DIR")
+SUBCOMMANDS = (
+    ("analyze", "kernel-dimension verdict for one scheme"),
+    ("certify", "exact rational certificates for divergence operators"),
+    ("simulate", "vortex run: series, decay fit, final field"),
+    ("sweep", "max stable CFL scan on vortex data"),
+    ("catalog", "list built-in schemes and their claims"),
+)
 
 
 def build_parser():
@@ -66,25 +68,13 @@ def build_parser():
                                  description="semi-discrete acoustic schemes: "
                                              "kernel analysis, exact certification, vortex runs")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="kernel-dimension verdict for one scheme")
-    _add_common(p)
-
-    p = sub.add_parser("certify", help="exact rational certificates for divergence operators")
-    _add_common(p)
-    p.add_argument("--divergence", choices=("central", "averaged", "both"), default=None)
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--identity-only", dest="identity_only", action="store_true", default=None)
-
-    p = sub.add_parser("simulate", help="vortex run: series, decay fit, final field")
-    _add_common(p)
-    p.add_argument("--cfl-sweep", dest="cfl_sweep", action="store_true", default=None)
-
-    p = sub.add_parser("sweep", help="max stable CFL scan on vortex data")
-    _add_common(p)
-
-    p = sub.add_parser("catalog", help="list built-in schemes and their claims")
-    _add_common(p)
+    for command, help_text in SUBCOMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", default=None, help="flat JSON config; flags win")
+        for only, name, _, kwargs in OPTIONS:
+            if only in (None, command):
+                # default None marks "not given", so the config can fill it in
+                p.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **kwargs)
     return ap
 
 
@@ -100,11 +90,11 @@ def merge_config(args):
             raise UsageError("cannot read config %s: %s" % (path, err))
         if not isinstance(loaded, dict):
             raise UsageError("config must be a flat JSON object")
-        unknown = sorted(set(loaded) - set(CONFIG_KEYS))
+        unknown = sorted(set(loaded) - set(DEFAULTS))
         if unknown:
             raise UsageError("unknown config keys: %s" % ", ".join(unknown))
         cfg.update(loaded)
-    for key in CONFIG_KEYS:
+    for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -113,6 +103,14 @@ def merge_config(args):
 
 class UsageError(Exception):
     pass
+
+
+def checked(make, *args, **kwargs):
+    """Build a validated value object; a value it rejects is a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise UsageError(str(err))
 
 
 def parse_grid(cfg):
@@ -125,13 +123,21 @@ def parse_grid(cfg):
         raise UsageError("bad --grid %r, want NX or NX,NY" % spec)
     dx = cfg["dx"] if cfg["dx"] is not None else 1.0 / nx
     dy = cfg["dy"] if cfg["dy"] is not None else 1.0 / ny
-    return GridSpec(nx=nx, ny=ny, dx=dx, dy=dy)
+    return checked(GridSpec, nx=nx, ny=ny, dx=dx, dy=dy)
+
+
+def parse_params(cfg):
+    return checked(AcousticParams, c=cfg["c"], eps=cfg["eps"])
+
+
+def scheme_name(cfg):
+    if cfg["scheme"] is None:
+        raise UsageError("--scheme is required")
+    return cfg["scheme"]
 
 
 def build_scheme(cfg, grid, params):
-    name = cfg["scheme"]
-    if name is None:
-        raise UsageError("--scheme is required")
+    name = scheme_name(cfg)
     try:
         return make_scheme(name, params, grid, **_scheme_kwargs(cfg))
     except KeyError:
@@ -159,14 +165,17 @@ def _scheme_kwargs(cfg):
 
 def cmd_analyze(cfg):
     grid = parse_grid(cfg)
-    params = AcousticParams(c=cfg["c"], eps=cfg["eps"])
+    params = parse_params(cfg)
     spec = build_scheme(cfg, grid, params)
+    k_samples = int(cfg["k_samples"])
+    if k_samples < 1:
+        raise UsageError("--k-samples must be at least 1, got %d" % k_samples)
     expected = spec.claims.get("stationarity_preserving")
     verdict = det_scan(spec.stencil, grid, params,
-                       phases=generic_phases(int(cfg["k_samples"])),
+                       phases=generic_phases(k_samples),
                        scheme_name=spec.name, expected=expected)
     doc = verdict.to_json_dict()
-    doc["config"] = {k: cfg[k] for k in ("scheme", "eps", "c", "grid", "k_samples", "seed")}
+    doc["config"] = {k: cfg[k] for k in ("scheme", "eps", "c", "grid", "k_samples")}
 
     kwargs = _scheme_kwargs(cfg)
 
@@ -192,6 +201,9 @@ def cmd_analyze(cfg):
 
 
 def cmd_certify(cfg):
+    radius = int(cfg["radius"])
+    if radius < 1:
+        raise UsageError("--radius must be at least 1, got %d" % radius)
     report = {}
     failures = []
 
@@ -201,7 +213,6 @@ def cmd_certify(cfg):
         failures.append("operator identity: %r" % ident)
 
     if not cfg["identity_only"]:
-        radius = int(cfg["radius"])
         which = cfg["divergence"]
         if which in ("central", "both"):
             basis = consistency_nullspace(central_div(), radius=radius)
@@ -244,28 +255,32 @@ def cmd_certify(cfg):
 def cmd_simulate(cfg):
     if cfg["cfl_sweep"]:
         return cmd_sweep(cfg)
+    name = scheme_name(cfg)
     grid = parse_grid(cfg)
+    # the values vortex_benchmark builds, checked here so a bad one is a usage error
+    parse_params(cfg)
+    checked(StepControl, cfl=float(cfg["cfl"]), t_end=float(cfg["t_end"]))
     try:
-        report = vortex_benchmark(cfg["scheme"], [float(cfg["eps"])], grid,
+        report = vortex_benchmark(name, [float(cfg["eps"])], grid,
                                   float(cfg["t_end"]), c=float(cfg["c"]),
                                   cfl=float(cfg["cfl"]),
                                   out_dir=cfg["out"],
                                   scheme_kwargs=_scheme_kwargs(cfg))
     except KeyError:
-        raise UsageError("unknown scheme %r" % cfg["scheme"])
+        raise UsageError("unknown scheme %r" % name)
     except InstabilityError as err:
         doc = {"error": "instability", "step": err.step,
-               "last_stable_time": err.t, "scheme": cfg["scheme"],
+               "last_stable_time": err.t, "scheme": name,
                "cfl": cfg["cfl"], "eps": cfg["eps"]}
         emit_json(doc, cfg, "simulate_failed.json")
         return EXIT_UNSTABLE
-    emit_json(report, cfg, "simulate_%s.json" % cfg["scheme"])
+    emit_json(report, cfg, "simulate_%s.json" % name)
     return EXIT_OK
 
 
 def cmd_sweep(cfg):
     grid = parse_grid(cfg)
-    params = AcousticParams(c=cfg["c"], eps=cfg["eps"])
+    params = parse_params(cfg)
     spec = build_scheme(cfg, grid, params)
     state0 = gresho_vortex(grid, VortexParams(), params)
     cfl_grid = [round(0.05 * k, 2) for k in range(1, 33)]
@@ -279,7 +294,7 @@ def cmd_sweep(cfg):
 
 def cmd_catalog(cfg):
     grid = parse_grid(cfg)
-    params = AcousticParams(c=cfg["c"], eps=cfg["eps"])
+    params = parse_params(cfg)
     doc = {"schemes": [], "normalization": CFL_NORMALIZATION}
     for name in CATALOG_NAMES:
         spec = make_scheme(name, params, grid)

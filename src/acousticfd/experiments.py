@@ -16,7 +16,6 @@ import numpy as np
 
 from .grid import (AcousticParams, FieldSet, l1_norm_central_diff,
                    write_field_csv)
-from .laurent import LaurentPoly, symbol_to_stencil
 from .schemes import make_scheme, rhs
 from .stencils import ScalarStencil
 from .timestep import CFL_NORMALIZATION, StepControl, run
@@ -72,8 +71,6 @@ def stream_velocity(psi, div_row, grid, p0=0.0):
     scalar stencils, on any grid including anisotropic ones.
     """
     psi = np.asarray(psi, dtype=float)
-    if div_row.bu.compose(div_row.bv) != div_row.bv.compose(div_row.bu):
-        raise ValueError("divergence row components do not commute")
     u = -div_row.bv.apply(psi, grid)
     v = div_row.bu.apply(psi, grid)
     p = np.full_like(u, p0)
@@ -95,12 +92,11 @@ class ConservedOperator:
     their coefficients; apply returns the conserved density field.
     """
 
-    def __init__(self, grid, wu, wv, wp, symbol_row, exact=True):
+    def __init__(self, grid, wu, wv, wp, exact=True):
         self.grid = grid
         self.wu = wu
         self.wv = wv
         self.wp = wp
-        self.symbol_row = symbol_row
         self.exact = exact
 
     def apply(self, field):
@@ -134,7 +130,7 @@ def extract_conserved_operator(spec, check_states=3, seed=11, tol=1e-11):
     m = spec.stencil.exact_symbol()
     velocity_block_zero = all(m[r][c].is_zero() for r in (0, 1) for c in (0, 1))
     if velocity_block_zero:
-        w = [m[1][2], -m[0][2], LaurentPoly.zero()]
+        w = [m[1][2], -m[0][2], ScalarStencil({})]
     else:
         cols = [[m[r][c] for r in range(3)] for c in range(3)]
         w = None
@@ -147,20 +143,14 @@ def extract_conserved_operator(spec, check_states=3, seed=11, tol=1e-11):
             raise ValueError("cannot extract a left kernel row: symbol columns all parallel-degenerate")
 
     # clear the common monomial shift and rational content
-    nonzero = [p for p in w if not p.is_zero()]
-    mins = [p.min_exponents() for p in nonzero]
-    da = -min(e[0] for e in mins)
-    db = -min(e[1] for e in mins)
-    w = [p if p.is_zero() else p.shifted(da, db, 0, 0) for p in w]
-    contents = [p.content() for p in w if not p.is_zero()]
-    num, den = 0, 1
-    for c in contents:
-        num = math.gcd(num, c.numerator)
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    g = Fraction(num, den)
+    offsets = [off for p in w for off in p.coeffs]
+    w = [p.shifted(-min(a for a, _ in offsets), -min(b for _, b in offsets)) for p in w]
+    contents = [p.content() for p in w]
+    g = Fraction(math.gcd(*(c.numerator for c in contents)),
+                 math.lcm(*(c.denominator for c in contents)))
     w = [p * (1 / g) for p in w]
     lead = next(p for p in w if not p.is_zero())
-    if lead.terms[max(lead.terms)] < 0:
+    if lead.coeffs[max(lead.coeffs)] < 0:
         w = [-p for p in w]
 
     for c in range(3):
@@ -168,10 +158,7 @@ def extract_conserved_operator(spec, check_states=3, seed=11, tol=1e-11):
         if not acc.is_zero():
             raise RuntimeError("left kernel verification failed on column %d" % c)
 
-    stencils = []
-    for p in w:
-        stencils.append(symbol_to_stencil(p) if not p.is_zero() else ScalarStencil({}))
-    op = ConservedOperator(spec.grid, stencils[0], stencils[1], stencils[2], w)
+    op = ConservedOperator(spec.grid, *w)
 
     rng = np.random.default_rng(seed)
     scale = op.weight_norm() * (spec.params.c / spec.params.eps)
@@ -233,19 +220,6 @@ def write_timeseries_csv(path, times, values, metadata=None):
         with open(str(path) + ".meta.json", "w") as fh:
             json.dump(metadata, fh, indent=1, sort_keys=True)
             fh.write("\n")
-
-
-def read_timeseries_csv(path):
-    times, values = [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "t,value":
-            raise ValueError("unexpected series header: %r" % header)
-        for line in fh:
-            a, b = line.split(",")
-            times.append(float(a))
-            values.append(float(b))
-    return np.array(times), np.array(values)
 
 
 def _benchmark_probes(grid):

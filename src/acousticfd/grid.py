@@ -148,22 +148,6 @@ class FieldSet:
         return FieldSet.from_q(grid, q)
 
 
-def make_field(grid, init):
-    """Fill a FieldSet from init(x, y) -> (u, v, p) evaluated at cell centers."""
-    q = np.empty((3, grid.nx, grid.ny))
-    for i in range(grid.nx):
-        x = (i + 0.5) * grid.dx
-        for j in range(grid.ny):
-            y = (j + 0.5) * grid.dy
-            val = init(x, y)
-            if len(val) != 3:
-                raise ValueError("init must return (u, v, p)")
-            if not all(np.isfinite(val)):
-                raise ValueError("non-finite init value at cell (%d, %d)" % (i, j))
-            q[:, i, j] = val
-    return FieldSet.from_q(grid, q)
-
-
 def central_diff(component, axis, grid):
     """Periodic central difference (q_{+1} - q_{-1})/(2 delta) along axis 0 (x) or 1 (y)."""
     if axis not in (0, 1):
@@ -196,21 +180,3 @@ def write_field_csv(path, field):
                 fh.write("%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
                          % (i, j, x, y, field.u[i, j], field.v[i, j], field.p[i, j]))
 
-
-def read_field_csv(path, grid):
-    q = np.empty((3, grid.nx, grid.ny))
-    seen = 0
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != FIELD_CSV_HEADER:
-            raise ValueError("unexpected field CSV header: %r" % header)
-        for line in fh:
-            parts = line.split(",")
-            i, j = int(parts[0]), int(parts[1])
-            q[0, i, j] = float(parts[4])
-            q[1, i, j] = float(parts[5])
-            q[2, i, j] = float(parts[6])
-            seen += 1
-    if seen != grid.nx * grid.ny:
-        raise ValueError("field CSV has %d rows, grid wants %d" % (seen, grid.nx * grid.ny))
-    return FieldSet.from_q(grid, q)

@@ -1,247 +1,29 @@
-"""Exact rational Laurent-polynomial algebra over the translation factors.
+"""Exact linear algebra over stencil symbols.
 
-Monomials are tx^a ty^b dx^p dy^q with Fraction coefficients; the grid
-spacings are formal invertible units, never substituted numerically here,
-so every certified identity holds for all spacings. Floating point is
+A ScalarStencil is its own Laurent symbol in (tx, ty) with Fraction
+coefficients; the grid spacings stay formal invertible units, never
+substituted numerically here, so every certified identity holds for all
+spacings. This module builds and solves the exact linear systems behind the
+certificates: cross-consistency nullspaces, span comparisons, the symmetric
+divergence scan and the telescoping operator identities. Floating point is
 confined to the numeric symbol module.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .grid import as_fraction
-from .stencils import ScalarStencil, VecStencilRow, averaged_div, central_div, consistent_diffusion
-
-
-class LaurentPoly:
-    """Finite map (a, b, p, q) -> Fraction for tx^a ty^b dx^p dy^q."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = as_fraction(c)
-                if c != 0:
-                    self.terms[tuple(int(k) for k in key)] = c
-
-    @staticmethod
-    def zero():
-        return LaurentPoly()
-
-    @staticmethod
-    def monomial(a=0, b=0, p=0, q=0, coef=1):
-        return LaurentPoly({(a, b, p, q): coef})
-
-    @staticmethod
-    def const(c):
-        return LaurentPoly({(0, 0, 0, 0): c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "LaurentPoly(0)"
-        bits = []
-        for key in sorted(self.terms):
-            a, b, p, q = key
-            mono = "".join(s for s, e in (("tx^%d" % a, a), ("ty^%d" % b, b),
-                                          ("dx^%d" % p, p), ("dy^%d" % q, q)) if e)
-            bits.append("%s %s" % (self.terms[key], mono or "1"))
-        return "LaurentPoly(%s)" % " + ".join(bits)
-
-    def __neg__(self):
-        return LaurentPoly({k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, LaurentPoly) else LaurentPoly.const(-as_fraction(other)))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, str, Fraction)):
-            s = as_fraction(other)
-            return LaurentPoly({k: c * s for k, c in self.terms.items()})
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers: multiply by an inverse monomial instead")
-        out = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def evaluate(self, thx, thy, dx, dy):
-        """Numeric value at tx = exp(i thx), ty = exp(i thy) and given spacings."""
-        import cmath
-        out = 0j
-        for (a, b, p, q), c in self.terms.items():
-            out += float(c) * cmath.exp(1j * (a * thx + b * thy)) * dx ** p * dy ** q
-        return out
-
-    def substitute_spacings(self, dx, dy):
-        """Bind the unit monomials to exact rational spacings."""
-        dx = as_fraction(dx)
-        dy = as_fraction(dy)
-        out = {}
-        for (a, b, p, q), c in self.terms.items():
-            key = (a, b, 0, 0)
-            out[key] = out.get(key, Fraction(0)) + c * dx ** p * dy ** q
-        return LaurentPoly(out)
-
-    def min_exponents(self):
-        return tuple(min(k[i] for k in self.terms) for i in range(4))
-
-    def shifted(self, da, db, dp, dq):
-        return LaurentPoly({(a + da, b + db, p + dp, q + dq): c
-                            for (a, b, p, q), c in self.terms.items()})
-
-    def content(self):
-        """gcd of numerators over lcm of denominators; positive."""
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den) if num else Fraction(0)
-
-    def primitive(self):
-        """Divide out the content; leading (lex-max) coefficient made positive."""
-        if self.is_zero():
-            return self
-        cont = self.content()
-        out = LaurentPoly({k: c / cont for k, c in self.terms.items()})
-        if out.terms[max(out.terms)] < 0:
-            out = -out
-        return out
-
-
-def divide_exact(P, Q):
-    """R with Q*R = P exactly, or None when P is not divisible by Q.
-
-    Single-divisor multivariate division: under a multiplicative monomial
-    order the leading term of any multiple is the product of leading terms,
-    so greedy cancellation succeeds exactly on multiples.
-    """
-    if Q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if P.is_zero():
-        return LaurentPoly.zero()
-    # shift both to nonnegative exponents; lex order is multiplicative there
-    pmin = P.min_exponents()
-    qmin = Q.min_exponents()
-    Pw = P.shifted(*(-m for m in pmin))
-    Qw = Q.shifted(*(-m for m in qmin))
-    result = {}
-    rem = dict(Pw.terms)
-    lead_q = max(Qw.terms)
-    cq = Qw.terms[lead_q]
-    while rem:
-        lead_r = max(rem)
-        expo = tuple(lead_r[i] - lead_q[i] for i in range(4))
-        if any(e < 0 for e in expo):
-            return None
-        coef = rem[lead_r] / cq
-        result[expo] = coef
-        for k, c in Qw.terms.items():
-            key = tuple(k[i] + expo[i] for i in range(4))
-            val = rem.get(key, Fraction(0)) - coef * c
-            if val == 0:
-                rem.pop(key, None)
-            else:
-                rem[key] = val
-    shift = tuple(pmin[i] - qmin[i] for i in range(4))
-    return LaurentPoly(result).shifted(*shift)
-
-
-def tx(n=1):
-    return LaurentPoly.monomial(a=n)
-
-
-def ty(n=1):
-    return LaurentPoly.monomial(b=n)
-
-
-@dataclass(frozen=True)
-class LaurentRow:
-    """Symbol of a VecStencilRow: (pu, pv) acting on (u_hat, v_hat)."""
-
-    pu: LaurentPoly
-    pv: LaurentPoly
-
-    def __add__(self, other):
-        return LaurentRow(self.pu + other.pu, self.pv + other.pv)
-
-    def scaled(self, s):
-        return LaurentRow(self.pu * s, self.pv * s)
-
-    def is_zero(self):
-        return self.pu.is_zero() and self.pv.is_zero()
-
-
-def stencil_to_symbol(op):
-    """Symbol of a ScalarStencil or VecStencilRow; exact by construction."""
-    if isinstance(op, VecStencilRow):
-        return op.to_symbol()
-    if isinstance(op, ScalarStencil):
-        return op.to_symbol()
-    raise TypeError("expected ScalarStencil or VecStencilRow, got %r" % type(op))
-
-
-def symbol_to_stencil(poly):
-    """Inverse of ScalarStencil.to_symbol for single-unit whole-cell symbols."""
-    units = {(p, q) for (a, b, p, q) in poly.terms}
-    if not units:
-        return ScalarStencil({})
-    if len(units) > 1:
-        raise ValueError("symbol mixes units %r; not a single scalar stencil" % units)
-    (px, py), = units
-    coeffs = {(2 * a, 2 * b): c for (a, b, p, q), c in poly.terms.items()}
-    return ScalarStencil(coeffs, (px, py))
+from .stencils import (ScalarStencil, VecStencilRow, averaged_div, central_div,
+                       consistent_diffusion, tx, ty)
 
 
 def cross_consistency(B, A):
     """True iff Bu*Av - Bv*Au = 0 identically: B vanishes wherever A does."""
-    if isinstance(B, VecStencilRow):
-        B = B.to_symbol()
-    if isinstance(A, VecStencilRow):
-        A = A.to_symbol()
-    return (B.pu * A.pv - B.pv * A.pu).is_zero()
+    return (B.bu * A.bv - B.bv * A.bu).is_zero()
 
 
-def rref_nullspace(rows, ncols):
-    """Exact nullspace basis of a Fraction matrix given as a list of rows."""
+def rref(rows, ncols):
+    """Reduced row echelon form of a Fraction matrix: (reduced rows, pivot columns)."""
     mat = [list(r) for r in rows]
     pivots = []
     rank = 0
@@ -262,6 +44,12 @@ def rref_nullspace(rows, ncols):
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
         pivots.append(col)
         rank += 1
+    return mat, pivots
+
+
+def rref_nullspace(rows, ncols):
+    """Exact nullspace basis of a Fraction matrix given as a list of rows."""
+    mat, pivots = rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -292,23 +80,22 @@ def consistency_nullspace(A, radius=1, constraints="even"):
       "weak"  only the order-0/order-1 rows vanish.
       "order3" order-0/1 rows vanish and the order-3 rows vanish too.
     """
-    if isinstance(A, VecStencilRow):
-        A = A.to_symbol()
     N = radius
     offsets = [(sx, sy) for sx in range(-N, N + 1) for sy in range(-N, N + 1)]
     n = len(offsets)
     ncols = 2 * n
+    (pu, qu), (pv, qv) = A.bu.units, A.bv.units
 
     # cross-consistency: for each product monomial one linear equation
     eqs = {}
     for i, (sx, sy) in enumerate(offsets):
         # bu term tx^sx ty^sy / dx times Av
-        for (a, b, p, q), c in A.pv.terms.items():
-            key = (a + sx, b + sy, p - 1, q)
+        for (a, b), c in A.bv.coeffs.items():
+            key = (a + 2 * sx, b + 2 * sy, pv - 1, qv)
             eqs.setdefault(key, [Fraction(0)] * ncols)[i] += c
         # minus bv term / dy times Au
-        for (a, b, p, q), c in A.pu.terms.items():
-            key = (a + sx, b + sy, p, q - 1)
+        for (a, b), c in A.bu.coeffs.items():
+            key = (a + 2 * sx, b + 2 * sy, pu, qu - 1)
             eqs.setdefault(key, [Fraction(0)] * ncols)[n + i] -= c
     rows = list(eqs.values())
 
@@ -364,37 +151,13 @@ def row_coefficient_vector(row, radius=1):
     return vec
 
 
-def matrix_rank_exact(rows):
-    """Rank of a list of Fraction row vectors by exact elimination."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def spans_match(rows_a, rows_b, radius=1):
     """True iff both row lists span the same space over the rationals."""
     va = [row_coefficient_vector(r, radius) for r in rows_a]
     vb = [row_coefficient_vector(r, radius) for r in rows_b]
-    ra = matrix_rank_exact(va)
-    rb = matrix_rank_exact(vb)
-    return ra == rb == matrix_rank_exact(va + vb)
+    ncols = 2 * (2 * radius + 1) ** 2
+    ra, rb, rab = (len(rref(m, ncols)[1]) for m in (va, vb, va + vb))
+    return ra == rb == rab
 
 
 def symmetric_divergence_row(gamma, beta=None):
@@ -438,16 +201,17 @@ def moore_symmetry_scan(gammas=None, constraints="even"):
 
 def operator_identity_check():
     """(tx+1) cd(1,0) = 2(tx-1) D and (ty+1) cd(0,1) = 2(ty-1) D, exactly."""
-    D = averaged_div().to_symbol()
-    cd10 = consistent_diffusion(1, 0).to_symbol()
-    cd01 = consistent_diffusion(0, 1).to_symbol()
-    x_ok = ((tx(1) + 1) * cd10.pu - 2 * (tx(1) - 1) * D.pu).is_zero() and \
-           ((tx(1) + 1) * cd10.pv - 2 * (tx(1) - 1) * D.pv).is_zero()
-    y_ok = ((ty(1) + 1) * cd01.pu - 2 * (ty(1) - 1) * D.pu).is_zero() and \
-           ((ty(1) + 1) * cd01.pv - 2 * (ty(1) - 1) * D.pv).is_zero()
-    central = central_div().to_symbol()
-    central_x = ((tx(1) + 1) * cd10.pu - 2 * (tx(1) - 1) * central.pu).is_zero() and \
-                ((tx(1) + 1) * cd10.pv - 2 * (tx(1) - 1) * central.pv).is_zero()
+    D = averaged_div()
+    cd10 = consistent_diffusion(1, 0)
+    cd01 = consistent_diffusion(0, 1)
+
+    def telescopes(t, cd, div):
+        return all(((t + 1) * b - 2 * (t - 1) * d).is_zero()
+                   for b, d in ((cd.bu, div.bu), (cd.bv, div.bv)))
+
+    x_ok = telescopes(tx(1), cd10, D)
+    y_ok = telescopes(ty(1), cd01, D)
+    central_x = telescopes(tx(1), cd10, central_div())
     return {"x_identity": x_ok, "y_identity": y_ok,
             "central_substitute": central_x, "ok": x_ok and y_ok}
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .grid import AcousticParams, FieldSet, as_fraction
-from .stencils import (MatrixStencil, VecStencilRow, averaged_div, central_bracket,
-                       central_div, dimsplit_div, second_bracket, smooth_bracket)
+from .stencils import (MatrixStencil, averaged_div, central_bracket, dimsplit_div,
+                       second_bracket, smooth_bracket)
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,11 @@ def multid_scheme(params, grid):
     ce = params.c_exact / params.eps_exact
     eighth = Fraction(1, 8)
 
-    sx_py = smooth_bracket("y").compose(central_bracket("x")).scaled(eighth)
-    sy_px = smooth_bracket("x").compose(central_bracket("y")).scaled(eighth)
-    qx_py = smooth_bracket("y").compose(second_bracket("x")).scaled(eighth)
-    qy_px = smooth_bracket("x").compose(second_bracket("y")).scaled(eighth)
-    sx_sy = central_bracket("x").compose(central_bracket("y")).scaled(eighth)
+    sx_py = smooth_bracket("y") * central_bracket("x") * eighth
+    sy_px = smooth_bracket("x") * central_bracket("y") * eighth
+    qx_py = smooth_bracket("y") * second_bracket("x") * eighth
+    qy_px = smooth_bracket("x") * second_bracket("y") * eighth
+    sx_sy = central_bracket("x") * central_bracket("y") * eighth
 
     # u equation: averaged pressure gradient minus velocity diffusion
     st.add_block(0, 2, sx_py.with_units(-1, 0), 1 / e2)

@@ -1,12 +1,14 @@
 """Linear finite-difference formulas on the periodic grid.
 
-Scalar stencils live on the half-index lattice so the bracket builders
-compose by plain convolution; offsets are integers counting half cells.
-Only stencils whose offsets are all even (whole cells) can be applied to
-a field or exported. A stencil carries a formal unit monomial dx^px dy^py
-so coefficient maps stay exact rationals independent of the grid.
+A scalar stencil is also its own exact symbol: a Laurent polynomial in the
+shifts tx, ty whose exponents are integer half-cell offsets, so tx^n sits at
+offset (2n, 0) and the bracket builders compose on the half lattice by plain
+convolution. Only stencils whose offsets are all even (whole cells) can be
+applied to a field or exported. A stencil carries one formal unit monomial
+dx^px dy^py so coefficient maps stay exact rationals independent of the grid.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +22,12 @@ def _clean(coeffs):
 
 
 class ScalarStencil:
-    """Finite map half-offset -> Fraction, times dx^px dy^py."""
+    """Finite map half-offset -> Fraction, times dx^px dy^py.
+
+    `*` composes two stencils (the product of their symbols; units add) or
+    scales by a number; numbers added to a stencil are multiples of the
+    identity.
+    """
 
     __slots__ = ("coeffs", "units")
 
@@ -39,7 +46,8 @@ class ScalarStencil:
         return self.coeffs == other.coeffs and self.units == other.units
 
     def __hash__(self):
-        return hash((frozenset(self.coeffs.items()), self.units))
+        # every zero stencil is equal to every other, whatever its units
+        return hash((frozenset(self.coeffs.items()), self.units if self.coeffs else None))
 
     def is_zero(self):
         return not self.coeffs
@@ -65,7 +73,7 @@ class ScalarStencil:
 
     def __add__(self, other):
         if not isinstance(other, ScalarStencil):
-            return NotImplemented
+            other = ScalarStencil({(0, 0): other})
         if self.is_zero():
             return other
         if other.is_zero():
@@ -78,18 +86,15 @@ class ScalarStencil:
             out[off] = out.get(off, Fraction(0)) + c
         return ScalarStencil(out, self.units)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + (-other)
 
-    def scaled(self, s):
-        s = as_fraction(s)
-        return ScalarStencil({off: c * s for off, c in self.coeffs.items()}, self.units)
-
-    def with_units(self, px, py):
-        return ScalarStencil(self.coeffs, (self.units[0] + px, self.units[1] + py))
-
-    def compose(self, other):
-        """Apply other first, then self; convolution of coefficient maps."""
+    def __mul__(self, other):
+        if not isinstance(other, ScalarStencil):
+            s = as_fraction(other)
+            return ScalarStencil({off: c * s for off, c in self.coeffs.items()}, self.units)
         out = {}
         for (a1, b1), c1 in self.coeffs.items():
             for (a2, b2), c2 in other.coeffs.items():
@@ -98,10 +103,28 @@ class ScalarStencil:
         return ScalarStencil(out, (self.units[0] + other.units[0],
                                    self.units[1] + other.units[1]))
 
+    __rmul__ = __mul__
+
+    def with_units(self, px, py):
+        return ScalarStencil(self.coeffs, (self.units[0] + px, self.units[1] + py))
+
+    def shifted(self, da, db):
+        """Every offset moved by (da, db) half cells."""
+        return ScalarStencil({(a + da, b + db): c for (a, b), c in self.coeffs.items()}, self.units)
+
+    def content(self):
+        """gcd of the numerators over lcm of the denominators; 0 for the zero stencil."""
+        cs = self.coeffs.values()
+        return Fraction(math.gcd(*(c.numerator for c in cs)), math.lcm(*(c.denominator for c in cs)))
+
+    def bound(self, grid):
+        """The unitless stencil with dx^px dy^py bound to the grid's exact spacings."""
+        return ScalarStencil(self.coeffs) * (grid.dx_exact ** self.units[0]
+                                             * grid.dy_exact ** self.units[1])
+
     def weights(self, grid):
         """Whole-cell offsets with float weights, units bound to the grid."""
-        unit = grid.dx_exact ** self.units[0] * grid.dy_exact ** self.units[1]
-        return {off: float(c * unit) for off, c in self.cell_offsets().items()}
+        return {off: float(c) for off, c in self.bound(grid).cell_offsets().items()}
 
     def apply(self, arr, grid):
         arr = np.asarray(arr, dtype=float)
@@ -114,14 +137,6 @@ class ScalarStencil:
         for (sx, sy), w in self.weights(grid).items():
             out += w * np.roll(arr, (-sx, -sy), axis=(0, 1))
         return out
-
-    def to_symbol(self):
-        from .laurent import LaurentPoly
-        terms = {}
-        px, py = self.units
-        for (a, b), c in self.cell_offsets().items():
-            terms[(a, b, px, py)] = c
-        return LaurentPoly(terms)
 
     def to_json_dict(self):
         cells = self.cell_offsets()
@@ -158,6 +173,16 @@ def identity_stencil():
     return ScalarStencil({(0, 0): 1})
 
 
+def tx(n=1):
+    """Shift by n cells in x: the monomial tx^n."""
+    return ScalarStencil({(2 * n, 0): 1})
+
+
+def ty(n=1):
+    """Shift by n cells in y: the monomial ty^n."""
+    return ScalarStencil({(0, 2 * n): 1})
+
+
 def _axis_pair(axis, value_plus, value_minus):
     if axis in (0, "x"):
         return {(1, 0): value_plus, (-1, 0): value_minus}
@@ -178,17 +203,17 @@ def sum_half(axis):
 
 def central_bracket(axis):
     """[q]_{i+-1}: q_{+1} - q_{-1}."""
-    return diff_half(axis).compose(sum_half(axis))
+    return diff_half(axis) * sum_half(axis)
 
 
 def second_bracket(axis):
     """[[q]]_{i+-1/2}: q_{+1} - 2 q + q_{-1}."""
-    return diff_half(axis).compose(diff_half(axis))
+    return diff_half(axis) * diff_half(axis)
 
 
 def smooth_bracket(axis):
     """{{q}}_{i+-1/2}: q_{+1} + 2 q + q_{-1}."""
-    return sum_half(axis).compose(sum_half(axis))
+    return sum_half(axis) * sum_half(axis)
 
 
 @dataclass(frozen=True)
@@ -206,14 +231,10 @@ class VecStencilRow:
         return max(self.bu.cell_radius, self.bv.cell_radius)
 
     def scaled(self, s):
-        return VecStencilRow(self.bu.scaled(s), self.bv.scaled(s))
+        return VecStencilRow(self.bu * s, self.bv * s)
 
     def __add__(self, other):
         return VecStencilRow(self.bu + other.bu, self.bv + other.bv)
-
-    def to_symbol(self):
-        from .laurent import LaurentRow
-        return LaurentRow(self.bu.to_symbol(), self.bv.to_symbol())
 
     def to_json_dict(self):
         return {"bu": self.bu.to_json_dict(), "bv": self.bv.to_json_dict()}
@@ -221,23 +242,23 @@ class VecStencilRow:
 
 def central_div():
     """[u]_{i+-1}/(2dx) + [v]_{j+-1}/(2dy)."""
-    bu = central_bracket("x").scaled(Fraction(1, 2)).with_units(-1, 0)
-    bv = central_bracket("y").scaled(Fraction(1, 2)).with_units(0, -1)
+    bu = (central_bracket("x") * Fraction(1, 2)).with_units(-1, 0)
+    bv = (central_bracket("y") * Fraction(1, 2)).with_units(0, -1)
     return VecStencilRow(bu, bv)
 
 
 def averaged_div():
     """{{[u]_{i+-1}}}_{j+-1/2}/(8dx) + [{{v}}_{i+-1/2}]_{j+-1}/(8dy)."""
-    bu = smooth_bracket("y").compose(central_bracket("x")).scaled(Fraction(1, 8)).with_units(-1, 0)
-    bv = smooth_bracket("x").compose(central_bracket("y")).scaled(Fraction(1, 8)).with_units(0, -1)
+    bu = (smooth_bracket("y") * central_bracket("x") * Fraction(1, 8)).with_units(-1, 0)
+    bv = (smooth_bracket("x") * central_bracket("y") * Fraction(1, 8)).with_units(0, -1)
     return VecStencilRow(bu, bv)
 
 
 def dimsplit_div(a3, c):
     """[u]_{i+-1}/(2dx) - (a3/c^2)[[u]]_{i+-1/2}/(2dx), plus the y mirror on v."""
     w = as_fraction(a3) / as_fraction(c) ** 2
-    bu = (central_bracket("x") - second_bracket("x").scaled(w)).scaled(Fraction(1, 2)).with_units(-1, 0)
-    bv = (central_bracket("y") - second_bracket("y").scaled(w)).scaled(Fraction(1, 2)).with_units(0, -1)
+    bu = ((central_bracket("x") - second_bracket("x") * w) * Fraction(1, 2)).with_units(-1, 0)
+    bv = ((central_bracket("y") - second_bracket("y") * w) * Fraction(1, 2)).with_units(0, -1)
     return VecStencilRow(bu, bv)
 
 
@@ -246,11 +267,11 @@ def consistent_diffusion(c1, c2):
     + (c2/4)([[u]_{i+-1}]_{j+-1}/dx + [[{{v}}_{i+-1/2}]]_{j+-1/2}/dy)."""
     c1 = as_fraction(c1)
     c2 = as_fraction(c2)
-    qx_py = smooth_bracket("y").compose(second_bracket("x"))
-    sx_sy = central_bracket("y").compose(central_bracket("x"))
-    qy_px = smooth_bracket("x").compose(second_bracket("y"))
-    bu = (qx_py.scaled(c1 / 4) + sx_sy.scaled(c2 / 4)).with_units(-1, 0)
-    bv = (sx_sy.scaled(c1 / 4) + qy_px.scaled(c2 / 4)).with_units(0, -1)
+    qx_py = smooth_bracket("y") * second_bracket("x")
+    sx_sy = central_bracket("y") * central_bracket("x")
+    qy_px = smooth_bracket("x") * second_bracket("y")
+    bu = (qx_py * (c1 / 4) + sx_sy * (c2 / 4)).with_units(-1, 0)
+    bv = (sx_sy * (c1 / 4) + qy_px * (c2 / 4)).with_units(0, -1)
     return VecStencilRow(bu, bv)
 
 
@@ -291,10 +312,8 @@ class MatrixStencil:
 
     def add_block(self, row, col, st, scale=1):
         """Fold scale * (scalar stencil) into entry (row, col), binding units."""
-        scale = as_fraction(scale)
-        unit = self.grid.dx_exact ** st.units[0] * self.grid.dy_exact ** st.units[1]
-        for off, c in st.cell_offsets().items():
-            self.add_entry(row, col, off, c * unit * scale)
+        for off, c in (st.bound(self.grid) * scale).cell_offsets().items():
+            self.add_entry(row, col, off, c)
 
     def _prune(self):
         dead = [off for off, m in self.exact.items()
@@ -365,16 +384,10 @@ class MatrixStencil:
         return out
 
     def exact_symbol(self):
-        """3x3 nested list of LaurentPoly in (tx, ty); grid units already absorbed."""
-        from .laurent import LaurentPoly
+        """3x3 nested list of unitless ScalarStencils in (tx, ty); grid units already absorbed."""
         self._prune()
-        rows = [[dict() for _ in range(3)] for _ in range(3)]
-        for (sx, sy), mat in self.exact.items():
-            for r in range(3):
-                for c in range(3):
-                    if mat[r][c] != 0:
-                        rows[r][c][(sx, sy, 0, 0)] = mat[r][c]
-        return [[LaurentPoly(rows[r][c]) for c in range(3)] for r in range(3)]
+        return [[ScalarStencil({(2 * sx, 2 * sy): mat[r][c] for (sx, sy), mat in self.exact.items()})
+                 for c in range(3)] for r in range(3)]
 
     def to_json_dict(self):
         self._prune()

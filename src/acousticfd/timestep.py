@@ -47,15 +47,6 @@ def forward_euler_step(spec, state, dt, step=None):
     return out
 
 
-def rk2_step(spec, state, dt, step=None):
-    """Midpoint two-stage Runge-Kutta; no acceptance weight, kept for studies."""
-    mid = FieldSet.from_q(state.grid, state.q + 0.5 * dt * rhs(spec, state).q)
-    out = FieldSet.from_q(state.grid, state.q + dt * rhs(spec, mid).q)
-    if not out.all_finite():
-        raise InstabilityError(step if step is not None else "<single>")
-    return out
-
-
 @dataclass
 class RunResult:
     times: np.ndarray
@@ -65,7 +56,7 @@ class RunResult:
     dt: float
 
 
-def run(spec, state, control, probes=None, cadence=1, stepper=forward_euler_step):
+def run(spec, state, control, probes=None, cadence=1):
     """March to t_end with fixed dt, invoking probe callbacks on a cadence.
 
     probes maps name -> f(state); each is sampled at t = 0, every `cadence`
@@ -83,7 +74,7 @@ def run(spec, state, control, probes=None, cadence=1, stepper=forward_euler_step
     series = {name: [fn(state)] for name, fn in probes.items()}
     for step in range(1, n_steps + 1):
         try:
-            state = stepper(spec, state, dt, step=step)
+            state = forward_euler_step(spec, state, dt, step=step)
         except InstabilityError as err:
             if err.t is None:
                 err.t = (step - 1) * dt

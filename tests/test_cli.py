@@ -65,6 +65,54 @@ def test_usage_errors():
     assert main(["analyze", "--scheme", "roe", "--grid", "eight"]) == EXIT_USAGE
 
 
+OUT_OF_RANGE = [
+    (["analyze", "--scheme", "roe", "--grid", "2"], "at least 3x3"),
+    (["analyze", "--scheme", "roe", "--eps", "0"], "eps > 0"),
+    (["analyze", "--scheme", "roe", "--c", "-1"], "c > 0"),
+    (["analyze", "--scheme", "roe", "--dx", "0"], "cell widths must be positive"),
+    (["analyze", "--scheme", "roe", "--k-samples", "0"], "--k-samples"),
+    (["analyze", "--scheme", "roe", "--k-samples", "-5"], "--k-samples"),
+    (["catalog", "--grid", "1"], "at least 3x3"),
+    (["simulate", "--scheme", "roe", "--grid", "8", "--t-end", "-1"], "t_end"),
+    (["simulate", "--scheme", "roe", "--grid", "8", "--cfl", "0"], "cfl must be positive"),
+    (["certify", "--radius", "0"], "--radius"),
+    (["simulate"], "--scheme is required"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_RANGE,
+                         ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
+def test_out_of_range_values_are_usage_errors(argv, message, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_seed_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--scheme", "roe", "--seed", "1"])
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps these by module and name; a rename breaks it
+    import importlib
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "clibench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("clibench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, names in tracing.WRAPPED.items():
+        mod = importlib.import_module("acousticfd." + module)
+        for qual in names:
+            if "." in qual:
+                cls_name, attr = qual.split(".")
+                assert callable(vars(getattr(mod, cls_name)).get(attr)), qual
+            else:
+                assert callable(getattr(mod, qual, None)), (module, qual)
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"epsilon": 0.1}))

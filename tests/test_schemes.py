@@ -73,19 +73,13 @@ def test_multid_is_averaged_flux_plus_half_speed_diffusion(aniso_grid, params):
     cdx = consistent_diffusion(1, 0)
     cdy = consistent_diffusion(0, 1)
 
-    def bind(poly):
-        return poly.substitute_spacings(aniso_grid.dx_exact, aniso_grid.dy_exact)
+    def bind(st):
+        return st.bound(aniso_grid)
 
     expected = [
-        [bind(cdx.bu.to_symbol() * -half_ce),
-         bind(cdx.bv.to_symbol() * -half_ce),
-         bind(A.bu.to_symbol() * (1 / e2))],
-        [bind(cdy.bu.to_symbol() * -half_ce),
-         bind(cdy.bv.to_symbol() * -half_ce),
-         bind(A.bv.to_symbol() * (1 / e2))],
-        [bind(A.bu.to_symbol() * c2),
-         bind(A.bv.to_symbol() * c2),
-         bind((cdx.bu.to_symbol() + cdy.bv.to_symbol()) * -half_ce)],
+        [bind(cdx.bu) * -half_ce, bind(cdx.bv) * -half_ce, bind(A.bu) * (1 / e2)],
+        [bind(cdy.bu) * -half_ce, bind(cdy.bv) * -half_ce, bind(A.bv) * (1 / e2)],
+        [bind(A.bu) * c2, bind(A.bv) * c2, (bind(cdx.bu) + bind(cdy.bv)) * -half_ce],
     ]
     for r in range(3):
         for c in range(3):
@@ -94,9 +88,7 @@ def test_multid_is_averaged_flux_plus_half_speed_diffusion(aniso_grid, params):
 
 def test_divergence_rows(square_grid, params):
     cat = catalog(params, square_grid)
-    avg = averaged_div().to_symbol()
-    multid_row = cat["multid"].divergence_row().to_symbol()
-    assert multid_row.pu == avg.pu and multid_row.pv == avg.pv
+    assert cat["multid"].divergence_row() == averaged_div()
     # roe has a3 = 0, so its divergence is the plain central one
     roe_row = cat["roe"].divergence_row()
     assert roe_row.bu.to_json_dict() == central_div().bu.to_json_dict()

@@ -15,7 +15,7 @@ from acousticfd.stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                                  diff_half, dimsplit_div, dimsplit_vorticity,
                                  identity_stencil, rational_string,
                                  second_bracket, smooth_bracket, sum_half,
-                                 central_curl)
+                                 central_curl, tx, ty)
 
 
 def test_identity_stencil(square_grid, rng):
@@ -39,13 +39,13 @@ def test_second_bracket_on_squares(square_grid):
 
 def test_smooth_of_diff_equals_wide_diff():
     # {[q]}_{i+-1/2} = [q]_{i+-1} as coefficient maps
-    assert sum_half(0).compose(diff_half(0)) == central_bracket(0)
-    assert sum_half(1).compose(diff_half(1)) == central_bracket(1)
+    assert sum_half(0) * diff_half(0) == central_bracket(0)
+    assert sum_half(1) * diff_half(1) == central_bracket(1)
 
 
 def test_cross_bracket_four_corners(square_grid, rng):
     q = rng.standard_normal((16, 16))
-    st = central_bracket(0).compose(central_bracket(1))
+    st = central_bracket(0) * central_bracket(1)
     out = st.apply(q, square_grid)
     i, j = 7, 9
     expect = q[i + 1, j + 1] - q[i - 1, j + 1] - q[i + 1, j - 1] + q[i - 1, j - 1]
@@ -53,8 +53,8 @@ def test_cross_bracket_four_corners(square_grid, rng):
 
 
 def test_axis_brackets_commute():
-    a = diff_half(0).compose(sum_half(1))
-    b = sum_half(1).compose(diff_half(0))
+    a = diff_half(0) * sum_half(1)
+    b = sum_half(1) * diff_half(0)
     assert a == b
 
 
@@ -65,7 +65,7 @@ def test_stencil_add_requires_matching_units():
 
 def test_scalar_apply_rejects_small_grid():
     g = GridSpec(nx=3, ny=3, dx=0.1, dy=0.1)
-    wide = central_bracket(0).compose(central_bracket(0))  # radius 2
+    wide = central_bracket(0) * central_bracket(0)  # radius 2
     with pytest.raises(ValueError):
         wide.apply(np.zeros((3, 3)), g)
 
@@ -155,13 +155,56 @@ def test_apply_linearity_and_translation(square_grid, rng):
     assert np.array_equal(rolled, np.roll(st.apply(q, square_grid), (2, 5), axis=(0, 1)))
 
 
-def test_composition_symbol_homomorphism():
-    # whole-cell operators only; half-offset factors have no lattice symbol
-    a = central_bracket(0).compose(smooth_bracket(1))
-    b = second_bracket(1)
-    comp = a.compose(b)
-    sa, sb, sc = a.to_symbol(), b.to_symbol(), comp.to_symbol()
-    assert sc == sa * sb
+def test_composition_symbol_homomorphism(aniso_grid, rng):
+    # whole-cell operators only; half-offset factors cannot act on a field
+    a = central_bracket(0) * smooth_bracket(1)
+    b = second_bracket(1).with_units(0, -1)
+    f = rng.standard_normal((aniso_grid.nx, aniso_grid.ny))
+    got = (a * b).apply(f, aniso_grid)
+    assert np.max(np.abs(got - a.apply(b.apply(f, aniso_grid), aniso_grid))) < 1e-12 * np.max(np.abs(got))
+    assert a * b == b * a
+
+
+def _whole_cell(cells, units):
+    return ScalarStencil({(2 * sx, 2 * sy): c for (sx, sy), c in cells.items()}, units)
+
+
+cells = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                        st.fractions(-3, 3, max_denominator=8), max_size=6)
+units = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(a=cells, b=cells, c=cells, ua=units, ub=units,
+       dx=st.sampled_from((1.0, 1 / 3, 0.05, 1e-3)),
+       dy=st.sampled_from((1.0, 0.07, 1 / 16)),
+       seed=st.integers(0, 2 ** 16))
+def test_product_is_composition(a, b, c, ua, ub, dx, dy, seed):
+    grid = GridSpec(12, 10, dx, dy)
+    a, b, c = _whole_cell(a, ua), _whole_cell(b, ub), _whole_cell(c, ub)
+    f = np.random.default_rng(seed).standard_normal((12, 10))
+    got = (a * b).apply(f, grid)
+    want = a.apply(b.apply(f, grid), grid)
+    scale = (sum(map(abs, a.weights(grid).values())) * sum(map(abs, b.weights(grid).values()))
+             * np.max(np.abs(f)))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+def test_scalar_product_and_sum():
+    assert tx(1) * 0.5 == tx(1) * F(1, 2) == 0.5 * tx(1)
+    assert (tx(1) + 1) - 1 == tx(1) == 1 + tx(1) - 1
+    assert tx(1) * ty(-1) == ScalarStencil({(2, -2): 1})
+
+
+def test_hash_agrees_with_equality():
+    zeros = [ScalarStencil({}, (-1, 0)), ScalarStencil({}), ScalarStencil({(2, 0): 0}, (0, -1))]
+    assert all(z == zeros[0] for z in zeros)
+    assert len({hash(z) for z in zeros}) == 1
+    assert len(set(zeros)) == 1
+    assert len({tx(1), tx(1).with_units(-1, 0), ty(1)}) == 3
 
 
 def test_rational_string_exact_decimals():
@@ -189,7 +232,7 @@ def test_stencil_json_schema():
 
 def test_matrix_stencil_apply_matches_blocks(square_grid, rng):
     ms = MatrixStencil(square_grid)
-    st = central_bracket(0).scaled(F(1, 2)).with_units(-1, 0)
+    st = (central_bracket(0) * F(1, 2)).with_units(-1, 0)
     ms.add_block(2, 0, st, F(4))
     q = rng.standard_normal((3, 16, 16))
     out = ms.apply_sum(q)
@@ -300,5 +343,5 @@ def test_dyadic_kernel_states_are_exact_fixed_points(name, eps):
 def test_curl_of_substitution():
     d = averaged_div()
     c = curl_of(d)
-    assert c.bu == d.bv.scaled(-1)
+    assert c.bu == d.bv * -1
     assert c.bv == d.bu
