@@ -36,8 +36,6 @@ OPTIONS = (
     (None, "a2", 0.0, {"type": float}),
     (None, "a3", 0.0, {"type": float}),
     (None, "a4", 0.0, {"type": float}),
-    (None, "c1", None, {"type": float}),
-    (None, "c2", None, {"type": float}),
     (None, "eps", 1.0, {"type": float}),
     (None, "c", 1.0, {"type": float}),
     (None, "grid", "50", {"metavar": "NX[,NY]"}),

@@ -230,12 +230,6 @@ class VecStencilRow:
     def cell_radius(self):
         return max(self.bu.cell_radius, self.bv.cell_radius)
 
-    def scaled(self, s):
-        return VecStencilRow(self.bu * s, self.bv * s)
-
-    def __add__(self, other):
-        return VecStencilRow(self.bu + other.bu, self.bv + other.bv)
-
     def to_json_dict(self):
         return {"bu": self.bu.to_json_dict(), "bv": self.bv.to_json_dict()}
 

@@ -41,7 +41,12 @@ def cfl_dt(params, grid, cfl):
 
 
 def forward_euler_step(spec, state, dt, step=None):
-    out = FieldSet.from_q(state.grid, state.q + dt * rhs(spec, state).q)
+    # rhs returns a fresh array: scale and add in place, never into state.q;
+    # bitwise equal to state.q + dt * rhs(spec, state).q
+    q = rhs(spec, state).q
+    q *= dt
+    q += state.q
+    out = FieldSet.from_q(state.grid, q)
     if not out.all_finite():
         raise InstabilityError(step if step is not None else "<single>")
     return out

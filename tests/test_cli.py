@@ -94,6 +94,17 @@ def test_seed_flag_is_gone():
     assert exc.value.code == EXIT_USAGE
 
 
+def test_c1_c2_flags_are_gone(tmp_path):
+    for flag in ("--c1", "--c2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--scheme", "multid", flag, "5"])
+        assert exc.value.code == EXIT_USAGE
+    cfgfile = tmp_path / "cfg.json"
+    for key in ("c1", "c2"):
+        cfgfile.write_text(json.dumps({key: 5}))
+        assert main(["analyze", "--scheme", "multid", "--config", str(cfgfile)]) == EXIT_USAGE
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer wraps these by module and name; a rename breaks it
     import importlib

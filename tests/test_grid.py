@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from acousticfd import (AcousticParams, FieldSet, GridSpec, as_fraction,
                         l1_norm_central_diff, write_field_csv)
+from acousticfd.grid import central_diff
 from fractions import Fraction
 
 
@@ -93,6 +95,47 @@ def test_periodic_translation_invariance(rng):
     for axis in (0, 1):
         assert l1_norm_central_diff(np.roll(u, 3, axis=axis), axis, g) == \
             pytest.approx(l1_norm_central_diff(u, axis, g), rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(nx=st.integers(3, 12), ny=st.integers(3, 12),
+       dx=st.sampled_from((1.0, 1 / 3, 0.05, 1e-3)),
+       dy=st.sampled_from((1.0, 0.07, 1 / 16)),
+       scale=st.sampled_from((1.0, 1e-200, 1e150)),
+       seed=st.integers(0, 2 ** 16))
+@example(nx=3, ny=3, dx=1.0, dy=0.07, scale=1.0, seed=0)
+@example(nx=12, ny=3, dx=1e-3, dy=1.0, scale=1.0, seed=1)
+def test_central_diff_matches_roll_oracle_bitwise(nx, ny, dx, dy, scale, seed):
+    g = GridSpec(nx, ny, dx, dy)
+    u = scale * np.random.default_rng(seed).standard_normal((nx, ny))
+    for axis, delta in ((0, dx), (1, dy)):
+        oracle = (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * delta)
+        d = central_diff(u, axis, g)
+        assert d.shape == (nx, ny) and d.flags.c_contiguous
+        assert np.array_equal(d, oracle)
+        assert l1_norm_central_diff(u, axis, g) == float(np.sum(np.abs(oracle)) * dx * dy)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_l1_norm_rejects_any_non_finite_cell(bad):
+    g = GridSpec(5, 4, 0.2, 0.25)
+    for i in range(5):
+        for j in range(4):
+            u = np.ones((5, 4))
+            u[i, j] = bad
+            for axis in (0, 1):
+                with pytest.raises(ValueError, match="non-finite"):
+                    l1_norm_central_diff(u, axis, g)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_l1_norm_overflow_returns_inf():
+    # finite input whose differences overflow is not an error
+    g = GridSpec.unit_square(4)
+    u = np.zeros((4, 4))
+    u[0], u[2] = 1e308, -1e308
+    assert l1_norm_central_diff(u, 0, g) == np.inf
+    assert l1_norm_central_diff(u.T, 1, g) == np.inf
 
 
 def test_field_csv_roundtrip(tmp_path, rng):

@@ -58,7 +58,7 @@ def test_cross_consistency_verdicts():
     cd10 = consistent_diffusion(1, 0)
     assert cross_consistency(cd10, A)
     assert cross_consistency(consistent_diffusion(0, 1), A)
-    assert cross_consistency(A.scaled(Fraction(3, 7)), A)
+    assert cross_consistency(VecStencilRow(A.bu * Fraction(3, 7), A.bv * Fraction(3, 7)), A)
     # per-axis second differences do not share the averaged kernel
     naive = VecStencilRow(second_bracket(0).with_units(-1, 0),
                           second_bracket(1).with_units(0, -1))

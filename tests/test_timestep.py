@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec
-from acousticfd.schemes import make_scheme, rhs
+from acousticfd.schemes import CATALOG_NAMES, make_scheme, rhs
 from acousticfd.timestep import (
     CFL_NORMALIZATION,
     InstabilityError,
@@ -47,6 +47,38 @@ def test_forward_euler_fixes_stationary_states_bitwise(square_grid, params):
     tend = rhs(spec, base).q
     stepped = forward_euler_step(spec, base, 0.01)
     assert np.array_equal(stepped.q, base.q + 0.01 * tend)
+
+
+@pytest.mark.parametrize("grid", [GridSpec.unit_square(50), GridSpec(12, 20, 0.05, 0.01)],
+                         ids=["default", "aniso"])
+@pytest.mark.parametrize("eps", [1.0, 1e-2])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_forward_euler_step_is_out_of_place_update_bitwise(name, eps, grid):
+    spec = make_scheme(name, AcousticParams(c=1.0, eps=eps), grid)
+    rng = np.random.default_rng(17)
+    state = FieldSet.from_q(grid, rng.standard_normal((3, grid.nx, grid.ny)))
+    before = state.q.copy()
+    dt = cfl_dt(spec.params, grid, 0.4)
+    expect = state.q + dt * rhs(spec, state).q
+    stepped = forward_euler_step(spec, state, dt)
+    assert np.array_equal(stepped.q, expect)
+    # the in-place update must not alias the input state
+    assert np.array_equal(state.q, before)
+    assert not np.shares_memory(stepped.q, state.q)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forward_euler_step_non_finite_raises_with_step(square_grid, params, bad):
+    spec = make_scheme("multid", params, square_grid)
+    state = FieldSet.zeros(square_grid)
+    state.v[5, 2] = bad
+    with pytest.raises(InstabilityError) as exc:
+        forward_euler_step(spec, state, 0.01, step=7)
+    assert exc.value.step == 7
+    with pytest.raises(InstabilityError) as exc:
+        forward_euler_step(spec, state, 0.01)
+    assert exc.value.step == "<single>"
 
 
 def test_two_half_steps_beat_one_full_step(square_grid, params, rng):
