@@ -22,9 +22,23 @@ def cross_consistency(B, A):
     return (B.bu * A.bv - B.bv * A.bu).is_zero()
 
 
+def _integer_row(row):
+    """A rational row scaled by the lcm of its denominators; zeros stay the int 0."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = math.lcm(*(x.denominator for x in row if x))
+    return [x.numerator * (den // x.denominator) if x else 0 for x in row]
+
+
 def rref(rows, ncols):
-    """Reduced row echelon form of a Fraction matrix: (reduced rows, pivot columns)."""
-    mat = [list(r) for r in rows]
+    """Reduced row echelon form of a rational matrix: (reduced Fraction rows, pivot columns).
+
+    Entries are ints or Fractions; any other entry, such as a float, enters
+    exactly through Fraction(x). Gauss-Jordan runs over Python ints, each
+    updated row divided by the gcd of its entries; Fractions are built only
+    for the nonzero entries on exit. The reduced form is unique, so it equals
+    elimination over Fraction.
+    """
+    mat = [_integer_row(r) for r in rows]
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -36,15 +50,20 @@ def rref(rows, ncols):
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
+        prow = mat[rank]
+        p = prow[col]
         for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+            f = mat[r][col]
+            if r != rank and f != 0:
+                new = [p * x - f * y for x, y in zip(mat[r], prow)]
+                g = math.gcd(*new)
+                mat[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
         rank += 1
-    return mat, pivots
+    zero = Fraction(0)
+    out = [[Fraction(x, row[pc]) if x else zero for x in row]
+           for row, pc in zip(mat, pivots)]
+    return out + [[zero] * len(row) for row in mat[rank:]], pivots
 
 
 def rref_nullspace(rows, ncols):

@@ -1,11 +1,15 @@
 """Exact symbol algebra: division, consistency nullspaces, Taylor rows."""
 
 import cmath
+import copy
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from acousticfd import laurent
 from acousticfd.laurent import (
     consistency_nullspace,
     cross_consistency,
@@ -75,6 +79,114 @@ def test_consistency_nullspace_dimensions():
     assert len(consistency_nullspace(averaged_div(), constraints="order3")) == 2
     with pytest.raises(ValueError):
         consistency_nullspace(averaged_div(), constraints="odd")
+
+
+def _fraction_rref(rows, ncols):
+    # reference: Gauss-Jordan over Fraction, every entry converted on entry
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, len(mat)):
+            if mat[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    return mat, pivots
+
+
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7)),
+)
+
+
+@st.composite
+def _rational_matrices(draw):
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 10))
+    rows = [draw(st.lists(_entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for r in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        rows[r] = [0] * ncols
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
+        for row in rows:
+            row[c] = Fraction(0)
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                            st.integers(0, nrows - 1)), max_size=3)):
+        rows[dst] = list(rows[src])
+    return rows, ncols
+
+
+def _assert_matches_oracle(rows, ncols):
+    before = copy.deepcopy(rows)
+    got = rref(rows, ncols)
+    assert got == _fraction_rref(rows, ncols)
+    assert all(type(x) is Fraction for row in got[0] for x in row)
+    assert rows == before and all(
+        [type(x) for x in a] == [type(x) for x in b] for a, b in zip(rows, before))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_rational_matrices())
+@example(([[0]], 1))
+@example(([[Fraction(2, 3)]], 1))
+@example(([[0, 0, 0]] * 8, 3))
+@example(([[1, Fraction(-1, 2)], [2, -1], [0, 3], [1, Fraction(-1, 2)]] * 2, 2))
+@example(([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 0, 0]], 4))
+def test_rref_matches_fraction_oracle(matrix):
+    _assert_matches_oracle(*matrix)
+
+
+def test_rref_float_entries_are_exact():
+    rows = [[0.1, 1, 0.0], [Fraction(1, 3), -0.25, 2]]
+    _assert_matches_oracle(rows, 3)
+    mat, pivots = rref([[0.1, 1]], 2)
+    assert pivots == [0]
+    assert mat == [[Fraction(1), 1 / Fraction(0.1)]]
+    assert mat[0][1] != 10
+
+
+# sha256 of repr() of the 31 rref_nullspace bases that certify solves, in this
+# order: central then averaged at radius 1, 2, 3, then the 25-member Moore scan
+BASES_SHA256 = "ce3d9fb73e229c78cd10fb56ca9d1aafa4a2a43d569b19c3294ba1732e881fcb"
+
+
+def test_certify_nullspace_bases_unchanged(monkeypatch):
+    bases = []
+
+    def recording(rows, ncols):
+        basis = rref_nullspace(rows, ncols)
+        bases.append(basis)
+        return basis
+
+    monkeypatch.setattr(laurent, "rref_nullspace", recording)
+    for radius in (1, 2, 3):
+        for div in (central_div, averaged_div):
+            consistency_nullspace(div(), radius=radius)
+    moore_symmetry_scan()
+    assert len(bases) == 31
+    assert hashlib.sha256(repr(bases).encode()).hexdigest() == BASES_SHA256
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_consistency_nullspace_closed_form_dimensions(radius):
+    # central: ((2r-1)^2 - 1)/2, averaged: 2r^2 (odd multipliers of the divergence)
+    central = consistency_nullspace(central_div(), radius=radius)
+    averaged = consistency_nullspace(averaged_div(), radius=radius)
+    assert len(central) == ((2 * radius - 1) ** 2 - 1) // 2
+    assert len(averaged) == 2 * radius ** 2
 
 
 def test_nullspace_members_are_consistent():
