@@ -18,7 +18,7 @@ from .schemes import CATALOG_NAMES, SP_NAMES, make_scheme
 from .stencils import (averaged_div, central_div, consistent_diffusion,
                        rational_string)
 from .timestep import (CFL_NORMALIZATION, InstabilityError, StepControl,
-                       cfl_sweep)
+                       cfl_dt, cfl_sweep)
 from .experiments import (VortexParams, gresho_vortex, vortex_benchmark,
                           extract_conserved_operator)
 
@@ -256,8 +256,9 @@ def cmd_simulate(cfg):
     name = scheme_name(cfg)
     grid = parse_grid(cfg)
     # the values vortex_benchmark builds, checked here so a bad one is a usage error
-    parse_params(cfg)
-    checked(StepControl, cfl=float(cfg["cfl"]), t_end=float(cfg["t_end"]))
+    params = parse_params(cfg)
+    control = checked(StepControl, cfl=float(cfg["cfl"]), t_end=float(cfg["t_end"]))
+    checked(control.steps, cfl_dt(params, grid, control.cfl))
     try:
         report = vortex_benchmark(name, [float(cfg["eps"])], grid,
                                   float(cfg["t_end"]), c=float(cfg["c"]),

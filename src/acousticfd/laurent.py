@@ -98,61 +98,52 @@ def consistency_nullspace(A, radius=1, constraints="even"):
               derivative operator; this is the default.
       "weak"  only the order-0/order-1 rows vanish.
       "order3" order-0/1 rows vanish and the order-3 rows vanish too.
+    The system is solved over ints with one unknown per parity orbit: under
+    "even" S and -S of one component share a column, otherwise each cell is
+    its own orbit. Orbit columns are ordered by their last member, so the
+    free columns, and the basis, are those of the full system with one
+    parity row per pair.
     """
+    if constraints not in ("even", "weak", "order3"):
+        raise ValueError("unknown constraint set %r" % constraints)
     N = radius
     offsets = [(sx, sy) for sx in range(-N, N + 1) for sy in range(-N, N + 1)]
     n = len(offsets)
-    ncols = 2 * n
+    # orbit column of each full unknown; offsets[n - 1 - i] is -offsets[i]
+    if constraints == "even":
+        col = [comp * (n // 2 + 1) + max(i, n - 1 - i) - n // 2
+               for comp in (0, 1) for i in range(n)]
+    else:
+        col = list(range(2 * n))
+    ncols = col[-1] + 1
     (pu, qu), (pv, qv) = A.bu.units, A.bv.units
+    den = math.lcm(*(c.denominator for st in (A.bu, A.bv) for c in st.coeffs.values()))
+    au, av = ({k: int(c * den) for k, c in st.coeffs.items()} for st in (A.bu, A.bv))
 
     # cross-consistency: for each product monomial one linear equation
     eqs = {}
     for i, (sx, sy) in enumerate(offsets):
         # bu term tx^sx ty^sy / dx times Av
-        for (a, b), c in A.bv.coeffs.items():
-            key = (a + 2 * sx, b + 2 * sy, pv - 1, qv)
-            eqs.setdefault(key, [Fraction(0)] * ncols)[i] += c
+        for (a, b), c in av.items():
+            eqs.setdefault((a + 2 * sx, b + 2 * sy, pv - 1, qv), [0] * ncols)[col[i]] += c
         # minus bv term / dy times Au
-        for (a, b), c in A.bu.coeffs.items():
-            key = (a + 2 * sx, b + 2 * sy, pu, qu - 1)
-            eqs.setdefault(key, [Fraction(0)] * ncols)[n + i] -= c
+        for (a, b), c in au.items():
+            eqs.setdefault((a + 2 * sx, b + 2 * sy, pu, qu - 1), [0] * ncols)[col[n + i]] -= c
     rows = list(eqs.values())
 
     # order constraints per component: annihilate constants and linear fields
-    for comp in (0, 1):
-        base = comp * n
-        r0 = [Fraction(0)] * ncols
-        r1x = [Fraction(0)] * ncols
-        r1y = [Fraction(0)] * ncols
-        for i, (sx, sy) in enumerate(offsets):
-            r0[base + i] = Fraction(1)
-            r1x[base + i] = Fraction(sx)
-            r1y[base + i] = Fraction(sy)
-        rows.extend([r0, r1x, r1y])
-
-    if constraints == "even":
-        for comp in (0, 1):
-            base = comp * n
+    moments = [(0, 0), (1, 0), (0, 1)]
+    if constraints == "order3":
+        moments += [(3, 0), (2, 1), (1, 2), (0, 3)]
+    for base in (0, n):
+        for mx, my in moments:
+            r = [0] * ncols
             for i, (sx, sy) in enumerate(offsets):
-                j = offsets.index((-sx, -sy))
-                if j > i:
-                    r = [Fraction(0)] * ncols
-                    r[base + i] = Fraction(1)
-                    r[base + j] = Fraction(-1)
-                    rows.append(r)
-    elif constraints == "order3":
-        for comp in (0, 1):
-            base = comp * n
-            for mx, my in ((3, 0), (2, 1), (1, 2), (0, 3)):
-                r = [Fraction(0)] * ncols
-                for i, (sx, sy) in enumerate(offsets):
-                    r[base + i] = Fraction(sx) ** mx * Fraction(sy) ** my
-                rows.append(r)
-    elif constraints != "weak":
-        raise ValueError("unknown constraint set %r" % constraints)
+                r[col[base + i]] += sx ** mx * sy ** my
+            rows.append(r)
 
-    basis = rref_nullspace(rows, ncols)
-    return [_row_symbol_from_vector(vec, offsets) for vec in basis]
+    basis = rref_nullspace([r for r in rows if any(r)], ncols)
+    return [_row_symbol_from_vector([vec[c] for c in col], offsets) for vec in basis]
 
 
 def row_coefficient_vector(row, radius=1):

@@ -32,8 +32,15 @@ class StepControl:
     def __post_init__(self):
         if not (self.cfl > 0):
             raise ValueError("cfl must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and nonnegative")
+
+    def steps(self, dt):
+        """Number of fixed steps of size dt that reach t_end; above max_steps it raises."""
+        n = max(1, math.ceil(self.t_end / dt - 1e-12)) if self.t_end > 0 else 0
+        if n > self.max_steps:
+            raise ValueError("run wants %d steps, max_steps is %d" % (n, self.max_steps))
+        return n
 
 
 def cfl_dt(params, grid, cfl):
@@ -69,11 +76,7 @@ def run(spec, state, control, probes=None, cadence=1):
     """
     probes = probes or {}
     dt = cfl_dt(spec.params, state.grid, control.cfl)
-    n_steps = 0
-    if control.t_end > 0:
-        n_steps = max(1, int(math.ceil(control.t_end / dt - 1e-12)))
-    if n_steps > control.max_steps:
-        raise ValueError("run wants %d steps, max_steps is %d" % (n_steps, control.max_steps))
+    n_steps = control.steps(dt)
 
     times = [0.0]
     series = {name: [fn(state)] for name, fn in probes.items()}

@@ -74,6 +74,7 @@ OUT_OF_RANGE = [
     (["analyze", "--scheme", "roe", "--k-samples", "-5"], "--k-samples"),
     (["catalog", "--grid", "1"], "at least 3x3"),
     (["simulate", "--scheme", "roe", "--grid", "8", "--t-end", "-1"], "t_end"),
+    (["simulate", "--scheme", "roe", "--grid", "8", "--t-end", "inf"], "t_end must be finite"),
     (["simulate", "--scheme", "roe", "--grid", "8", "--cfl", "0"], "cfl must be positive"),
     (["certify", "--radius", "0"], "--radius"),
     (["simulate"], "--scheme is required"),
@@ -86,6 +87,17 @@ def test_out_of_range_values_are_usage_errors(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_run_longer_than_max_steps_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "D"
+    rc = main(["simulate", "--scheme", "roe", "--grid", "16", "--t-end", "1e9",
+               "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: run wants 35555555556 steps, max_steps is 10000000")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
 
 
 def test_seed_flag_is_gone():

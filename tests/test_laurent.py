@@ -158,26 +158,92 @@ def test_rref_float_entries_are_exact():
     assert mat[0][1] != 10
 
 
-# sha256 of repr() of the 31 rref_nullspace bases that certify solves, in this
-# order: central then averaged at radius 1, 2, 3, then the 25-member Moore scan
+# sha256 of repr() of the coefficient vectors of the 31 bases that certify
+# solves, in this order: central then averaged at radius 1, 2, 3, then the
+# 25-member Moore scan
 BASES_SHA256 = "ce3d9fb73e229c78cd10fb56ca9d1aafa4a2a43d569b19c3294ba1732e881fcb"
 
 
 def test_certify_nullspace_bases_unchanged(monkeypatch):
     bases = []
 
-    def recording(rows, ncols):
-        basis = rref_nullspace(rows, ncols)
-        bases.append(basis)
+    def recording(A, radius=1, constraints="even"):
+        basis = consistency_nullspace(A, radius, constraints)
+        bases.append([row_coefficient_vector(b, radius) for b in basis])
         return basis
 
-    monkeypatch.setattr(laurent, "rref_nullspace", recording)
+    monkeypatch.setattr(laurent, "consistency_nullspace", recording)
     for radius in (1, 2, 3):
         for div in (central_div, averaged_div):
-            consistency_nullspace(div(), radius=radius)
+            laurent.consistency_nullspace(div(), radius=radius)
     moore_symmetry_scan()
     assert len(bases) == 31
     assert hashlib.sha256(repr(bases).encode()).hexdigest() == BASES_SHA256
+
+
+def _full_consistency_nullspace(A, radius, constraints):
+    # reference: Fraction rows over all 2(2r+1)^2 cell coefficients, one
+    # explicit row c_S - c_{-S} per reflection pair under "even"
+    N = radius
+    offsets = [(sx, sy) for sx in range(-N, N + 1) for sy in range(-N, N + 1)]
+    n = len(offsets)
+    ncols = 2 * n
+    (pu, qu), (pv, qv) = A.bu.units, A.bv.units
+    eqs = {}
+    for i, (sx, sy) in enumerate(offsets):
+        for (a, b), c in A.bv.coeffs.items():
+            key = (a + 2 * sx, b + 2 * sy, pv - 1, qv)
+            eqs.setdefault(key, [Fraction(0)] * ncols)[i] += c
+        for (a, b), c in A.bu.coeffs.items():
+            key = (a + 2 * sx, b + 2 * sy, pu, qu - 1)
+            eqs.setdefault(key, [Fraction(0)] * ncols)[n + i] -= c
+    rows = list(eqs.values())
+    moments = [(0, 0), (1, 0), (0, 1)]
+    if constraints == "order3":
+        moments += [(3, 0), (2, 1), (1, 2), (0, 3)]
+    for base in (0, n):
+        for mx, my in moments:
+            r = [Fraction(0)] * ncols
+            for i, (sx, sy) in enumerate(offsets):
+                r[base + i] = Fraction(sx) ** mx * Fraction(sy) ** my
+            rows.append(r)
+        if constraints == "even":
+            for i, (sx, sy) in enumerate(offsets):
+                j = offsets.index((-sx, -sy))
+                if j > i:
+                    r = [Fraction(0)] * ncols
+                    r[base + i] = Fraction(1)
+                    r[base + j] = Fraction(-1)
+                    rows.append(r)
+    return rref_nullspace(rows, ncols)
+
+
+def _half_offset_stencils(span):
+    keys = st.tuples(st.integers(-span, span), st.integers(-span, span))
+    return st.dictionaries(keys, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+                           max_size=4).map(ScalarStencil)
+
+
+@st.composite
+def _divergence_rows(draw):
+    # A = (f g, f h) shares the factor f, so multiples of (g, h) can satisfy
+    # the cross-consistency and the nullspace is often nonempty
+    span = 2 * draw(st.integers(1, 2))
+    f = draw(_half_offset_stencils(span)) if draw(st.booleans()) else ScalarStencil({(0, 0): 1})
+    g, h = draw(_half_offset_stencils(span)), draw(_half_offset_stencils(span))
+    return VecStencilRow((f * g).with_units(-1, 0), (f * h).with_units(0, -1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_divergence_rows(), st.integers(1, 2), st.sampled_from(["even", "weak", "order3"]))
+@example(averaged_div(), 1, "even")
+@example(averaged_div(), 2, "weak")
+@example(symmetric_divergence_row(Fraction(1, 8)), 2, "order3")
+@example(VecStencilRow(tx(2).with_units(-1, 0), ty(-2).with_units(0, -1)), 2, "even")
+@example(VecStencilRow(ScalarStencil({}, (-1, 0)), ScalarStencil({}, (0, -1))), 1, "even")
+def test_consistency_nullspace_matches_full_oracle(A, radius, constraints):
+    got = [row_coefficient_vector(b, radius) for b in consistency_nullspace(A, radius, constraints)]
+    assert got == _full_consistency_nullspace(A, radius, constraints)
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 4])

@@ -258,7 +258,7 @@ def test_matrix_stencil_radius_follows_entries(square_grid, rng):
     assert ms.radius == 1
     ms.add_entry(1, 2, (0, -7), F(1, 2))
     assert ms.radius == 7
-    ms.apply_sum(q)
+    assert_matches_roll_oracle(ms, q)
     ms.add_entry(2, 1, (8, 0), F(1))
     with pytest.raises(ValueError, match="radius 8"):
         ms.apply_sum(q)
@@ -300,6 +300,33 @@ def test_apply_sum_matches_roll_oracle(name, coeffs, eps, nx, ny, dx, dy, seed):
     kwargs = dict(zip(("a1", "a2", "a3", "a4"), coeffs)) if name == "dimsplit" else {}
     ms = make_scheme(name, AcousticParams(c=1.0, eps=eps), grid, **kwargs).stencil
     q = np.random.default_rng(seed).standard_normal((3, nx, ny))
+    assert_matches_roll_oracle(ms, q)
+
+
+@st.composite
+def _wide_stencils(draw):
+    # sparse taps, each with its own (row, col) pair, and one tap at the full radius
+    r = draw(st.integers(2, 3))
+    offsets = st.tuples(st.integers(-r, r), st.integers(-r, r))
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 2), offsets)
+    values = st.builds(F, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 8))
+    entries = draw(st.dictionaries(keys, values, max_size=8))
+    edge = draw(st.sampled_from([(r, 0), (-r, 1), (2, -r), (-1, r), (r, r), (-r, -r)]))
+    entries[(draw(st.integers(0, 2)), draw(st.integers(0, 2)), edge)] = draw(values)
+    return r, entries
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stencil=_wide_stencils(), extra_x=st.integers(0, 6), extra_y=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 16))
+def test_apply_sum_wide_stencils_match_roll_oracle(stencil, extra_x, extra_y, seed):
+    r, entries = stencil
+    grid = GridSpec(2 * r + 1 + extra_x, 2 * r + 1 + extra_y, 0.05, 0.07)
+    ms = MatrixStencil(grid)
+    for (row, col, offset), value in entries.items():
+        ms.add_entry(row, col, offset, value)
+    assert ms.radius == r
+    q = np.random.default_rng(seed).standard_normal((3, grid.nx, grid.ny))
     assert_matches_roll_oracle(ms, q)
 
 

@@ -30,8 +30,9 @@ def test_cfl_dt_normalization():
 def test_step_control_validation():
     with pytest.raises(ValueError):
         StepControl(cfl=0.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        StepControl(cfl=0.5, t_end=-1.0)
+    for t_end in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            StepControl(cfl=0.5, t_end=t_end)
     with pytest.raises(ValueError):
         run(make_scheme("central", AcousticParams(c=1.0, eps=1.0), GridSpec.unit_square(8)),
             FieldSet.zeros(GridSpec.unit_square(8)),
