@@ -253,7 +253,11 @@ def vortex_benchmark(scheme_name, eps_list, grid, t_end, c=1.0, cfl=0.45,
                  "final_dux_l1": float(result.series["dux_l1"][-1]),
                  "initial_duy_l1": float(result.series["duy_l1"][0]),
                  "final_duy_l1": float(result.series["duy_l1"][-1])}
-        entry["dux_retention"] = entry["final_dux_l1"] / entry["initial_dux_l1"]
+        if entry["initial_dux_l1"] > 0:
+            entry["dux_retention"] = entry["final_dux_l1"] / entry["initial_dux_l1"]
+        else:
+            entry.update(dux_retention=None,
+                         dux_retention_error="initial dux_l1 is 0: the vortex misses the domain")
         if fit:
             window = decay_window(result.times, result.series["dux_l1"], params, grid)
             try:

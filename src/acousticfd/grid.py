@@ -135,9 +135,6 @@ class FieldSet:
     def norm_inf(self):
         return float(np.max(np.abs(self.q)))
 
-    def all_finite(self):
-        return bool(np.all(np.isfinite(self.q)))
-
     @staticmethod
     def zeros(grid):
         return FieldSet.from_q(grid, np.zeros((3, grid.nx, grid.ny)))

@@ -321,47 +321,64 @@ class MatrixStencil:
         return self._radius
 
     def float_blocks(self):
-        """Float blocks by sorted offset; the radius and apply_sum's packing are cached with them."""
+        """Float blocks by sorted offset; the radius and the packing are cached with them."""
         if self._floats is None:
             self._prune()
             self._floats = {off: np.array([[float(x) for x in r] for r in m])
                             for off, m in sorted(self.exact.items())}
-            self._radius = max((max(abs(sx), abs(sy)) for sx, sy in self._floats), default=0)
+            r = self._radius = max((max(abs(sx), abs(sy)) for sx, sy in self._floats), default=0)
             cols, taps = [], []
             for (sx, sy), mat in self._floats.items():
                 comps = np.flatnonzero(mat.any(axis=0))
                 if comps.size:
                     # any subset of the 3 components is an arithmetic progression
                     step = comps[1] - comps[0] if comps.size > 1 else 1
-                    taps.append((len(cols), len(cols) + comps.size, sx, sy,
+                    taps.append((len(cols), len(cols) + comps.size,
+                                 (r + sx) * (self.grid.ny + 2 * r) + r + sy,
                                  slice(comps[0], comps[-1] + 1, step)))
                     cols.extend(mat[:, comps].T)
             self._packed = (np.array(cols, dtype=float).reshape(-1, 3).T, taps)
         return self._floats
 
-    def apply_sum(self, q):
-        """sum_S alpha_S q_{I+S} for q of shape (3, nx, ny), as one product W @ B.
+    def workspace(self, count):
+        """count periodic halos (3, nx+2r, ny+2r) as (halo, span, interior view), and the
+        (K, n) buffer shift_product fills; a span is the flat slice of each component
+        from its first interior cell to its last, n values long."""
+        nx, ny, r = self.grid.nx, self.grid.ny, self.radius
+        if 2 * r + 1 > min(nx, ny):
+            raise ValueError("grid too small for stencil radius %d" % r)
+        base, n = r * (ny + 2 * r) + r, nx * (ny + 2 * r) - 2 * r
+        halos = [(h, h.reshape(3, -1)[:, base:base + n], h[:, r:r + nx, r:r + ny])
+                 for h in np.empty((count, 3, nx + 2 * r, ny + 2 * r))]
+        return halos, np.empty((self._packed[0].shape[1], n))
 
-        W is (3, K), one column per nonzero (tap, component) pair; B stacks the
-        K matching shifts of q, cut from a periodic halo, as rows of length nx*ny."""
+    def wrap_halo(self, halo):
+        """Refresh the periodic ghosts from the interior: y columns, then x rows."""
+        nx, ny, r = self.grid.nx, self.grid.ny, self.radius
+        halo[:, r:r + nx, :r] = halo[:, r:r + nx, ny:ny + r]
+        halo[:, r:r + nx, ny + r:] = halo[:, r:r + nx, r:2 * r]
+        halo[:, :r] = halo[:, nx:nx + r]
+        halo[:, nx + r:] = halo[:, r:2 * r]
+
+    def shift_product(self, halo, span, buf):
+        """span = W @ B: B stacks the K packed shifts of a wrapped halo as contiguous flat
+        slices, copied into buf. The y ghost columns of span get meaningless values."""
+        flat = halo.reshape(3, -1)
+        for k0, k1, off, comps in self._packed[1]:
+            buf[k0:k1] = flat[comps, off:off + buf.shape[1]]
+        np.matmul(self._packed[0], buf, out=span)
+
+    def apply_sum(self, q):
+        """sum_S alpha_S q_{I+S} for q of shape (3, nx, ny), through a halo and shift_product."""
         q = np.asarray(q, dtype=float)
         nx, ny = self.grid.nx, self.grid.ny
         if q.shape != (3, nx, ny):
             raise ValueError("q has shape %s, stencil wants (3, %d, %d)" % (q.shape, nx, ny))
-        r = self.radius
-        if 2 * r + 1 > min(nx, ny):
-            raise ValueError("grid too small for stencil radius %d" % r)
-        w, taps = self._packed
-        halo = np.empty((3, nx + 2 * r, ny + 2 * r))
-        halo[:, r:r + nx, r:r + ny] = q
-        halo[:, :r, r:r + ny] = q[:, nx - r:]
-        halo[:, r + nx:, r:r + ny] = q[:, :r]
-        halo[:, :, :r] = halo[:, :, ny:ny + r]
-        halo[:, :, ny + r:] = halo[:, :, r:2 * r]
-        buf = np.empty((w.shape[1], nx, ny))
-        for k0, k1, sx, sy, comps in taps:
-            buf[k0:k1] = halo[comps, r + sx:r + sx + nx, r + sy:r + sy + ny]
-        return (w @ buf.reshape(len(buf), nx * ny)).reshape(3, nx, ny)
+        [(halo, _, inner), (_, span, out)], buf = self.workspace(2)
+        inner[...] = q
+        self.wrap_halo(halo)
+        self.shift_product(halo, span, buf)
+        return out.copy()
 
     def symbol(self, thx, thy):
         """sum_S alpha_S tx^sx ty^sy at tx = exp(i thx); the evolution matrix is -i times this.

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FieldSet
-from .schemes import rhs
 
 CFL_NORMALIZATION = "nu = (c/eps)*dt/min(dx,dy)"
 
@@ -30,8 +29,8 @@ class StepControl:
     max_steps: int = 10 ** 7
 
     def __post_init__(self):
-        if not (self.cfl > 0):
-            raise ValueError("cfl must be positive")
+        if not 0 < self.cfl < math.inf:
+            raise ValueError("cfl must be positive and finite")
         if not 0 <= self.t_end < math.inf:
             raise ValueError("t_end must be finite and nonnegative")
 
@@ -47,16 +46,50 @@ def cfl_dt(params, grid, cfl):
     return cfl * grid.min_spacing * params.eps / params.c
 
 
+class March:
+    """Forward Euler with the state resident in one of two periodic halos.
+
+    A step runs shift_product into the other halo's span, scales it by -dt
+    (the sign of -W @ B folded in, which is exact), adds the current span,
+    refreshes the ghosts and swaps: bitwise q + dt * rhs(q). The span holds
+    interior cells and copies of them only, so the checks run on it. `state`
+    views the current interior; the step after next overwrites it."""
+
+    def __init__(self, spec):
+        self.stencil, self.grid = spec.stencil, spec.grid
+        halos, self.buf = spec.stencil.workspace(2)
+        # (halo, span, state over the interior); the current one is first
+        self.halos = [(h, span, FieldSet.from_q(self.grid, inner)) for h, span, inner in halos]
+
+    def load(self, state, dt):
+        if state.grid != self.grid:
+            raise ValueError("state grid %r does not match scheme grid %r" % (state.grid, self.grid))
+        self.neg_dt, self.state = -dt, self.halos[0][2]
+        self.state.q[...] = state.q
+        self.stencil.wrap_halo(self.halos[0][0])
+        return self
+
+    def step(self, step, norm=False):
+        """One step; returns max|q| if norm is set. A non-finite cell raises InstabilityError."""
+        (halo, span, _), (nxt, out, self.state) = self.halos
+        # a blow-up is reported by the check below, not by floating-point warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.stencil.shift_product(halo, out, self.buf)
+            out *= self.neg_dt
+            out += span
+        self.stencil.wrap_halo(nxt)
+        self.halos.reverse()
+        peak = float(np.max(np.abs(out))) if norm else None
+        if not (math.isfinite(peak) if norm else np.isfinite(out).all()):
+            raise InstabilityError(step)
+        return peak
+
+
 def forward_euler_step(spec, state, dt, step=None):
-    # rhs returns a fresh array: scale and add in place, never into state.q;
-    # bitwise equal to state.q + dt * rhs(spec, state).q
-    q = rhs(spec, state).q
-    q *= dt
-    q += state.q
-    out = FieldSet.from_q(state.grid, q)
-    if not out.all_finite():
-        raise InstabilityError(step if step is not None else "<single>")
-    return out
+    """One step of q + dt * rhs(q) into a fresh state."""
+    march = March(spec).load(state, dt)
+    march.step(step if step is not None else "<single>")
+    return march.state.copy()
 
 
 @dataclass
@@ -72,44 +105,43 @@ def run(spec, state, control, probes=None, cadence=1):
     """March to t_end with fixed dt, invoking probe callbacks on a cadence.
 
     probes maps name -> f(state); each is sampled at t = 0, every `cadence`
-    steps, and at the final step. Returns the probe series and final state.
+    steps, and at the final step. Returns the probe series and a copy of the final state.
     """
     probes = probes or {}
     dt = cfl_dt(spec.params, state.grid, control.cfl)
     n_steps = control.steps(dt)
+    march = March(spec).load(state, dt)
 
     times = [0.0]
     series = {name: [fn(state)] for name, fn in probes.items()}
     for step in range(1, n_steps + 1):
         try:
-            state = forward_euler_step(spec, state, dt, step=step)
+            march.step(step)
         except InstabilityError as err:
-            if err.t is None:
-                err.t = (step - 1) * dt
+            err.t = (step - 1) * dt
             raise
         if step % cadence == 0 or step == n_steps:
             times.append(step * dt)
             for name, fn in probes.items():
-                series[name].append(fn(state))
+                series[name].append(fn(march.state))
     return RunResult(times=np.array(times),
                      series={k: np.array(v) for k, v in series.items()},
-                     final_state=state, n_steps=n_steps, dt=dt)
+                     final_state=march.state.copy(), n_steps=n_steps, dt=dt)
 
 
 def cfl_sweep(spec, state0, cfl_grid, horizon_steps=500, growth_factor=2.0):
     """Largest CFL whose infinity norm stays within growth_factor over the horizon."""
     cfl_grid = sorted(float(c) for c in cfl_grid)
     initial = state0.norm_inf()
+    march = March(spec)
     results = []
     for cfl in cfl_grid:
-        dt = cfl_dt(spec.params, state0.grid, cfl)
-        state = state0.copy()
+        march.load(state0, cfl_dt(spec.params, state0.grid, cfl))
         stable = True
         peak = initial
         try:
             for step in range(1, horizon_steps + 1):
-                state = forward_euler_step(spec, state, dt, step=step)
-                peak = max(peak, state.norm_inf())
+                peak = max(peak, march.step(step, norm=True))
                 if peak > growth_factor * initial:
                     stable = False
                     break

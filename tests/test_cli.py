@@ -76,6 +76,7 @@ OUT_OF_RANGE = [
     (["simulate", "--scheme", "roe", "--grid", "8", "--t-end", "-1"], "t_end"),
     (["simulate", "--scheme", "roe", "--grid", "8", "--t-end", "inf"], "t_end must be finite"),
     (["simulate", "--scheme", "roe", "--grid", "8", "--cfl", "0"], "cfl must be positive"),
+    (["simulate", "--scheme", "roe", "--grid", "8", "--cfl", "inf"], "cfl must be positive and finite"),
     (["certify", "--radius", "0"], "--radius"),
     (["simulate"], "--scheme is required"),
 ]
@@ -98,6 +99,27 @@ def test_run_longer_than_max_steps_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: run wants 35555555556 steps, max_steps is 10000000")
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert os.listdir(tmp_path) == []
+
+
+def test_infinite_cfl_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert main(["simulate", "--scheme", "roe", "--grid", "8", "--cfl", "inf",
+                 "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: cfl must be positive and finite\n"
+    assert not out.exists()
+
+
+def test_vortex_outside_domain_reports_null_retention(tmp_path):
+    # a 0.16-wide domain: the vortex centred at 0.5 leaves u = 0 everywhere
+    with pytest.warns(UserWarning, match="vortex radius"):
+        rc = main(["simulate", "--scheme", "roe", "--grid", "16", "--dx", "0.01",
+                   "--dy", "0.01", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    run0 = _read_json(tmp_path / "simulate_roe.json")["runs"][0]
+    assert run0["initial_dux_l1"] == 0.0
+    assert run0["dux_retention"] is None
+    assert "vortex misses the domain" in run0["dux_retention_error"]
 
 
 def test_seed_flag_is_gone():
