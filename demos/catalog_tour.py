@@ -19,7 +19,7 @@ print()
 for name, spec in specs.items():
     claim = ("preserving" if spec.claims["stationarity_preserving"]
              else "diffusive kernel")
-    print("%-9s  family %-9s  %s" % (name, spec.family, claim))
+    print("%-9s  family %-9s  %s" % (name, spec.name, claim))
     dp = spec.extra.get("diffusion")
     if dp is not None:
         coeffs = ", ".join("a%d=%s" % (k, rational_string(a))

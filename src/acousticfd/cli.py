@@ -48,7 +48,6 @@ OPTIONS = (
     ("certify", "divergence", "both", {"choices": ("central", "averaged", "both")}),
     ("certify", "radius", 1, {"type": int}),
     ("certify", "identity_only", False, {"action": "store_true"}),
-    ("simulate", "cfl_sweep", False, {"action": "store_true"}),
 )
 DEFAULTS = {name: default for _, name, default, _ in OPTIONS}
 
@@ -251,8 +250,6 @@ def cmd_certify(cfg):
 
 
 def cmd_simulate(cfg):
-    if cfg["cfl_sweep"]:
-        return cmd_sweep(cfg)
     name = scheme_name(cfg)
     grid = parse_grid(cfg)
     # the values vortex_benchmark builds, checked here so a bad one is a usage error
@@ -297,7 +294,7 @@ def cmd_catalog(cfg):
     doc = {"schemes": [], "normalization": CFL_NORMALIZATION}
     for name in CATALOG_NAMES:
         spec = make_scheme(name, params, grid)
-        entry = {"name": name, "family": spec.family,
+        entry = {"name": name, "family": name,
                  "claims": {k: v for k, v in spec.claims.items()},
                  "stationarity_preserving_expected": name in SP_NAMES}
         dp = spec.extra.get("diffusion")

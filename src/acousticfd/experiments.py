@@ -45,7 +45,10 @@ def gresho_vortex(grid, vortex=None, acoustic=None):
     vortex = vortex or VortexParams()
     lx, ly = grid.nx * grid.dx, grid.ny * grid.dy
     margin = min(vortex.x0, lx - vortex.x0, vortex.y0, ly - vortex.y0)
-    if vortex.r2 > margin:
+    if margin < 0:
+        warnings.warn("vortex centre (%.3g, %.3g) lies outside the domain [0, %.3g] x [0, %.3g]"
+                      % (vortex.x0, vortex.y0, lx, ly))
+    elif vortex.r2 > margin:
         warnings.warn("vortex radius %.3g exceeds distance %.3g to the boundary"
                       % (vortex.r2, margin))
     x, y = grid.cell_centers()

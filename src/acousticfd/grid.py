@@ -86,11 +86,6 @@ class AcousticParams:
         if not (self.c > 0 and self.eps > 0):
             raise ValueError("need c > 0 and eps > 0")
 
-    @staticmethod
-    def make(c, eps):
-        return AcousticParams(float(as_fraction(c)), float(as_fraction(eps)),
-                              as_fraction(c), as_fraction(eps))
-
 
 class FieldSet:
     """State q = (u, v, p); stored as one (3, nx, ny) array, components are views."""

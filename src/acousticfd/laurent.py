@@ -88,33 +88,23 @@ def _row_symbol_from_vector(vec, offsets):
     return VecStencilRow(ScalarStencil(bu, (-1, 0)), ScalarStencil(bv, (0, -1)))
 
 
-def consistency_nullspace(A, radius=1, constraints="even"):
+def consistency_nullspace(A, radius=1):
     """Exact basis of rows B with Bu*Av = Bv*Au plus order constraints.
 
     Unknowns are the cell coefficients of (bu, bv) on the (2N+1)^2 block,
-    with bu carrying 1/dx and bv carrying 1/dy. Constraint sets:
-      "even"  order-0 and order-1 Taylor rows vanish and each component is
-              point-reflection even (c_S = c_{-S}), the parity of a second
-              derivative operator; this is the default.
-      "weak"  only the order-0/order-1 rows vanish.
-      "order3" order-0/1 rows vanish and the order-3 rows vanish too.
-    The system is solved over ints with one unknown per parity orbit: under
-    "even" S and -S of one component share a column, otherwise each cell is
-    its own orbit. Orbit columns are ordered by their last member, so the
-    free columns, and the basis, are those of the full system with one
-    parity row per pair.
+    with bu carrying 1/dx and bv carrying 1/dy. The order-0 and order-1
+    Taylor rows vanish and each component is point-reflection even
+    (c_S = c_{-S}), the parity of a second derivative operator.
+    The system is solved over ints with one unknown per parity orbit: S and
+    -S of one component share a column. Orbit columns are ordered by their
+    last member, so the free columns, and the basis, are those of the full
+    system with one parity row per pair.
     """
-    if constraints not in ("even", "weak", "order3"):
-        raise ValueError("unknown constraint set %r" % constraints)
     N = radius
     offsets = [(sx, sy) for sx in range(-N, N + 1) for sy in range(-N, N + 1)]
     n = len(offsets)
     # orbit column of each full unknown; offsets[n - 1 - i] is -offsets[i]
-    if constraints == "even":
-        col = [comp * (n // 2 + 1) + max(i, n - 1 - i) - n // 2
-               for comp in (0, 1) for i in range(n)]
-    else:
-        col = list(range(2 * n))
+    col = [comp * (n // 2 + 1) + max(i, n - 1 - i) - n // 2 for comp in (0, 1) for i in range(n)]
     ncols = col[-1] + 1
     (pu, qu), (pv, qv) = A.bu.units, A.bv.units
     den = math.lcm(*(c.denominator for st in (A.bu, A.bv) for c in st.coeffs.values()))
@@ -131,16 +121,12 @@ def consistency_nullspace(A, radius=1, constraints="even"):
             eqs.setdefault((a + 2 * sx, b + 2 * sy, pu, qu - 1), [0] * ncols)[col[n + i]] -= c
     rows = list(eqs.values())
 
-    # order constraints per component: annihilate constants and linear fields
-    moments = [(0, 0), (1, 0), (0, 1)]
-    if constraints == "order3":
-        moments += [(3, 0), (2, 1), (1, 2), (0, 3)]
+    # order 0 per component annihilates constants; the parity already annihilates linear fields
     for base in (0, n):
-        for mx, my in moments:
-            r = [0] * ncols
-            for i, (sx, sy) in enumerate(offsets):
-                r[col[base + i]] += sx ** mx * sy ** my
-            rows.append(r)
+        r = [0] * ncols
+        for i in range(n):
+            r[col[base + i]] += 1
+        rows.append(r)
 
     basis = rref_nullspace([r for r in rows if any(r)], ncols)
     return [_row_symbol_from_vector([vec[c] for c in col], offsets) for vec in basis]
@@ -191,7 +177,7 @@ def symmetric_divergence_row(gamma, beta=None):
     return VecStencilRow(ScalarStencil(bu, (-1, 0)), ScalarStencil(bv, (0, -1)))
 
 
-def moore_symmetry_scan(gammas=None, constraints="even"):
+def moore_symmetry_scan(gammas=None):
     """Nullspace dimension across the symmetric first-order divergence family.
 
     Returns one record per family member; dimension > 0 should single out
@@ -203,7 +189,7 @@ def moore_symmetry_scan(gammas=None, constraints="even"):
     for g in gammas:
         g = as_fraction(g)
         row = symmetric_divergence_row(g)
-        dim = len(consistency_nullspace(row, radius=1, constraints=constraints))
+        dim = len(consistency_nullspace(row, radius=1))
         report.append({"gamma": g, "beta": Fraction(1, 2) - 2 * g, "dim": dim,
                        "is_averaged": g == Fraction(1, 8)})
     return report

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .grid import AcousticParams, FieldSet, as_fraction
-from .stencils import (MatrixStencil, averaged_div, central_bracket, dimsplit_div,
-                       second_bracket, smooth_bracket)
+from .stencils import (MatrixStencil, ScalarStencil, averaged_div, central_bracket,
+                       dimsplit_div, second_bracket, smooth_bracket)
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class DiffusionParams:
 @dataclass(frozen=True)
 class SchemeSpec:
     name: str
-    family: str
     params: AcousticParams
     grid: object
     stencil: MatrixStencil
@@ -44,13 +43,13 @@ class SchemeSpec:
 
     def divergence_row(self):
         """The discrete divergence whose kernel hosts this scheme's stationary states."""
-        if self.family == "multid":
+        if self.name == "multid":
             return averaged_div()
-        if self.family in ("central", "dimsplit", "roe", "lowmach1", "lowmach2", "lowmach3"):
+        if self.name in ("central", "dimsplit", "roe", "lowmach1", "lowmach2", "lowmach3"):
             dp = self.extra.get("diffusion")
             a3 = dp.a3 if dp is not None else Fraction(0)
             return dimsplit_div(a3, self.params.c_exact)
-        raise ValueError("no divergence row for family %r" % self.family)
+        raise ValueError("no divergence row for scheme %r" % self.name)
 
 
 def _dimsplit_matrices(params, dp):
@@ -65,31 +64,31 @@ def _dimsplit_matrices(params, dp):
     return jx, jy, dxm, dym
 
 
-def dimsplit_scheme(params, grid, dp, name=None, family="dimsplit", claims=None):
+def dimsplit_scheme(params, grid, dp, name="dimsplit", claims=None):
     jx, jy, dxm, dym = _dimsplit_matrices(params, dp)
-    st = MatrixStencil(grid)
-    hx = 1 / (2 * grid.dx_exact)
-    hy = 1 / (2 * grid.dy_exact)
-    for r in range(3):
-        for c in range(3):
-            if jx[r][c] or dxm[r][c]:
-                st.add_entry(r, c, (1, 0), (jx[r][c] - dxm[r][c]) * hx)
-                st.add_entry(r, c, (-1, 0), (-jx[r][c] - dxm[r][c]) * hx)
-                st.add_entry(r, c, (0, 0), 2 * dxm[r][c] * hx)
-            if jy[r][c] or dym[r][c]:
-                st.add_entry(r, c, (0, 1), (jy[r][c] - dym[r][c]) * hy)
-                st.add_entry(r, c, (0, -1), (-jy[r][c] - dym[r][c]) * hy)
-                st.add_entry(r, c, (0, 0), 2 * dym[r][c] * hy)
+    # entry (r, c) is (cb_x Jx - sb_x Dx)/(2dx) + (cb_y Jy - sb_y Dy)/(2dy)
+    hx, hy = 1 / (2 * grid.dx_exact), 1 / (2 * grid.dy_exact)
+    axes = ((central_bracket("x") * hx, second_bracket("x") * -hx, jx, dxm),
+            (central_bracket("y") * hy, second_bracket("y") * -hy, jy, dym))
+
+    def entry(r, c):
+        out = ScalarStencil({})
+        for cb, sb, j, d in axes:
+            # skipping the zero pairs keeps the build cheap: most entries are empty
+            if j[r][c] or d[r][c]:
+                out += cb * j[r][c] + sb * d[r][c]
+        return out
+
+    st = MatrixStencil(grid, [[entry(r, c) for c in range(3)] for r in range(3)])
     base_claims = {"stationarity_preserving": dp.a1 == 0}
     if claims:
         base_claims.update(claims)
-    return SchemeSpec(name=name or "dimsplit", family=family, params=params, grid=grid,
+    return SchemeSpec(name=name, params=params, grid=grid,
                       stencil=st, claims=base_claims, extra={"diffusion": dp})
 
 
 def central_scheme(params, grid):
     return dimsplit_scheme(params, grid, DiffusionParams.make(), name="central",
-                           family="central",
                            claims={"stationarity_preserving": True})
 
 
@@ -97,7 +96,7 @@ def roe_scheme(params, grid):
     """Upwind scheme: Dx = |Jx| = diag(c/eps, 0, c/eps), Dy = diag(0, c/eps, c/eps)."""
     ce = params.c_exact / params.eps_exact
     dp = DiffusionParams.make(ce, 0, 0, ce)
-    return dimsplit_scheme(params, grid, dp, name="roe", family="roe",
+    return dimsplit_scheme(params, grid, dp, name="roe",
                            claims={"stationarity_preserving": False,
                                    "expected_max_cfl": 0.5})
 
@@ -115,7 +114,6 @@ def lowmach_scheme(params, grid, variant):
     else:
         raise ValueError("lowmach variant must be 1, 2 or 3, got %r" % (variant,))
     return dimsplit_scheme(params, grid, dp, name="lowmach%d" % variant,
-                           family="lowmach%d" % variant,
                            claims={"stationarity_preserving": True})
 
 
@@ -127,7 +125,6 @@ def multid_scheme(params, grid):
     second-difference pattern; reduces to the 1-D upwind scheme on fields
     constant in one direction.
     """
-    st = MatrixStencil(grid)
     e2 = params.eps_exact ** 2
     c2 = params.c_exact ** 2
     ce = params.c_exact / params.eps_exact
@@ -139,22 +136,21 @@ def multid_scheme(params, grid):
     qy_px = smooth_bracket("x") * second_bracket("y") * eighth
     sx_sy = central_bracket("x") * central_bracket("y") * eighth
 
-    # u equation: averaged pressure gradient minus velocity diffusion
-    st.add_block(0, 2, sx_py.with_units(-1, 0), 1 / e2)
-    st.add_block(0, 0, qx_py.with_units(-1, 0), -ce)
-    st.add_block(0, 1, sx_sy.with_units(0, -1), -ce)
-    # v equation
-    st.add_block(1, 2, sy_px.with_units(0, -1), 1 / e2)
-    st.add_block(1, 1, qy_px.with_units(0, -1), -ce)
-    st.add_block(1, 0, sx_sy.with_units(-1, 0), -ce)
-    # p equation: averaged divergence minus averaged pressure Laplacian
-    st.add_block(2, 0, sx_py.with_units(-1, 0), c2)
-    st.add_block(2, 1, sy_px.with_units(0, -1), c2)
-    st.add_block(2, 2, qx_py.with_units(-1, 0), -ce)
-    st.add_block(2, 2, qy_px.with_units(0, -1), -ce)
+    def x(st, scale):
+        return st.with_units(-1, 0).bound(grid) * scale
 
-    return SchemeSpec(name="multid", family="multid", params=params, grid=grid,
-                      stencil=st,
+    def y(st, scale):
+        return st.with_units(0, -1).bound(grid) * scale
+
+    st = MatrixStencil(grid, [
+        # u equation: averaged pressure gradient minus velocity diffusion
+        [x(qx_py, -ce), y(sx_sy, -ce), x(sx_py, 1 / e2)],
+        # v equation
+        [x(sx_sy, -ce), y(qy_px, -ce), y(sy_px, 1 / e2)],
+        # p equation: averaged divergence minus averaged pressure Laplacian
+        [x(sx_py, c2), y(sy_px, c2), x(qx_py, -ce) + y(qy_px, -ce)],
+    ])
+    return SchemeSpec(name="multid", params=params, grid=grid, stencil=st,
                       claims={"stationarity_preserving": True, "expected_max_cfl": 1.0},
                       extra={})
 

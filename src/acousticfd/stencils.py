@@ -287,57 +287,41 @@ def dimsplit_vorticity(a3, c):
 
 
 class MatrixStencil:
-    """Finite map cell offset -> 3x3 matrix alpha_S for one semi-discrete scheme.
+    """One semi-discrete scheme as its exact symbol: a 3x3 matrix of unitless
+    whole-cell ScalarStencils in (tx, ty), the grid's 1/dx factors absorbed
+    (units 1/time), so the stencil is bound to a grid.
 
-    Coefficients absorb the 1/dx factors (units 1/time), so the stencil is
-    bound to a grid. Exact Fraction entries are kept alongside cached float
-    arrays; the floats are single roundings of the exact values.
+    Everything numeric is derived once, here: the float blocks alpha_S by
+    sorted cell offset (single roundings of the exact values), the radius and
+    the packing for shift_product. The object is not changed afterwards.
     """
 
-    def __init__(self, grid):
+    def __init__(self, grid, entries):
         self.grid = grid
-        self.exact = {}
-        self._floats = self._packed = self._radius = None
-
-    def add_entry(self, row, col, offset, value):
-        self._floats = self._packed = self._radius = None
-        mat = self.exact.setdefault(tuple(offset), [[Fraction(0)] * 3 for _ in range(3)])
-        mat[row][col] += as_fraction(value)
-
-    def add_block(self, row, col, st, scale=1):
-        """Fold scale * (scalar stencil) into entry (row, col), binding units."""
-        for off, c in (st.bound(self.grid) * scale).cell_offsets().items():
-            self.add_entry(row, col, off, c)
-
-    def _prune(self):
-        dead = [off for off, m in self.exact.items()
-                if all(m[r][c] == 0 for r in range(3) for c in range(3))]
-        for off in dead:
-            del self.exact[off]
-
-    @property
-    def radius(self):
-        self.float_blocks()
-        return self._radius
+        self._symbol = tuple(tuple(row) for row in entries)
+        blocks = {}
+        for r, row in enumerate(self._symbol):
+            for c, st in enumerate(row):
+                if st.units != (0, 0) and not st.is_zero():
+                    raise ValueError("entry (%d, %d) still carries units %r" % (r, c, st.units))
+                for off, value in st.cell_offsets().items():
+                    blocks.setdefault(off, np.zeros((3, 3)))[r, c] = float(value)
+        self._floats = dict(sorted(blocks.items()))
+        r = self.radius = max((max(abs(sx), abs(sy)) for sx, sy in self._floats), default=0)
+        cols, taps = [], []
+        for (sx, sy), mat in self._floats.items():
+            comps = np.flatnonzero(mat.any(axis=0))
+            if comps.size:  # empty only where every exact value underflows
+                # any subset of the 3 components is an arithmetic progression
+                step = comps[1] - comps[0] if comps.size > 1 else 1
+                taps.append((len(cols), len(cols) + comps.size,
+                             (r + sx) * (grid.ny + 2 * r) + r + sy,
+                             slice(comps[0], comps[-1] + 1, step)))
+                cols.extend(mat[:, comps].T)
+        self._packed = (np.array(cols, dtype=float).reshape(-1, 3).T, taps)
 
     def float_blocks(self):
-        """Float blocks by sorted offset; the radius and the packing are cached with them."""
-        if self._floats is None:
-            self._prune()
-            self._floats = {off: np.array([[float(x) for x in r] for r in m])
-                            for off, m in sorted(self.exact.items())}
-            r = self._radius = max((max(abs(sx), abs(sy)) for sx, sy in self._floats), default=0)
-            cols, taps = [], []
-            for (sx, sy), mat in self._floats.items():
-                comps = np.flatnonzero(mat.any(axis=0))
-                if comps.size:
-                    # any subset of the 3 components is an arithmetic progression
-                    step = comps[1] - comps[0] if comps.size > 1 else 1
-                    taps.append((len(cols), len(cols) + comps.size,
-                                 (r + sx) * (self.grid.ny + 2 * r) + r + sy,
-                                 slice(comps[0], comps[-1] + 1, step)))
-                    cols.extend(mat[:, comps].T)
-            self._packed = (np.array(cols, dtype=float).reshape(-1, 3).T, taps)
+        """Float 3x3 blocks by sorted cell offset."""
         return self._floats
 
     def workspace(self, count):
@@ -395,16 +379,5 @@ class MatrixStencil:
         return out
 
     def exact_symbol(self):
-        """3x3 nested list of unitless ScalarStencils in (tx, ty); grid units already absorbed."""
-        self._prune()
-        return [[ScalarStencil({(2 * sx, 2 * sy): mat[r][c] for (sx, sy), mat in self.exact.items()})
-                 for c in range(3)] for r in range(3)]
-
-    def to_json_dict(self):
-        self._prune()
-        entries = []
-        for (sx, sy), mat in sorted(self.exact.items()):
-            entries.append({"sx": sx, "sy": sy,
-                            "matrix": [[rational_string(mat[r][c]) for c in range(3)]
-                                       for r in range(3)]})
-        return {"radius": self.radius, "entries": entries}
+        """The 3x3 matrix of unitless ScalarStencils in (tx, ty) this stencil was built from."""
+        return self._symbol

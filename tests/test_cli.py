@@ -112,7 +112,7 @@ def test_infinite_cfl_is_usage_error(tmp_path, capsys):
 
 def test_vortex_outside_domain_reports_null_retention(tmp_path):
     # a 0.16-wide domain: the vortex centred at 0.5 leaves u = 0 everywhere
-    with pytest.warns(UserWarning, match="vortex radius"):
+    with pytest.warns(UserWarning, match="lies outside the domain"):
         rc = main(["simulate", "--scheme", "roe", "--grid", "16", "--dx", "0.01",
                    "--dy", "0.01", "--out", str(tmp_path)])
     assert rc == EXIT_OK
@@ -248,10 +248,18 @@ def test_simulate_outputs_deterministic(tmp_path):
         assert filecmp.cmp(d1 / name, d2 / name, shallow=False), name
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_sweep_via_simulate_flag(tmp_path):
-    rc = main(["simulate", "--cfl-sweep", "--scheme", "roe", "--grid", "16",
-               "--out", str(tmp_path)])
+def test_cfl_sweep_flag_is_gone(tmp_path):
+    # `sweep` is the one route into the CFL scan
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--cfl-sweep", "--scheme", "roe", "--grid", "16"])
+    assert exc.value.code == EXIT_USAGE
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"cfl_sweep": True}))
+    assert main(["simulate", "--scheme", "roe", "--config", str(cfgfile)]) == EXIT_USAGE
+
+
+def test_sweep_command_writes_its_document(tmp_path):
+    rc = main(["sweep", "--scheme", "roe", "--grid", "16", "--out", str(tmp_path)])
     assert rc == EXIT_OK
     doc = _read_json(tmp_path / "sweep_roe.json")
     assert doc["scheme"] == "roe"

@@ -92,8 +92,17 @@ def test_sampled_vortex_not_discretely_stationary():
 
 def test_vortex_boundary_warning():
     grid = GridSpec.unit_square(20)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="exceeds distance 0.2 to the boundary"):
         gresho_vortex(grid, VortexParams(x0=0.2))
+
+
+def test_vortex_centre_outside_domain_warning():
+    # a 16-cell grid of width 0.01 is [0, 0.16]^2, which the default centre (0.5, 0.5) misses
+    grid = GridSpec(16, 16, 0.01, 0.01)
+    with pytest.warns(UserWarning) as record:
+        gresho_vortex(grid)
+    assert [str(w.message) for w in record] == [
+        "vortex centre (0.5, 0.5) lies outside the domain [0, 0.16] x [0, 0.16]"]
 
 
 def test_stream_velocity_exact_kernel_membership():

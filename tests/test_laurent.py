@@ -75,10 +75,6 @@ def test_consistency_nullspace_dimensions():
     basis = consistency_nullspace(averaged_div())
     assert len(basis) == 2
     assert spans_match(basis, [consistent_diffusion(1, 0), consistent_diffusion(0, 1)])
-    assert len(consistency_nullspace(averaged_div(), constraints="weak")) == 3
-    assert len(consistency_nullspace(averaged_div(), constraints="order3")) == 2
-    with pytest.raises(ValueError):
-        consistency_nullspace(averaged_div(), constraints="odd")
 
 
 def _fraction_rref(rows, ncols):
@@ -167,8 +163,8 @@ BASES_SHA256 = "ce3d9fb73e229c78cd10fb56ca9d1aafa4a2a43d569b19c3294ba1732e881fcb
 def test_certify_nullspace_bases_unchanged(monkeypatch):
     bases = []
 
-    def recording(A, radius=1, constraints="even"):
-        basis = consistency_nullspace(A, radius, constraints)
+    def recording(A, radius=1):
+        basis = consistency_nullspace(A, radius)
         bases.append([row_coefficient_vector(b, radius) for b in basis])
         return basis
 
@@ -181,9 +177,9 @@ def test_certify_nullspace_bases_unchanged(monkeypatch):
     assert hashlib.sha256(repr(bases).encode()).hexdigest() == BASES_SHA256
 
 
-def _full_consistency_nullspace(A, radius, constraints):
+def _full_consistency_nullspace(A, radius):
     # reference: Fraction rows over all 2(2r+1)^2 cell coefficients, one
-    # explicit row c_S - c_{-S} per reflection pair under "even"
+    # explicit row c_S - c_{-S} per reflection pair
     N = radius
     offsets = [(sx, sy) for sx in range(-N, N + 1) for sy in range(-N, N + 1)]
     n = len(offsets)
@@ -198,23 +194,19 @@ def _full_consistency_nullspace(A, radius, constraints):
             key = (a + 2 * sx, b + 2 * sy, pu, qu - 1)
             eqs.setdefault(key, [Fraction(0)] * ncols)[n + i] -= c
     rows = list(eqs.values())
-    moments = [(0, 0), (1, 0), (0, 1)]
-    if constraints == "order3":
-        moments += [(3, 0), (2, 1), (1, 2), (0, 3)]
     for base in (0, n):
-        for mx, my in moments:
+        for mx, my in ((0, 0), (1, 0), (0, 1)):
             r = [Fraction(0)] * ncols
             for i, (sx, sy) in enumerate(offsets):
                 r[base + i] = Fraction(sx) ** mx * Fraction(sy) ** my
             rows.append(r)
-        if constraints == "even":
-            for i, (sx, sy) in enumerate(offsets):
-                j = offsets.index((-sx, -sy))
-                if j > i:
-                    r = [Fraction(0)] * ncols
-                    r[base + i] = Fraction(1)
-                    r[base + j] = Fraction(-1)
-                    rows.append(r)
+        for i, (sx, sy) in enumerate(offsets):
+            j = offsets.index((-sx, -sy))
+            if j > i:
+                r = [Fraction(0)] * ncols
+                r[base + i] = Fraction(1)
+                r[base + j] = Fraction(-1)
+                rows.append(r)
     return rref_nullspace(rows, ncols)
 
 
@@ -235,15 +227,15 @@ def _divergence_rows(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(_divergence_rows(), st.integers(1, 2), st.sampled_from(["even", "weak", "order3"]))
-@example(averaged_div(), 1, "even")
-@example(averaged_div(), 2, "weak")
-@example(symmetric_divergence_row(Fraction(1, 8)), 2, "order3")
-@example(VecStencilRow(tx(2).with_units(-1, 0), ty(-2).with_units(0, -1)), 2, "even")
-@example(VecStencilRow(ScalarStencil({}, (-1, 0)), ScalarStencil({}, (0, -1))), 1, "even")
-def test_consistency_nullspace_matches_full_oracle(A, radius, constraints):
-    got = [row_coefficient_vector(b, radius) for b in consistency_nullspace(A, radius, constraints)]
-    assert got == _full_consistency_nullspace(A, radius, constraints)
+@given(_divergence_rows(), st.integers(1, 2))
+@example(averaged_div(), 1)
+@example(averaged_div(), 2)
+@example(symmetric_divergence_row(Fraction(1, 8)), 2)
+@example(VecStencilRow(tx(2).with_units(-1, 0), ty(-2).with_units(0, -1)), 2)
+@example(VecStencilRow(ScalarStencil({}, (-1, 0)), ScalarStencil({}, (0, -1))), 1)
+def test_consistency_nullspace_matches_full_oracle(A, radius):
+    got = [row_coefficient_vector(b, radius) for b in consistency_nullspace(A, radius)]
+    assert got == _full_consistency_nullspace(A, radius)
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 4])
@@ -352,14 +344,12 @@ def test_averaged_symbol_closed_form():
 
 
 def test_symbol_stencil_round_trip(aniso_grid, params):
-    # the exact symbol's entries are the scheme's blocks: folding them back rebuilds it
+    # the exact symbol's entries are the scheme's blocks: building from them rebuilds it
     ms = make_scheme("multid", params, aniso_grid).stencil
-    sym = ms.exact_symbol()
-    back = MatrixStencil(aniso_grid)
-    for r in range(3):
-        for c in range(3):
-            back.add_block(r, c, sym[r][c])
-    assert back.to_json_dict() == ms.to_json_dict()
+    back = MatrixStencil(aniso_grid, ms.exact_symbol())
+    assert back.exact_symbol() == ms.exact_symbol()
+    assert all(np.array_equal(a, b) and sa == sb for (sa, a), (sb, b)
+               in zip(back.float_blocks().items(), ms.float_blocks().items(), strict=True))
     # one stencil carries one unit monomial
     with pytest.raises(ValueError):
         tx(1).with_units(-1, 0) + ty(1).with_units(0, -1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -16,6 +17,8 @@ from acousticfd.stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                                  identity_stencil, rational_string,
                                  second_bracket, smooth_bracket, sum_half,
                                  central_curl, tx, ty)
+
+from matrix_entries import matrix_stencil
 
 
 def test_identity_stencil(square_grid, rng):
@@ -231,9 +234,10 @@ def test_stencil_json_schema():
 
 
 def test_matrix_stencil_apply_matches_blocks(square_grid, rng):
-    ms = MatrixStencil(square_grid)
     st = (central_bracket(0) * F(1, 2)).with_units(-1, 0)
-    ms.add_block(2, 0, st, F(4))
+    zero = ScalarStencil({})
+    ms = MatrixStencil(square_grid, [[zero] * 3, [zero] * 3,
+                                     [st.bound(square_grid) * 4, zero, zero]])
     q = rng.standard_normal((3, 16, 16))
     out = ms.apply_sum(q)
     expect = 4.0 * st.apply(q[0], square_grid)
@@ -242,30 +246,27 @@ def test_matrix_stencil_apply_matches_blocks(square_grid, rng):
     assert np.max(np.abs(out[1])) == 0.0
 
 
-def test_matrix_stencil_json(square_grid):
-    ms = MatrixStencil(square_grid)
-    ms.add_entry(0, 0, (1, 0), F(3, 8))
-    doc = ms.to_json_dict()
-    assert doc["radius"] == 1
-    assert doc["entries"][0]["matrix"][0][0] == "0.375"
+def test_matrix_stencil_rejects_half_cells_and_units(square_grid):
+    zero = ScalarStencil({})
+    with pytest.raises(ValueError, match="half-index"):
+        MatrixStencil(square_grid, [[diff_half(0), zero, zero], [zero] * 3, [zero] * 3])
+    with pytest.raises(ValueError, match="units"):
+        MatrixStencil(square_grid, [[tx(1).with_units(-1, 0), zero, zero], [zero] * 3,
+                                    [zero] * 3])
 
 
 def test_matrix_stencil_radius_follows_entries(square_grid, rng):
-    ms = MatrixStencil(square_grid)
-    ms.add_entry(0, 0, (1, 0), F(3, 8))
     q = rng.standard_normal((3, 16, 16))
-    ms.apply_sum(q)
-    assert ms.radius == 1
-    ms.add_entry(1, 2, (0, -7), F(1, 2))
-    assert ms.radius == 7
-    assert_matches_roll_oracle(ms, q)
-    ms.add_entry(2, 1, (8, 0), F(1))
+    tap = ((0, 0, (1, 0)), F(3, 8))
+    assert matrix_stencil(square_grid, [tap]).radius == 1
+    wide = matrix_stencil(square_grid, [tap, ((1, 2, (0, -7)), F(1, 2))])
+    assert wide.radius == 7
+    assert_matches_roll_oracle(wide, q)
     with pytest.raises(ValueError, match="radius 8"):
-        ms.apply_sum(q)
-    # entries that cancel are pruned, and the radius shrinks with them
-    ms.add_entry(2, 1, (8, 0), F(-1))
-    ms.add_entry(1, 2, (0, -7), F(-1, 2))
-    assert ms.radius == 1
+        matrix_stencil(square_grid, [tap, ((2, 1, (8, 0)), F(1))]).apply_sum(q)
+    # entries that cancel leave no tap, and no radius
+    ms = matrix_stencil(square_grid, [tap, ((2, 1, (8, 0)), F(1)), ((2, 1, (8, 0)), F(-1))])
+    assert ms.radius == 1 and list(ms.float_blocks()) == [(1, 0)]
     assert np.array_equal(ms.apply_sum(q)[0], 0.375 * np.roll(q[0], -1, axis=0))
 
 
@@ -303,6 +304,35 @@ def test_apply_sum_matches_roll_oracle(name, coeffs, eps, nx, ny, dx, dy, seed):
     assert_matches_roll_oracle(ms, q)
 
 
+# sha256 over float_blocks(), the packed W and taps, apply_sum on seeded data, symbol at
+# seeded phases and exact_symbol, recorded while schemes were assembled entry by entry
+STENCIL_SHA256 = "c0b86ad63ab5f49a784487ac9a274214cdbbc65304a2c4ad979fb64967ad24fc"
+DIGEST_DIMSPLIT = ({"a1": 0.5, "a2": 0.3, "a3": -1.75, "a4": 2.0},
+                   {"a1": 0.0, "a2": 1 / 3, "a3": 0.25, "a4": 0.0})
+
+
+def test_assembled_stencils_digest_unchanged():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(7)
+    phases = rng.uniform(-np.pi, np.pi, (2, 5))
+    for grid in (GridSpec.unit_square(16), GridSpec(12, 7, 1e-3, 0.07)):
+        for eps in (1.0, 1e-2, 1e-6):
+            for name, kwargs in ([(n, {}) for n in CATALOG_NAMES]
+                                 + [("dimsplit", k) for k in DIGEST_DIMSPLIT]):
+                ms = make_scheme(name, AcousticParams(c=1.0, eps=eps), grid, **kwargs).stencil
+                for (sx, sy), mat in ms.float_blocks().items():
+                    h.update(repr((sx, sy, mat.shape)).encode() + mat.tobytes())
+                W, taps = ms._packed
+                h.update(repr(W.shape).encode() + W.tobytes())
+                h.update(repr([(int(k0), int(k1), int(off), int(s.start), int(s.stop),
+                                int(s.step)) for k0, k1, off, s in taps]).encode())
+                q = rng.standard_normal((3, grid.nx, grid.ny))
+                h.update(ms.apply_sum(q).tobytes() + ms.symbol(*phases).tobytes())
+                h.update(repr([[(sorted(e.coeffs.items()), e.units) for e in row]
+                               for row in ms.exact_symbol()]).encode())
+    assert h.hexdigest() == STENCIL_SHA256
+
+
 @st.composite
 def _wide_stencils(draw):
     # sparse taps, each with its own (row, col) pair, and one tap at the full radius
@@ -322,9 +352,7 @@ def _wide_stencils(draw):
 def test_apply_sum_wide_stencils_match_roll_oracle(stencil, extra_x, extra_y, seed):
     r, entries = stencil
     grid = GridSpec(2 * r + 1 + extra_x, 2 * r + 1 + extra_y, 0.05, 0.07)
-    ms = MatrixStencil(grid)
-    for (row, col, offset), value in entries.items():
-        ms.add_entry(row, col, offset, value)
+    ms = matrix_stencil(grid, entries.items())
     assert ms.radius == r
     q = np.random.default_rng(seed).standard_normal((3, grid.nx, grid.ny))
     assert_matches_roll_oracle(ms, q)
@@ -332,16 +360,14 @@ def test_apply_sum_wide_stencils_match_roll_oracle(stencil, extra_x, extra_y, se
 
 def test_apply_sum_zero_and_radius_zero_stencils(aniso_grid, rng):
     q = rng.standard_normal((3, aniso_grid.nx, aniso_grid.ny))
-    empty = MatrixStencil(aniso_grid)
+    empty = matrix_stencil(aniso_grid, [])
     assert np.array_equal(empty.apply_sum(q), np.zeros_like(q))
-    cancelled = MatrixStencil(aniso_grid)
-    cancelled.add_entry(0, 2, (1, -1), F(1, 3))
-    cancelled.add_entry(0, 2, (1, -1), F(-1, 3))
+    cancelled = matrix_stencil(aniso_grid, [((0, 2, (1, -1)), F(1, 3)), ((0, 2, (1, -1)), F(-1, 3))])
     assert cancelled.radius == 0
     assert np.array_equal(cancelled.apply_sum(q), np.zeros_like(q))
-    local = MatrixStencil(aniso_grid)
-    for row, col, value in ((0, 0, F(1, 2)), (0, 2, F(-3)), (2, 0, F(7, 5)), (2, 1, F(2))):
-        local.add_entry(row, col, (0, 0), value)
+    local = matrix_stencil(aniso_grid, [((row, col, (0, 0)), value) for row, col, value in
+                                        ((0, 0, F(1, 2)), (0, 2, F(-3)), (2, 0, F(7, 5)),
+                                         (2, 1, F(2)))])
     assert local.radius == 0
     assert_matches_roll_oracle(local, q)
 
