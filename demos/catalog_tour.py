@@ -1,4 +1,4 @@
-# Walk the scheme catalog: family, stationarity claim, diffusion
+# Walk the scheme catalog: stationarity claim, diffusion
 # coefficients, and for the preserving schemes the discrete functional
 # their evolution conserves.
 
@@ -19,8 +19,8 @@ print()
 for name, spec in specs.items():
     claim = ("preserving" if spec.claims["stationarity_preserving"]
              else "diffusive kernel")
-    print("%-9s  family %-9s  %s" % (name, spec.name, claim))
-    dp = spec.extra.get("diffusion")
+    print("%-9s  %s" % (name, claim))
+    dp = spec.diffusion
     if dp is not None:
         coeffs = ", ".join("a%d=%s" % (k, rational_string(a))
                            for k, a in zip((1, 2, 3, 4), (dp.a1, dp.a2, dp.a3, dp.a4)))

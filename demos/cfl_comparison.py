@@ -6,7 +6,7 @@ from acousticfd import AcousticParams, GridSpec, cfl_sweep, gresho_vortex, make_
 
 grid = GridSpec(50, 50, 0.05, 0.05)
 params = AcousticParams(c=1.0, eps=1.0)
-state = gresho_vortex(grid, acoustic=params)
+state = gresho_vortex(grid)
 cfl_grid = [round(0.05 * k, 2) for k in range(1, 25)]
 
 reports = {}

@@ -17,15 +17,13 @@ from .laurent import (consistency_nullspace, cross_consistency,
                       moore_symmetry_scan, operator_identity_check, rref,
                       rref_nullspace, spans_match, symmetric_divergence_row,
                       taylor_expand)
-from .fourier import (KernelDimensionError, Wavevector, det_scan,
-                      dimsplit_closed_form, dimsplit_right_kernel_formula,
-                      eigenvalue_scaling_check, evolution_matrix,
+from .fourier import (KernelDimensionError, det_scan, dimsplit_closed_form,
+                      dimsplit_right_kernel_formula, eigenvalue_scaling_check,
                       generic_phases, jk_matrix, kernel_dim, left_kernel,
                       right_kernel, structured_phases)
 from .schemes import (CATALOG_NAMES, SP_NAMES, DiffusionParams, SchemeSpec,
-                      catalog, central_scheme, dimsplit_scheme,
-                      lowmach_scheme, make_scheme, multid_scheme, rhs,
-                      roe_scheme)
+                      catalog, dimsplit_scheme, make_scheme, multid_scheme,
+                      rhs)
 from .timestep import (CFL_NORMALIZATION, InstabilityError, RunResult,
                        StepControl, cfl_dt, cfl_sweep, forward_euler_step,
                        run)

@@ -14,7 +14,7 @@ from .fourier import det_scan, eigenvalue_scaling_check, generic_phases
 from .grid import AcousticParams, GridSpec
 from .laurent import (consistency_nullspace, moore_symmetry_scan,
                       operator_identity_check, spans_match)
-from .schemes import CATALOG_NAMES, SP_NAMES, make_scheme
+from .schemes import CATALOG_NAMES, make_scheme
 from .stencils import (averaged_div, central_div, consistent_diffusion,
                        rational_string)
 from .timestep import (CFL_NORMALIZATION, InstabilityError, StepControl,
@@ -278,7 +278,7 @@ def cmd_sweep(cfg):
     grid = parse_grid(cfg)
     params = parse_params(cfg)
     spec = build_scheme(cfg, grid, params)
-    state0 = gresho_vortex(grid, VortexParams(), params)
+    state0 = gresho_vortex(grid, VortexParams())
     cfl_grid = [round(0.05 * k, 2) for k in range(1, 33)]
     result = cfl_sweep(spec, state0, cfl_grid)
     result["scheme"] = spec.name
@@ -294,10 +294,9 @@ def cmd_catalog(cfg):
     doc = {"schemes": [], "normalization": CFL_NORMALIZATION}
     for name in CATALOG_NAMES:
         spec = make_scheme(name, params, grid)
-        entry = {"name": name, "family": name,
-                 "claims": {k: v for k, v in spec.claims.items()},
-                 "stationarity_preserving_expected": name in SP_NAMES}
-        dp = spec.extra.get("diffusion")
+        entry = {"name": name, "claims": spec.claims,
+                 "stationarity_preserving_expected": spec.claims["stationarity_preserving"]}
+        dp = spec.diffusion
         if dp is not None:
             entry["diffusion"] = {"a1": rational_string(dp.a1), "a2": rational_string(dp.a2),
                                   "a3": rational_string(dp.a3), "a4": rational_string(dp.a4)}

@@ -35,7 +35,7 @@ class VortexParams:
             raise ValueError("need 0 < r1 < r2")
 
 
-def gresho_vortex(grid, vortex=None, acoustic=None):
+def gresho_vortex(grid, vortex=None):
     """Piecewise-linear azimuthal velocity profile, constant pressure.
 
     v_phi rises linearly to `speed` at r1, falls linearly to zero at r2.
@@ -95,12 +95,11 @@ class ConservedOperator:
     their coefficients; apply returns the conserved density field.
     """
 
-    def __init__(self, grid, wu, wv, wp, exact=True):
+    def __init__(self, grid, wu, wv, wp):
         self.grid = grid
         self.wu = wu
         self.wv = wv
         self.wp = wp
-        self.exact = exact
 
     def apply(self, field):
         out = self.wu.apply(field.u, self.grid) + self.wv.apply(field.v, self.grid)
@@ -116,7 +115,7 @@ class ConservedOperator:
 
     def to_json_dict(self):
         return {"wu": self.wu.to_json_dict(), "wv": self.wv.to_json_dict(),
-                "wp": self.wp.to_json_dict(), "exact": self.exact}
+                "wp": self.wp.to_json_dict(), "exact": True}
 
 
 def _cross_row(cols, i, j):
@@ -246,7 +245,7 @@ def vortex_benchmark(scheme_name, eps_list, grid, t_end, c=1.0, cfl=0.45,
     for eps in eps_list:
         params = AcousticParams(c=c, eps=eps)
         spec = make_scheme(scheme_name, params, grid, **scheme_kwargs)
-        state0 = gresho_vortex(grid, vortex, params)
+        state0 = gresho_vortex(grid, vortex)
         horizon = t_end(eps) if callable(t_end) else t_end
         control = StepControl(cfl=cfl, t_end=float(horizon))
         result = run(spec, state0, control, probes=_benchmark_probes(grid))

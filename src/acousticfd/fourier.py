@@ -14,54 +14,20 @@ import numpy as np
 GUARD = 0.1  # phases closer than this to 0 or pi are degenerate lattice modes
 
 
-@dataclass(frozen=True)
-class Wavevector:
-    kx: float
-    ky: float
-    thx: float
-    thy: float
-
-    @staticmethod
-    def from_phases(grid, thx, thy):
-        """Phases in (-pi, pi]; array phases give a Wavevector of arrays."""
-        tx, ty = np.asarray(thx), np.asarray(thy)
-        if not np.all((-math.pi < tx) & (tx <= math.pi) & (-math.pi < ty) & (ty <= math.pi)):
-            raise ValueError("phases must lie in (-pi, pi]")
-        return Wavevector(thx / grid.dx, thy / grid.dy, thx, thy)
-
-    @staticmethod
-    def from_k(grid, kx, ky):
-        thx = kx * grid.dx
-        thy = ky * grid.dy
-        return Wavevector.from_phases(grid, thx, thy)
-
-
-def jk_matrix(params, k):
+def jk_matrix(params, kx, ky):
     """Continuous generator: rows (0,0,kx/eps^2), (0,0,ky/eps^2), (c^2 kx, c^2 ky, 0).
 
-    Array-valued k.kx, k.ky give a (..., 3, 3) stack.
+    Array-valued kx, ky give a (..., 3, 3) stack.
     """
     e2 = params.eps ** 2
     c2 = params.c ** 2
-    kx, ky = np.broadcast_arrays(np.asarray(k.kx, dtype=float), np.asarray(k.ky, dtype=float))
+    kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
     J = np.zeros(kx.shape + (3, 3))
     J[..., 0, 2] = kx / e2
     J[..., 1, 2] = ky / e2
     J[..., 2, 0] = c2 * kx
     J[..., 2, 1] = c2 * ky
     return J
-
-
-@dataclass
-class EvolutionSample:
-    E: np.ndarray
-    k: Wavevector
-    eigenvalues: np.ndarray
-
-
-def evolution_matrix(stencil, k):
-    E = -1j * stencil.symbol(k.thx, k.thy)
-    return EvolutionSample(E=E, k=k, eigenvalues=np.linalg.eigvals(E))
 
 
 class KernelDimensionError(ValueError):
@@ -148,10 +114,7 @@ class SampleRecord:
     sigma_ratio: float
     kernel_dim: int
     continuous_dim: int
-    right: np.ndarray = None
-    left: np.ndarray = None
-    diag_condition: float = 0.0
-    non_diagonalizable: bool = False
+    non_diagonalizable: bool
 
     def to_json_dict(self):
         return {"thx": self.thx, "thy": self.thy, "kind": self.kind,
@@ -189,8 +152,8 @@ def det_scan(stencil, grid, params, phases=None, tol_rel=1e-12, structured=True,
     The verdict compares dim ker E against dim ker J.k (computed, not assumed)
     at each generic sample; structured axis/diagonal samples are degenerate
     lattice phases and never enter the verdict. All samples are evaluated as
-    one stack: one symbol call, and per sample one full SVD (kernel dimension,
-    sigma ratio, right and left kernels), one determinant and one eig.
+    one stack: one symbol call, and per sample one full SVD (kernel dimension
+    and sigma ratio), one determinant and one eig.
     """
     if phases is None:
         phases = generic_phases()
@@ -200,14 +163,15 @@ def det_scan(stencil, grid, params, phases=None, tol_rel=1e-12, structured=True,
 
     thx = np.array([ph[0] for _, ph in samples], dtype=float)
     thy = np.array([ph[1] for _, ph in samples], dtype=float)
-    k = Wavevector.from_phases(grid, thx, thy)
+    if not np.all((-math.pi < thx) & (thx <= math.pi) & (-math.pi < thy) & (thy <= math.pi)):
+        raise ValueError("phases must lie in (-pi, pi]")
     E = -1j * stencil.symbol(thx, thy)
-    dims, s, u, vh = _svd_kernel(E, tol_rel)
+    dims, s = _svd_kernel(E, tol_rel)[:2]
     smax = s[:, 0]
     ratios = np.divide(s[:, -1], smax, out=np.zeros_like(smax), where=smax > 0)
     # |det| from LU, not prod(s): the product turns an exact 0 into roundoff
     absdets = np.abs(np.linalg.det(E))
-    cdims = _svd_kernel(jk_matrix(params, k), 1e-10)[0]
+    cdims = _svd_kernel(jk_matrix(params, thx / grid.dx, thy / grid.dy), 1e-10)[0]
     conds = np.linalg.cond(np.linalg.eig(E)[1])
 
     records = []
@@ -218,11 +182,7 @@ def det_scan(stencil, grid, params, phases=None, tol_rel=1e-12, structured=True,
         cdim = int(cdims[i])
         rec = SampleRecord(thx=phx, thy=phy, kind=kind, absdet=float(absdets[i]),
                            sigma_ratio=float(ratios[i]), kernel_dim=dim, continuous_dim=cdim,
-                           diag_condition=float(conds[i]))
-        rec.non_diagonalizable = rec.diag_condition > DIAG_COND_LIMIT
-        if dim == 1:
-            rec.right = vh[i, -1].conj()
-            rec.left = u[i, :, -1].conj()
+                           non_diagonalizable=bool(conds[i] > DIAG_COND_LIMIT))
         records.append(rec)
         if kind != "generic":
             continue

@@ -9,7 +9,7 @@ with q = (u, v, p). The dimensionally split family is
 with Dx = [[a1,0,a2],[0,0,0],[a3,0,a4]] and Dy the mirrored sparsity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .grid import AcousticParams, FieldSet, as_fraction
@@ -28,8 +28,17 @@ class DiffusionParams:
     def make(a1=0, a2=0, a3=0, a4=0):
         return DiffusionParams(as_fraction(a1), as_fraction(a2), as_fraction(a3), as_fraction(a4))
 
-    def as_floats(self):
-        return tuple(float(a) for a in (self.a1, self.a2, self.a3, self.a4))
+
+# (a1, a2, a3, a4) of the split catalog members from (c/eps, 1/eps^2, c^2)
+DIFFUSIONS = {
+    "central": lambda ce, ie2, c2: (0, 0, 0, 0),
+    # upwind: Dx = |Jx| = diag(c/eps, 0, c/eps), Dy = diag(0, c/eps, c/eps)
+    "roe": lambda ce, ie2, c2: (ce, 0, 0, ce),
+    "lowmach1": lambda ce, ie2, c2: (0, ie2, -c2, 0),
+    "lowmach2": lambda ce, ie2, c2: (0, 0, -c2, 2 * ce),
+    "lowmach3": lambda ce, ie2, c2: (0, ie2, 0, 2 * ce),
+}
+EXPECTED_MAX_CFL = {"roe": 0.5, "multid": 1.0}
 
 
 @dataclass(frozen=True)
@@ -38,21 +47,25 @@ class SchemeSpec:
     params: AcousticParams
     grid: object
     stencil: MatrixStencil
-    claims: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
+    # None for multid, the one scheme outside the dimensionally split family
+    diffusion: DiffusionParams = None
+
+    @property
+    def claims(self):
+        """A split scheme preserves stationarity iff a1 = 0; multid always does."""
+        claims = {"stationarity_preserving": self.diffusion is None or self.diffusion.a1 == 0}
+        if self.name in EXPECTED_MAX_CFL:
+            claims["expected_max_cfl"] = EXPECTED_MAX_CFL[self.name]
+        return claims
 
     def divergence_row(self):
         """The discrete divergence whose kernel hosts this scheme's stationary states."""
-        if self.name == "multid":
+        if self.diffusion is None:
             return averaged_div()
-        if self.name in ("central", "dimsplit", "roe", "lowmach1", "lowmach2", "lowmach3"):
-            dp = self.extra.get("diffusion")
-            a3 = dp.a3 if dp is not None else Fraction(0)
-            return dimsplit_div(a3, self.params.c_exact)
-        raise ValueError("no divergence row for scheme %r" % self.name)
+        return dimsplit_div(self.diffusion.a3, self.params.c_exact)
 
 
-def _dimsplit_matrices(params, dp):
+def dimsplit_scheme(params, grid, dp, name="dimsplit"):
     e2 = params.eps_exact ** 2
     c2 = params.c_exact ** 2
     a1, a2, a3, a4 = dp.a1, dp.a2, dp.a3, dp.a4
@@ -61,11 +74,6 @@ def _dimsplit_matrices(params, dp):
     jy = [[z, z, z], [z, z, 1 / e2], [z, c2, z]]
     dxm = [[a1, z, a2], [z, z, z], [a3, z, a4]]
     dym = [[z, z, z], [z, a1, a2], [z, a3, a4]]
-    return jx, jy, dxm, dym
-
-
-def dimsplit_scheme(params, grid, dp, name="dimsplit", claims=None):
-    jx, jy, dxm, dym = _dimsplit_matrices(params, dp)
     # entry (r, c) is (cb_x Jx - sb_x Dx)/(2dx) + (cb_y Jy - sb_y Dy)/(2dy)
     hx, hy = 1 / (2 * grid.dx_exact), 1 / (2 * grid.dy_exact)
     axes = ((central_bracket("x") * hx, second_bracket("x") * -hx, jx, dxm),
@@ -80,41 +88,7 @@ def dimsplit_scheme(params, grid, dp, name="dimsplit", claims=None):
         return out
 
     st = MatrixStencil(grid, [[entry(r, c) for c in range(3)] for r in range(3)])
-    base_claims = {"stationarity_preserving": dp.a1 == 0}
-    if claims:
-        base_claims.update(claims)
-    return SchemeSpec(name=name, params=params, grid=grid,
-                      stencil=st, claims=base_claims, extra={"diffusion": dp})
-
-
-def central_scheme(params, grid):
-    return dimsplit_scheme(params, grid, DiffusionParams.make(), name="central",
-                           claims={"stationarity_preserving": True})
-
-
-def roe_scheme(params, grid):
-    """Upwind scheme: Dx = |Jx| = diag(c/eps, 0, c/eps), Dy = diag(0, c/eps, c/eps)."""
-    ce = params.c_exact / params.eps_exact
-    dp = DiffusionParams.make(ce, 0, 0, ce)
-    return dimsplit_scheme(params, grid, dp, name="roe",
-                           claims={"stationarity_preserving": False,
-                                   "expected_max_cfl": 0.5})
-
-
-def lowmach_scheme(params, grid, variant):
-    e2 = params.eps_exact ** 2
-    c2 = params.c_exact ** 2
-    ce = params.c_exact / params.eps_exact
-    if variant == 1:
-        dp = DiffusionParams(Fraction(0), 1 / e2, -c2, Fraction(0))
-    elif variant == 2:
-        dp = DiffusionParams(Fraction(0), Fraction(0), -c2, 2 * ce)
-    elif variant == 3:
-        dp = DiffusionParams(Fraction(0), 1 / e2, Fraction(0), 2 * ce)
-    else:
-        raise ValueError("lowmach variant must be 1, 2 or 3, got %r" % (variant,))
-    return dimsplit_scheme(params, grid, dp, name="lowmach%d" % variant,
-                           claims={"stationarity_preserving": True})
+    return SchemeSpec(name=name, params=params, grid=grid, stencil=st, diffusion=dp)
 
 
 def multid_scheme(params, grid):
@@ -150,29 +124,24 @@ def multid_scheme(params, grid):
         # p equation: averaged divergence minus averaged pressure Laplacian
         [x(sx_py, c2), y(sy_px, c2), x(qx_py, -ce) + y(qy_px, -ce)],
     ])
-    return SchemeSpec(name="multid", params=params, grid=grid, stencil=st,
-                      claims={"stationarity_preserving": True, "expected_max_cfl": 1.0},
-                      extra={})
+    return SchemeSpec(name="multid", params=params, grid=grid, stencil=st)
 
 
 CATALOG_NAMES = ("central", "roe", "lowmach1", "lowmach2", "lowmach3", "multid")
 SP_NAMES = ("central", "lowmach1", "lowmach2", "lowmach3", "multid")
 
 
-def make_scheme(name, params, grid, **kwargs):
-    if name == "central":
-        return central_scheme(params, grid)
-    if name == "roe":
-        return roe_scheme(params, grid)
-    if name in ("lowmach1", "lowmach2", "lowmach3"):
-        return lowmach_scheme(params, grid, int(name[-1]))
+def make_scheme(name, params, grid, a1=0, a2=0, a3=0, a4=0):
+    """A catalog scheme by name, or "dimsplit" with the given a1..a4."""
     if name == "multid":
         return multid_scheme(params, grid)
     if name == "dimsplit":
-        dp = DiffusionParams.make(kwargs.get("a1", 0), kwargs.get("a2", 0),
-                                  kwargs.get("a3", 0), kwargs.get("a4", 0))
-        return dimsplit_scheme(params, grid, dp)
-    raise KeyError("unknown scheme %r" % name)
+        return dimsplit_scheme(params, grid, DiffusionParams.make(a1, a2, a3, a4))
+    if name not in DIFFUSIONS:
+        raise KeyError("unknown scheme %r" % name)
+    ce = params.c_exact / params.eps_exact
+    coeffs = DIFFUSIONS[name](ce, 1 / params.eps_exact ** 2, params.c_exact ** 2)
+    return dimsplit_scheme(params, grid, DiffusionParams.make(*coeffs), name)
 
 
 def catalog(params, grid):

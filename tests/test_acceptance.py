@@ -161,7 +161,7 @@ def test_criterion_5_vorticity_preservation():
     vparams = AcousticParams(c=1.0, eps=0.1)
     spec = make_scheme("multid", vparams, vortex_grid)
     op = extract_conserved_operator(spec)
-    state = gresho_vortex(vortex_grid, acoustic=vparams)
+    state = gresho_vortex(vortex_grid)
     before = op.apply(state)
     dt = cfl_dt(vparams, vortex_grid, 0.45)
     out = run(spec, state, StepControl(cfl=0.45, t_end=500 * dt))
@@ -205,7 +205,7 @@ def test_criterion_7_low_mach_long_time_equivalence():
     for eps, t_end in ((0.1, 1.0), (0.01, 0.1)):
         params = AcousticParams(c=1.0, eps=eps)
         spec = make_scheme("roe", params, grid)
-        state = gresho_vortex(grid, acoustic=params)
+        state = gresho_vortex(grid)
         out = run(spec, state, StepControl(cfl=0.45, t_end=t_end),
                   probes={"dux": lambda s: l1_norm_central_diff(s.u, 0, grid)})
         series[eps] = (out.times / eps, out.series["dux"])
@@ -236,7 +236,7 @@ def test_criterion_8_cfl_ratio():
     failures = []
     grid = GridSpec(50, 50, 0.05, 0.05)
     params = AcousticParams(c=1.0, eps=1.0)
-    state = gresho_vortex(grid, acoustic=params)
+    state = gresho_vortex(grid)
     cfl_grid = [round(0.05 * k, 2) for k in range(1, 25)]
     maxima = {}
     for name in ("roe", "multid"):

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, artifacts, determinism."""
 
 import filecmp
+import hashlib
 import json
 import os
 
@@ -283,3 +284,45 @@ def test_catalog_listing(capsys):
     assert "diffusion" not in by_name["multid"]
     assert by_name["multid"]["claims"]["expected_max_cfl"] == 1.0
     assert by_name["central"]["stationarity_preserving_expected"] is True
+    assert set(by_name["roe"]) == {"name", "claims", "diffusion",
+                                   "stationarity_preserving_expected"}
+
+
+# sha256 of the analyze stdout, recorded before the scheme catalog became one table
+DIMSPLIT_ARGV = ("--scheme", "dimsplit", "--a2", "0.5", "--a3", "-0.3", "--a4", "0.8",
+                 "--grid", "12,7", "--dx", "1e-3", "--dy", "0.07")
+ANALYZE_DIGESTS = {
+    ("--scheme", "central", "--eps", "1", "--grid", "24"):
+        "ba738b524994e427642b637845c82d6cbfd7aa208ec726a313d632fbd3cf635c",
+    ("--scheme", "central", "--eps", "1e-2", "--grid", "24"):
+        "6b1d756cb9081faf48a00201bcffa496367226e7bbf02e9d23cfaf0bcec3ca65",
+    ("--scheme", "roe", "--eps", "1", "--grid", "24"):
+        "440d3b15f0014d05a7df6784e0da79699eb086f3ce8f73e4024dfddb5bb1b483",
+    ("--scheme", "roe", "--eps", "1e-2", "--grid", "24"):
+        "b889b667b143ff046c9c34addbb53136c02c4c0a6856a623b0c53966f0710242",
+    ("--scheme", "lowmach1", "--eps", "1", "--grid", "24"):
+        "a100ece34a34e57f1ee7191f8b5d69a9b3641b86a7a0040dd6be66ee1194e567",
+    ("--scheme", "lowmach1", "--eps", "1e-2", "--grid", "24"):
+        "9e5b0a74f6b33c5a3018c57920a57517f62cb0de68042b19e2a62a1205b1acb0",
+    ("--scheme", "lowmach2", "--eps", "1", "--grid", "24"):
+        "bbac2839d97ea20fb131de3c29d7d148098217f26caffe28c1c102592788c75d",
+    ("--scheme", "lowmach2", "--eps", "1e-2", "--grid", "24"):
+        "bb0e10e774e5183b315ddec576cd5f5454fe9d39b8531d103ca0cbdd63dc4fe6",
+    ("--scheme", "lowmach3", "--eps", "1", "--grid", "24"):
+        "93f2b70eb03819172af3d49f0880517ed89d4a56ab3e96c5502cd3b2f83bd05b",
+    ("--scheme", "lowmach3", "--eps", "1e-2", "--grid", "24"):
+        "c3f60a2e474e0bd196bbb9541b491541afc14772bc80faf0b2d3a0b219075d0a",
+    ("--scheme", "multid", "--eps", "1", "--grid", "24"):
+        "01cc4582390c4dde8135ff35690b82a63dd26e8d2089fff3aeaf467988b4da5a",
+    ("--scheme", "multid", "--eps", "1e-2", "--grid", "24"):
+        "6ba8c65ee4f2e173e6eeef1a845a2e1ac046b0432b02593cacd8813caa7f5e6d",
+    DIMSPLIT_ARGV: "f30e81d259490539e6e65a2e48564963981cd2f4d24f3bbd5b7bd5d16033b568",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ANALYZE_DIGESTS), ids=" ".join)
+def test_analyze_document_digest_unchanged(argv, capsys):
+    assert main(["analyze", *argv]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out)["scheme"] == argv[1]
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_DIGESTS[argv]

@@ -10,12 +10,10 @@ from acousticfd.fourier import (
     GUARD,
     KernelDimensionError,
     SpectralVerdict,
-    Wavevector,
     det_scan,
     dimsplit_closed_form,
     dimsplit_right_kernel_formula,
     eigenvalue_scaling_check,
-    evolution_matrix,
     generic_phases,
     halton,
     jk_matrix,
@@ -28,20 +26,14 @@ from acousticfd.grid import AcousticParams, GridSpec
 from acousticfd.schemes import CATALOG_NAMES, make_scheme
 
 
-def test_wavevector_from_phases(square_grid):
-    k = Wavevector.from_phases(square_grid, 0.8, -0.4)
-    assert k.kx == pytest.approx(0.8 / square_grid.dx)
-    assert k.ky == pytest.approx(-0.4 / square_grid.dy)
-    with pytest.raises(ValueError):
-        Wavevector.from_phases(square_grid, 4.0, 0.0)
-    rt = Wavevector.from_k(square_grid, k.kx, k.ky)
-    assert rt.thx == pytest.approx(0.8)
+def evolution(stencil, thx, thy):
+    return -1j * stencil.symbol(thx, thy)
 
 
 def test_jk_matrix_spectrum(square_grid, params):
-    k = Wavevector.from_phases(square_grid, 1.1, 0.6)
-    J = jk_matrix(params, k)
-    kk = math.hypot(k.kx, k.ky)
+    kx, ky = 1.1 / square_grid.dx, 0.6 / square_grid.dy
+    J = jk_matrix(params, kx, ky)
+    kk = math.hypot(kx, ky)
     ev = sorted(np.linalg.eigvals(J).real)
     speed = params.c * kk / params.eps
     assert ev[0] == pytest.approx(-speed, rel=1e-12)
@@ -49,12 +41,14 @@ def test_jk_matrix_spectrum(square_grid, params):
     assert ev[2] == pytest.approx(speed, rel=1e-12)
     assert kernel_dim(J, tol_rel=1e-10) == 1
     v = right_kernel(J, tol_rel=1e-10)
-    ref = np.array([-k.ky, k.kx, 0.0]) / kk
+    ref = np.array([-ky, kx, 0.0]) / kk
     # kernel defined up to phase
     align = abs(np.vdot(ref, v))
     assert align == pytest.approx(1.0, abs=1e-10)
-    z = Wavevector(0.0, 0.0, 0.0, 0.0)
-    assert np.all(jk_matrix(params, z) == 0.0)
+    assert np.all(jk_matrix(params, 0.0, 0.0) == 0.0)
+    stack = jk_matrix(params, np.array([kx, 0.0]), np.array([[ky], [0.0]]))
+    assert stack.shape == (2, 2, 3, 3)
+    assert np.array_equal(stack[0, 0], J)
 
 
 SYMBOL_SCHEMES = [(name, {}) for name in CATALOG_NAMES] + [
@@ -84,17 +78,16 @@ def test_constant_states_are_stationary(square_grid, params):
 def test_central_symbol_is_effective_wavevector(square_grid, params):
     spec = make_scheme("central", params, square_grid)
     for thx, thy in generic_phases(10):
-        keff = Wavevector(math.sin(thx) / square_grid.dx,
-                          math.sin(thy) / square_grid.dy, thx, thy)
-        E = evolution_matrix(spec.stencil, keff).E
-        assert np.max(np.abs(E - jk_matrix(params, keff))) < 1e-11
+        E = evolution(spec.stencil, thx, thy)
+        J = jk_matrix(params, math.sin(thx) / square_grid.dx, math.sin(thy) / square_grid.dy)
+        assert np.max(np.abs(E - J)) < 1e-11
 
 
 def test_conjugate_symmetry(square_grid, params):
     spec = make_scheme("roe", params, square_grid)
     for thx, thy in generic_phases(10):
-        E1 = evolution_matrix(spec.stencil, Wavevector.from_phases(square_grid, thx, thy)).E
-        E2 = evolution_matrix(spec.stencil, Wavevector.from_phases(square_grid, -thx, -thy)).E
+        E1 = evolution(spec.stencil, thx, thy)
+        E2 = evolution(spec.stencil, -thx, -thy)
         assert np.max(np.abs(E2 + np.conj(E1))) < 1e-12 * np.max(np.abs(E1))
 
 
@@ -104,8 +97,7 @@ def test_dimsplit_closed_form_matches_assembly(square_grid, params):
         spec = make_scheme("dimsplit", params, square_grid,
                            a1=a1, a2=a2, a3=a3, a4=a4)
         for thx, thy in generic_phases(8):
-            k = Wavevector.from_phases(square_grid, thx, thy)
-            E = evolution_matrix(spec.stencil, k).E
+            E = evolution(spec.stencil, thx, thy)
             ref = dimsplit_closed_form(params, a1, a2, a3, a4, square_grid, thx, thy)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(E - ref)) <= 1e-13 * scale
@@ -116,8 +108,7 @@ def test_dimsplit_right_kernel_formula(square_grid, params):
     spec = make_scheme("dimsplit", params, square_grid,
                        a1=0.0, a2=0.5, a3=-0.3, a4=0.8)
     for thx, thy in generic_phases(8):
-        k = Wavevector.from_phases(square_grid, thx, thy)
-        E = evolution_matrix(spec.stencil, k).E
+        E = evolution(spec.stencil, thx, thy)
         v = dimsplit_right_kernel_formula(params, -0.3, square_grid, thx, thy)
         assert np.linalg.norm(E @ v) <= 1e-12 * np.max(np.abs(E)) * np.linalg.norm(v)
 
@@ -125,7 +116,7 @@ def test_dimsplit_right_kernel_formula(square_grid, params):
 def test_kernel_error_carries_dim(square_grid, params):
     spec = make_scheme("roe", params, square_grid)
     thx, thy = generic_phases(1)[0]
-    E = evolution_matrix(spec.stencil, Wavevector.from_phases(square_grid, thx, thy)).E
+    E = evolution(spec.stencil, thx, thy)
     assert kernel_dim(E) == 0
     with pytest.raises(KernelDimensionError) as exc:
         right_kernel(E)
@@ -136,7 +127,7 @@ def test_kernel_error_carries_dim(square_grid, params):
 def test_left_kernel_annihilates(square_grid, params):
     spec = make_scheme("multid", params, square_grid)
     for thx, thy in generic_phases(6):
-        E = evolution_matrix(spec.stencil, Wavevector.from_phases(square_grid, thx, thy)).E
+        E = evolution(spec.stencil, thx, thy)
         w = left_kernel(E)
         assert np.linalg.norm(w @ E) <= 1e-12 * np.max(np.abs(E))
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
@@ -186,7 +177,6 @@ def test_det_scan_verdicts(square_grid, params):
     for rec in good.generic_records():
         assert rec.kernel_dim == 1 and rec.continuous_dim == 1
         assert rec.sigma_ratio <= 1e-12
-        assert rec.right is not None and rec.left is not None
 
     bad = det_scan(make_scheme("roe", params, square_grid).stencil,
                    square_grid, params, phases=phases, scheme_name="roe")
@@ -202,6 +192,15 @@ def test_det_scan_verdicts(square_grid, params):
     assert set(doc["samples"][0]) == {"thx", "thy", "kind", "absdet",
                                       "sigma_min_ratio", "kernel_dim",
                                       "continuous_dim", "non_diagonalizable"}
+
+
+def test_det_scan_rejects_phases_outside_half_open_interval(square_grid, params):
+    stencil = make_scheme("multid", params, square_grid).stencil
+    for bad in ((4.0, 0.0), (0.3, -math.pi), (-math.pi, 0.3), (0.3, math.pi + 1e-9)):
+        with pytest.raises(ValueError, match="phases must lie in"):
+            det_scan(stencil, square_grid, params, phases=[(0.5, 0.5), bad], structured=False)
+    ok = det_scan(stencil, square_grid, params, phases=[(math.pi, math.pi)], structured=False)
+    assert [(r.thx, r.thy) for r in ok.records] == [(math.pi, math.pi)]
 
 
 def test_det_scan_without_structured(square_grid, params):
@@ -229,20 +228,22 @@ def test_det_scan_matches_per_sample_oracle(aniso_grid, name, kwargs, eps):
     out = det_scan(stencil, aniso_grid, params, phases=generic_phases(40))
     assert len(out.records) == 40 + 48
     for rec in out.records:
-        k = Wavevector.from_phases(aniso_grid, rec.thx, rec.thy)
-        E = evolution_matrix(stencil, k).E
+        E = evolution(stencil, rec.thx, rec.thy)
         assert rec.kernel_dim == kernel_dim(E)
-        assert rec.continuous_dim == kernel_dim(jk_matrix(params, k), tol_rel=1e-10)
+        J = jk_matrix(params, rec.thx / aniso_grid.dx, rec.thy / aniso_grid.dy)
+        assert rec.continuous_dim == kernel_dim(J, tol_rel=1e-10)
         cond = np.linalg.cond(np.linalg.eig(E)[1])
         assert rec.non_diagonalizable == (cond > DIAG_COND_LIMIT)
         if rec.kernel_dim != 1:
-            assert rec.right is None and rec.left is None
+            with pytest.raises(KernelDimensionError):
+                right_kernel(E)
             continue
+        right, left = right_kernel(E), left_kernel(E)
         smax = np.linalg.norm(E, 2)
-        assert np.linalg.norm(E @ rec.right) <= 1e-12 * smax
-        assert np.linalg.norm(rec.left @ E) <= 1e-12 * smax
-        assert np.linalg.norm(rec.right) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(rec.left) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(E @ right) <= 1e-12 * smax
+        assert np.linalg.norm(left @ E) <= 1e-12 * smax
+        assert np.linalg.norm(right) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigenvalue_scaling_builds_three_schemes(square_grid):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec
 from acousticfd.schemes import (
@@ -12,7 +13,6 @@ from acousticfd.schemes import (
     DiffusionParams,
     catalog,
     dimsplit_scheme,
-    lowmach_scheme,
     make_scheme,
     rhs,
 )
@@ -40,10 +40,10 @@ def test_lowmach_diffusion_tables(square_grid, params):
         3: DiffusionParams.make(0, 4, 0, 8),
     }
     for variant, dp in expected.items():
-        spec = lowmach_scheme(params, square_grid, variant)
-        assert spec.extra["diffusion"] == dp
-    with pytest.raises(ValueError):
-        lowmach_scheme(params, square_grid, 4)
+        spec = make_scheme("lowmach%d" % variant, params, square_grid)
+        assert spec.diffusion == dp
+    assert make_scheme("central", params, square_grid).diffusion == DiffusionParams.make()
+    assert make_scheme("multid", params, square_grid).diffusion is None
 
 
 def test_roe_is_dimsplit_member(square_grid, params):
@@ -52,7 +52,7 @@ def test_roe_is_dimsplit_member(square_grid, params):
     member = make_scheme("dimsplit", params, square_grid,
                          a1=ce, a2=0, a3=0, a4=ce)
     assert roe.stencil.exact_symbol() == member.stencil.exact_symbol()
-    assert roe.extra["diffusion"] == DiffusionParams.make(ce, 0, 0, ce)
+    assert roe.diffusion == DiffusionParams.make(ce, 0, 0, ce)
 
 
 def test_dimsplit_claim_follows_a1(square_grid, params):
@@ -60,6 +60,23 @@ def test_dimsplit_claim_follows_a1(square_grid, params):
                        a1=0, a2=0.5).claims["stationarity_preserving"]
     assert not make_scheme("dimsplit", params, square_grid,
                            a1=0.1).claims["stationarity_preserving"]
+
+
+COEFFS = st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 4), Fraction(-3, 2),
+                          Fraction(7, 3), Fraction(1, 1000)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(a1=COEFFS, a2=COEFFS, a3=COEFFS, a4=COEFFS,
+       c=st.sampled_from([0.5, 1.0, 3.0]), eps=st.sampled_from([1.0, 0.1, 1e-4]))
+@example(a1=Fraction(0), a2=Fraction(0), a3=Fraction(0), a4=Fraction(0), c=1.0, eps=1.0)
+@example(a1=Fraction(1, 4), a2=Fraction(0), a3=Fraction(-3, 2), a4=Fraction(0), c=3.0, eps=0.1)
+def test_dimsplit_claim_and_divergence_follow_diffusion(a1, a2, a3, a4, c, eps):
+    params = AcousticParams(c=c, eps=eps)
+    spec = make_scheme("dimsplit", params, GridSpec(nx=6, ny=5, dx=0.2, dy=0.01),
+                       a1=a1, a2=a2, a3=a3, a4=a4)
+    assert spec.claims == {"stationarity_preserving": a1 == 0}
+    assert spec.divergence_row() == dimsplit_div(a3, params.c_exact)
 
 
 def test_multid_is_averaged_flux_plus_half_speed_diffusion(aniso_grid, params):
@@ -161,4 +178,4 @@ def test_dimsplit_scheme_defaults(square_grid, params):
     spec = dimsplit_scheme(params, square_grid, dp)
     assert spec.name == "dimsplit"
     assert spec.claims["stationarity_preserving"]
-    assert spec.extra["diffusion"].as_floats() == (0.0, 0.25, 0.25, 0.0)
+    assert spec.diffusion == dp
