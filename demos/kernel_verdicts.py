@@ -20,8 +20,7 @@ print("scheme     claim  verdict  min sigma ratio  max sigma ratio")
 for name in CATALOG_NAMES:
     spec = make_scheme(name, params, grid)
     claim = spec.claims["stationarity_preserving"]
-    out = det_scan(spec.stencil, grid, params, phases=phases,
-                   scheme_name=name, expected=claim)
+    out = det_scan(spec, phases=phases)
     ratios = [r.sigma_ratio for r in out.generic_records()]
     agree = "ok" if out.is_stationarity_preserving == claim else "MISMATCH"
     print("%-9s  %-5s  %-7s  %.3e        %.3e  %s"
@@ -36,6 +35,6 @@ print("ratios of order one mean the symbol is uniformly invertible there.")
 print()
 for a1 in (0.0, 0.3):
     spec = make_scheme("dimsplit", params, grid, a1=a1, a2=0.5, a3=0.25, a4=0.4)
-    out = det_scan(spec.stencil, grid, params, phases=generic_phases(50))
+    out = det_scan(spec, phases=generic_phases(50))
     print("dimsplit a1=%.1f: stationarity preserving = %s"
           % (a1, out.is_stationarity_preserving))

@@ -162,12 +162,15 @@ def extract_conserved_operator(spec, check_states=3, seed=11, tol=1e-11):
 
     op = ConservedOperator(spec.grid, *w)
 
+    # states T q^ with q^ of unit size make every row of rhs about (c/eps)/h
     rng = np.random.default_rng(seed)
-    scale = op.weight_norm() * (spec.params.c / spec.params.eps)
+    ce, t = spec.params.balance
+    t = np.array(t, dtype=float)[:, None, None]
+    scale = op.weight_norm() * float(ce) / spec.grid.min_spacing
     for _ in range(check_states):
-        state = FieldSet.from_q(spec.grid, rng.standard_normal((3, spec.grid.nx, spec.grid.ny)))
-        drift = np.max(np.abs(op.apply(rhs(spec, state))))
-        if drift > tol * scale * state.norm_inf():
+        q = rng.standard_normal((3, spec.grid.nx, spec.grid.ny))
+        drift = np.max(np.abs(op.apply(rhs(spec, FieldSet.from_q(spec.grid, t * q)))))
+        if drift > tol * scale * np.max(np.abs(q)):
             raise RuntimeError("conserved operator fails numerically: %.3g" % drift)
     return op
 

@@ -1,9 +1,10 @@
-"""Numeric symbol analysis: evolution matrices, kernel scans, eigenvalue scaling.
+"""Numeric symbol analysis: evolution matrices, kernel scans, the scaling law.
 
 The evolution matrix of a scheme d/dt q_I + sum_S alpha_S q_{I+S} = 0 is
 E(k) = -i sum_S alpha_S tx^sx ty^sy with tm = exp(i k_m dx_m). A scheme is
 stationarity preserving when dim ker E(k) matches dim ker of the continuous
-generator J.k at every generic wavevector.
+generator J.k at every generic wavevector. Both are compared in unitless
+form, E^ = (eps/c) T^-1 E T with T = diag(1, 1, c eps) (`AcousticParams.balance`).
 """
 
 import math
@@ -11,22 +12,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import AcousticParams
+
 GUARD = 0.1  # phases closer than this to 0 or pi are degenerate lattice modes
 
 
-def jk_matrix(params, kx, ky):
-    """Continuous generator: rows (0,0,kx/eps^2), (0,0,ky/eps^2), (c^2 kx, c^2 ky, 0).
+def jk_matrix(kx, ky):
+    """Unitless continuous generator (eps/c) T^-1 (J.k) T: rows (0,0,kx), (0,0,ky), (kx,ky,0).
 
     Array-valued kx, ky give a (..., 3, 3) stack.
     """
-    e2 = params.eps ** 2
-    c2 = params.c ** 2
     kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
     J = np.zeros(kx.shape + (3, 3))
-    J[..., 0, 2] = kx / e2
-    J[..., 1, 2] = ky / e2
-    J[..., 2, 0] = c2 * kx
-    J[..., 2, 1] = c2 * ky
+    J[..., 0, 2] = J[..., 2, 0] = kx
+    J[..., 1, 2] = J[..., 2, 1] = ky
     return J
 
 
@@ -145,15 +144,15 @@ class SpectralVerdict:
 DIAG_COND_LIMIT = 1e8
 
 
-def det_scan(stencil, grid, params, phases=None, tol_rel=1e-12, structured=True,
-             scheme_name="scheme", expected=None):
-    """Kernel-dimension scan over generic phases plus reported structured ones.
+def det_scan(spec, phases=None, tol_rel=1e-12, structured=True):
+    """Kernel-dimension scan of a scheme over generic phases plus reported structured ones.
 
-    The verdict compares dim ker E against dim ker J.k (computed, not assumed)
+    The verdict compares dim ker E^ against dim ker J.k (computed, not assumed)
     at each generic sample; structured axis/diagonal samples are degenerate
-    lattice phases and never enter the verdict. All samples are evaluated as
-    one stack: one symbol call, and per sample one full SVD (kernel dimension
-    and sigma ratio), one determinant and one eig.
+    lattice phases and never enter the verdict. Every sample quantity comes
+    from the balanced E^, which neither c nor eps enters: one symbol call for
+    the stack, and per sample one SVD (kernel dimension and sigma ratio), one
+    determinant and one eig.
     """
     if phases is None:
         phases = generic_phases()
@@ -165,13 +164,15 @@ def det_scan(stencil, grid, params, phases=None, tol_rel=1e-12, structured=True,
     thy = np.array([ph[1] for _, ph in samples], dtype=float)
     if not np.all((-math.pi < thx) & (thx <= math.pi) & (-math.pi < thy) & (thy <= math.pi)):
         raise ValueError("phases must lie in (-pi, pi]")
-    E = -1j * stencil.symbol(thx, thy)
+    ce, t = spec.params.balance
+    t = np.array(t, dtype=float)
+    E = (-1j / float(ce)) * spec.stencil.symbol(thx, thy) * (t / t[:, None])
     dims, s = _svd_kernel(E, tol_rel)[:2]
     smax = s[:, 0]
     ratios = np.divide(s[:, -1], smax, out=np.zeros_like(smax), where=smax > 0)
     # |det| from LU, not prod(s): the product turns an exact 0 into roundoff
     absdets = np.abs(np.linalg.det(E))
-    cdims = _svd_kernel(jk_matrix(params, thx / grid.dx, thy / grid.dy), 1e-10)[0]
+    cdims = _svd_kernel(jk_matrix(thx / spec.grid.dx, thy / spec.grid.dy), 1e-10)[0]
     conds = np.linalg.cond(np.linalg.eig(E)[1])
 
     records = []
@@ -191,8 +192,8 @@ def det_scan(stencil, grid, params, phases=None, tol_rel=1e-12, structured=True,
             continue
         if dim != cdim:
             ok = False
-    return SpectralVerdict(scheme=scheme_name, is_stationarity_preserving=ok,
-                           records=records, withheld=withheld, expected=expected)
+    return SpectralVerdict(scheme=spec.name, is_stationarity_preserving=ok, records=records,
+                           withheld=withheld, expected=spec.claims["stationarity_preserving"])
 
 
 def dimsplit_closed_form(params, a1, a2, a3, a4, grid, thx, thy):
@@ -229,47 +230,20 @@ def dimsplit_right_kernel_formula(params, a3, grid, thx, thy):
                      0.0], dtype=complex)
 
 
-def _match_scaled(base, scaled, factor):
-    """Best permutation matching of scaled against factor*base; max relative error."""
-    import itertools
-    target = factor * base
-    best = None
-    scale = max(np.max(np.abs(target)), 1e-300)
-    for perm in itertools.permutations(range(len(scaled))):
-        err = max(abs(scaled[p] - target[i]) for i, p in enumerate(perm)) / scale
-        if best is None or err < best:
-            best = err
-    return best
+def eigenvalue_scaling_check(spec, rebuild):
+    """The law M(c, eps) = (c/eps) T M^ T^-1, which scales E's eigenvalues with c/eps, exactly.
 
-
-def eigenvalue_scaling_check(make_scheme, grid, phases=None, c0=1.0, eps0=1.0,
-                             tol=1e-10, collision_tol=1e-8):
-    """Eigenvalues of E must scale linearly in c at fixed eps and in 1/eps at fixed c.
-
-    make_scheme(c, eps) builds the scheme; it is called three times, at
-    (c0, eps0), (2 c0, eps0) and (c0, eps0/2), and each scheme's eigenvalues
-    are taken over all phases at once. Eigenvalues are matched across the
-    rescaling by best permutation. Samples whose base eigenvalues collide are
-    skipped with a note.
+    rebuild(params) builds the scheme again at (2c, eps) and at (c, eps/2); the
+    unitless symbol M^ = (eps/c) T^-1 M T of each must equal spec's entry by
+    entry over Fraction. Split members with fixed numeric coefficients fail.
     """
-    if phases is None:
-        phases = generic_phases(40)
-    thx = np.array([ph[0] for ph in phases], dtype=float)
-    thy = np.array([ph[1] for ph in phases], dtype=float)
+    def unitless(sp):
+        s, t = sp.params.balance
+        m = sp.stencil.exact_symbol()
+        return [[m[i][j] * (t[j] / (t[i] * s)) for j in range(3)] for i in range(3)]
 
-    def spectra(c, eps):
-        return np.linalg.eigvals(-1j * make_scheme(c, eps).stencil.symbol(thx, thy))
-
-    bases, twice_cs, half_epss = spectra(c0, eps0), spectra(2 * c0, eps0), spectra(c0, eps0 / 2)
-    skipped = []
-    max_err = 0.0
-    for (thx_i, thy_i), base, twice_c, half_eps in zip(phases, bases, twice_cs, half_epss):
-        scale = np.max(np.abs(base))
-        gaps = [abs(base[i] - base[j]) for i in range(3) for j in range(i + 1, 3)]
-        if scale == 0 or min(gaps) < collision_tol * scale:
-            skipped.append({"thx": thx_i, "thy": thy_i, "note": "eigenvalue collision"})
-            continue
-        max_err = max(max_err, _match_scaled(base, twice_c, 2.0))
-        max_err = max(max_err, _match_scaled(base, half_eps, 2.0))
-    return {"passed": bool(max_err <= tol), "max_rel_err": float(max_err),
-            "tol": tol, "n_samples": len(phases) - len(skipped), "skipped": skipped}
+    c, eps = spec.params.c_exact, spec.params.eps_exact
+    base = unitless(spec)
+    passed = all(unitless(rebuild(AcousticParams(c=c2, eps=eps2))) == base
+                 for c2, eps2 in ((2 * c, eps), (c, eps / 2)))
+    return {"passed": passed, "exact": True}

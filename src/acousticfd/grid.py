@@ -86,6 +86,13 @@ class AcousticParams:
         if not (self.c > 0 and self.eps > 0):
             raise ValueError("need c > 0 and eps > 0")
 
+    @property
+    def balance(self):
+        """Exact (s, t): s = c/eps and T = diag(t) = diag(1, 1, c eps). Every catalog symbol
+        is M = s T M^ T^-1 with a unitless M^ that neither c nor eps enters."""
+        c, eps = self.c_exact, self.eps_exact
+        return c / eps, (Fraction(1), Fraction(1), c * eps)
+
 
 class FieldSet:
     """State q = (u, v, p); stored as one (3, nx, ny) array, components are views."""

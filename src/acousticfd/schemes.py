@@ -29,14 +29,15 @@ class DiffusionParams:
         return DiffusionParams(as_fraction(a1), as_fraction(a2), as_fraction(a3), as_fraction(a4))
 
 
-# (a1, a2, a3, a4) of the split catalog members from (c/eps, 1/eps^2, c^2)
+# unitless (a1, a2, a3, a4) of the split catalog members; make_scheme scales
+# them by (c/eps, 1/eps^2, c^2, c/eps), which is Dx = s T Dx^ T^-1
 DIFFUSIONS = {
-    "central": lambda ce, ie2, c2: (0, 0, 0, 0),
+    "central": (0, 0, 0, 0),
     # upwind: Dx = |Jx| = diag(c/eps, 0, c/eps), Dy = diag(0, c/eps, c/eps)
-    "roe": lambda ce, ie2, c2: (ce, 0, 0, ce),
-    "lowmach1": lambda ce, ie2, c2: (0, ie2, -c2, 0),
-    "lowmach2": lambda ce, ie2, c2: (0, 0, -c2, 2 * ce),
-    "lowmach3": lambda ce, ie2, c2: (0, ie2, 0, 2 * ce),
+    "roe": (1, 0, 0, 1),
+    "lowmach1": (0, 1, -1, 0),
+    "lowmach2": (0, 0, -1, 2),
+    "lowmach3": (0, 1, 0, 2),
 }
 EXPECTED_MAX_CFL = {"roe": 0.5, "multid": 1.0}
 
@@ -139,8 +140,8 @@ def make_scheme(name, params, grid, a1=0, a2=0, a3=0, a4=0):
         return dimsplit_scheme(params, grid, DiffusionParams.make(a1, a2, a3, a4))
     if name not in DIFFUSIONS:
         raise KeyError("unknown scheme %r" % name)
-    ce = params.c_exact / params.eps_exact
-    coeffs = DIFFUSIONS[name](ce, 1 / params.eps_exact ** 2, params.c_exact ** 2)
+    s, (_, _, t) = params.balance
+    coeffs = (a * k for a, k in zip(DIFFUSIONS[name], (s, s / t, s * t, s)))
     return dimsplit_scheme(params, grid, DiffusionParams.make(*coeffs), name)
 
 

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from acousticfd.cli import EXIT_FAIL, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, main
+from acousticfd.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, main
 
 
 def _read_json(path):
@@ -51,13 +51,12 @@ def test_analyze_dimsplit_verdict_follows_a1(tmp_path):
 
 @pytest.mark.parametrize("scheme", ["central", "lowmach1"])
 def test_analyze_small_eps_reports_json(tmp_path, scheme):
-    # kernel dimension and kernel vectors come from one SVD per sample, so a
-    # sample at the tolerance threshold cannot end the run in a traceback
+    # the scan runs on the unitless symbol, so eps = 1e-6 judges like eps = 1
     rc = main(["analyze", "--scheme", scheme, "--eps", "0.000001", "--grid", "16",
                "--k-samples", "25", "--out", str(tmp_path)])
-    assert rc in (EXIT_OK, EXIT_FAIL)
+    assert rc == EXIT_OK
     doc = _read_json(tmp_path / ("analyze_%s.json" % scheme))
-    assert isinstance(doc["verdict"], bool)
+    assert doc["verdict"] is True
 
 
 def test_usage_errors():
@@ -288,35 +287,39 @@ def test_catalog_listing(capsys):
                                    "stationarity_preserving_expected"}
 
 
-# sha256 of the analyze stdout, recorded before the scheme catalog became one table
+# sha256 of the analyze stdout, recorded when det_scan moved to the balanced
+# symbol (eps/c) T^-1 E T and eigenvalue_scaling to the exact law. Against the
+# digests before that, only "eigenvalue_scaling" changed in all 13, and in the
+# 6 eps = 1e-2 documents the samples' sigma_min_ratio (and absdet for roe and
+# multid); verdicts, kernel dimensions and the operators are unchanged
 DIMSPLIT_ARGV = ("--scheme", "dimsplit", "--a2", "0.5", "--a3", "-0.3", "--a4", "0.8",
                  "--grid", "12,7", "--dx", "1e-3", "--dy", "0.07")
 ANALYZE_DIGESTS = {
     ("--scheme", "central", "--eps", "1", "--grid", "24"):
-        "ba738b524994e427642b637845c82d6cbfd7aa208ec726a313d632fbd3cf635c",
+        "89c89cd43b2f5147d57af1d88a06d316d90fb00547c405089b8eb17b218b4ae0",
     ("--scheme", "central", "--eps", "1e-2", "--grid", "24"):
-        "6b1d756cb9081faf48a00201bcffa496367226e7bbf02e9d23cfaf0bcec3ca65",
+        "b7f84c3f1ac716230c83bd45b5d093b358214fc3696b29893231b393f9ce9f1a",
     ("--scheme", "roe", "--eps", "1", "--grid", "24"):
-        "440d3b15f0014d05a7df6784e0da79699eb086f3ce8f73e4024dfddb5bb1b483",
+        "b793c59595418ab77c75de0c743731be9361c35ad987db79417ad82548cebf08",
     ("--scheme", "roe", "--eps", "1e-2", "--grid", "24"):
-        "b889b667b143ff046c9c34addbb53136c02c4c0a6856a623b0c53966f0710242",
+        "b46c3e14d425b802794d290b9ff013bd2d729e34edbfe865227b2782bd261922",
     ("--scheme", "lowmach1", "--eps", "1", "--grid", "24"):
-        "a100ece34a34e57f1ee7191f8b5d69a9b3641b86a7a0040dd6be66ee1194e567",
+        "4666b15f991d1abc1dd9c55164cc945c058c0e9d5f23104c48b133813dce1c84",
     ("--scheme", "lowmach1", "--eps", "1e-2", "--grid", "24"):
-        "9e5b0a74f6b33c5a3018c57920a57517f62cb0de68042b19e2a62a1205b1acb0",
+        "e39d26e337b11e61cc8a5e48497913e7c1b89d55375ccfa8d9f08532d9d36276",
     ("--scheme", "lowmach2", "--eps", "1", "--grid", "24"):
-        "bbac2839d97ea20fb131de3c29d7d148098217f26caffe28c1c102592788c75d",
+        "60f2256380360272f335c9ec0fcb6f41750e282dd70aff70f5237ef4da57b081",
     ("--scheme", "lowmach2", "--eps", "1e-2", "--grid", "24"):
-        "bb0e10e774e5183b315ddec576cd5f5454fe9d39b8531d103ca0cbdd63dc4fe6",
+        "035a039c2f0fb97b29cc119c5bc921dff49eb25547edb818169a27fce971a276",
     ("--scheme", "lowmach3", "--eps", "1", "--grid", "24"):
-        "93f2b70eb03819172af3d49f0880517ed89d4a56ab3e96c5502cd3b2f83bd05b",
+        "bb92dc4391af4a6a1e1e7fc9c51b6e321c43b3336332c8a61bafa4627a22e15e",
     ("--scheme", "lowmach3", "--eps", "1e-2", "--grid", "24"):
-        "c3f60a2e474e0bd196bbb9541b491541afc14772bc80faf0b2d3a0b219075d0a",
+        "0a50c6d09fd970ebe6456e3c9fcbabe2b583673d8f014d408456a93886513e2d",
     ("--scheme", "multid", "--eps", "1", "--grid", "24"):
-        "01cc4582390c4dde8135ff35690b82a63dd26e8d2089fff3aeaf467988b4da5a",
+        "a4736a01feb1da5c2ae4250c89de8f90827efee3e28c2e33b62599e56cffbeff",
     ("--scheme", "multid", "--eps", "1e-2", "--grid", "24"):
-        "6ba8c65ee4f2e173e6eeef1a845a2e1ac046b0432b02593cacd8813caa7f5e6d",
-    DIMSPLIT_ARGV: "f30e81d259490539e6e65a2e48564963981cd2f4d24f3bbd5b7bd5d16033b568",
+        "a9396fcdc7376968f9d12c9e7b24651d908ae24d5a7eba509e89a72ac0efab85",
+    DIMSPLIT_ARGV: "1195ba57e127d3727ab2f8be2a29b1c49a0047b18e353c8acbf0ba26f679cba3",
 }
 
 

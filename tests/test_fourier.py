@@ -1,6 +1,7 @@
 """Numeric kernel analysis of evolution matrices."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,23 +31,33 @@ def evolution(stencil, thx, thy):
     return -1j * stencil.symbol(thx, thy)
 
 
-def test_jk_matrix_spectrum(square_grid, params):
+def balancing(params):
+    """(c/eps, T) with T = diag(1, 1, c eps), written out independently of the package."""
+    return params.c / params.eps, np.diag([1.0, 1.0, params.c * params.eps])
+
+
+def balanced_evolution(spec, thx, thy):
+    """(eps/c) T^-1 E T as a matrix product."""
+    s, T = balancing(spec.params)
+    return np.linalg.inv(T) @ evolution(spec.stencil, thx, thy) @ T / s
+
+
+def test_jk_matrix_spectrum(square_grid):
     kx, ky = 1.1 / square_grid.dx, 0.6 / square_grid.dy
-    J = jk_matrix(params, kx, ky)
+    J = jk_matrix(kx, ky)
     kk = math.hypot(kx, ky)
     ev = sorted(np.linalg.eigvals(J).real)
-    speed = params.c * kk / params.eps
-    assert ev[0] == pytest.approx(-speed, rel=1e-12)
-    assert abs(ev[1]) <= 1e-9 * speed
-    assert ev[2] == pytest.approx(speed, rel=1e-12)
+    assert ev[0] == pytest.approx(-kk, rel=1e-12)
+    assert abs(ev[1]) <= 1e-9 * kk
+    assert ev[2] == pytest.approx(kk, rel=1e-12)
     assert kernel_dim(J, tol_rel=1e-10) == 1
     v = right_kernel(J, tol_rel=1e-10)
     ref = np.array([-ky, kx, 0.0]) / kk
     # kernel defined up to phase
     align = abs(np.vdot(ref, v))
     assert align == pytest.approx(1.0, abs=1e-10)
-    assert np.all(jk_matrix(params, 0.0, 0.0) == 0.0)
-    stack = jk_matrix(params, np.array([kx, 0.0]), np.array([[ky], [0.0]]))
+    assert np.all(jk_matrix(0.0, 0.0) == 0.0)
+    stack = jk_matrix(np.array([kx, 0.0]), np.array([[ky], [0.0]]))
     assert stack.shape == (2, 2, 3, 3)
     assert np.array_equal(stack[0, 0], J)
 
@@ -76,11 +87,13 @@ def test_constant_states_are_stationary(square_grid, params):
 
 
 def test_central_symbol_is_effective_wavevector(square_grid, params):
+    # E = (c/eps) T J^ T^-1 with J^ the unitless generator at k_m = sin(th_m)/dx_m
     spec = make_scheme("central", params, square_grid)
+    s, T = balancing(params)
     for thx, thy in generic_phases(10):
         E = evolution(spec.stencil, thx, thy)
-        J = jk_matrix(params, math.sin(thx) / square_grid.dx, math.sin(thy) / square_grid.dy)
-        assert np.max(np.abs(E - J)) < 1e-11
+        J = jk_matrix(math.sin(thx) / square_grid.dx, math.sin(thy) / square_grid.dy)
+        assert np.max(np.abs(E - s * T @ J @ np.linalg.inv(T))) < 1e-11
 
 
 def test_conjugate_symmetry(square_grid, params):
@@ -167,9 +180,7 @@ def test_structured_phases_layout():
 
 def test_det_scan_verdicts(square_grid, params):
     phases = generic_phases(25)
-    good = det_scan(make_scheme("multid", params, square_grid).stencil,
-                    square_grid, params, phases=phases,
-                    scheme_name="multid", expected=True)
+    good = det_scan(make_scheme("multid", params, square_grid), phases=phases)
     assert isinstance(good, SpectralVerdict)
     assert good.is_stationarity_preserving
     assert good.withheld == 0
@@ -178,9 +189,9 @@ def test_det_scan_verdicts(square_grid, params):
         assert rec.kernel_dim == 1 and rec.continuous_dim == 1
         assert rec.sigma_ratio <= 1e-12
 
-    bad = det_scan(make_scheme("roe", params, square_grid).stencil,
-                   square_grid, params, phases=phases, scheme_name="roe")
+    bad = det_scan(make_scheme("roe", params, square_grid), phases=phases)
     assert not bad.is_stationarity_preserving
+    assert bad.scheme == "roe" and bad.expected is False
     for rec in bad.generic_records():
         assert rec.kernel_dim == 0
         assert rec.sigma_ratio > 1e-3
@@ -195,42 +206,43 @@ def test_det_scan_verdicts(square_grid, params):
 
 
 def test_det_scan_rejects_phases_outside_half_open_interval(square_grid, params):
-    stencil = make_scheme("multid", params, square_grid).stencil
+    spec = make_scheme("multid", params, square_grid)
     for bad in ((4.0, 0.0), (0.3, -math.pi), (-math.pi, 0.3), (0.3, math.pi + 1e-9)):
         with pytest.raises(ValueError, match="phases must lie in"):
-            det_scan(stencil, square_grid, params, phases=[(0.5, 0.5), bad], structured=False)
-    ok = det_scan(stencil, square_grid, params, phases=[(math.pi, math.pi)], structured=False)
+            det_scan(spec, phases=[(0.5, 0.5), bad], structured=False)
+    ok = det_scan(spec, phases=[(math.pi, math.pi)], structured=False)
     assert [(r.thx, r.thy) for r in ok.records] == [(math.pi, math.pi)]
 
 
 def test_det_scan_without_structured(square_grid, params):
-    out = det_scan(make_scheme("central", params, square_grid).stencil,
-                   square_grid, params, phases=generic_phases(5), structured=False)
+    out = det_scan(make_scheme("central", params, square_grid),
+                   phases=generic_phases(5), structured=False)
     assert len(out.records) == 5
     assert out.is_stationarity_preserving
 
 
-def test_eigenvalue_scaling(square_grid):
-    def factory(c, eps):
-        return make_scheme("roe", AcousticParams(c=c, eps=eps), square_grid)
-
-    out = eigenvalue_scaling_check(factory, square_grid, phases=generic_phases(15))
-    assert out["passed"]
-    assert out["max_rel_err"] <= 1e-10
-    assert out["n_samples"] + len(out["skipped"]) == 15
+def test_eigenvalue_scaling(square_grid, params):
+    for name in CATALOG_NAMES:
+        spec = make_scheme(name, params, square_grid)
+        out = eigenvalue_scaling_check(spec, lambda p: make_scheme(name, p, square_grid))
+        assert out == {"passed": True, "exact": True}
+    # fixed coefficients carry no c/eps law, even with a1 = 0
+    spec = make_scheme("dimsplit", params, square_grid, a2=0.5, a3=-0.3, a4=0.8)
+    out = eigenvalue_scaling_check(
+        spec, lambda p: make_scheme("dimsplit", p, square_grid, a2=0.5, a3=-0.3, a4=0.8))
+    assert out == {"passed": False, "exact": True}
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-4])
 @pytest.mark.parametrize("name,kwargs", SYMBOL_SCHEMES, ids=[n for n, _ in SYMBOL_SCHEMES])
 def test_det_scan_matches_per_sample_oracle(aniso_grid, name, kwargs, eps):
-    params = AcousticParams(c=2.0, eps=eps)
-    stencil = make_scheme(name, params, aniso_grid, **kwargs).stencil
-    out = det_scan(stencil, aniso_grid, params, phases=generic_phases(40))
+    spec = make_scheme(name, AcousticParams(c=2.0, eps=eps), aniso_grid, **kwargs)
+    out = det_scan(spec, phases=generic_phases(40))
     assert len(out.records) == 40 + 48
     for rec in out.records:
-        E = evolution(stencil, rec.thx, rec.thy)
+        E = balanced_evolution(spec, rec.thx, rec.thy)
         assert rec.kernel_dim == kernel_dim(E)
-        J = jk_matrix(params, rec.thx / aniso_grid.dx, rec.thy / aniso_grid.dy)
+        J = jk_matrix(rec.thx / aniso_grid.dx, rec.thy / aniso_grid.dy)
         assert rec.continuous_dim == kernel_dim(J, tol_rel=1e-10)
         cond = np.linalg.cond(np.linalg.eig(E)[1])
         assert rec.non_diagonalizable == (cond > DIAG_COND_LIMIT)
@@ -246,14 +258,16 @@ def test_det_scan_matches_per_sample_oracle(aniso_grid, name, kwargs, eps):
         assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_eigenvalue_scaling_builds_three_schemes(square_grid):
+def test_eigenvalue_scaling_builds_two_schemes(square_grid):
     built = []
 
-    def factory(c, eps):
-        built.append((c, eps))
-        return make_scheme("multid", AcousticParams(c=c, eps=eps), square_grid)
+    def rebuild(p):
+        built.append((p.c, p.eps, p.c_exact, p.eps_exact))
+        return make_scheme("multid", p, square_grid)
 
-    out = eigenvalue_scaling_check(factory, square_grid, c0=1.5, eps0=0.1)
-    assert out["passed"]
-    assert out["n_samples"] + len(out["skipped"]) == 40
-    assert built == [(1.5, 0.1), (3.0, 0.1), (1.5, 0.05)]
+    spec = make_scheme("multid", AcousticParams(c=1.5, eps=0.1), square_grid)
+    out = eigenvalue_scaling_check(spec, rebuild)
+    assert out == {"passed": True, "exact": True}
+    # the exact twins are rescaled exactly, not re-read from the rescaled floats
+    assert built == [(3.0, 0.1, Fraction(3), Fraction(1, 10)),
+                     (1.5, 0.05, Fraction(3, 2), Fraction(1, 20))]
