@@ -31,7 +31,7 @@ for name, spec in specs.items():
 print()
 print("conserved functionals of the preserving schemes")
 print("(weights of the discrete operator annihilated by the right-hand side;")
-print(" offsets anchored at the footprint corner, any translate works equally)")
+print(" offsets centred on the cell, weights carrying the grid's 1/dx = 16)")
 for name, spec in specs.items():
     if not spec.claims["stationarity_preserving"]:
         continue

@@ -8,9 +8,8 @@ certificates, and vortex benchmarks.
 from .grid import (AcousticParams, FieldSet, GridSpec, as_fraction,
                    central_diff, l1_norm_central_diff, write_field_csv)
 from .stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
-                       averaged_curl, averaged_div, central_bracket,
-                       central_curl, central_div, consistent_diffusion,
-                       curl_of, diff_half, dimsplit_div, dimsplit_vorticity,
+                       averaged_div, central_bracket, central_div,
+                       consistent_diffusion, curl_of, diff_half, dimsplit_div,
                        rational_string, second_bracket, smooth_bracket,
                        sum_half, tx, ty)
 from .laurent import (consistency_nullspace, cross_consistency,

@@ -1,23 +1,21 @@
 """Benchmark setups and measurements.
 
 Vortex initial data, kernel-adapted (discretely stationary) data built from
-a streamfunction, decay-rate fits, conserved-operator extraction, and the
-vortex benchmark orchestration.
+a streamfunction, the conserved operator (each scheme's closed-form vorticity
+row, checked exactly against its symbol), decay-rate fits, and the vortex
+benchmark orchestration.
 """
 
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .grid import (AcousticParams, FieldSet, l1_norm_central_diff,
                    write_field_csv)
 from .schemes import make_scheme, rhs
-from .stencils import ScalarStencil
 from .timestep import CFL_NORMALIZATION, StepControl, run
 
 
@@ -118,61 +116,14 @@ class ConservedOperator:
                 "wp": self.wp.to_json_dict(), "exact": True}
 
 
-def _cross_row(cols, i, j):
-    """Cross product of 3-vector polynomial columns i and j: a left-kernel candidate."""
-    a, b = cols[i], cols[j]
-    return [a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0]]
-
-
-def extract_conserved_operator(spec, check_states=3, seed=11, tol=1e-11):
-    """Left kernel row of the exact symbol, cleared to a Laurent-polynomial
-    stencil row and verified both exactly (w M = 0) and on random data."""
+def extract_conserved_operator(spec):
+    """The scheme's closed-form vorticity row, checked exactly: w M = 0 column by column."""
+    w = spec.vorticity_row()
     m = spec.stencil.exact_symbol()
-    velocity_block_zero = all(m[r][c].is_zero() for r in (0, 1) for c in (0, 1))
-    if velocity_block_zero:
-        w = [m[1][2], -m[0][2], ScalarStencil({})]
-    else:
-        cols = [[m[r][c] for r in range(3)] for c in range(3)]
-        w = None
-        for i, j in ((0, 2), (1, 2), (0, 1)):
-            cand = _cross_row(cols, i, j)
-            if not all(p.is_zero() for p in cand):
-                w = cand
-                break
-        if w is None:
-            raise ValueError("cannot extract a left kernel row: symbol columns all parallel-degenerate")
-
-    # clear the common monomial shift and rational content
-    offsets = [off for p in w for off in p.coeffs]
-    w = [p.shifted(-min(a for a, _ in offsets), -min(b for _, b in offsets)) for p in w]
-    contents = [p.content() for p in w]
-    g = Fraction(math.gcd(*(c.numerator for c in contents)),
-                 math.lcm(*(c.denominator for c in contents)))
-    w = [p * (1 / g) for p in w]
-    lead = next(p for p in w if not p.is_zero())
-    if lead.coeffs[max(lead.coeffs)] < 0:
-        w = [-p for p in w]
-
     for c in range(3):
-        acc = w[0] * m[0][c] + w[1] * m[1][c] + w[2] * m[2][c]
-        if not acc.is_zero():
-            raise RuntimeError("left kernel verification failed on column %d" % c)
-
-    op = ConservedOperator(spec.grid, *w)
-
-    # states T q^ with q^ of unit size make every row of rhs about (c/eps)/h
-    rng = np.random.default_rng(seed)
-    ce, t = spec.params.balance
-    t = np.array(t, dtype=float)[:, None, None]
-    scale = op.weight_norm() * float(ce) / spec.grid.min_spacing
-    for _ in range(check_states):
-        q = rng.standard_normal((3, spec.grid.nx, spec.grid.ny))
-        drift = np.max(np.abs(op.apply(rhs(spec, FieldSet.from_q(spec.grid, t * q)))))
-        if drift > tol * scale * np.max(np.abs(q)):
-            raise RuntimeError("conserved operator fails numerically: %.3g" % drift)
-    return op
+        if not (w[0] * m[0][c] + w[1] * m[1][c] + w[2] * m[2][c]).is_zero():
+            raise RuntimeError("vorticity row fails w M = 0 on column %d" % c)
+    return ConservedOperator(spec.grid, *w)
 
 
 @dataclass(frozen=True)

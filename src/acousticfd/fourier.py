@@ -169,7 +169,8 @@ def det_scan(spec, phases=None, tol_rel=1e-12, structured=True):
     E = (-1j / float(ce)) * spec.stencil.symbol(thx, thy) * (t / t[:, None])
     dims, s = _svd_kernel(E, tol_rel)[:2]
     smax = s[:, 0]
-    ratios = np.divide(s[:, -1], smax, out=np.zeros_like(smax), where=smax > 0)
+    # LAPACK may return the smallest singular value as -0.0; report the ratio as +0.0
+    ratios = np.divide(np.abs(s[:, -1]), smax, out=np.zeros_like(smax), where=smax > 0)
     # |det| from LU, not prod(s): the product turns an exact 0 into roundoff
     absdets = np.abs(np.linalg.det(E))
     cdims = _svd_kernel(jk_matrix(thx / spec.grid.dx, thy / spec.grid.dy), 1e-10)[0]

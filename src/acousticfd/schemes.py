@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .grid import AcousticParams, FieldSet, as_fraction
 from .stencils import (MatrixStencil, ScalarStencil, averaged_div, central_bracket,
-                       dimsplit_div, second_bracket, smooth_bracket)
+                       curl_of, dimsplit_div, second_bracket, smooth_bracket)
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,36 @@ class SchemeSpec:
         if self.diffusion is None:
             return averaged_div()
         return dimsplit_div(self.diffusion.a3, self.params.c_exact)
+
+    def vorticity_row(self):
+        """(wu, wv, wp) with (wu, wv, wp) M = 0, bound to the grid like the symbol entries:
+        the per-cell vorticity this scheme conserves, d/dx v - d/dy u + O(h).
+
+        A split member with a1 = 0 conserves the curl of the divergence built from a2,
+        as its stationary states are built from a3. multid conserves the curl of its
+        own divergence (the Morton-Roe vorticity) when dx = dy. Otherwise its primitive
+        row has radius 2 and a pressure part, (dy - dx)/(2 c eps) d/dx d/dy p + O(h^2).
+        That row holds at dx = dy too, but there it is the square-cell row times
+        4Px + 4Py - PxPy (P the smooth bracket), hence the branch.
+        """
+        grid = self.grid
+        if self.diffusion is not None:
+            if self.diffusion.a1 != 0:
+                raise ValueError("a split scheme with a1 != 0 conserves no vorticity")
+            c, eps = self.params.c_exact, self.params.eps_exact
+            row = curl_of(dimsplit_div(self.diffusion.a2 * (eps * c) ** 2, c))
+        elif grid.dx_exact == grid.dy_exact:
+            row = curl_of(averaged_div())
+        else:
+            hx, hy = 1 / grid.dx_exact, 1 / grid.dy_exact
+            sx, qx, px = central_bracket("x"), second_bracket("x"), smooth_bracket("x")
+            sy, qy, py = central_bracket("y"), second_bracket("y"), smooth_bracket("y")
+            k = Fraction(1, 128)
+            ce = self.params.c_exact * self.params.eps_exact
+            return (sy * px * (qx * py * hx - px * (4 * hy)) * k,
+                    sx * py * (py * (4 * hx) - qy * px * hy) * k,
+                    sx * sy * px * py * ((hx - hy) * k / ce))
+        return row.bu.bound(grid), row.bv.bound(grid), ScalarStencil({})
 
 
 def dimsplit_scheme(params, grid, dp, name="dimsplit"):

@@ -8,7 +8,6 @@ applied to a field or exported. A stencil carries one formal unit monomial
 dx^px dy^py so coefficient maps stay exact rationals independent of the grid.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,15 +106,6 @@ class ScalarStencil:
 
     def with_units(self, px, py):
         return ScalarStencil(self.coeffs, (self.units[0] + px, self.units[1] + py))
-
-    def shifted(self, da, db):
-        """Every offset moved by (da, db) half cells."""
-        return ScalarStencil({(a + da, b + db): c for (a, b), c in self.coeffs.items()}, self.units)
-
-    def content(self):
-        """gcd of the numerators over lcm of the denominators; 0 for the zero stencil."""
-        cs = self.coeffs.values()
-        return Fraction(math.gcd(*(c.numerator for c in cs)), math.lcm(*(c.denominator for c in cs)))
 
     def bound(self, grid):
         """The unitless stencil with dx^px dy^py bound to the grid's exact spacings."""
@@ -272,18 +262,6 @@ def consistent_diffusion(c1, c2):
 def curl_of(div_row):
     """Row for the substitution (u, v) -> (v, -u): bu(u)+bv(v) becomes -bv(u)+bu(v)."""
     return VecStencilRow(-div_row.bv, div_row.bu)
-
-
-def central_curl():
-    return curl_of(central_div())
-
-
-def averaged_curl():
-    return curl_of(averaged_div())
-
-
-def dimsplit_vorticity(a3, c):
-    return curl_of(dimsplit_div(a3, c))
 
 
 class MatrixStencil:

@@ -49,6 +49,20 @@ def test_analyze_dimsplit_verdict_follows_a1(tmp_path):
     assert doc["eigenvalue_scaling"]["passed"] is False
 
 
+@pytest.mark.parametrize("grid,radius,has_wp", [
+    (("--grid", "8"), 1, False),
+    (("--grid", "12,7", "--dx", "1e-3", "--dy", "0.07"), 2, True),
+], ids=["square-8", "aniso-12x7"])
+def test_analyze_multid_reports_primitive_vorticity_row(grid, radius, has_wp, capsys):
+    # the primitive row has radius 1 on square cells and 2 otherwise, so small grids hold it
+    assert main(["analyze", "--scheme", "multid", "--k-samples", "10", *grid]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert "conserved_operator_error" not in doc
+    op = doc["conserved_operator"]
+    assert max(op[k]["radius"] for k in ("wu", "wv", "wp")) == radius
+    assert bool(op["wp"]["entries"]) is has_wp
+
+
 @pytest.mark.parametrize("scheme", ["central", "lowmach1"])
 def test_analyze_small_eps_reports_json(tmp_path, scheme):
     # the scan runs on the unitless symbol, so eps = 1e-6 judges like eps = 1
@@ -287,39 +301,40 @@ def test_catalog_listing(capsys):
                                    "stationarity_preserving_expected"}
 
 
-# sha256 of the analyze stdout, recorded when det_scan moved to the balanced
-# symbol (eps/c) T^-1 E T and eigenvalue_scaling to the exact law. Against the
-# digests before that, only "eigenvalue_scaling" changed in all 13, and in the
-# 6 eps = 1e-2 documents the samples' sigma_min_ratio (and absdet for roe and
-# multid); verdicts, kernel dimensions and the operators are unchanged
+# sha256 of the analyze stdout, recorded when "conserved_operator" became the
+# closed-form vorticity row (SchemeSpec.vorticity_row) and sigma_min_ratio lost
+# its sign bit. Against the digests before that, only those two fields changed:
+# the row in the 11 stationarity preserving documents (centred, primitive,
+# bound to the grid), and -0.0 -> 0.0 ratios in central and lowmach1. The two
+# roe documents are unchanged, as are verdicts and kernel dimensions everywhere
 DIMSPLIT_ARGV = ("--scheme", "dimsplit", "--a2", "0.5", "--a3", "-0.3", "--a4", "0.8",
                  "--grid", "12,7", "--dx", "1e-3", "--dy", "0.07")
 ANALYZE_DIGESTS = {
     ("--scheme", "central", "--eps", "1", "--grid", "24"):
-        "89c89cd43b2f5147d57af1d88a06d316d90fb00547c405089b8eb17b218b4ae0",
+        "25eefbf7c61934338de6b583697ee79fe792c63733e9ccbbab8106a1beed9dc2",
     ("--scheme", "central", "--eps", "1e-2", "--grid", "24"):
-        "b7f84c3f1ac716230c83bd45b5d093b358214fc3696b29893231b393f9ce9f1a",
+        "2382f8b07b41ac30961fa00edbd5993672daf0c2819e16dbdf3ada4935a45ebc",
     ("--scheme", "roe", "--eps", "1", "--grid", "24"):
         "b793c59595418ab77c75de0c743731be9361c35ad987db79417ad82548cebf08",
     ("--scheme", "roe", "--eps", "1e-2", "--grid", "24"):
         "b46c3e14d425b802794d290b9ff013bd2d729e34edbfe865227b2782bd261922",
     ("--scheme", "lowmach1", "--eps", "1", "--grid", "24"):
-        "4666b15f991d1abc1dd9c55164cc945c058c0e9d5f23104c48b133813dce1c84",
+        "e4a881826f90d02f3c48046a003ec801d833a788928da85692c7908ca1a54887",
     ("--scheme", "lowmach1", "--eps", "1e-2", "--grid", "24"):
-        "e39d26e337b11e61cc8a5e48497913e7c1b89d55375ccfa8d9f08532d9d36276",
+        "cc1b9299abd3560313ad6b22fa6236c8994b28f73637e9990c3b592471ebc1ac",
     ("--scheme", "lowmach2", "--eps", "1", "--grid", "24"):
-        "60f2256380360272f335c9ec0fcb6f41750e282dd70aff70f5237ef4da57b081",
+        "c5ba023892ac865175b5e0fde375d65ae3a592d6e39b5c0798f6090e4b5d93de",
     ("--scheme", "lowmach2", "--eps", "1e-2", "--grid", "24"):
-        "035a039c2f0fb97b29cc119c5bc921dff49eb25547edb818169a27fce971a276",
+        "bfdca93b201d528aaca9318db04a01bd14c465e8ccc3e910660833caf4a064db",
     ("--scheme", "lowmach3", "--eps", "1", "--grid", "24"):
-        "bb92dc4391af4a6a1e1e7fc9c51b6e321c43b3336332c8a61bafa4627a22e15e",
+        "d2b6a8ec259e5a33a8e23b5707fece3c054ac344a9ada94be3faa4b611764568",
     ("--scheme", "lowmach3", "--eps", "1e-2", "--grid", "24"):
-        "0a50c6d09fd970ebe6456e3c9fcbabe2b583673d8f014d408456a93886513e2d",
+        "f2516ab97e741ebf9bee728d4c6d4abae641d73164e3a9d71cabca747830d0ad",
     ("--scheme", "multid", "--eps", "1", "--grid", "24"):
-        "a4736a01feb1da5c2ae4250c89de8f90827efee3e28c2e33b62599e56cffbeff",
+        "2c9a0ddbef016e7926d4c7fe663512a88a8c6a47da88870cfa394b25def0d2ab",
     ("--scheme", "multid", "--eps", "1e-2", "--grid", "24"):
-        "a9396fcdc7376968f9d12c9e7b24651d908ae24d5a7eba509e89a72ac0efab85",
-    DIMSPLIT_ARGV: "1195ba57e127d3727ab2f8be2a29b1c49a0047b18e353c8acbf0ba26f679cba3",
+        "ef8102d9903d145265bbda232c9abdda884a6657071a00b096fd3d726a9bb9e7",
+    DIMSPLIT_ARGV: "dd3ee294d8d2fd9304cedcfc0c87c154b70a17a03aa6f71e89104d407f122ce7",
 }
 
 

@@ -24,10 +24,9 @@ from acousticfd.grid import AcousticParams, FieldSet, GridSpec
 from acousticfd.schemes import SP_NAMES, make_scheme
 from acousticfd.stencils import (
     averaged_div,
-    central_curl,
     central_div,
+    curl_of,
     dimsplit_div,
-    dimsplit_vorticity,
 )
 
 
@@ -145,33 +144,34 @@ def test_kernel_adapted_dyadic_state(square_grid, params):
     assert np.max(np.abs(state.u)) > 0.0
 
 
-def test_extracted_operator_central_is_curl(square_grid, params):
-    op = extract_conserved_operator(make_scheme("central", params, square_grid))
+def assert_operator_is_row(op, row, grid):
+    assert op.wu == row.bu.bound(grid)
+    assert op.wv == row.bv.bound(grid)
     assert op.wp.is_zero()
-    curl = central_curl()
-    cu, cv = curl.bu.bound(square_grid), curl.bv.bound(square_grid)
-    assert (op.wu * cv - op.wv * cu).is_zero()
-    assert not op.wu.is_zero()
 
 
-def test_extracted_operator_dimsplit_subfamily(square_grid):
-    # a3 = c^2 eps^2 a2 makes the conserved row the adapted vorticity
-    params = AcousticParams(c=1.0, eps=1.0)
-    spec = make_scheme("dimsplit", params, square_grid,
-                       a1=0, a2=0.25, a3=0.25, a4=0.7)
-    op = extract_conserved_operator(spec)
-    vort = dimsplit_vorticity(Fraction(1, 4), 1)
-    vu, vv = vort.bu.bound(square_grid), vort.bv.bound(square_grid)
-    assert op.wp.is_zero()
-    assert (op.wu * vv - op.wv * vu).is_zero()
+def test_extracted_operator_central_is_curl(square_grid, aniso_grid, params):
+    for grid in (square_grid, aniso_grid):
+        op = extract_conserved_operator(make_scheme("central", params, grid))
+        assert_operator_is_row(op, curl_of(central_div()), grid)
+        assert op.wu.cell_radius == 1
+
+
+def test_extracted_operator_dimsplit_subfamily(square_grid, aniso_grid):
+    # the conserved row is the curl of the divergence built from a2, not a3
+    params = AcousticParams(c=2.0, eps=0.5)
+    for grid in (square_grid, aniso_grid):
+        spec = make_scheme("dimsplit", params, grid, a1=0, a2=0.25, a3=-1.5, a4=0.7)
+        op = extract_conserved_operator(spec)
+        assert_operator_is_row(op, curl_of(dimsplit_div(Fraction(1, 4), 2)), grid)
 
 
 def test_extracted_operator_multid_pressure_weight(square_grid, aniso_grid, params):
     sq = extract_conserved_operator(make_scheme("multid", params, square_grid))
-    assert sq.wp.is_zero()
+    assert_operator_is_row(sq, curl_of(averaged_div()), square_grid)
     an = extract_conserved_operator(make_scheme("multid", params, aniso_grid))
     # unequal spacings leave a genuine pressure contribution in the functional
-    assert not an.wp.is_zero()
+    assert an.wu.cell_radius == an.wv.cell_radius == an.wp.cell_radius == 2
     doc = an.to_json_dict()
     assert doc["exact"] is True
     assert doc["wp"]["entries"]

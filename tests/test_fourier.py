@@ -205,6 +205,14 @@ def test_det_scan_verdicts(square_grid, params):
                                       "continuous_dim", "non_diagonalizable"}
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_sigma_ratio_is_never_negative_zero(name):
+    # the full SVD can return the smallest singular value as -0.0
+    spec = make_scheme(name, AcousticParams(c=1.0, eps=1.0), GridSpec.unit_square(24))
+    ratios = [r.sigma_ratio for r in det_scan(spec, phases=generic_phases(200)).records]
+    assert not np.signbit(ratios).any()
+
+
 def test_det_scan_rejects_phases_outside_half_open_interval(square_grid, params):
     spec = make_scheme("multid", params, square_grid)
     for bad in ((4.0, 0.0), (0.3, -math.pi), (-math.pi, 0.3), (0.3, math.pi + 1e-9)):

@@ -42,18 +42,6 @@ def test_poly_arithmetic():
     sq = (tx(1) + ty(1)) * (tx(1) + ty(1))
     assert sq == tx(2) + 2 * tx(1) * ty(1) + ty(2)
     assert (p - p).is_zero()
-    q = ScalarStencil({(-2, 4): Fraction(3, 4)}, (-1, 0))
-    assert q.shifted(2, -4) == ScalarStencil({(0, 0): Fraction(3, 4)}, (-1, 0))
-
-
-def test_poly_content_primitive():
-    p = 4 * tx(1) + 6 * ty(-1)
-    assert p.content() == 2
-    assert (-p).content() == 2
-    # dividing out the content leaves the primitive part
-    assert p * (1 / p.content()) == 2 * tx(1) + 3 * ty(-1)
-    assert (Fraction(2, 3) * tx(1) + Fraction(4, 9)).content() == Fraction(2, 9)
-    assert ScalarStencil({}).content() == 0
 
 
 def test_cross_consistency_verdicts():

@@ -16,7 +16,9 @@ from acousticfd.schemes import (
     make_scheme,
     rhs,
 )
-from acousticfd.stencils import averaged_div, central_div, consistent_diffusion, dimsplit_div
+from acousticfd.laurent import taylor_expand
+from acousticfd.stencils import (ScalarStencil, VecStencilRow, averaged_div, central_div,
+                                 consistent_diffusion, dimsplit_div)
 
 
 def test_catalog_names_and_claims(square_grid, params):
@@ -58,8 +60,10 @@ def test_roe_is_dimsplit_member(square_grid, params):
 def test_dimsplit_claim_follows_a1(square_grid, params):
     assert make_scheme("dimsplit", params, square_grid,
                        a1=0, a2=0.5).claims["stationarity_preserving"]
-    assert not make_scheme("dimsplit", params, square_grid,
-                           a1=0.1).claims["stationarity_preserving"]
+    leaky = make_scheme("dimsplit", params, square_grid, a1=0.1)
+    assert not leaky.claims["stationarity_preserving"]
+    with pytest.raises(ValueError, match="a1 != 0"):
+        leaky.vorticity_row()
 
 
 COEFFS = st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 4), Fraction(-3, 2),
@@ -77,6 +81,44 @@ def test_dimsplit_claim_and_divergence_follow_diffusion(a1, a2, a3, a4, c, eps):
                        a1=a1, a2=a2, a3=a3, a4=a4)
     assert spec.claims == {"stationarity_preserving": a1 == 0}
     assert spec.divergence_row() == dimsplit_div(a3, params.c_exact)
+
+
+IDENTITY_GRIDS = (GridSpec.unit_square(16), GridSpec(12, 7, 1e-3, 0.07), GridSpec(9, 11, 0.3, 0.02))
+
+
+def spacing_free_taylor(row, grid, order):
+    """taylor_expand of a grid-bound row with dx, dy substituted: {(comp, m, n): coef}."""
+    out = {}
+    for (comp, m, n, px, py), coef in taylor_expand(row, order).items():
+        out[comp, m, n] = out.get((comp, m, n), 0) + coef * grid.dx_exact ** px * grid.dy_exact ** py
+    return {key: coef for key, coef in out.items() if coef}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(SP_NAMES + ("dimsplit",) * 3), a2=COEFFS, a3=COEFFS, a4=COEFFS,
+       c=st.sampled_from([0.5, 1.0, 3.0]), eps=st.sampled_from([1.0, 0.5, 1e-2, 1e-6, 1e-10]),
+       grid=st.sampled_from(IDENTITY_GRIDS))
+@example(name="multid", a2=0, a3=0, a4=0, c=3.0, eps=1e-10, grid=IDENTITY_GRIDS[1])
+@example(name="multid", a2=0, a3=0, a4=0, c=0.5, eps=1e-6, grid=IDENTITY_GRIDS[0])
+def test_vorticity_and_divergence_rows_are_exact_kernels(name, a2, a3, a4, c, eps, grid):
+    spec = make_scheme(name, AcousticParams(c=c, eps=eps), grid, a2=a2, a3=a3, a4=a4)
+    m = spec.stencil.exact_symbol()
+    wu, wv, wp = spec.vorticity_row()
+    for col in range(3):
+        assert (wu * m[0][col] + wv * m[1][col] + wp * m[2][col]).is_zero(), col
+    # the stream-function form of every discrete stationary state
+    b = spec.divergence_row()
+    psi_u, psi_v = -b.bv.bound(grid), b.bu.bound(grid)
+    for row in range(3):
+        assert (m[row][0] * psi_u + m[row][1] * psi_v).is_zero(), row
+    assert spacing_free_taylor(VecStencilRow(wu, wv), grid, 1) == {("u", 0, 1): -1,
+                                                                  ("v", 1, 0): 1}
+    # only multid on unequal spacings adds (dy - dx)/(2 c eps) d/dx d/dy p
+    weight = 0
+    if name == "multid":
+        weight = (grid.dy_exact - grid.dx_exact) / (2 * spec.params.c_exact * spec.params.eps_exact)
+    p_part = spacing_free_taylor(VecStencilRow(wp, ScalarStencil({})), grid, 2)
+    assert p_part == ({("u", 1, 1): weight} if weight else {})
 
 
 def test_multid_is_averaged_flux_plus_half_speed_diffusion(aniso_grid, params):

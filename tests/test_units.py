@@ -9,14 +9,15 @@ the same at every scale.
 import json
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acousticfd.cli import EXIT_OK, main
 from acousticfd.experiments import extract_conserved_operator
 from acousticfd.fourier import det_scan, generic_phases
-from acousticfd.grid import AcousticParams, GridSpec
-from acousticfd.schemes import CATALOG_NAMES, SP_NAMES, make_scheme
+from acousticfd.grid import AcousticParams, FieldSet, GridSpec
+from acousticfd.schemes import CATALOG_NAMES, SP_NAMES, make_scheme, rhs
 
 LADDER_EPS = ("1", "1e-2", "1e-4", "1e-5", "1e-6", "1e-8", "1e-10")
 LADDER_GRIDS = {
@@ -72,4 +73,13 @@ def test_rescaling_changes_no_verdict(fc, feps, lam):
         assert verdict is (name in SP_NAMES)
         assert (verdict, dims) == base_summary(name), name
         if verdict:
-            extract_conserved_operator(spec)
+            op = extract_conserved_operator(spec)
+            # states T q^ with q^ of unit size make every row of rhs about (c/eps)/h
+            ce, t = params.balance
+            t = np.array(t, dtype=float)[:, None, None]
+            scale = op.weight_norm() * float(ce) / grid.min_spacing
+            rng = np.random.default_rng(11)
+            for _ in range(3):
+                q = rng.standard_normal((3, grid.nx, grid.ny))
+                drift = np.max(np.abs(op.apply(rhs(spec, FieldSet.from_q(grid, t * q)))))
+                assert drift <= 1e-11 * scale * np.max(np.abs(q)), name
