@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 certification/verdict failure, 2 usage error,
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -60,18 +61,24 @@ SUBCOMMANDS = (
 )
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser with every subcommand; only `command`'s subparser, or every one when
+    command is None, gets its flags. A run parses one subcommand, and the names and
+    help lines alone give the top-level help and errors."""
     ap = argparse.ArgumentParser(prog="acousticfd",
                                  description="semi-discrete acoustic schemes: "
                                              "kernel analysis, exact certification, vortex runs")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, help_text in SUBCOMMANDS:
-        p = sub.add_parser(command, help=help_text)
+    for name, help_text in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", default=None, help="flat JSON config; flags win")
-        for only, name, _, kwargs in OPTIONS:
-            if only in (None, command):
+        for only, option, _, kwargs in OPTIONS:
+            if only in (None, name):
                 # default None marks "not given", so the config can fill it in
-                p.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **kwargs)
+                p.add_argument("--" + option.replace("_", "-"), dest=option, default=None,
+                               **kwargs)
     return ap
 
 
@@ -140,6 +147,8 @@ def build_scheme(cfg, grid, params):
     except KeyError:
         raise UsageError("unknown scheme %r (catalog: %s, dimsplit)"
                          % (name, ", ".join(CATALOG_NAMES)))
+    except OverflowError as err:
+        raise UsageError(str(err))
 
 
 def emit_json(doc, cfg, name):
@@ -155,9 +164,13 @@ def emit_json(doc, cfg, name):
 
 
 def _scheme_kwargs(cfg):
-    if cfg["scheme"] == "dimsplit":
-        return {"a1": cfg["a1"], "a2": cfg["a2"], "a3": cfg["a3"], "a4": cfg["a4"]}
-    return {}
+    if cfg["scheme"] != "dimsplit":
+        return {}
+    kwargs = {key: cfg[key] for key in ("a1", "a2", "a3", "a4")}
+    for key, value in kwargs.items():
+        if not math.isfinite(value):
+            raise UsageError("--%s must be finite, got %r" % (key, value))
+    return kwargs
 
 
 def cmd_analyze(cfg):
@@ -254,6 +267,8 @@ def cmd_simulate(cfg):
                                   scheme_kwargs=_scheme_kwargs(cfg))
     except KeyError:
         raise UsageError("unknown scheme %r" % name)
+    except OverflowError as err:
+        raise UsageError(str(err))
     except InstabilityError as err:
         doc = {"error": "instability", "step": err.step,
                "last_stable_time": err.t, "scheme": name,
@@ -301,8 +316,8 @@ COMMANDS = {"analyze": cmd_analyze, "certify": cmd_certify,
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = merge_config(args)
         return COMMANDS[args.command](cfg)

@@ -29,6 +29,19 @@ def _integer_row(row):
     return [x.numerator * (den // x.denominator) if x else 0 for x in row]
 
 
+def distinct_rows(rows):
+    """The nonzero int rows, each once up to a nonzero factor: divided by the gcd of its
+    entries, first nonzero entry positive, in first-seen order. They span the rows'
+    space, so rref gives the same reduced rows."""
+    seen = {}
+    for row in rows:
+        lead = next((x for x in row if x), 0)
+        if lead:
+            g = math.gcd(*row) if lead > 0 else -math.gcd(*row)
+            seen[tuple(x // g for x in row)] = None
+    return list(seen)
+
+
 def rref(rows, ncols):
     """Reduced row echelon form of a rational matrix: (reduced Fraction rows, pivot columns).
 
@@ -98,7 +111,10 @@ def consistency_nullspace(A, radius=1):
     The system is solved over ints with one unknown per parity orbit: S and
     -S of one component share a column. Orbit columns are ordered by their
     last member, so the free columns, and the basis, are those of the full
-    system with one parity row per pair.
+    system with one parity row per pair. A divergence is odd, so the rows of
+    the monomials m and -m then agree up to sign; each row enters the
+    elimination once, up to a nonzero factor, which leaves the row space and
+    so the reduced form unchanged.
     """
     N = radius
     offsets = [(sx, sy) for sx in range(-N, N + 1) for sy in range(-N, N + 1)]
@@ -108,7 +124,8 @@ def consistency_nullspace(A, radius=1):
     ncols = col[-1] + 1
     (pu, qu), (pv, qv) = A.bu.units, A.bv.units
     den = math.lcm(*(c.denominator for st in (A.bu, A.bv) for c in st.coeffs.values()))
-    au, av = ({k: int(c * den) for k, c in st.coeffs.items()} for st in (A.bu, A.bv))
+    au, av = ({k: c.numerator * (den // c.denominator) for k, c in st.coeffs.items()}
+              for st in (A.bu, A.bv))
 
     # cross-consistency: for each product monomial one linear equation
     eqs = {}
@@ -128,7 +145,7 @@ def consistency_nullspace(A, radius=1):
             r[col[base + i]] += 1
         rows.append(r)
 
-    basis = rref_nullspace([r for r in rows if any(r)], ncols)
+    basis = rref_nullspace(distinct_rows(rows), ncols)
     return [_row_symbol_from_vector([vec[c] for c in col], offsets) for vec in basis]
 
 

@@ -34,6 +34,14 @@ class ScalarStencil:
         self.coeffs = _clean({(int(a), int(b)): as_fraction(c) for (a, b), c in coeffs.items()})
         self.units = (int(units[0]), int(units[1]))
 
+    @classmethod
+    def _of(cls, coeffs, units):
+        """A stencil over a map that is already clean: int offsets to nonzero Fractions,
+        int units. The algebra below builds only such maps, so it skips __init__."""
+        st = cls.__new__(cls)
+        st.coeffs, st.units = coeffs, units
+        return st
+
     def __repr__(self):
         return "ScalarStencil(%r, units=%r)" % (self.coeffs, self.units)
 
@@ -68,7 +76,7 @@ class ScalarStencil:
         return {(a // 2, b // 2): c for (a, b), c in self.coeffs.items()}
 
     def __neg__(self):
-        return ScalarStencil({off: -c for off, c in self.coeffs.items()}, self.units)
+        return ScalarStencil._of({off: -c for off, c in self.coeffs.items()}, self.units)
 
     def __add__(self, other):
         if not isinstance(other, ScalarStencil):
@@ -82,8 +90,9 @@ class ScalarStencil:
                              % (self.units, other.units))
         out = dict(self.coeffs)
         for off, c in other.coeffs.items():
-            out[off] = out.get(off, Fraction(0)) + c
-        return ScalarStencil(out, self.units)
+            prev = out.get(off)
+            out[off] = c if prev is None else prev + c
+        return ScalarStencil._of(_clean(out), self.units)
 
     __radd__ = __add__
 
@@ -93,24 +102,27 @@ class ScalarStencil:
     def __mul__(self, other):
         if not isinstance(other, ScalarStencil):
             s = as_fraction(other)
-            return ScalarStencil({off: c * s for off, c in self.coeffs.items()}, self.units)
+            # a product of nonzero Fractions is nonzero, so only s = 0 empties the map
+            return ScalarStencil._of({off: c * s for off, c in self.coeffs.items()} if s else {},
+                                     self.units)
         out = {}
         for (a1, b1), c1 in self.coeffs.items():
             for (a2, b2), c2 in other.coeffs.items():
                 key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return ScalarStencil(out, (self.units[0] + other.units[0],
-                                   self.units[1] + other.units[1]))
+                prev = out.get(key)
+                out[key] = c1 * c2 if prev is None else prev + c1 * c2
+        return ScalarStencil._of(_clean(out), (self.units[0] + other.units[0],
+                                               self.units[1] + other.units[1]))
 
     __rmul__ = __mul__
 
     def with_units(self, px, py):
-        return ScalarStencil(self.coeffs, (self.units[0] + px, self.units[1] + py))
+        return ScalarStencil._of(self.coeffs, (self.units[0] + px, self.units[1] + py))
 
     def bound(self, grid):
         """The unitless stencil with dx^px dy^py bound to the grid's exact spacings."""
-        return ScalarStencil(self.coeffs) * (grid.dx_exact ** self.units[0]
-                                             * grid.dy_exact ** self.units[1])
+        return ScalarStencil._of(self.coeffs, (0, 0)) * (grid.dx_exact ** self.units[0]
+                                                         * grid.dy_exact ** self.units[1])
 
     def weights(self, grid):
         """Whole-cell offsets with float weights, units bound to the grid."""
@@ -271,7 +283,8 @@ class MatrixStencil:
 
     Everything numeric is derived once, here: the float blocks alpha_S by
     sorted cell offset (single roundings of the exact values), the radius and
-    the packing for shift_product. The object is not changed afterwards.
+    the packing for shift_product. The object is not changed afterwards. An
+    exact value beyond the float range raises OverflowError naming its entry.
     """
 
     def __init__(self, grid, entries):
@@ -283,7 +296,11 @@ class MatrixStencil:
                 if st.units != (0, 0) and not st.is_zero():
                     raise ValueError("entry (%d, %d) still carries units %r" % (r, c, st.units))
                 for off, value in st.cell_offsets().items():
-                    blocks.setdefault(off, np.zeros((3, 3)))[r, c] = float(value)
+                    try:
+                        blocks.setdefault(off, np.zeros((3, 3)))[r, c] = float(value)
+                    except OverflowError:
+                        raise OverflowError("symbol entry (%s, %s) at cell offset %r is beyond "
+                                            "the float range" % ("uvp"[r], "uvp"[c], off)) from None
         self._floats = dict(sorted(blocks.items()))
         r = self.radius = max((max(abs(sx), abs(sy)) for sx, sy in self._floats), default=0)
         cols, taps = [], []

@@ -35,7 +35,10 @@ class StepControl:
             raise ValueError("t_end must be finite and nonnegative")
 
     def steps(self, dt):
-        """Number of fixed steps of size dt that reach t_end; above max_steps it raises."""
+        """Number of fixed steps of size dt that reach t_end; above max_steps, or for a dt
+        that underflows to 0 or leaves t_end/dt beyond the float range, it raises."""
+        if not dt > 0 or self.t_end / dt == math.inf:
+            raise ValueError("time step dt = cfl*min(dx,dy)*eps/c = %r underflows" % dt)
         n = max(1, math.ceil(self.t_end / dt - 1e-12)) if self.t_end > 0 else 0
         if n > self.max_steps:
             raise ValueError("run wants %d steps, max_steps is %d" % (n, self.max_steps))

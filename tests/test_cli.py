@@ -7,7 +7,8 @@ import os
 
 import pytest
 
-from acousticfd.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, main
+from acousticfd.cli import (EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, OPTIONS, SUBCOMMANDS,
+                            build_parser, main)
 
 
 def _read_json(path):
@@ -93,6 +94,22 @@ OUT_OF_RANGE = [
     (["simulate", "--scheme", "roe", "--grid", "8", "--cfl", "inf"], "cfl must be positive and finite"),
     (["certify", "--radius", "0"], "--radius"),
     (["simulate"], "--scheme is required"),
+    (["analyze", "--scheme", "dimsplit", "--a1", "nan"], "--a1 must be finite"),
+    (["analyze", "--scheme", "dimsplit", "--a2", "inf"], "--a2 must be finite"),
+    (["analyze", "--scheme", "dimsplit", "--a1", "1e400"], "--a1 must be finite"),
+    (["sweep", "--scheme", "dimsplit", "--a3", "inf", "--grid", "8"], "--a3 must be finite"),
+    (["simulate", "--scheme", "dimsplit", "--a2", "nan", "--grid", "8"], "--a2 must be finite"),
+    # exact symbol entries beyond the float range, and a time step that underflows
+    (["analyze", "--scheme", "multid", "--c", "1e200", "--eps", "1e-200"],
+     "symbol entry (u, u) at cell offset (1, 1) is beyond the float range"),
+    (["analyze", "--scheme", "roe", "--dx", "1e-320"],
+     "symbol entry (u, u) at cell offset (1, 0) is beyond the float range"),
+    (["sweep", "--scheme", "roe", "--grid", "8", "--eps", "1e-320"],
+     "symbol entry (u, u) at cell offset (1, 0) is beyond the float range"),
+    (["simulate", "--scheme", "roe", "--grid", "8", "--c", "1e160", "--eps", "1e160"],
+     "symbol entry (p, u) at cell offset (1, 0) is beyond the float range"),
+    (["simulate", "--scheme", "multid", "--grid", "8", "--c", "1e308", "--eps", "1e-308"],
+     "time step dt = cfl*min(dx,dy)*eps/c = 0.0 underflows"),
 ]
 
 
@@ -102,6 +119,59 @@ def test_out_of_range_values_are_usage_errors(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [name for name, _ in SUBCOMMANDS])
+def test_subcommand_parser_carries_exactly_its_option_rows(command):
+    rows = {name for only, name, _, _ in OPTIONS if only in (None, command)}
+    for built in (command, None):
+        args = build_parser(built).parse_args([command])
+        assert set(vars(args)) == {"command", "config"} | rows
+        assert all(value is None for key, value in vars(args).items() if key != "command")
+    for other, _ in SUBCOMMANDS:
+        if other != command:
+            assert set(vars(build_parser(other).parse_args([command]))) == {"command"}
+
+
+# sha256 of each --help screen at 80 columns, recorded while build_parser still
+# gave every subparser its flags whatever the command
+HELP_SHA256 = {
+    (): "4c502cdd0fbfe26bfda12d0ad62ad978b7471501b14d0be21003e5de4111364e",
+    ("analyze",): "9df3b475f84c68772149b2f5e51ec21e9a02b9fa69e582b7b1a56a5868da3b72",
+    ("certify",): "ec529715891e53a77ed463a871a469363843ffaacc89ffb779f709943244ac32",
+    ("simulate",): "0574a995b494a6191b8a50429d76e47099913f8b8ba3e35a992b6fd82d53f820",
+    ("sweep",): "03baf26cfd36f2181e24808084be3617a6c7c554efb78dfd660f10a5bd4ece2c",
+    ("catalog",): "cb7c87dc66f603b09020771eaef6e2654f0aaaf7a02fe3df8b95b16441191576",
+}
+USAGE = "usage: acousticfd [-h] {analyze,certify,simulate,sweep,catalog} ...\n"
+PARSE_ERRORS = {
+    (): "the following arguments are required: command",
+    ("bogus",): "argument command: invalid choice: 'bogus' (choose from 'analyze', "
+                "'certify', 'simulate', 'sweep', 'catalog')",
+    ("certify", "--bogus"): "unrecognized arguments: --bogus",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_SHA256), ids=lambda a: " ".join(a) or "top")
+def test_help_screens_unchanged(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(PARSE_ERRORS), ids=lambda a: " ".join(a) or "none")
+def test_parse_errors_unchanged(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == USAGE + "acousticfd: error: " + PARSE_ERRORS[argv] + "\n"
 
 
 def test_run_longer_than_max_steps_is_usage_error(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import cmath
 import copy
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from acousticfd import laurent
 from acousticfd.laurent import (
     consistency_nullspace,
     cross_consistency,
+    distinct_rows,
     moore_symmetry_scan,
     operator_identity_check,
     row_coefficient_vector,
@@ -163,6 +165,66 @@ def test_certify_nullspace_bases_unchanged(monkeypatch):
     moore_symmetry_scan()
     assert len(bases) == 31
     assert hashlib.sha256(repr(bases).encode()).hexdigest() == BASES_SHA256
+
+
+def _reduced_rows(rows, ncols):
+    mat, pivots = rref(rows, ncols)
+    return mat[:len(pivots)], pivots
+
+
+# (label, build, radius, nonzero rows in, distinct rows out)
+CERTIFY_SYSTEMS = [("central", central_div, 1, 22, 12), ("averaged", averaged_div, 1, 26, 14),
+                   ("central", central_div, 2, 46, 24), ("averaged", averaged_div, 2, 50, 26),
+                   ("central", central_div, 3, 78, 40), ("averaged", averaged_div, 3, 82, 42)]
+# gamma = 0 is the central divergence
+CERTIFY_SYSTEMS += [("moore %s" % g, lambda g=g: symmetric_divergence_row(g), 1,
+                     *((22, 12) if g == 0 else (26, 14)))
+                    for g in (Fraction(k, 16) for k in range(-8, 17))]
+
+
+@pytest.mark.parametrize("build, radius, n_in, n_out", [s[1:] for s in CERTIFY_SYSTEMS],
+                         ids=["%s r%d" % (s[0], s[2]) for s in CERTIFY_SYSTEMS])
+def test_distinct_rows_keep_the_certify_reduced_form(build, radius, n_in, n_out, monkeypatch):
+    # the rows of m and -m agree up to sign, so each pair enters the elimination once
+    seen = []
+
+    def recording(rows):
+        out = distinct_rows(rows)
+        seen.append((rows, out))
+        return out
+
+    monkeypatch.setattr(laurent, "distinct_rows", recording)
+    consistency_nullspace(build(), radius=radius)
+    [(rows, out)] = seen
+    ncols = len(rows[0])
+    assert (sum(map(any, rows)), len(out)) == (n_in, n_out)
+    assert _reduced_rows(out, ncols) == _reduced_rows(rows, ncols)
+
+
+@st.composite
+def _rows_with_multiples(draw):
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=8))
+    for src in draw(st.lists(st.integers(0, len(rows) - 1), max_size=6)):
+        factor = draw(st.integers(-5, 5).filter(bool))
+        rows.insert(draw(st.integers(0, len(rows))), [factor * x for x in rows[src]])
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_rows_with_multiples())
+@example(([[0, 0]], 2))
+@example(([[2, -4, 6], [-1, 2, -3], [0, 0, 0], [3, -6, 9]], 3))
+@example(([[0, -3, 3], [0, 5, -5], [1, 0, 0]], 3))
+def test_distinct_rows_keep_the_reduced_form(matrix):
+    rows, ncols = matrix
+    out = distinct_rows(rows)
+    assert _reduced_rows(out, ncols) == _reduced_rows(rows, ncols)
+    for row in out:
+        lead = next(x for x in row if x)
+        assert lead > 0 and math.gcd(*row) == 1
+    assert len(set(out)) == len(out)
 
 
 def _full_consistency_nullspace(A, radius):

@@ -195,6 +195,58 @@ def test_product_is_composition(a, b, c, ua, ub, dx, dy, seed):
     assert a * (b + c) == a * b + a * c
 
 
+def _convolve(a, b):
+    # reference: the product of two symbols as a plain double loop over Fractions
+    out = {}
+    for (ax, ay), ca in a.items():
+        for (bx, by), cb in b.items():
+            key = (ax + bx, ay + by)
+            out[key] = out.get(key, F(0)) + ca * cb
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _combine(a, b, sign):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, F(0)) + sign * c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _assert_clean(stencil, want, units):
+    assert stencil.coeffs == want and stencil.units == units
+    assert all(type(c) is F and c != 0 for c in stencil.coeffs.values())
+    assert all(type(a) is int and type(b) is int for a, b in stencil.coeffs)
+
+
+half_cells = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                             st.fractions(-3, 3, max_denominator=6), max_size=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(a=half_cells, b=half_cells, ua=units, ub=units,
+       s=st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=5)))
+@example(a={(2, 0): F(1)}, b={(2, 0): F(1)}, ua=(0, 0), ub=(0, 0), s=0)
+@example(a={(1, 0): F(1), (-1, 0): F(-1)}, b={(1, 0): F(1), (-1, 0): F(1)},
+         ua=(-1, 0), ub=(0, 0), s=F(1, 2))
+def test_products_and_sums_match_convolution(a, b, ua, ub, s):
+    sa, sb = ScalarStencil(a, ua), ScalarStencil(b, ua)
+    clean_a, clean_b = {k: c for k, c in a.items() if c}, {k: c for k, c in b.items() if c}
+    _assert_clean(sa * ScalarStencil(b, ub), _convolve(clean_a, clean_b),
+                  (ua[0] + ub[0], ua[1] + ub[1]))
+    _assert_clean(sa + sb, _combine(clean_a, clean_b, 1), ua)
+    _assert_clean(sa - sb, _combine(clean_a, clean_b, -1), ua)
+    _assert_clean(sa * s, {k: c * s for k, c in clean_a.items() if c * s}, ua)
+    _assert_clean(-sa, {k: -c for k, c in clean_a.items()}, ua)
+    assert (sa - sa).coeffs == {} and (sa * 0).coeffs == {}
+
+
+def test_cancellation_leaves_no_zero_coefficient():
+    assert (tx(1) - tx(1)).coeffs == {}
+    assert ((tx(1) - tx(1)) * ty(1)).coeffs == {}
+    assert ((tx(1) + ty(1)) * (tx(1) - ty(1))).coeffs == {(4, 0): 1, (0, 4): -1}
+    assert (central_bracket("x") * 2 - diff_half("x") * sum_half("x") * 2).coeffs == {}
+
+
 def test_scalar_product_and_sum():
     assert tx(1) * 0.5 == tx(1) * F(1, 2) == 0.5 * tx(1)
     assert (tx(1) + 1) - 1 == tx(1) == 1 + tx(1) - 1
