@@ -6,6 +6,7 @@ from acousticfd import (
     AcousticParams,
     GridSpec,
     catalog,
+    diffusion_scale,
     extract_conserved_operator,
     rational_string,
 )
@@ -20,10 +21,10 @@ for name, spec in specs.items():
     claim = ("preserving" if spec.claims["stationarity_preserving"]
              else "diffusive kernel")
     print("%-9s  %s" % (name, claim))
-    dp = spec.diffusion
-    if dp is not None:
-        coeffs = ", ".join("a%d=%s" % (k, rational_string(a))
-                           for k, a in zip((1, 2, 3, 4), (dp.a1, dp.a2, dp.a3, dp.a4)))
+    if spec.diffusion is not None:
+        # the physical a1..a4: the unitless ones times (c/eps, 1/eps^2, c^2, c/eps)
+        coeffs = ", ".join("a%d=%s" % (k, rational_string(a * f)) for k, (a, f)
+                           in enumerate(zip(spec.diffusion, diffusion_scale(params)), 1))
         print("           %s" % coeffs)
     if "expected_max_cfl" in spec.claims:
         print("           expected max cfl %s" % spec.claims["expected_max_cfl"])

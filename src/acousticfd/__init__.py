@@ -20,9 +20,9 @@ from .fourier import (KernelDimensionError, det_scan, dimsplit_closed_form,
                       dimsplit_right_kernel_formula, eigenvalue_scaling_check,
                       generic_phases, jk_matrix, kernel_dim, left_kernel,
                       right_kernel, structured_phases)
-from .schemes import (CATALOG_NAMES, SP_NAMES, DiffusionParams, SchemeSpec,
-                      catalog, dimsplit_scheme, make_scheme, multid_scheme,
-                      rhs)
+from .schemes import (CATALOG_NAMES, SP_NAMES, SchemeSpec, catalog,
+                      diffusion_scale, dimsplit_symbol, make_scheme,
+                      multid_symbol, rhs)
 from .timestep import (CFL_NORMALIZATION, InstabilityError, RunResult,
                        StepControl, cfl_dt, cfl_sweep, forward_euler_step,
                        run)

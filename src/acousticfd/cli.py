@@ -15,13 +15,13 @@ from .fourier import det_scan, eigenvalue_scaling_check, generic_phases
 from .grid import AcousticParams, GridSpec
 from .laurent import (consistency_nullspace, moore_symmetry_scan,
                       operator_identity_check, spans_match)
-from .schemes import CATALOG_NAMES, make_scheme
+from .schemes import CATALOG_NAMES, diffusion_scale, make_scheme
 from .stencils import (averaged_div, central_div, consistent_diffusion,
                        rational_string)
 from .timestep import (CFL_NORMALIZATION, InstabilityError, StepControl,
                        cfl_dt, cfl_sweep)
-from .experiments import (VortexParams, gresho_vortex, vortex_benchmark,
-                          extract_conserved_operator)
+from .experiments import (VortexParams, gresho_vortex, json_document, vortex_benchmark,
+                          extract_conserved_operator, write_json)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -82,27 +82,37 @@ def build_parser(command=None):
     return ap
 
 
+def config_tokens(path, command):
+    """A flat JSON config as `--name=value` tokens for `command`'s parser, which checks them
+    as it checks flags. null means not given; keys of other subcommands are ignored."""
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise UsageError("cannot read config %s: %s" % (path, err))
+    if not isinstance(loaded, dict):
+        raise UsageError("config must be a flat JSON object")
+    unknown = sorted(set(loaded) - set(DEFAULTS))
+    if unknown:
+        raise UsageError("unknown config keys: %s" % ", ".join(unknown))
+    tokens = []
+    for only, name, _, kwargs in OPTIONS:
+        value, flag = loaded.get(name), "--" + name.replace("_", "-")
+        switch = kwargs.get("action") == "store_true"
+        if value is None or only not in (None, command):
+            continue
+        if switch != isinstance(value, bool) or isinstance(value, (list, dict)):
+            raise UsageError("config %s = %s: %s takes %s" % (name, json.dumps(value), flag,
+                             "true or false" if switch else "a string or a number"))
+        # a switch is its flag when true and nothing when false
+        tokens += ([flag] if value else []) if switch else ["%s=%s" % (flag, value)]
+    return tokens
+
+
 def merge_config(args):
-    """Flag values win over config file values win over defaults."""
-    cfg = dict(DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            with open(path) as fh:
-                loaded = json.load(fh)
-        except (OSError, ValueError) as err:
-            raise UsageError("cannot read config %s: %s" % (path, err))
-        if not isinstance(loaded, dict):
-            raise UsageError("config must be a flat JSON object")
-        unknown = sorted(set(loaded) - set(DEFAULTS))
-        if unknown:
-            raise UsageError("unknown config keys: %s" % ", ".join(unknown))
-        cfg.update(loaded)
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+    """Flags win over the config, whose tokens were parsed ahead of them, over defaults."""
+    return {key: default if getattr(args, key, None) is None else getattr(args, key)
+            for key, default in DEFAULTS.items()}
 
 
 class UsageError(Exception):
@@ -118,7 +128,7 @@ def checked(make, *args, **kwargs):
 
 
 def parse_grid(cfg):
-    spec = str(cfg["grid"])
+    spec = cfg["grid"]
     parts = spec.split(",")
     try:
         nx = int(parts[0])
@@ -143,7 +153,10 @@ def scheme_name(cfg):
 def build_scheme(cfg, grid, params):
     name = scheme_name(cfg)
     try:
-        return make_scheme(name, params, grid, **_scheme_kwargs(cfg))
+        spec = make_scheme(name, params, grid, **_scheme_kwargs(cfg))
+        # derived now, so an entry beyond the float range is a usage error naming it
+        spec.stencil
+        return spec
     except KeyError:
         raise UsageError("unknown scheme %r (catalog: %s, dimsplit)"
                          % (name, ", ".join(CATALOG_NAMES)))
@@ -152,15 +165,13 @@ def build_scheme(cfg, grid, params):
 
 
 def emit_json(doc, cfg, name):
-    text = json.dumps(doc, indent=1, sort_keys=True, default=str) + "\n"
     if cfg["out"]:
         os.makedirs(cfg["out"], exist_ok=True)
         path = os.path.join(cfg["out"], name)
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_json(path, doc)
         print(path)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json_document(doc))
 
 
 def _scheme_kwargs(cfg):
@@ -177,7 +188,7 @@ def cmd_analyze(cfg):
     grid = parse_grid(cfg)
     params = parse_params(cfg)
     spec = build_scheme(cfg, grid, params)
-    k_samples = int(cfg["k_samples"])
+    k_samples = cfg["k_samples"]
     if k_samples < 1:
         raise UsageError("--k-samples must be at least 1, got %d" % k_samples)
     verdict = det_scan(spec, phases=generic_phases(k_samples))
@@ -201,7 +212,7 @@ def cmd_analyze(cfg):
 
 
 def cmd_certify(cfg):
-    radius = int(cfg["radius"])
+    radius = cfg["radius"]
     if radius < 1:
         raise UsageError("--radius must be at least 1, got %d" % radius)
     report = {}
@@ -257,13 +268,11 @@ def cmd_simulate(cfg):
     grid = parse_grid(cfg)
     # the values vortex_benchmark builds, checked here so a bad one is a usage error
     params = parse_params(cfg)
-    control = checked(StepControl, cfl=float(cfg["cfl"]), t_end=float(cfg["t_end"]))
+    control = checked(StepControl, cfl=cfg["cfl"], t_end=cfg["t_end"])
     checked(control.steps, cfl_dt(params, grid, control.cfl))
     try:
-        report = vortex_benchmark(name, [float(cfg["eps"])], grid,
-                                  float(cfg["t_end"]), c=float(cfg["c"]),
-                                  cfl=float(cfg["cfl"]),
-                                  out_dir=cfg["out"],
+        report = vortex_benchmark(name, [cfg["eps"]], grid, cfg["t_end"], c=cfg["c"],
+                                  cfl=cfg["cfl"], out_dir=cfg["out"],
                                   scheme_kwargs=_scheme_kwargs(cfg))
     except KeyError:
         raise UsageError("unknown scheme %r" % name)
@@ -301,10 +310,9 @@ def cmd_catalog(cfg):
         spec = make_scheme(name, params, grid)
         entry = {"name": name, "claims": spec.claims,
                  "stationarity_preserving_expected": spec.claims["stationarity_preserving"]}
-        dp = spec.diffusion
-        if dp is not None:
-            entry["diffusion"] = {"a1": rational_string(dp.a1), "a2": rational_string(dp.a2),
-                                  "a3": rational_string(dp.a3), "a4": rational_string(dp.a4)}
+        if spec.diffusion is not None:
+            entry["diffusion"] = {"a%d" % k: rational_string(a * f) for k, (a, f) in
+                                  enumerate(zip(spec.diffusion, diffusion_scale(params)), 1)}
         doc["schemes"].append(entry)
     emit_json(doc, cfg, "catalog.json")
     return EXIT_OK
@@ -317,10 +325,14 @@ COMMANDS = {"analyze": cmd_analyze, "certify": cmd_certify,
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    parser = build_parser(argv[0] if argv else None)
+    args = parser.parse_args(argv)
     try:
-        cfg = merge_config(args)
-        return COMMANDS[args.command](cfg)
+        if args.config:
+            # the config's entries go ahead of the flags, so the flags win
+            args = parser.parse_args(argv[:1] + config_tokens(args.config, args.command)
+                                     + argv[1:])
+        return COMMANDS[args.command](merge_config(args))
     except UsageError as err:
         print("error:", err, file=sys.stderr)
         return EXIT_USAGE

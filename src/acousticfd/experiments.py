@@ -167,15 +167,23 @@ def fit_decay(times, values, window):
                     residual=resid, n_points=int(mask.sum()))
 
 
+def json_document(doc):
+    """The text of every JSON document written: indent 1, sorted keys, a final newline."""
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def write_json(path, doc):
+    with open(path, "w") as fh:
+        fh.write(json_document(doc))
+
+
 def write_timeseries_csv(path, times, values, metadata=None):
     with open(path, "w") as fh:
         fh.write("t,value\n")
         for t, v in zip(times, values):
             fh.write("%.17g,%.17g\n" % (t, v))
     if metadata is not None:
-        with open(str(path) + ".meta.json", "w") as fh:
-            json.dump(metadata, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(str(path) + ".meta.json", metadata)
 
 
 def _benchmark_probes(grid):
@@ -239,17 +247,13 @@ def vortex_benchmark(scheme_name, eps_list, grid, t_end, c=1.0, cfl=0.45,
             fbase = "%s_final.csv" % tag
             ffield = os.path.join(out_dir, fbase)
             write_field_csv(ffield, result.final_state)
-            with open(ffield + ".meta.json", "w") as fh:
-                json.dump(dict(meta, kind="final_field"), fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            write_json(ffield + ".meta.json", dict(meta, kind="final_field"))
             files["final_field"] = fbase
             entry["files"] = files
         report["runs"].append(entry)
     if out_dir is not None:
         sbase = "%s_summary.json" % scheme_name
-        with open(os.path.join(out_dir, sbase), "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, sbase), report)
         report["summary_file"] = sbase
     return report
 

@@ -13,8 +13,8 @@ import math
 from fractions import Fraction
 
 from .grid import as_fraction
-from .stencils import (ScalarStencil, VecStencilRow, averaged_div, central_div,
-                       consistent_diffusion, tx, ty)
+from .stencils import (ScalarStencil, VecStencilRow, averaged_div, central_bracket,
+                       central_div, consistent_diffusion, smooth_bracket, tx, ty)
 
 
 def cross_consistency(B, A):
@@ -173,25 +173,23 @@ def spans_match(rows_a, rows_b, radius=1):
     return ra == rb == rab
 
 
+# (Sx, Py - 2) and (Sy, Px - 2), built once: they would be most of a Moore row's cost
+_MOORE_BRACKETS = ((central_bracket("x"), smooth_bracket("y") - 2),
+                  (central_bracket("y"), smooth_bracket("x") - 2))
+
+
 def symmetric_divergence_row(gamma, beta=None):
     """The generic symmetric Moore divergence: bu = Sx(beta + gamma(ty + 1/ty))/dx.
 
     bu is antisymmetric in x and symmetric in y, bv is the x<->y mirror;
     first-order consistency with du/dx + dv/dy fixes beta = 1/2 - 2 gamma.
+    With S and P the central and smooth brackets, that is Sx(beta + gamma(Py - 2))/dx.
     """
     gamma = as_fraction(gamma)
     beta = Fraction(1, 2) - 2 * gamma if beta is None else as_fraction(beta)
-    bu = {}
-    bv = {}
-    for s in (1, -1):
-        sign = Fraction(s)
-        bu[(2 * s, 0)] = sign * beta
-        bu[(2 * s, 2)] = sign * gamma
-        bu[(2 * s, -2)] = sign * gamma
-        bv[(0, 2 * s)] = sign * beta
-        bv[(2, 2 * s)] = sign * gamma
-        bv[(-2, 2 * s)] = sign * gamma
-    return VecStencilRow(ScalarStencil(bu, (-1, 0)), ScalarStencil(bv, (0, -1)))
+    # beta first: coefficient order sets consistency_nullspace's equation order, and cost
+    bu, bv = (s * (ScalarStencil({(0, 0): beta}) + p * gamma) for s, p in _MOORE_BRACKETS)
+    return VecStencilRow(bu.with_units(-1, 0), bv.with_units(0, -1))
 
 
 def moore_symmetry_scan(gammas=None):

@@ -250,9 +250,8 @@ def averaged_div():
     return VecStencilRow(bu, bv)
 
 
-def dimsplit_div(a3, c):
-    """[u]_{i+-1}/(2dx) - (a3/c^2)[[u]]_{i+-1/2}/(2dx), plus the y mirror on v."""
-    w = as_fraction(a3) / as_fraction(c) ** 2
+def dimsplit_div(w):
+    """[u]_{i+-1}/(2dx) - w[[u]]_{i+-1/2}/(2dx), plus the y mirror on v; w is unitless."""
     bu = ((central_bracket("x") - second_bracket("x") * w) * Fraction(1, 2)).with_units(-1, 0)
     bv = ((central_bracket("y") - second_bracket("y") * w) * Fraction(1, 2)).with_units(0, -1)
     return VecStencilRow(bu, bv)

@@ -254,7 +254,7 @@ def test_criterion_9_consistency_orders():
     if second < 1.9:
         failures.append("averaged order %.4g < 1.9" % second)
     first = divergence_observed_order(
-        lambda: dimsplit_div(Fraction(1, 2), Fraction(1)), sizes=(32, 64, 128, 256))
+        lambda: dimsplit_div(Fraction(1, 2)), sizes=(32, 64, 128, 256))
     if not (0.9 <= first <= 1.1):
         failures.append("diffusive order %.4g outside [0.9, 1.1]" % first)
 

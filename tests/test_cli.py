@@ -266,6 +266,78 @@ def test_config_merge_precedence(tmp_path):
     assert doc["config"]["k_samples"] == 8
 
 
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises on a bad value."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# (command line, config, exit code, what stderr names): config values pass the
+# subcommand's parser ahead of the flags, so they are checked as flags are
+CONFIG_PROBES = [
+    (["certify"], {"divergence": "nope"}, EXIT_USAGE,
+     "argument --divergence: invalid choice: 'nope'"),
+    (["certify"], {"identity_only": "no"}, EXIT_USAGE,
+     'config identity_only = "no": --identity-only takes true or false'),
+    (["certify"], {"radius": 1.9}, EXIT_USAGE, "argument --radius: invalid int value: '1.9'"),
+    (["certify"], {"radius": "x"}, EXIT_USAGE, "argument --radius: invalid int value: 'x'"),
+    (["analyze", "--scheme", "roe"], {"k_samples": "x"}, EXIT_USAGE,
+     "argument --k-samples: invalid int value: 'x'"),
+    (["simulate", "--scheme", "roe", "--grid", "8"], {"cfl": "x"}, EXIT_USAGE,
+     "argument --cfl: invalid float value: 'x'"),
+    (["analyze", "--scheme", "roe"], {"dx": "x"}, EXIT_USAGE,
+     "argument --dx: invalid float value: 'x'"),
+    (["analyze", "--scheme", "roe"], {"eps": True}, EXIT_USAGE,
+     "config eps = true: --eps takes a string or a number"),
+    (["analyze", "--scheme", "roe"], {"grid": [12, 7]}, EXIT_USAGE,
+     "config grid = [12, 7]: --grid takes a string or a number"),
+    (["analyze"], {"scheme": "dimsplit", "a1": "x"}, EXIT_USAGE,
+     "argument --a1: invalid float value: 'x'"),
+    # null means not given, and a flag still beats the config
+    (["simulate", "--scheme", "roe", "--grid", "8"], {"t_end": None}, EXIT_OK, None),
+    (["certify", "--radius", "1"], {"radius": 3}, EXIT_OK, None),
+    (["certify"], {"identity_only": True}, EXIT_OK, None),
+    (["certify"], {"identity_only": False, "radius": 1}, EXIT_OK, None),
+    # keys of other subcommands stay ignored, checked or not
+    (["analyze", "--scheme", "roe", "--grid", "8", "--k-samples", "3"],
+     {"radius": "x", "identity_only": "no"}, EXIT_OK, None),
+]
+
+
+@pytest.mark.parametrize("argv, config, code, message", CONFIG_PROBES,
+                         ids=["%s %s" % (argv[0], json.dumps(config))
+                              for argv, config, _, _ in CONFIG_PROBES])
+def test_config_values_are_checked_like_flags(argv, config, code, message, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    assert _exit_code([*argv, "--config", str(cfgfile)]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if message is None:
+        assert err == ""
+        doc = json.loads(out)
+        if argv[0] == "simulate":
+            assert doc["runs"][0]["t_end"] == 0.3
+        if argv[0] == "certify":
+            assert ("central_nullspace_dim" in doc) != (config.get("identity_only") is True)
+    else:
+        assert message in err
+
+
+def test_config_values_echo_as_the_flags_give_them(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"scheme": "roe", "grid": 8, "eps": 1, "k_samples": 3}))
+    assert main(["analyze", "--config", str(cfgfile)]) == EXIT_OK
+    from_config = json.loads(capsys.readouterr().out)
+    assert from_config["config"] == {"scheme": "roe", "grid": "8", "eps": 1.0, "c": 1.0,
+                                     "k_samples": 3}
+    assert main(["analyze", "--scheme", "roe", "--grid", "8", "--eps", "1",
+                 "--k-samples", "3"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == from_config
+
+
 def test_certify_default(tmp_path, capsys):
     rc = main(["certify", "--out", str(tmp_path)])
     assert rc == EXIT_OK
@@ -414,3 +486,56 @@ def test_analyze_document_digest_unchanged(argv, capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["scheme"] == argv[1]
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_DIGESTS[argv]
+
+
+# sha256 of the catalog stdout, recorded before schemes were stored as their unitless symbol
+CATALOG_SHA256 = {
+    (): "6024e1b294885979435908bc94dad9826e9cc015ce18015a97f62073267e22df",
+    ("--eps", "0.1", "--c", "3", "--grid", "12,7", "--dx", "1e-3", "--dy", "0.07"):
+        "ca2e30110671b034b0cfaaaa248aef44af83d414ac2b4d7bd92101c143f06a7e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CATALOG_SHA256), ids=lambda a: " ".join(a) or "default")
+def test_catalog_document_digest_unchanged(argv, capsys):
+    assert main(["catalog", *argv]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv, derivations", [
+    (["analyze", "--scheme", "roe", "--grid", "8", "--k-samples", "3"], 1),
+    (["analyze", "--scheme", "multid", "--grid", "8", "--k-samples", "3"], 1),
+    (["analyze", *DIMSPLIT_ARGV, "--k-samples", "3"], 1),
+    (["catalog"], 0),
+], ids=lambda a: str(a) if isinstance(a, int) else " ".join(a[:3]))
+def test_float_stencil_derivations(argv, derivations, monkeypatch, capsys):
+    # a scheme is its unitless symbol; the float stencil is derived once, and only when read
+    from acousticfd.stencils import MatrixStencil
+
+    built = []
+    init = MatrixStencil.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MatrixStencil, "__init__", counting_init)
+    assert main(argv) == EXIT_OK
+    assert len(built) == derivations
+
+
+# near the float limit: tracebacks while the scaling check rebuilt float stencils
+@pytest.mark.parametrize("c", ["3.5e153", "4e153", "4.5e153"])
+def test_scaling_check_derives_no_floats_near_the_float_limit(c, capsys):
+    argv = ["analyze", "--scheme", "roe", "--c", c, "--grid", "8", "--k-samples", "3"]
+    assert main(argv) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] is False and doc["eigenvalue_scaling"]["passed"] is True
+
+
+def test_catalog_beyond_the_float_range(capsys):
+    assert main(["catalog", "--c", "1e200", "--eps", "1e-200"]) == EXIT_OK
+    by_name = {e["name"]: e for e in json.loads(capsys.readouterr().out)["schemes"]}
+    assert by_name["roe"]["diffusion"]["a1"] == "1" + "0" * 400
+    assert by_name["lowmach2"]["diffusion"]["a3"] == "-1" + "0" * 400

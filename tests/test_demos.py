@@ -1,8 +1,9 @@
-"""Each demo script and README example runs from a checkout, prints its story and
-writes no file."""
+"""Each demo script, README example and README command line runs from a checkout,
+prints its story and writes no file into the checkout."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
-                           re.DOTALL | re.MULTILINE)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.DOTALL | re.MULTILINE)
+# each line of the "Command line" block, comment dropped
+COMMAND_BLOCK = re.search(r"^## Command line\n\n```\n(.*?)^```$", README, re.DOTALL | re.MULTILINE)
+README_COMMANDS = [shlex.split(line, comments=True) for line in COMMAND_BLOCK[1].splitlines()]
 # written by the test runner itself, not by a demo
 RUNNER_DIRS = {".git", ".pytest_cache", ".hypothesis", "__pycache__"}
 
@@ -34,10 +38,10 @@ def test_every_demo_is_collected():
                                        "vortex_decay.py"]
 
 
-def _run_quietly(argv):
+def _run_quietly(argv, cwd=ROOT):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     before = _tree(ROOT)
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
@@ -57,3 +61,14 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("block", README_BLOCKS)
 def test_readme_example_runs(block):
     _run_quietly(["-c", block])
+
+
+def test_readme_has_command_lines():
+    assert len(README_COMMANDS) == 6
+    assert all(argv[0] == "acousticfd" for argv in README_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: " ".join(argv[1:]))
+def test_readme_command_runs(argv, tmp_path):
+    # the console script is `python -m acousticfd.cli`; files such as --out land in tmp_path
+    _run_quietly(["-m", "acousticfd.cli", *argv[1:]], cwd=tmp_path)

@@ -340,6 +340,26 @@ def test_symmetric_divergence_family():
     assert tay == {("u", 1, 0, 0, 0): Fraction(1), ("v", 0, 1, 0, 0): Fraction(1)}
 
 
+def _moore_row_by_coefficients(gamma, beta):
+    """bu = Sx(beta + gamma(ty + 1/ty))/dx written coefficient by coefficient, bv its mirror."""
+    bu, bv = {}, {}
+    for s in (1, -1):
+        bu.update({(2 * s, 0): s * beta, (2 * s, 2): s * gamma, (2 * s, -2): s * gamma})
+        bv.update({(0, 2 * s): s * beta, (2, 2 * s): s * gamma, (-2, 2 * s): s * gamma})
+    return VecStencilRow(ScalarStencil(bu, (-1, 0)), ScalarStencil(bv, (0, -1)))
+
+
+@pytest.mark.parametrize("gamma, beta", [(Fraction(k, 16), None) for k in range(-8, 17)]
+                         + [(g, b) for g in (0, Fraction(1, 3), -2)
+                            for b in (0, 1, Fraction(-5, 7))])
+def test_symmetric_divergence_row_matches_its_coefficients(gamma, beta):
+    row = symmetric_divergence_row(gamma, beta)
+    want = _moore_row_by_coefficients(
+        Fraction(gamma), Fraction(1, 2) - 2 * Fraction(gamma) if beta is None else Fraction(beta))
+    assert (row.bu.coeffs, row.bu.units) == (want.bu.coeffs, want.bu.units)
+    assert (row.bv.coeffs, row.bv.units) == (want.bv.coeffs, want.bv.units)
+
+
 def test_moore_symmetry_scan():
     report = moore_symmetry_scan()
     assert len(report) == 25

@@ -62,8 +62,9 @@ def reference_sweep(spec, q0, cfl_grid, horizon_steps, growth_factor):
 
 
 def custom_spec(grid, entries):
+    # at c = eps = 1 the symbol M is the unitless M^
     return SchemeSpec(name="custom", params=AcousticParams(c=1.0, eps=1.0), grid=grid,
-                      stencil=matrix_stencil(grid, entries))
+                      unitless=matrix_stencil(grid, entries).exact_symbol())
 
 
 def probes_for(grid):

@@ -10,9 +10,9 @@ from acousticfd.grid import AcousticParams, FieldSet, GridSpec
 from acousticfd.schemes import (
     CATALOG_NAMES,
     SP_NAMES,
-    DiffusionParams,
     catalog,
-    dimsplit_scheme,
+    diffusion_scale,
+    dimsplit_symbol,
     make_scheme,
     rhs,
 )
@@ -34,17 +34,22 @@ def test_catalog_names_and_claims(square_grid, params):
         assert cat[name].name == name
 
 
+def physical_diffusion(spec):
+    """The physical (a1, a2, a3, a4) of a split member, from its unitless ones."""
+    return tuple(a * k for a, k in zip(spec.diffusion, diffusion_scale(spec.params)))
+
+
 def test_lowmach_diffusion_tables(square_grid, params):
     # c = 2, eps = 1/2: 1/eps^2 = 4, c^2 = 4, c/eps = 4
     expected = {
-        1: DiffusionParams.make(0, 4, -4, 0),
-        2: DiffusionParams.make(0, 0, -4, 8),
-        3: DiffusionParams.make(0, 4, 0, 8),
+        1: (0, 4, -4, 0),
+        2: (0, 0, -4, 8),
+        3: (0, 4, 0, 8),
     }
     for variant, dp in expected.items():
         spec = make_scheme("lowmach%d" % variant, params, square_grid)
-        assert spec.diffusion == dp
-    assert make_scheme("central", params, square_grid).diffusion == DiffusionParams.make()
+        assert physical_diffusion(spec) == dp
+    assert physical_diffusion(make_scheme("central", params, square_grid)) == (0, 0, 0, 0)
     assert make_scheme("multid", params, square_grid).diffusion is None
 
 
@@ -54,7 +59,7 @@ def test_roe_is_dimsplit_member(square_grid, params):
     member = make_scheme("dimsplit", params, square_grid,
                          a1=ce, a2=0, a3=0, a4=ce)
     assert roe.stencil.exact_symbol() == member.stencil.exact_symbol()
-    assert roe.diffusion == DiffusionParams.make(ce, 0, 0, ce)
+    assert physical_diffusion(roe) == (ce, 0, 0, ce)
 
 
 def test_dimsplit_claim_follows_a1(square_grid, params):
@@ -80,7 +85,7 @@ def test_dimsplit_claim_and_divergence_follow_diffusion(a1, a2, a3, a4, c, eps):
     spec = make_scheme("dimsplit", params, GridSpec(nx=6, ny=5, dx=0.2, dy=0.01),
                        a1=a1, a2=a2, a3=a3, a4=a4)
     assert spec.claims == {"stationarity_preserving": a1 == 0}
-    assert spec.divergence_row() == dimsplit_div(a3, params.c_exact)
+    assert spec.divergence_row() == dimsplit_div(a3 / params.c_exact ** 2)
 
 
 IDENTITY_GRIDS = (GridSpec.unit_square(16), GridSpec(12, 7, 1e-3, 0.07), GridSpec(9, 11, 0.3, 0.02))
@@ -152,7 +157,7 @@ def test_divergence_rows(square_grid, params):
     roe_row = cat["roe"].divergence_row()
     assert roe_row.bu.to_json_dict() == central_div().bu.to_json_dict()
     lm2 = cat["lowmach2"].divergence_row()
-    ref = dimsplit_div(-params.c_exact ** 2, params.c_exact)
+    ref = dimsplit_div(-params.c_exact ** 2 / params.c_exact ** 2)
     assert lm2.bu.to_json_dict() == ref.bu.to_json_dict()
     assert lm2.bv.to_json_dict() == ref.bv.to_json_dict()
 
@@ -216,8 +221,9 @@ def test_rhs_rejects_state_grid_with_other_spacings(square_grid, params):
 
 
 def test_dimsplit_scheme_defaults(square_grid, params):
-    dp = DiffusionParams.make(0, Fraction(1, 4), Fraction(1, 4), 0)
-    spec = dimsplit_scheme(params, square_grid, dp)
+    dp = (0, Fraction(1, 4), Fraction(1, 4), 0)
+    spec = make_scheme("dimsplit", params, square_grid, *dp)
     assert spec.name == "dimsplit"
     assert spec.claims["stationarity_preserving"]
-    assert spec.diffusion == dp
+    assert physical_diffusion(spec) == dp
+    assert spec.unitless == dimsplit_symbol(square_grid, spec.diffusion)

@@ -105,13 +105,13 @@ def test_consistent_diffusion_coefficients():
 
 
 def test_dimsplit_div_degenerates_to_central():
-    assert dimsplit_div(0, 1).to_json_dict() == central_div().to_json_dict()
+    assert dimsplit_div(0).to_json_dict() == central_div().to_json_dict()
 
 
 def test_divergence_rows_exact_on_linear_fields():
     g = GridSpec(nx=8, ny=8, dx=0.125, dy=0.125)
     x, y = g.cell_centers()
-    for row in (central_div(), averaged_div(), dimsplit_div(F(1, 3), F(2))):
+    for row in (central_div(), averaged_div(), dimsplit_div(F(1, 3) / F(2) ** 2)):
         out = row.apply(x, y, g)   # u = x, v = y, divergence 2
         assert np.max(np.abs(out[2:-2, 2:-2] - 2.0)) < 1e-13
 
@@ -130,9 +130,9 @@ def test_curl_rows():
     g = GridSpec.unit_square(8)
     x, y = g.cell_centers()
     # rigid rotation u = -y, v = x has curl 2, linear so exact
-    out = curl_of(dimsplit_div(F(1, 2), F(1))).apply(-(y - 0.5), x - 0.5, g)
+    out = curl_of(dimsplit_div(F(1, 2))).apply(-(y - 0.5), x - 0.5, g)
     assert np.max(np.abs(out[1:-1, 1:-1] - 2.0)) < 1e-13
-    assert curl_of(dimsplit_div(0, 1)).to_json_dict() == curl_of(central_div()).to_json_dict()
+    assert curl_of(dimsplit_div(0)).to_json_dict() == curl_of(central_div()).to_json_dict()
     # curl of a sampled gradient field is O(dx^2) small; an oblique plane
     # wave keeps the mode out of the exact discrete kernel
     errs = []
