@@ -12,10 +12,9 @@ from .stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                        consistent_diffusion, curl_of, diff_half, dimsplit_div,
                        rational_string, second_bracket, smooth_bracket,
                        sum_half, tx, ty)
-from .laurent import (consistency_nullspace, cross_consistency,
-                      moore_symmetry_scan, operator_identity_check, rref,
-                      rref_nullspace, spans_match, symmetric_divergence_row,
-                      taylor_expand)
+from .laurent import (consistency_nullspace, moore_symmetry_scan,
+                      operator_identity_check, rref, rref_nullspace,
+                      spans_match, symmetric_divergence_row, taylor_expand)
 from .fourier import (KernelDimensionError, det_scan, dimsplit_closed_form,
                       dimsplit_right_kernel_formula, eigenvalue_scaling_check,
                       generic_phases, jk_matrix, kernel_dim, left_kernel,
@@ -27,9 +26,8 @@ from .timestep import (CFL_NORMALIZATION, InstabilityError, RunResult,
                        StepControl, cfl_dt, cfl_sweep, forward_euler_step,
                        run)
 from .experiments import (ConservedOperator, DecayFit, VortexParams,
-                          decay_window, divergence_observed_order,
-                          extract_conserved_operator, fit_decay,
-                          gresho_vortex, kernel_adapted_state,
+                          decay_window, extract_conserved_operator,
+                          fit_decay, gresho_vortex, kernel_adapted_state,
                           stationarity_residual, stream_velocity,
                           vortex_benchmark, write_timeseries_csv)
 

@@ -39,8 +39,10 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ValueError("grid must be at least 3x3, got %dx%d" % (self.nx, self.ny))
-        if not (self.dx > 0 and self.dy > 0):
-            raise ValueError("cell widths must be positive")
+        for name in ("dx", "dy"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("cell widths must be positive and finite, got %s = %r"
+                                 % (name, getattr(self, name)))
 
     @staticmethod
     def unit_square(nx, ny=None):
@@ -77,6 +79,9 @@ class AcousticParams:
     eps_exact: Fraction = None
 
     def __post_init__(self):
+        for name in ("c", "eps"):
+            if not math.isfinite(float(getattr(self, name))):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.c_exact is None:
             object.__setattr__(self, "c_exact", as_fraction(self.c))
         if self.eps_exact is None:
@@ -95,9 +100,13 @@ class AcousticParams:
 
 
 class FieldSet:
-    """State q = (u, v, p); stored as one (3, nx, ny) array, components are views."""
+    """State q = (u, v, p); stored as one (3, nx, ny) array, components are views.
 
-    __slots__ = ("grid", "q")
+    `halo` is None, or the (3, nx+2r, ny+2r) array with r >= 1 whose interior
+    q views and whose periodic ghost ring is current, as a march keeps it.
+    """
+
+    __slots__ = ("grid", "q", "halo")
 
     def __init__(self, grid, u, v, p):
         u = np.asarray(u, dtype=float)
@@ -109,11 +118,12 @@ class FieldSet:
                 raise ValueError("%s has shape %s, grid wants %s" % (name, arr.shape, shape))
         self.grid = grid
         self.q = np.stack([u, v, p])
+        self.halo = None
 
     @classmethod
-    def from_q(cls, grid, q):
+    def from_q(cls, grid, q, halo=None):
         out = cls.__new__(cls)
-        out.grid = grid
+        out.grid, out.halo = grid, halo
         out.q = np.asarray(q, dtype=float)
         if out.q.shape != (3, grid.nx, grid.ny):
             raise ValueError("q has shape %s" % (out.q.shape,))
@@ -130,6 +140,11 @@ class FieldSet:
     @property
     def p(self):
         return self.q[2]
+
+    def ghosted(self, k):
+        """Component k inside its halo's ghost ring, or the bare component without a halo;
+        either one is what central_diff takes."""
+        return self.q[k] if self.halo is None else self.halo[k]
 
     def copy(self):
         return FieldSet.from_q(self.grid, self.q.copy())
@@ -148,26 +163,39 @@ class FieldSet:
         return FieldSet.from_q(grid, q)
 
 
-def central_diff(component, axis, grid):
-    """Periodic central difference (q_{+1} - q_{-1})/(2 delta) along axis 0 (x) or 1 (y)."""
+def central_diff(component, axis, grid, out=None):
+    """Periodic central difference (q_{+1} - q_{-1})/(2 delta) along axis 0 (x) or 1 (y).
+
+    component is the (nx, ny) field, or the field inside a periodic ghost ring
+    r >= 1 cells wide, (nx+2r, ny+2r), as `FieldSet.ghosted` gives it from a
+    march's halo; a bare field gets its ring of 1 from np.pad. The difference
+    goes into out, an (nx, ny) C-ordered array, or into a new one.
+    """
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    delta = grid.dx if axis == 0 else grid.dy
-    comp = np.asarray(component, dtype=float)
-    d = np.empty_like(comp)
-    # views with the difference axis first; d itself keeps comp's layout
-    c, o = comp.swapaxes(0, axis), d.swapaxes(0, axis)
-    np.subtract(c[2:], c[:-2], out=o[1:-1])
-    np.subtract(c[1], c[-1], out=o[0])
-    np.subtract(c[0], c[-2], out=o[-1])
-    d /= 2.0 * delta
+    nx, ny = grid.nx, grid.ny
+    ring = np.asarray(component, dtype=float)
+    if ring.shape == (nx, ny):
+        ring = np.pad(ring, 1, mode="wrap")
+    r = (ring.shape[0] - nx) // 2
+    if r < 1 or ring.shape != (nx + 2 * r, ny + 2 * r):
+        raise ValueError("component shape %s is neither the grid's (%d, %d) nor a ring around it"
+                         % (np.shape(component), nx, ny))
+    d = np.empty((nx, ny)) if out is None else out
+    if axis == 0:
+        np.subtract(ring[r + 1:r + 1 + nx, r:r + ny], ring[r - 1:r - 1 + nx, r:r + ny], out=d)
+        d /= 2.0 * grid.dx
+    else:
+        np.subtract(ring[r:r + nx, r + 1:r + 1 + ny], ring[r:r + nx, r - 1:r - 1 + ny], out=d)
+        d /= 2.0 * grid.dy
     return d
 
 
-def l1_norm_central_diff(component, axis, grid):
-    """Sum of |central difference| times the cell area."""
-    d = central_diff(component, axis, grid)
-    total = float(np.abs(d, out=d).sum() * grid.dx * grid.dy)
+def l1_norm_central_diff(component, axis, grid, out=None):
+    """Sum of |central difference| times the cell area; component and out as for
+    central_diff."""
+    d = central_diff(component, axis, grid, out)
+    total = float(np.abs(d, out=d).sum()) * grid.dx * grid.dy
     # every cell enters two differences, so a non-finite input cannot give a
     # finite total; a non-finite total from finite input is an overflow
     if not math.isfinite(total) and not np.all(np.isfinite(component)):
@@ -184,8 +212,8 @@ def write_field_csv(path, field):
         fh.write(FIELD_CSV_HEADER + "\n")
         for i in range(grid.nx):
             x = (i + 0.5) * grid.dx
-            for j in range(grid.ny):
+            # one row of Python floats at a time: they format to the bytes numpy scalars
+            # give, faster, and the whole field is never held as Python objects
+            for j, (u, v, p) in enumerate(zip(*field.q[:, i].tolist())):
                 y = (j + 0.5) * grid.dy
-                fh.write("%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                         % (i, j, x, y, field.u[i, j], field.v[i, j], field.p[i, j]))
-
+                fh.write("%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (i, j, x, y, u, v, p))

@@ -17,11 +17,6 @@ from .stencils import (ScalarStencil, VecStencilRow, averaged_div, central_brack
                        central_div, consistent_diffusion, smooth_bracket, tx, ty)
 
 
-def cross_consistency(B, A):
-    """True iff Bu*Av - Bv*Au = 0 identically: B vanishes wherever A does."""
-    return (B.bu * A.bv - B.bv * A.bu).is_zero()
-
-
 def _integer_row(row):
     """A rational row scaled by the lcm of its denominators; zeros stay the int 0."""
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]

@@ -10,6 +10,7 @@ dx^px dy^py so coefficient maps stay exact rationals independent of the grid.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,10 +172,6 @@ def rational_string(fr):
     return "-" + out if scaled < 0 else out
 
 
-def identity_stencil():
-    return ScalarStencil({(0, 0): 1})
-
-
 def tx(n=1):
     """Shift by n cells in x: the monomial tx^n."""
     return ScalarStencil({(2 * n, 0): 1})
@@ -275,6 +272,18 @@ def curl_of(div_row):
     return VecStencilRow(-div_row.bv, div_row.bu)
 
 
+class Halo(NamedTuple):
+    """A workspace halo and its plan: fill holds the (buffer rows, flat shift) pairs that
+    shift_product copies, ghosts the (ghost strip, interior strip) pairs that wrap_halo
+    copies, in order."""
+
+    array: np.ndarray
+    span: np.ndarray
+    inner: np.ndarray
+    fill: tuple
+    ghosts: tuple
+
+
 class MatrixStencil:
     """One semi-discrete scheme as its exact symbol: a 3x3 matrix of unitless
     whole-cell ScalarStencils in (tx, ty), the grid's 1/dx factors absorbed
@@ -319,31 +328,40 @@ class MatrixStencil:
         return self._floats
 
     def workspace(self, count):
-        """count periodic halos (3, nx+2r, ny+2r) as (halo, span, interior view), and the
-        (K, n) buffer shift_product fills; a span is the flat slice of each component
-        from its first interior cell to its last, n values long."""
+        """count periodic halos (3, nx+2r, ny+2r), each a Halo with its copy plan, and the
+        (K, n) buffer shift_product fills; a span is the flat slice of each component from
+        its first interior cell to its last, n values long. Every view a step touches is
+        built here, once per workspace, and the caller owns them."""
         nx, ny, r = self.grid.nx, self.grid.ny, self.radius
         if 2 * r + 1 > min(nx, ny):
             raise ValueError("grid too small for stencil radius %d" % r)
         base, n = r * (ny + 2 * r) + r, nx * (ny + 2 * r) - 2 * r
-        halos = [(h, h.reshape(3, -1)[:, base:base + n], h[:, r:r + nx, r:r + ny])
-                 for h in np.empty((count, 3, nx + 2 * r, ny + 2 * r))]
-        return halos, np.empty((self._packed[0].shape[1], n))
+        buf = np.empty((self._packed[0].shape[1], n))
+        halos = []
+        for h in np.empty((count, 3, nx + 2 * r, ny + 2 * r)):
+            flat = h.reshape(3, -1)
+            fill = tuple((buf[k0:k1], flat[comps, off:off + n])
+                         for k0, k1, off, comps in self._packed[1])
+            # y columns, then x rows, which carry the corners; none at radius 0
+            ghosts = ((h[:, r:r + nx, :r], h[:, r:r + nx, ny:ny + r]),
+                      (h[:, r:r + nx, ny + r:], h[:, r:r + nx, r:2 * r]),
+                      (h[:, :r], h[:, nx:nx + r]),
+                      (h[:, nx + r:], h[:, r:2 * r])) if r else ()
+            halos.append(Halo(h, flat[:, base:base + n], h[:, r:r + nx, r:r + ny], fill, ghosts))
+        return halos, buf
 
-    def wrap_halo(self, halo):
-        """Refresh the periodic ghosts from the interior: y columns, then x rows."""
-        nx, ny, r = self.grid.nx, self.grid.ny, self.radius
-        halo[:, r:r + nx, :r] = halo[:, r:r + nx, ny:ny + r]
-        halo[:, r:r + nx, ny + r:] = halo[:, r:r + nx, r:2 * r]
-        halo[:, :r] = halo[:, nx:nx + r]
-        halo[:, nx + r:] = halo[:, r:2 * r]
+    @staticmethod
+    def wrap_halo(halo):
+        """Refresh a workspace halo's periodic ghosts from its interior."""
+        for dst, src in halo.ghosts:
+            np.copyto(dst, src)
 
     def shift_product(self, halo, span, buf):
-        """span = W @ B: B stacks the K packed shifts of a wrapped halo as contiguous flat
-        slices, copied into buf. The y ghost columns of span get meaningless values."""
-        flat = halo.reshape(3, -1)
-        for k0, k1, off, comps in self._packed[1]:
-            buf[k0:k1] = flat[comps, off:off + buf.shape[1]]
+        """span = W @ B: B stacks the K packed shifts of a wrapped workspace halo as contiguous
+        flat slices, copied into buf, the workspace's buffer. The y ghost columns of span get
+        meaningless values."""
+        for dst, src in halo.fill:
+            np.copyto(dst, src)
         np.matmul(self._packed[0], buf, out=span)
 
     def apply_sum(self, q):
@@ -352,11 +370,11 @@ class MatrixStencil:
         nx, ny = self.grid.nx, self.grid.ny
         if q.shape != (3, nx, ny):
             raise ValueError("q has shape %s, stencil wants (3, %d, %d)" % (q.shape, nx, ny))
-        [(halo, _, inner), (_, span, out)], buf = self.workspace(2)
-        inner[...] = q
+        (halo, into), buf = self.workspace(2)
+        halo.inner[...] = q
         self.wrap_halo(halo)
-        self.shift_product(halo, span, buf)
-        return out.copy()
+        self.shift_product(halo, into.span, buf)
+        return into.inner.copy()
 
     def symbol(self, thx, thy):
         """sum_S alpha_S tx^sx ty^sy at tx = exp(i thx); the evolution matrix is -i times this.

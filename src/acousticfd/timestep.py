@@ -14,6 +14,10 @@ from .grid import FieldSet
 
 CFL_NORMALIZATION = "nu = (c/eps)*dt/min(dx,dy)"
 
+# the error state around a march loop: a blow-up is reported as InstabilityError by the
+# finite check, not by floating-point warnings
+_QUIET = dict(over="ignore", invalid="ignore")
+
 
 class InstabilityError(RuntimeError):
     def __init__(self, step, t=None, msg=None):
@@ -56,33 +60,38 @@ class March:
     (the sign of -W @ B folded in, which is exact), adds the current span,
     refreshes the ghosts and swaps: bitwise q + dt * rhs(q). The span holds
     interior cells and copies of them only, so the checks run on it. `state`
-    views the current interior; the step after next overwrites it."""
+    views the current interior, and its halo the periodic ghost ring (from
+    radius 1 up); the step after next overwrites both. Every view is built
+    with the March, and a step leaves the floating-point error state to its
+    callers, which quiet it once around their loops."""
 
     def __init__(self, spec):
         self.stencil, self.grid = spec.stencil, spec.grid
         halos, self.buf = spec.stencil.workspace(2)
-        # (halo, span, state over the interior); the current one is first
-        self.halos = [(h, span, FieldSet.from_q(self.grid, inner)) for h, span, inner in halos]
+        ringed = spec.stencil.radius > 0
+        # (halo, state over its interior); the current one is first
+        self.halos = [(h, FieldSet.from_q(self.grid, h.inner, h.array if ringed else None))
+                      for h in halos]
 
     def load(self, state, dt):
         if state.grid != self.grid:
             raise ValueError("state grid %r does not match scheme grid %r" % (state.grid, self.grid))
-        self.neg_dt, self.state = -dt, self.halos[0][2]
+        self.neg_dt, self.state = -dt, self.halos[0][1]
         self.state.q[...] = state.q
         self.stencil.wrap_halo(self.halos[0][0])
         return self
 
     def step(self, step, norm=False):
         """One step; returns max|q| if norm is set. A non-finite cell raises InstabilityError."""
-        (halo, span, _), (nxt, out, self.state) = self.halos
-        # a blow-up is reported by the check below, not by floating-point warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.stencil.shift_product(halo, out, self.buf)
-            out *= self.neg_dt
-            out += span
+        (cur, _), (nxt, self.state) = self.halos
+        out = nxt.span
+        self.stencil.shift_product(cur, out, self.buf)
+        out *= self.neg_dt
+        out += cur.span
         self.stencil.wrap_halo(nxt)
         self.halos.reverse()
-        peak = float(np.max(np.abs(out))) if norm else None
+        # max|q| without a |q| temporary; + 0.0 turns a -0.0 into 0.0, as abs does
+        peak = float(max(out.max(), -out.min())) + 0.0 if norm else None
         if not (math.isfinite(peak) if norm else np.isfinite(out).all()):
             raise InstabilityError(step)
         return peak
@@ -91,7 +100,8 @@ class March:
 def forward_euler_step(spec, state, dt, step=None):
     """One step of q + dt * rhs(q) into a fresh state."""
     march = March(spec).load(state, dt)
-    march.step(step if step is not None else "<single>")
+    with np.errstate(**_QUIET):
+        march.step(step if step is not None else "<single>")
     return march.state.copy()
 
 
@@ -108,7 +118,9 @@ def run(spec, state, control, probes=None, cadence=1):
     """March to t_end with fixed dt, invoking probe callbacks on a cadence.
 
     probes maps name -> f(state); each is sampled at t = 0, every `cadence`
-    steps, and at the final step. Returns the probe series and a copy of the final state.
+    steps, and at the final step, on the march's state (a FieldSet viewing its
+    halo), the later samples with over and invalid ignored, as the march runs.
+    Returns the probe series and a copy of the final state.
     """
     probes = probes or {}
     dt = cfl_dt(spec.params, state.grid, control.cfl)
@@ -116,17 +128,19 @@ def run(spec, state, control, probes=None, cadence=1):
     march = March(spec).load(state, dt)
 
     times = [0.0]
-    series = {name: [fn(state)] for name, fn in probes.items()}
-    for step in range(1, n_steps + 1):
-        try:
-            march.step(step)
-        except InstabilityError as err:
-            err.t = (step - 1) * dt
-            raise
-        if step % cadence == 0 or step == n_steps:
-            times.append(step * dt)
-            for name, fn in probes.items():
-                series[name].append(fn(march.state))
+    # every sample, the first too, sees the march's view of the state
+    series = {name: [fn(march.state)] for name, fn in probes.items()}
+    with np.errstate(**_QUIET):
+        for step in range(1, n_steps + 1):
+            try:
+                march.step(step)
+            except InstabilityError as err:
+                err.t = (step - 1) * dt
+                raise
+            if step % cadence == 0 or step == n_steps:
+                times.append(step * dt)
+                for name, fn in probes.items():
+                    series[name].append(fn(march.state))
     return RunResult(times=np.array(times),
                      series={k: np.array(v) for k, v in series.items()},
                      final_state=march.state.copy(), n_steps=n_steps, dt=dt)
@@ -138,20 +152,21 @@ def cfl_sweep(spec, state0, cfl_grid, horizon_steps=500, growth_factor=2.0):
     initial = state0.norm_inf()
     march = March(spec)
     results = []
-    for cfl in cfl_grid:
-        march.load(state0, cfl_dt(spec.params, state0.grid, cfl))
-        stable = True
-        peak = initial
-        try:
-            for step in range(1, horizon_steps + 1):
-                peak = max(peak, march.step(step, norm=True))
-                if peak > growth_factor * initial:
-                    stable = False
-                    break
-        except InstabilityError:
-            stable = False
-            peak = float("inf")
-        results.append({"cfl": cfl, "stable": stable, "peak_norm": peak})
+    with np.errstate(**_QUIET):
+        for cfl in cfl_grid:
+            march.load(state0, cfl_dt(spec.params, state0.grid, cfl))
+            stable = True
+            peak = initial
+            try:
+                for step in range(1, horizon_steps + 1):
+                    peak = max(peak, march.step(step, norm=True))
+                    if peak > growth_factor * initial:
+                        stable = False
+                        break
+            except InstabilityError:
+                stable = False
+                peak = float("inf")
+            results.append({"cfl": cfl, "stable": stable, "peak_norm": peak})
     passing = [r["cfl"] for r in results if r["stable"]]
     return {"max_stable_cfl": max(passing) if passing else None,
             "horizon_steps": horizon_steps,

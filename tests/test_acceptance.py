@@ -9,7 +9,6 @@ from fractions import Fraction
 import numpy as np
 
 from acousticfd.experiments import (
-    divergence_observed_order,
     extract_conserved_operator,
     gresho_vortex,
     kernel_adapted_state,
@@ -35,6 +34,8 @@ from acousticfd.laurent import (
 from acousticfd.schemes import SP_NAMES, make_scheme, rhs
 from acousticfd.stencils import averaged_div, central_div, consistent_diffusion, dimsplit_div
 from acousticfd.timestep import StepControl, cfl_dt, run
+
+from helpers import divergence_observed_order
 
 
 def _report(n, failures):

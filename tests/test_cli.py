@@ -110,6 +110,16 @@ OUT_OF_RANGE = [
      "symbol entry (p, u) at cell offset (1, 0) is beyond the float range"),
     (["simulate", "--scheme", "multid", "--grid", "8", "--c", "1e308", "--eps", "1e-308"],
      "time step dt = cfl*min(dx,dy)*eps/c = 0.0 underflows"),
+    # non-finite spacings and scales name their option
+    (["catalog", "--dx", "inf"], "cell widths must be positive and finite, got dx = inf"),
+    (["analyze", "--scheme", "roe", "--grid", "8", "--dx", "inf"],
+     "cell widths must be positive and finite, got dx = inf"),
+    (["simulate", "--scheme", "roe", "--grid", "8", "--dy", "nan"],
+     "cell widths must be positive and finite, got dy = nan"),
+    (["analyze", "--scheme", "roe", "--c", "inf"], "c must be finite, got inf"),
+    (["sweep", "--scheme", "roe", "--grid", "8", "--c=-inf"], "c must be finite, got -inf"),
+    (["analyze", "--scheme", "roe", "--eps", "nan"], "eps must be finite, got nan"),
+    (["catalog", "--eps", "1e400"], "eps must be finite, got inf"),
 ]
 
 

@@ -10,7 +10,6 @@ import pytest
 from acousticfd.experiments import (
     VortexParams,
     decay_window,
-    divergence_observed_order,
     extract_conserved_operator,
     fit_decay,
     gresho_vortex,
@@ -28,6 +27,8 @@ from acousticfd.stencils import (
     curl_of,
     dimsplit_div,
 )
+
+from helpers import divergence_observed_order
 
 
 def _continuous_vortex_velocity(xx, yy, vp):

@@ -13,6 +13,9 @@ def test_grid_validation():
         GridSpec(nx=2, ny=8, dx=0.1, dy=0.1)
     with pytest.raises(ValueError):
         GridSpec(nx=8, ny=8, dx=-0.1, dy=0.1)
+    for dx, dy, bad in ((np.inf, 0.1, "dx = inf"), (0.1, np.nan, "dy = nan")):
+        with pytest.raises(ValueError, match="positive and finite, got " + bad):
+            GridSpec(nx=8, ny=8, dx=dx, dy=dy)
     g = GridSpec.unit_square(50)
     assert g.nx == g.ny == 50
     assert g.dx == g.dy == 0.02
@@ -45,6 +48,10 @@ def test_params_exact_twins():
         AcousticParams(c=-1.0, eps=0.1)
     with pytest.raises(ValueError):
         AcousticParams(c=1.0, eps=0.0)
+    with pytest.raises(ValueError, match="c must be finite, got -inf"):
+        AcousticParams(c=-np.inf, eps=0.1)
+    with pytest.raises(ValueError, match="eps must be finite, got nan"):
+        AcousticParams(c=1.0, eps=np.nan)
 
 
 def test_fieldset_views_and_copy():
@@ -56,6 +63,12 @@ def test_fieldset_views_and_copy():
     f2.u[1, 1] = 5.0
     assert f.u[1, 1] == 3.0
     assert f.norm_inf() == 3.0
+    # ghosted gives the bare component without a halo, and the halo's plane with one
+    assert f.halo is None and f.ghosted(0).shape == (4, 4)
+    halo = np.arange(3 * 6 * 6, dtype=float).reshape(3, 6, 6)
+    h = FieldSet.from_q(g, halo[:, 1:5, 1:5], halo)
+    assert np.shares_memory(h.ghosted(2), halo) and np.array_equal(h.ghosted(2), halo[2])
+    assert h.copy().halo is None
 
 
 def test_l1_norm_constant_is_zero():
@@ -102,18 +115,24 @@ def test_periodic_translation_invariance(rng):
        dx=st.sampled_from((1.0, 1 / 3, 0.05, 1e-3)),
        dy=st.sampled_from((1.0, 0.07, 1 / 16)),
        scale=st.sampled_from((1.0, 1e-200, 1e150)),
-       seed=st.integers(0, 2 ** 16))
-@example(nx=3, ny=3, dx=1.0, dy=0.07, scale=1.0, seed=0)
-@example(nx=12, ny=3, dx=1e-3, dy=1.0, scale=1.0, seed=1)
-def test_central_diff_matches_roll_oracle_bitwise(nx, ny, dx, dy, scale, seed):
+       seed=st.integers(0, 2 ** 16), ring=st.integers(1, 3))
+@example(nx=3, ny=3, dx=1.0, dy=0.07, scale=1.0, seed=0, ring=3)
+@example(nx=12, ny=3, dx=1e-3, dy=1.0, scale=1.0, seed=1, ring=1)
+def test_central_diff_matches_roll_oracle_bitwise(nx, ny, dx, dy, scale, seed, ring):
     g = GridSpec(nx, ny, dx, dy)
     u = scale * np.random.default_rng(seed).standard_normal((nx, ny))
+    # the field inside a periodic ghost ring of any width, as a march's halo holds it
+    ringed = np.pad(u, ring, mode="wrap")
+    out = np.full((nx, ny), np.nan)
     for axis, delta in ((0, dx), (1, dy)):
         oracle = (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * delta)
         d = central_diff(u, axis, g)
         assert d.shape == (nx, ny) and d.flags.c_contiguous
         assert np.array_equal(d, oracle)
-        assert l1_norm_central_diff(u, axis, g) == float(np.sum(np.abs(oracle)) * dx * dy)
+        assert central_diff(ringed, axis, g, out) is out and np.array_equal(out, oracle)
+        total = float(np.sum(np.abs(oracle)) * dx * dy)
+        assert l1_norm_central_diff(u, axis, g) == total
+        assert l1_norm_central_diff(ringed, axis, g, out) == total
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -152,3 +171,25 @@ def test_field_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(table[:, 3], (j + 0.5) * g.dy)
     for k in range(3):
         assert np.array_equal(table[:, 4 + k], f.q[k][i, j])
+
+
+def test_field_csv_bytes_match_per_cell_numpy_formatting(tmp_path, rng):
+    # the writer formats rows of Python floats; the oracle indexes numpy scalars cell by cell
+    g = GridSpec(6, 5, 0.1, 1 / 3)
+    q = rng.standard_normal((3, 6, 5)) * np.array([1.0, 1e-300, 1e300])[:, None, None]
+    q[0, 1, 2], q[1, 0, 0] = -0.0, 0.1
+    f = FieldSet.from_q(g, q)
+    lines = ["i,j,x,y,u,v,p\n"]
+    for i in range(g.nx):
+        for j in range(g.ny):
+            lines.append("%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+                i, j, (i + 0.5) * g.dx, (j + 0.5) * g.dy, f.u[i, j], f.v[i, j], f.p[i, j]))
+    write_field_csv(tmp_path / "f.csv", f)
+    assert (tmp_path / "f.csv").read_text() == "".join(lines)
+
+
+def test_central_diff_rejects_shapes_that_fit_no_ring():
+    g = GridSpec(5, 4, 0.2, 0.25)
+    for shape in ((4, 5), (6, 5), (7, 7), (5, 6)):
+        with pytest.raises(ValueError, match="neither the grid's"):
+            central_diff(np.zeros(shape), 0, g)

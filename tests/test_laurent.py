@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from acousticfd import laurent
 from acousticfd.laurent import (
     consistency_nullspace,
-    cross_consistency,
     distinct_rows,
     moore_symmetry_scan,
     operator_identity_check,
@@ -36,6 +35,8 @@ from acousticfd.stencils import (
     tx,
     ty,
 )
+
+from helpers import cross_consistency
 
 
 def test_poly_arithmetic():

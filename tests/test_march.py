@@ -8,6 +8,7 @@ halos, ghost refreshes, folded sign, probes and stop rules are checked bitwise.
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -16,9 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acousticfd.cli import EXIT_UNSTABLE, main
+from acousticfd.experiments import gresho_vortex, vortex_benchmark
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec, l1_norm_central_diff
 from acousticfd.schemes import CATALOG_NAMES, SchemeSpec, make_scheme, rhs
-from acousticfd.timestep import InstabilityError, StepControl, cfl_dt, cfl_sweep, run
+from acousticfd.timestep import (InstabilityError, March, StepControl, cfl_dt, cfl_sweep,
+                                 run)
 
 from matrix_entries import matrix_stencil
 
@@ -234,3 +237,106 @@ def test_unstable_simulate_exits_3_without_runtime_warning(tmp_path):
         doc = json.load(fh)
     assert doc == {"cfl": 0.45, "eps": 0.01, "error": "instability",
                    "last_stable_time": 0.05259375000000001, "scheme": "lowmach2", "step": 749}
+
+
+# sha256 of every file `simulate --scheme S --grid 16 --out D` writes, recorded before
+# the march planned its views once and the vortex probes read the resident halo
+SIMULATE_SHA256 = {
+    "roe": {
+        "roe_eps1_dux_l1.csv": "fb3b1949eb50769b07123264c595942059833ae667f43dad8c530d696a289bac",
+        "roe_eps1_dux_l1.csv.meta.json": "550e3eb5bb9bb9bcd23bbba9bb920fc9f4d5739eaf564c414f396bb89e9bf5bf",
+        "roe_eps1_duy_l1.csv": "3661cf4f41f674d92cc8b33895f3dc4ed0d139ee639dd6e7d8657720e46b0d3f",
+        "roe_eps1_duy_l1.csv.meta.json": "492222da32d9e0e792bc6482a709872213566db606258fb36372aee3f68cc1ff",
+        "roe_eps1_final.csv": "6122a83465cb38b19779b481e8c42bbeb50d92f552d035fb4da02f974d4bbe58",
+        "roe_eps1_final.csv.meta.json": "be96c18480a2c2b56e3bbb7ff89a03da8cde823a9830c140a7f3f8dfa673667c",
+        "roe_summary.json": "628fdd115c98d1bf45f615dd5c996244039e2b006850a55a7a9163a90aa80d8f",
+        "simulate_roe.json": "48e6ae3ef987951bf7b729afa163f7a56752c8cf76b520695cb55571f0bd3c67",
+    },
+    "multid": {
+        "multid_eps1_dux_l1.csv": "b160468a31ac9b3a42689bce83ed778568c9fcb8d3786539efe979bd33ccb933",
+        "multid_eps1_dux_l1.csv.meta.json": "e72de28fd3c46fb0625a7f9c8ee00b78ca53bd970f413c35e189bd35fb95ada3",
+        "multid_eps1_duy_l1.csv": "82ee96ed1d37e9be87b61dccefc749bd1bdf12bd7b9b6ac29a8961e3684782ee",
+        "multid_eps1_duy_l1.csv.meta.json": "3a7a9dd6f6ec89f58bf98051ee6215722ebc91be4142d9e54024c3cbf82dc855",
+        "multid_eps1_final.csv": "1b4af767fba1c4a29639aea0e54eb29ac7b744d3b3616272626d13663376e094",
+        "multid_eps1_final.csv.meta.json": "bbad987742d8cf351d1b4ab54f4d2212ad747a3962e752cdc55ab2bc569c007a",
+        "multid_summary.json": "0b63dae6b5e61517523c0ada2e67add6c5d07b3fe0ac8371b1db0a0f85f62737",
+        "simulate_multid.json": "a7b0f2a925d428c5246b850d457774de563fc95b254e3322de0eb77267491f05",
+    },
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SIMULATE_SHA256))
+def test_simulate_files_digest_unchanged(scheme, tmp_path, capsys):
+    out = tmp_path / "D"
+    assert main(["simulate", "--scheme", scheme, "--grid", "16", "--out", str(out)]) == 0
+    capsys.readouterr()
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert got == SIMULATE_SHA256[scheme]
+
+
+def read_series(path):
+    with open(path) as fh:
+        assert fh.readline() == "t,value\n"
+        return [tuple(float(x) for x in line.split(",")) for line in fh]
+
+
+@pytest.mark.parametrize("grid", [GridSpec.unit_square(16), GridSpec(12, 10, 1 / 12, 0.1)],
+                         ids=["square", "aniso"])
+@pytest.mark.parametrize("scheme", ["roe", "multid", "lowmach3"])
+def test_vortex_probes_match_plain_reference_loop(scheme, grid, tmp_path):
+    # the benchmark's probes read u inside the march's ghost ring; the reference loop
+    # hands l1_norm_central_diff the bare u of plain arrays
+    eps, cfl, n_steps = 0.1, 0.45, 23
+    spec = make_scheme(scheme, AcousticParams(c=1.0, eps=eps), grid)
+    dt = cfl_dt(spec.params, grid, cfl)
+    t_end = (n_steps - 0.5) * dt
+    assert StepControl(cfl=cfl, t_end=t_end).steps(dt) == n_steps
+    vortex_benchmark(scheme, [eps], grid, t_end, cfl=cfl, out_dir=str(tmp_path), fit=False)
+    probes = {"dux_l1": lambda s: l1_norm_central_diff(s.u, 0, grid),
+              "duy_l1": lambda s: l1_norm_central_diff(s.u, 1, grid)}
+    _, series = reference_run(spec, gresho_vortex(grid).q, dt, n_steps, probes, 1)
+    for name, want in series.items():
+        got = read_series(tmp_path / ("%s_eps0p1_%s.csv" % (scheme, name)))
+        assert [t for t, _ in got] == [k * dt for k in range(n_steps + 1)]
+        assert [v for _, v in got] == want
+
+
+@pytest.mark.parametrize("scheme", ["roe", "multid"])
+def test_march_step_allocates_no_state_sized_block(scheme):
+    grid = GridSpec.unit_square(64)
+    spec = make_scheme(scheme, AcousticParams(c=1.0, eps=0.01), grid)
+    march = March(spec).load(gresho_vortex(grid), cfl_dt(spec.params, grid, 0.45))
+    stencil_state = dict(vars(spec.stencil))
+    for step in range(1, 4):
+        march.step(step, norm=step % 2 == 0)
+    limit = min(march.state.q.nbytes, march.buf.nbytes)
+    tracemalloc.start()
+    try:
+        for step in range(4, 10):
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            march.step(step, norm=step % 2 == 0)
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - before < limit, (step, peak - before, limit)
+    finally:
+        tracemalloc.stop()
+    # the plans belong to the March: nothing was cached on the stencil
+    assert vars(spec.stencil).keys() == stencil_state.keys()
+    assert all(vars(spec.stencil)[k] is v for k, v in stencil_state.items())
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("kind", ["roe", "empty"])
+def test_zero_state_peak_norm_is_positive_zero(kind, zero, square_grid):
+    spec = (make_scheme("roe", AcousticParams(c=1.0, eps=1.0), square_grid) if kind == "roe"
+            else custom_spec(square_grid, RADIUS_ZERO["empty"]))
+    state = FieldSet.from_q(square_grid, np.full((3, 16, 16), zero))
+    report = cfl_sweep(spec, state, [0.1, 0.5], horizon_steps=5)
+    for row in report["results"]:
+        assert row["stable"] and row["peak_norm"] == 0.0
+        assert math.copysign(1.0, row["peak_norm"]) == 1.0
+    # the empty stencil keeps every -0.0 cell at -0.0, and the norm still reads +0.0
+    march = March(spec).load(state, 0.01)
+    peak = march.step(1, norm=True)
+    assert peak == float(np.max(np.abs(march.state.q)))
+    assert math.copysign(1.0, peak) == 1.0

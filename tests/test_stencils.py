@@ -13,10 +13,10 @@ from acousticfd.timestep import StepControl, cfl_dt, run
 from acousticfd.stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                                  averaged_div, central_bracket, central_div,
                                  consistent_diffusion, curl_of, diff_half,
-                                 dimsplit_div, identity_stencil,
-                                 rational_string, second_bracket,
+                                 dimsplit_div, rational_string, second_bracket,
                                  smooth_bracket, sum_half, tx, ty)
 
+from helpers import identity_stencil
 from matrix_entries import matrix_stencil
 
 
