@@ -191,7 +191,8 @@ def cmd_analyze(cfg):
     k_samples = cfg["k_samples"]
     if k_samples < 1:
         raise UsageError("--k-samples must be at least 1, got %d" % k_samples)
-    verdict = det_scan(spec, phases=generic_phases(k_samples))
+    # a symbol whose float sum overflows is a usage error naming the c/eps scale
+    verdict = checked(det_scan, spec, phases=generic_phases(k_samples))
     doc = verdict.to_json_dict()
     doc["config"] = {k: cfg[k] for k in ("scheme", "eps", "c", "grid", "k_samples")}
     doc["eigenvalue_scaling"] = eigenvalue_scaling_check(

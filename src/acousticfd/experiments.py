@@ -10,6 +10,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -167,9 +168,47 @@ def fit_decay(times, values, window):
                     residual=resid, n_points=int(mask.sum()))
 
 
+# what the encoders call on a value that is no JSON type: it raises TypeError
+_UNENCODABLE = json.JSONEncoder().default
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _holds_containers(values):
+    """True when a value is a dict, list or tuple. Values of exact scalar types are
+    settled by one set test; others, such as numpy floats, go through isinstance."""
+    return not _SCALARS.issuperset(map(type, values)) and any(
+        isinstance(v, (dict, list, tuple)) for v in values)
+
+
 def json_document(doc):
-    """The text of every JSON document written: indent 1, sorted keys, a final newline."""
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    """The text of every JSON document written: indent 1, sorted keys, a final newline.
+
+    The same text as json.dumps(doc, indent=1, sort_keys=True) + "\\n", which
+    falls back to the pure-Python encoder whenever an indent is set. Here a
+    container of scalars is one call to the C encoder, whose item separator
+    carries the newline and indent: it escapes every newline inside a string,
+    so each one it writes is a separator. Only containers that hold containers
+    recurse in Python, and their keys must be strings.
+    """
+    encoders = {}
+
+    def encode(o, newline):
+        inner = newline + " "
+        if isinstance(o, dict) and _holds_containers(o.values()):
+            return "{" + inner + ("," + inner).join(
+                [encode_basestring_ascii(k) + ": " + encode(v, inner) for k, v in sorted(o.items())]
+            ) + newline + "}"
+        if isinstance(o, (list, tuple)) and _holds_containers(o):
+            return "[" + inner + ("," + inner).join([encode(v, inner) for v in o]) + newline + "]"
+        if inner not in encoders:
+            encoders[inner] = c_make_encoder(None, _UNENCODABLE, encode_basestring_ascii,
+                                             None, ": ", "," + inner, True, False, True)
+        text = "".join(encoders[inner](o, 0))
+        if len(text) == 2 or not isinstance(o, (dict, list, tuple)):
+            return text
+        return text[0] + inner + text[1:-1] + newline + text[-1]
+
+    return encode(doc, "\n") + "\n"
 
 
 def write_json(path, doc):

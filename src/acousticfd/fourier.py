@@ -68,13 +68,14 @@ def left_kernel(E, tol_rel=1e-12):
     return u[:, -1].conj()
 
 
-def halton(index, base):
-    """Standard radical-inverse sequence, index starting at 1."""
+def _radical_inverse(n, base):
+    """Halton radical inverses of the indices 1..n: a float array, digit by digit."""
+    i = np.arange(1, n + 1)
+    r = np.zeros(i.shape)
     f = 1.0
-    r = 0.0
-    i = index
-    while i > 0:
+    while i.any():
         f /= base
+        # an exhausted index adds f * 0 = +0.0, which leaves its sum as it is
         r += f * (i % base)
         i //= base
     return r
@@ -82,14 +83,17 @@ def halton(index, base):
 
 def _fold(u):
     """Map [0,1) onto +-[GUARD, pi - GUARD], sign from the leading bit."""
-    sign = 1.0 if u < 0.5 else -1.0
-    w = 2.0 * u - math.floor(2.0 * u)
-    return sign * (GUARD + w * (math.pi - 2.0 * GUARD))
+    w = 2.0 * u - np.floor(2.0 * u)
+    return np.where(u < 0.5, 1.0, -1.0) * (GUARD + w * (math.pi - 2.0 * GUARD))
 
 
 def generic_phases(n=200):
-    """Deterministic quasi-random phases avoiding the degenerate guard bands."""
-    return [(_fold(halton(i, 2)), _fold(halton(i, 3))) for i in range(1, n + 1)]
+    """Deterministic quasi-random phases avoiding the degenerate guard bands.
+
+    Phase i is the folded Halton pair of index i in bases 2 and 3.
+    """
+    return list(zip(_fold(_radical_inverse(n, 2)).tolist(),
+                    _fold(_radical_inverse(n, 3)).tolist()))
 
 
 def structured_phases(m=12):
@@ -152,7 +156,8 @@ def det_scan(spec, phases=None, tol_rel=1e-12, structured=True):
     lattice phases and never enter the verdict. Every sample quantity comes
     from the balanced E^, which neither c nor eps enters: one symbol call for
     the stack, and per sample one SVD (kernel dimension and sigma ratio), one
-    determinant and one eig.
+    determinant and one eig. A symbol whose exact entries fit the float range
+    but whose float sum does not is a ValueError naming c/eps.
     """
     if phases is None:
         phases = generic_phases()
@@ -166,7 +171,12 @@ def det_scan(spec, phases=None, tol_rel=1e-12, structured=True):
         raise ValueError("phases must lie in (-pi, pi]")
     ce, t = spec.params.balance
     t = np.array(t, dtype=float)
-    E = (-1j / float(ce)) * spec.stencil.symbol(thx, thy) * (t / t[:, None])
+    # an overflow is reported once, by the check below, and not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = (-1j / float(ce)) * spec.stencil.symbol(thx, thy) * (t / t[:, None])
+    if not np.isfinite(E).all():
+        raise ValueError("the float symbol of %s overflows at c/eps = %g: its sum over the "
+                         "stencil leaves the float range" % (spec.name, float(ce)))
     dims, s = _svd_kernel(E, tol_rel)[:2]
     smax = s[:, 0]
     # LAPACK may return the smallest singular value as -0.0; report the ratio as +0.0
@@ -179,16 +189,13 @@ def det_scan(spec, phases=None, tol_rel=1e-12, structured=True):
     records = []
     withheld = 0
     ok = True
-    for i, (kind, (phx, phy)) in enumerate(samples):
-        dim = int(dims[i])
-        cdim = int(cdims[i])
-        rec = SampleRecord(thx=phx, thy=phy, kind=kind, absdet=float(absdets[i]),
-                           sigma_ratio=float(ratios[i]), kernel_dim=dim, continuous_dim=cdim,
-                           non_diagonalizable=bool(conds[i] > DIAG_COND_LIMIT))
-        records.append(rec)
+    columns = zip(samples, absdets.tolist(), ratios.tolist(), dims.tolist(), cdims.tolist(),
+                  (conds > DIAG_COND_LIMIT).tolist())
+    for (kind, (phx, phy)), absdet, ratio, dim, cdim, non_diag in columns:
+        records.append(SampleRecord(phx, phy, kind, absdet, ratio, dim, cdim, non_diag))
         if kind != "generic":
             continue
-        if rec.non_diagonalizable:
+        if non_diag:
             withheld += 1
             continue
         if dim != cdim:

@@ -1,8 +1,12 @@
 """Test-only helpers that no command runs: the identity stencil, the cross-consistency
-of two divergence rows, and the observed convergence order of a divergence row."""
+of two divergence rows, the observed convergence order of a divergence row, and the
+scalar Halton phases that `fourier.generic_phases` must reproduce bitwise."""
+
+import math
 
 import numpy as np
 
+from acousticfd.fourier import GUARD
 from acousticfd.grid import GridSpec
 from acousticfd.stencils import ScalarStencil
 
@@ -35,3 +39,27 @@ def divergence_observed_order(row_factory, sizes=(16, 32, 64, 128)):
         hs.append(grid.dx)
     slope, _ = np.polyfit(np.log(hs), np.log(errs), 1)
     return float(slope)
+
+
+def halton(index, base):
+    """Standard radical-inverse sequence, index starting at 1."""
+    f = 1.0
+    r = 0.0
+    i = index
+    while i > 0:
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return r
+
+
+def fold(u):
+    """Map [0,1) onto +-[GUARD, pi - GUARD], sign from the leading bit."""
+    sign = 1.0 if u < 0.5 else -1.0
+    w = 2.0 * u - math.floor(2.0 * u)
+    return sign * (GUARD + w * (math.pi - 2.0 * GUARD))
+
+
+def scalar_generic_phases(n):
+    """The generic phases one index at a time: the oracle for `fourier.generic_phases`."""
+    return [(fold(halton(i, 2)), fold(halton(i, 3))) for i in range(1, n + 1)]

@@ -80,6 +80,9 @@ def test_usage_errors():
     assert main(["analyze", "--scheme", "roe", "--grid", "eight"]) == EXIT_USAGE
 
 
+DIMSPLIT_ARGV = ("--scheme", "dimsplit", "--a2", "0.5", "--a3", "-0.3", "--a4", "0.8",
+                 "--grid", "12,7", "--dx", "1e-3", "--dy", "0.07")
+
 OUT_OF_RANGE = [
     (["analyze", "--scheme", "roe", "--grid", "2"], "at least 3x3"),
     (["analyze", "--scheme", "roe", "--eps", "0"], "eps > 0"),
@@ -120,6 +123,15 @@ OUT_OF_RANGE = [
     (["sweep", "--scheme", "roe", "--grid", "8", "--c=-inf"], "c must be finite, got -inf"),
     (["analyze", "--scheme", "roe", "--eps", "nan"], "eps must be finite, got nan"),
     (["catalog", "--eps", "1e400"], "eps must be finite, got inf"),
+    # exact entries in range whose float symbol sums past it
+    (["analyze", "--scheme", "roe", "--c", "5e153", "--grid", "8", "--k-samples", "3"],
+     "the float symbol of roe overflows at c/eps = 5e+153"),
+    (["analyze", "--scheme", "multid", "--c", "5e153", "--eps", "0.5", "--grid", "8"],
+     "the float symbol of multid overflows at c/eps = 1e+154"),
+    (["analyze", "--scheme", "central", "--eps", "2e-154", "--grid", "8"],
+     "the float symbol of central overflows at c/eps = 5e+153"),
+    (["analyze", "--scheme", "dimsplit", "--a1", "0.5", "--a2", "0.5", "--c", "5e153",
+      "--grid", "8"], "the float symbol of dimsplit overflows at c/eps = 5e+153"),
 ]
 
 
@@ -459,8 +471,6 @@ def test_catalog_listing(capsys):
 # the row in the 11 stationarity preserving documents (centred, primitive,
 # bound to the grid), and -0.0 -> 0.0 ratios in central and lowmach1. The two
 # roe documents are unchanged, as are verdicts and kernel dimensions everywhere
-DIMSPLIT_ARGV = ("--scheme", "dimsplit", "--a2", "0.5", "--a3", "-0.3", "--a4", "0.8",
-                 "--grid", "12,7", "--dx", "1e-3", "--dy", "0.07")
 ANALYZE_DIGESTS = {
     ("--scheme", "central", "--eps", "1", "--grid", "24"):
         "25eefbf7c61934338de6b583697ee79fe792c63733e9ccbbab8106a1beed9dc2",
@@ -511,6 +521,29 @@ def test_catalog_document_digest_unchanged(argv, capsys):
     assert main(["catalog", *argv]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_SHA256[argv]
+
+
+# sha256 of the certify stdout and its exit code, recorded before json_document stopped
+# calling json.dumps; the radius 2 and 3 runs admit consistent diffusions and exit 1
+CERTIFY_SHA256 = {
+    (): (0, "18dd2a49a3ed40a2cc4b0489efcd9b582900ddce8f8611fc82c8d96f3e28a377"),
+    ("--divergence", "central", "--radius", "2"):
+        (1, "d840709d6eb247615b82c5f241f6043b01f41aaa55e1f4cda707b9586ba5b21c"),
+    ("--divergence", "central", "--radius", "3"):
+        (1, "0af4c663868586342444c33ad1112ff40bb85b80639d2d8f00ebf3147c3ed85d"),
+    ("--divergence", "averaged", "--radius", "2"):
+        (1, "c5ead69589524936a904cd1ee3a38d8014bedbc35342280f44942b8933988834"),
+    ("--divergence", "averaged", "--radius", "3"):
+        (1, "c684ecc5bda50b95080128603bc272c9e063ed8f503a6312be10a46ae4a4bc3e"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CERTIFY_SHA256), ids=lambda a: " ".join(a) or "default")
+def test_certify_document_digest_unchanged(argv, capsys):
+    code, digest = CERTIFY_SHA256[argv]
+    assert main(["certify", *argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, derivations", [

@@ -1,11 +1,13 @@
 """Vortex data, kernel-adapted data, decay fits, conserved functionals."""
 
 import json
+import math
 import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from acousticfd.experiments import (
     VortexParams,
@@ -13,6 +15,7 @@ from acousticfd.experiments import (
     extract_conserved_operator,
     fit_decay,
     gresho_vortex,
+    json_document,
     kernel_adapted_state,
     stationarity_residual,
     stream_velocity,
@@ -216,6 +219,25 @@ def test_decay_window(square_grid):
     flat = np.ones_like(times)
     _, t_b2 = decay_window(times, flat, params, square_grid)
     assert t_b2 == times[-1]
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('\n\r\t\x00\x1f"\\{}[],: \u00e9\u2028\U0001f600'))
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.floats().map(np.float64)
+            | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, np.float64(-0.0)]) | _TEXT)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_DOCUMENTS)
+@example({"samples": [{"thx": 0.1, "kind": "generic", "absdet": 1e-300, "kernel_dim": 1,
+                       "non_diagonalizable": False}], "config": {"grid": "50", "c": None},
+          "empty": [{}, [], ()], "text": "{\n}\\\"\u00e9"})
+@example([[[]], {"a": {"b": {}}}, [{"k": "v"}, 1.5, []]])
+def test_json_document_matches_the_standard_encoder(doc):
+    assert json_document(doc) == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def test_timeseries_roundtrip(tmp_path):

@@ -16,7 +16,6 @@ from acousticfd.fourier import (
     dimsplit_right_kernel_formula,
     eigenvalue_scaling_check,
     generic_phases,
-    halton,
     jk_matrix,
     kernel_dim,
     left_kernel,
@@ -25,6 +24,8 @@ from acousticfd.fourier import (
 )
 from acousticfd.grid import AcousticParams, GridSpec
 from acousticfd.schemes import CATALOG_NAMES, make_scheme
+
+from helpers import halton, scalar_generic_phases
 
 
 def evolution(stencil, thx, thy):
@@ -151,6 +152,15 @@ def test_halton_prefix():
     assert halton(2, 2) == 0.25
     assert halton(3, 2) == 0.75
     assert halton(1, 3) == pytest.approx(1.0 / 3.0)
+
+
+def test_generic_phases_match_scalar_oracle_bitwise():
+    # every phase lies in +-[GUARD, pi - GUARD], never 0 or nan, so == is bitwise equality
+    oracle = scalar_generic_phases(2000)
+    for n in range(1, 2001):
+        phases = generic_phases(n)
+        assert phases == oracle[:n]
+    assert {type(t) for pair in generic_phases(2000) for t in pair} == {float}
 
 
 def test_generic_phases_guard_band():
