@@ -18,8 +18,7 @@ from .laurent import (consistency_nullspace, moore_symmetry_scan,
 from .schemes import CATALOG_NAMES, diffusion_scale, make_scheme
 from .stencils import (averaged_div, central_div, consistent_diffusion,
                        rational_string)
-from .timestep import (CFL_NORMALIZATION, InstabilityError, StepControl,
-                       cfl_dt, cfl_sweep)
+from .timestep import CFL_NORMALIZATION, InstabilityError, cfl_sweep
 from .experiments import (VortexParams, gresho_vortex, json_document, vortex_benchmark,
                           extract_conserved_operator, write_json)
 
@@ -120,10 +119,10 @@ class UsageError(Exception):
 
 
 def checked(make, *args, **kwargs):
-    """Build a validated value object; a value it rejects is a usage error."""
+    """Run make; a value it rejects, or an exact value beyond the float range, is a usage error."""
     try:
         return make(*args, **kwargs)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise UsageError(str(err))
 
 
@@ -153,20 +152,14 @@ def scheme_name(cfg):
 def build_scheme(cfg, grid, params):
     name = scheme_name(cfg)
     try:
-        spec = make_scheme(name, params, grid, **_scheme_kwargs(cfg))
-        # derived now, so an entry beyond the float range is a usage error naming it
-        spec.stencil
-        return spec
+        return make_scheme(name, params, grid, **_scheme_kwargs(cfg))
     except KeyError:
         raise UsageError("unknown scheme %r (catalog: %s, dimsplit)"
                          % (name, ", ".join(CATALOG_NAMES)))
-    except OverflowError as err:
-        raise UsageError(str(err))
 
 
 def emit_json(doc, cfg, name):
     if cfg["out"]:
-        os.makedirs(cfg["out"], exist_ok=True)
         path = os.path.join(cfg["out"], name)
         write_json(path, doc)
         print(path)
@@ -185,18 +178,15 @@ def _scheme_kwargs(cfg):
 
 
 def cmd_analyze(cfg):
-    grid = parse_grid(cfg)
-    params = parse_params(cfg)
-    spec = build_scheme(cfg, grid, params)
+    spec = build_scheme(cfg, parse_grid(cfg), parse_params(cfg))
     k_samples = cfg["k_samples"]
     if k_samples < 1:
         raise UsageError("--k-samples must be at least 1, got %d" % k_samples)
-    # a symbol whose float sum overflows is a usage error naming the c/eps scale
+    # M^ beyond the float range, or a float symbol whose sum overflows, is a usage error
     verdict = checked(det_scan, spec, phases=generic_phases(k_samples))
     doc = verdict.to_json_dict()
     doc["config"] = {k: cfg[k] for k in ("scheme", "eps", "c", "grid", "k_samples")}
-    doc["eigenvalue_scaling"] = eigenvalue_scaling_check(
-        spec, lambda p: make_scheme(spec.name, p, grid, **_scheme_kwargs(cfg)))
+    doc["eigenvalue_scaling"] = eigenvalue_scaling_check(spec)
 
     if verdict.is_stationarity_preserving:
         doc["divergence_row"] = spec.divergence_row().to_json_dict()
@@ -265,20 +255,12 @@ def cmd_certify(cfg):
 
 
 def cmd_simulate(cfg):
-    name = scheme_name(cfg)
     grid = parse_grid(cfg)
-    # the values vortex_benchmark builds, checked here so a bad one is a usage error
-    params = parse_params(cfg)
-    control = checked(StepControl, cfl=cfg["cfl"], t_end=cfg["t_end"])
-    checked(control.steps, cfl_dt(params, grid, control.cfl))
+    name = build_scheme(cfg, grid, parse_params(cfg)).name
     try:
-        report = vortex_benchmark(name, [cfg["eps"]], grid, cfg["t_end"], c=cfg["c"],
-                                  cfl=cfg["cfl"], out_dir=cfg["out"],
-                                  scheme_kwargs=_scheme_kwargs(cfg))
-    except KeyError:
-        raise UsageError("unknown scheme %r" % name)
-    except OverflowError as err:
-        raise UsageError(str(err))
+        # a step control the run rejects, or M beyond the float range, is a usage error
+        report = checked(vortex_benchmark, name, [cfg["eps"]], grid, cfg["t_end"], c=cfg["c"],
+                         cfl=cfg["cfl"], out_dir=cfg["out"], scheme_kwargs=_scheme_kwargs(cfg))
     except InstabilityError as err:
         doc = {"error": "instability", "step": err.step,
                "last_stable_time": err.t, "scheme": name,
@@ -291,11 +273,11 @@ def cmd_simulate(cfg):
 
 def cmd_sweep(cfg):
     grid = parse_grid(cfg)
-    params = parse_params(cfg)
-    spec = build_scheme(cfg, grid, params)
+    spec = build_scheme(cfg, grid, parse_params(cfg))
     state0 = gresho_vortex(grid, VortexParams())
     cfl_grid = [round(0.05 * k, 2) for k in range(1, 33)]
-    result = cfl_sweep(spec, state0, cfl_grid)
+    # M beyond the float range is a usage error naming its entry
+    result = checked(cfl_sweep, spec, state0, cfl_grid)
     result["scheme"] = spec.name
     result["eps"] = cfg["eps"]
     result["grid"] = [grid.nx, grid.ny]
@@ -324,6 +306,20 @@ COMMANDS = {"analyze": cmd_analyze, "certify": cmd_certify,
             "catalog": cmd_catalog}
 
 
+def make_out_dir(path):
+    """Create --out and its missing parents before any work; return those it made,
+    deepest first. A path no directory can take is a usage error naming it."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise UsageError("cannot make --out directory %s: %s" % (path, err.strerror))
+    return made
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv else None)
@@ -333,7 +329,15 @@ def main(argv=None):
             # the config's entries go ahead of the flags, so the flags win
             args = parser.parse_args(argv[:1] + config_tokens(args.config, args.command)
                                      + argv[1:])
-        return COMMANDS[args.command](merge_config(args))
+        cfg = merge_config(args)
+        made = make_out_dir(cfg["out"]) if cfg["out"] else []
+        try:
+            return COMMANDS[args.command](cfg)
+        except UsageError:
+            # a usage error leaves nothing behind: the directories made for it go again
+            for path in made:
+                os.rmdir(path)
+            raise
     except UsageError as err:
         print("error:", err, file=sys.stderr)
         return EXIT_USAGE

@@ -118,11 +118,13 @@ class ConservedOperator:
 
 
 def extract_conserved_operator(spec):
-    """The scheme's closed-form vorticity row, checked exactly: w M = 0 column by column."""
+    """The scheme's closed-form vorticity row, checked exactly column by column: w M = 0,
+    which holds iff (w T) M^ = 0 since M = s T M^ T^-1 (`AcousticParams.balance`)."""
     w = spec.vorticity_row()
-    m = spec.stencil.exact_symbol()
+    wt = [wk * tk for wk, tk in zip(w, spec.params.balance[1])]
+    m = spec.unitless
     for c in range(3):
-        if not (w[0] * m[0][c] + w[1] * m[1][c] + w[2] * m[2][c]).is_zero():
+        if not (wt[0] * m[0][c] + wt[1] * m[1][c] + wt[2] * m[2][c]).is_zero():
             raise RuntimeError("vorticity row fails w M = 0 on column %d" % c)
     return ConservedOperator(spec.grid, *w)
 

@@ -1,13 +1,15 @@
 """Test-only helpers that no command runs: the identity stencil, the cross-consistency
-of two divergence rows, the observed convergence order of a divergence row, and the
-scalar Halton phases that `fourier.generic_phases` must reproduce bitwise."""
+of two divergence rows, the observed convergence order of a divergence row, the
+scalar Halton phases that `fourier.generic_phases` must reproduce bitwise, and the
+scaling law by rebuilding, the oracle for `fourier.eigenvalue_scaling_check`."""
 
 import math
 
 import numpy as np
 
 from acousticfd.fourier import GUARD
-from acousticfd.grid import GridSpec
+from acousticfd.grid import AcousticParams, GridSpec
+from acousticfd.schemes import make_scheme
 from acousticfd.stencils import ScalarStencil
 
 
@@ -63,3 +65,13 @@ def fold(u):
 def scalar_generic_phases(n):
     """The generic phases one index at a time: the oracle for `fourier.generic_phases`."""
     return [(fold(halton(i, 2)), fold(halton(i, 3))) for i in range(1, n + 1)]
+
+
+def rebuilt_scaling_law(spec, **scheme_kwargs):
+    """The law M(c, eps) = (c/eps) T M^ T^-1 by its definition: the scheme rebuilt at
+    (2c, eps) and at (c, eps/2), from the same name and physical coefficients, has
+    spec's M^ entry by entry over Fraction."""
+    c, eps = spec.params.c_exact, spec.params.eps_exact
+    return all(make_scheme(spec.name, AcousticParams(c=c2, eps=eps2), spec.grid,
+                           **scheme_kwargs).unitless == spec.unitless
+               for c2, eps2 in ((2 * c, eps), (c, eps / 2)))

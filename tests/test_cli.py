@@ -7,8 +7,8 @@ import os
 
 import pytest
 
-from acousticfd.cli import (EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, OPTIONS, SUBCOMMANDS,
-                            build_parser, main)
+from acousticfd.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, OPTIONS,
+                            SUBCOMMANDS, build_parser, main)
 
 
 def _read_json(path):
@@ -74,8 +74,12 @@ def test_analyze_small_eps_reports_json(tmp_path, scheme):
     assert doc["verdict"] is True
 
 
-def test_usage_errors():
-    assert main(["analyze", "--scheme", "nosuch", "--grid", "8"]) == EXIT_USAGE
+def test_usage_errors(capsys):
+    # every command that takes a scheme resolves it before any work and lists the catalog
+    for command in ("analyze", "simulate", "sweep"):
+        assert main([command, "--scheme", "nosuch", "--grid", "8"]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: unknown scheme 'nosuch' (catalog: central, "
+                                           "roe, lowmach1, lowmach2, lowmach3, multid, dimsplit)\n")
     assert main(["analyze", "--grid", "8"]) == EXIT_USAGE
     assert main(["analyze", "--scheme", "roe", "--grid", "eight"]) == EXIT_USAGE
 
@@ -103,8 +107,6 @@ OUT_OF_RANGE = [
     (["sweep", "--scheme", "dimsplit", "--a3", "inf", "--grid", "8"], "--a3 must be finite"),
     (["simulate", "--scheme", "dimsplit", "--a2", "nan", "--grid", "8"], "--a2 must be finite"),
     # exact symbol entries beyond the float range, and a time step that underflows
-    (["analyze", "--scheme", "multid", "--c", "1e200", "--eps", "1e-200"],
-     "symbol entry (u, u) at cell offset (1, 1) is beyond the float range"),
     (["analyze", "--scheme", "roe", "--dx", "1e-320"],
      "symbol entry (u, u) at cell offset (1, 0) is beyond the float range"),
     (["sweep", "--scheme", "roe", "--grid", "8", "--eps", "1e-320"],
@@ -123,15 +125,18 @@ OUT_OF_RANGE = [
     (["sweep", "--scheme", "roe", "--grid", "8", "--c=-inf"], "c must be finite, got -inf"),
     (["analyze", "--scheme", "roe", "--eps", "nan"], "eps must be finite, got nan"),
     (["catalog", "--eps", "1e400"], "eps must be finite, got inf"),
-    # exact entries in range whose float symbol sums past it
-    (["analyze", "--scheme", "roe", "--c", "5e153", "--grid", "8", "--k-samples", "3"],
-     "the float symbol of roe overflows at c/eps = 5e+153"),
-    (["analyze", "--scheme", "multid", "--c", "5e153", "--eps", "0.5", "--grid", "8"],
-     "the float symbol of multid overflows at c/eps = 1e+154"),
-    (["analyze", "--scheme", "central", "--eps", "2e-154", "--grid", "8"],
-     "the float symbol of central overflows at c/eps = 5e+153"),
-    (["analyze", "--scheme", "dimsplit", "--a1", "0.5", "--a2", "0.5", "--c", "5e153",
-      "--grid", "8"], "the float symbol of dimsplit overflows at c/eps = 5e+153"),
+    # exact entries in range whose float symbol sums past it: 1/(8 dx) fits, their sum not
+    (["analyze", "--scheme", "multid", "--grid", "8", "--dx", "5e-309", "--k-samples", "3"],
+     "the float symbol of multid overflows: its sum over the stencil leaves the float range"),
+    # an --out that cannot be a directory is refused before any work
+    (["analyze", "--scheme", "roe", "--grid", "8", "--out", "/dev/null/x"],
+     "cannot make --out directory /dev/null/x: Not a directory"),
+    (["simulate", "--scheme", "roe", "--grid", "8", "--out", "/dev/null/x"],
+     "cannot make --out directory /dev/null/x: Not a directory"),
+    (["catalog", "--out", "/dev/null/x"], "cannot make --out directory /dev/null/x: Not a directory"),
+    (["certify", "--out", os.devnull], "cannot make --out directory %s: File exists" % os.devnull),
+    (["sweep", "--scheme", "roe", "--grid", "8", "--out", os.devnull],
+     "cannot make --out directory %s: File exists" % os.devnull),
 ]
 
 
@@ -141,6 +146,42 @@ def test_out_of_range_values_are_usage_errors(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+# analyze reads only M^, which neither c nor eps enters: these scales once overflowed the
+# float M (c/eps = 1e400) or its float symbol, and were refused as usage errors
+UNITLESS_SCALES = {
+    "multid-c1e200-eps1e-200": ["--scheme", "multid", "--c", "1e200", "--eps", "1e-200"],
+    "roe-c5e153": ["--scheme", "roe", "--c", "5e153", "--grid", "8", "--k-samples", "3"],
+    "multid-c5e153-eps0.5": ["--scheme", "multid", "--c", "5e153", "--eps", "0.5", "--grid", "8"],
+    "central-eps2e-154": ["--scheme", "central", "--eps", "2e-154", "--grid", "8"],
+    "dimsplit-a1-0.5-c5e153": ["--scheme", "dimsplit", "--a1", "0.5", "--a2", "0.5",
+                               "--c", "5e153", "--grid", "8"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNITLESS_SCALES))
+def test_extreme_scales_are_analyzed(name, capsys):
+    code = main(["analyze", *UNITLESS_SCALES[name]])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    if doc["scheme"] == "dimsplit":
+        # a1 = 0.5 at c/eps = 5e153 is a1^ = 1e-154, below the scan's 1e-12 tolerance: the
+        # float verdict misses it, as it misses --a1 1e-154 at c = 1 (exact verdict: ROADMAP)
+        assert code == EXIT_FAIL and doc["verdict"] is True and doc["expected"] is False
+    else:
+        assert code == EXIT_OK and doc["verdict"] is doc["expected"]
+
+
+def test_out_dir_is_made_once_and_undone_on_usage_error(tmp_path):
+    out = tmp_path / "a" / "b"
+    assert main(["catalog", "--out", str(out)]) == EXIT_OK
+    assert os.listdir(out) == ["catalog.json"]
+    # the directories made for a command that ends in a usage error go again
+    assert main(["simulate", "--scheme", "roe", "--grid", "8", "--cfl", "inf",
+                 "--out", str(tmp_path / "c" / "d")]) == EXIT_USAGE
+    assert os.listdir(tmp_path) == ["a"]
 
 
 @pytest.mark.parametrize("command", [name for name, _ in SUBCOMMANDS])
@@ -470,32 +511,35 @@ def test_catalog_listing(capsys):
 # its sign bit. Against the digests before that, only those two fields changed:
 # the row in the 11 stationarity preserving documents (centred, primitive,
 # bound to the grid), and -0.0 -> 0.0 ratios in central and lowmach1. The two
-# roe documents are unchanged, as are verdicts and kernel dimensions everywhere
+# roe documents are unchanged, as are verdicts and kernel dimensions everywhere. The
+# eps = 1e-2 digests were recorded again when the scan moved from the balanced float M to
+# M^ rounded once: only samples[].sigma_min_ratio (25-235 of 248) and, for roe and
+# multid, samples[].absdet changed; each document now equals its eps = 1 one but config
 ANALYZE_DIGESTS = {
     ("--scheme", "central", "--eps", "1", "--grid", "24"):
         "25eefbf7c61934338de6b583697ee79fe792c63733e9ccbbab8106a1beed9dc2",
     ("--scheme", "central", "--eps", "1e-2", "--grid", "24"):
-        "2382f8b07b41ac30961fa00edbd5993672daf0c2819e16dbdf3ada4935a45ebc",
+        "1928a71b38430be4a182267e2deaeca038759552ea5a241e349281fda999cb92",
     ("--scheme", "roe", "--eps", "1", "--grid", "24"):
         "b793c59595418ab77c75de0c743731be9361c35ad987db79417ad82548cebf08",
     ("--scheme", "roe", "--eps", "1e-2", "--grid", "24"):
-        "b46c3e14d425b802794d290b9ff013bd2d729e34edbfe865227b2782bd261922",
+        "fac2ebd5ab7ce6d6790c96834bbe3afffc40e8c06d68e9ba19328ac108ec2891",
     ("--scheme", "lowmach1", "--eps", "1", "--grid", "24"):
         "e4a881826f90d02f3c48046a003ec801d833a788928da85692c7908ca1a54887",
     ("--scheme", "lowmach1", "--eps", "1e-2", "--grid", "24"):
-        "cc1b9299abd3560313ad6b22fa6236c8994b28f73637e9990c3b592471ebc1ac",
+        "d783c13b2fd45521a425223cf4f85829c972474139b62f9b5be723006c17f71d",
     ("--scheme", "lowmach2", "--eps", "1", "--grid", "24"):
         "c5ba023892ac865175b5e0fde375d65ae3a592d6e39b5c0798f6090e4b5d93de",
     ("--scheme", "lowmach2", "--eps", "1e-2", "--grid", "24"):
-        "bfdca93b201d528aaca9318db04a01bd14c465e8ccc3e910660833caf4a064db",
+        "4fc5eb14c2614ce38cfd92b52a09a216912b692cc9e7574e94002172ea882dbc",
     ("--scheme", "lowmach3", "--eps", "1", "--grid", "24"):
         "d2b6a8ec259e5a33a8e23b5707fece3c054ac344a9ada94be3faa4b611764568",
     ("--scheme", "lowmach3", "--eps", "1e-2", "--grid", "24"):
-        "f2516ab97e741ebf9bee728d4c6d4abae641d73164e3a9d71cabca747830d0ad",
+        "469b98967a822096a9078b46a3d71225549610c6b09838c4aa016ad9f5537362",
     ("--scheme", "multid", "--eps", "1", "--grid", "24"):
         "2c9a0ddbef016e7926d4c7fe663512a88a8c6a47da88870cfa394b25def0d2ab",
     ("--scheme", "multid", "--eps", "1e-2", "--grid", "24"):
-        "ef8102d9903d145265bbda232c9abdda884a6657071a00b096fd3d726a9bb9e7",
+        "86d7f8099ac6de38f3bed16ef6611d5ddc141d53140461e69ffdd5462639fbad",
     DIMSPLIT_ARGV: "dd3ee294d8d2fd9304cedcfc0c87c154b70a17a03aa6f71e89104d407f122ce7",
 }
 
@@ -551,9 +595,13 @@ def test_certify_document_digest_unchanged(argv, capsys):
     (["analyze", "--scheme", "multid", "--grid", "8", "--k-samples", "3"], 1),
     (["analyze", *DIMSPLIT_ARGV, "--k-samples", "3"], 1),
     (["catalog"], 0),
+    (["sweep", "--scheme", "roe", "--grid", "8"], 1),
+    (["simulate", "--scheme", "multid", "--grid", "8", "--t-end", "0.05"], 1),
 ], ids=lambda a: str(a) if isinstance(a, int) else " ".join(a[:3]))
 def test_float_stencil_derivations(argv, derivations, monkeypatch, capsys):
-    # a scheme is its unitless symbol; the float stencil is derived once, and only when read
+    # a scheme is its unitless symbol; the float stencil is derived once, and only when read:
+    # analyze rounds M^ for its scan, and only the commands that march derive M
+    from acousticfd.schemes import SchemeSpec
     from acousticfd.stencils import MatrixStencil
 
     built = []
@@ -564,6 +612,9 @@ def test_float_stencil_derivations(argv, derivations, monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MatrixStencil, "__init__", counting_init)
+    if argv[0] == "analyze":
+        monkeypatch.setattr(SchemeSpec, "stencil", property(
+            lambda spec: pytest.fail("analyze read SchemeSpec.stencil")))
     assert main(argv) == EXIT_OK
     assert len(built) == derivations
 

@@ -1,10 +1,10 @@
 """Numeric kernel analysis of evolution matrices."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from acousticfd.fourier import (
     DIAG_COND_LIMIT,
@@ -25,7 +25,7 @@ from acousticfd.fourier import (
 from acousticfd.grid import AcousticParams, GridSpec
 from acousticfd.schemes import CATALOG_NAMES, make_scheme
 
-from helpers import halton, scalar_generic_phases
+from helpers import halton, rebuilt_scaling_law, scalar_generic_phases
 
 
 def evolution(stencil, thx, thy):
@@ -241,14 +241,33 @@ def test_det_scan_without_structured(square_grid, params):
 
 def test_eigenvalue_scaling(square_grid, params):
     for name in CATALOG_NAMES:
-        spec = make_scheme(name, params, square_grid)
-        out = eigenvalue_scaling_check(spec, lambda p: make_scheme(name, p, square_grid))
+        out = eigenvalue_scaling_check(make_scheme(name, params, square_grid))
         assert out == {"passed": True, "exact": True}
     # fixed coefficients carry no c/eps law, even with a1 = 0
     spec = make_scheme("dimsplit", params, square_grid, a2=0.5, a3=-0.3, a4=0.8)
-    out = eigenvalue_scaling_check(
-        spec, lambda p: make_scheme("dimsplit", p, square_grid, a2=0.5, a3=-0.3, a4=0.8))
-    assert out == {"passed": False, "exact": True}
+    assert eigenvalue_scaling_check(spec) == {"passed": False, "exact": True}
+    zero = make_scheme("dimsplit", params, square_grid)
+    assert eigenvalue_scaling_check(zero) == {"passed": True, "exact": True}
+
+
+# dimsplit coefficients: zero half of the time, so every zero pattern of a1..a4 comes up
+COEFFICIENT = st.one_of(st.just(0.0), st.sampled_from([1e-300, -2.5, 0.5, 3.0, 1e6]),
+                        st.floats(-10.0, 10.0, allow_subnormal=False))
+SCALE = st.floats(1e-6, 1e6)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(CATALOG_NAMES + ("dimsplit",)), c=SCALE, eps=SCALE,
+       coefficients=st.tuples(COEFFICIENT, COEFFICIENT, COEFFICIENT, COEFFICIENT))
+@example(name="dimsplit", c=1.0, eps=1.0, coefficients=(0.0, 0.0, 0.0, 0.0))
+@example(name="dimsplit", c=1.0, eps=1.0, coefficients=(0.0, 0.0, 0.0, 0.3))
+@example(name="dimsplit", c=3.0, eps=1e-3, coefficients=(0.0, 0.5, 0.0, 0.0))
+def test_eigenvalue_scaling_matches_rebuild_oracle(name, c, eps, coefficients):
+    kwargs = dict(zip(("a1", "a2", "a3", "a4"), coefficients)) if name == "dimsplit" else {}
+    spec = make_scheme(name, AcousticParams(c=c, eps=eps), GridSpec(5, 4, 0.3, 0.7), **kwargs)
+    passed = rebuilt_scaling_law(spec, **kwargs)
+    assert eigenvalue_scaling_check(spec) == {"passed": passed, "exact": True}
+    assert passed is (name != "dimsplit" or not any(coefficients))
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-4])
@@ -274,18 +293,3 @@ def test_det_scan_matches_per_sample_oracle(aniso_grid, name, kwargs, eps):
         assert np.linalg.norm(left @ E) <= 1e-12 * smax
         assert np.linalg.norm(right) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_eigenvalue_scaling_builds_two_schemes(square_grid):
-    built = []
-
-    def rebuild(p):
-        built.append((p.c, p.eps, p.c_exact, p.eps_exact))
-        return make_scheme("multid", p, square_grid)
-
-    spec = make_scheme("multid", AcousticParams(c=1.5, eps=0.1), square_grid)
-    out = eigenvalue_scaling_check(spec, rebuild)
-    assert out == {"passed": True, "exact": True}
-    # the exact twins are rescaled exactly, not re-read from the rescaled floats
-    assert built == [(3.0, 0.1, Fraction(3), Fraction(1, 10)),
-                     (1.5, 0.05, Fraction(3, 2), Fraction(1, 20))]

@@ -6,7 +6,9 @@ sample's kernel dimensions and the conserved-operator check must come out
 the same at every scale.
 """
 
+import io
 import json
+from contextlib import redirect_stdout
 from functools import cache
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acousticfd.cli import EXIT_OK, main
-from acousticfd.experiments import extract_conserved_operator
+from acousticfd.experiments import extract_conserved_operator, json_document
 from acousticfd.fourier import det_scan, generic_phases
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec
 from acousticfd.schemes import CATALOG_NAMES, SP_NAMES, make_scheme, rhs
@@ -38,6 +40,33 @@ def test_analyze_ladder_matches_claim(grid, eps, scheme, capsys):
     assert doc["eigenvalue_scaling"] == {"passed": True, "exact": True}
     assert "conserved_operator_error" not in doc
     assert ("conserved_operator" in doc) is (scheme in SP_NAMES)
+
+
+def analyze_without_config(scheme, c, eps):
+    """The analyze stdout of a catalog scheme at (c, eps) on 8x8, with config dropped.
+    Square cells: on others multid's vorticity row carries 1/(c eps) by design."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["analyze", "--scheme", scheme, "--c", repr(c), "--eps", repr(eps),
+                     "--grid", "8", "--k-samples", "12"]) == EXIT_OK
+    doc = json.loads(out.getvalue())
+    del doc["config"]
+    return json_document(doc)
+
+
+@cache
+def unit_scale_document(scheme):
+    return analyze_without_config(scheme, 1.0, 1.0)
+
+
+# analyze reads only M^, which neither c nor eps enters: every byte but config is the same
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(c=st.floats(1e-6, 1e6), eps=st.floats(1e-6, 1e6))
+@example(c=1e-6, eps=1e6)
+@example(c=1e6, eps=1e-6)
+def test_analyze_document_is_independent_of_c_and_eps(c, eps):
+    for scheme in CATALOG_NAMES:
+        assert analyze_without_config(scheme, c, eps) == unit_scale_document(scheme), scheme
 
 
 BASE_GRID = GridSpec(nx=10, ny=9, dx=0.1, dy=0.13)
