@@ -19,7 +19,7 @@ from .schemes import CATALOG_NAMES, diffusion_scale, make_scheme
 from .stencils import (averaged_div, central_div, consistent_diffusion,
                        rational_string)
 from .timestep import CFL_NORMALIZATION, InstabilityError, cfl_sweep
-from .experiments import (VortexParams, gresho_vortex, json_document, vortex_benchmark,
+from .experiments import (gresho_vortex, json_document, vortex_benchmark,
                           extract_conserved_operator, write_json)
 
 EXIT_OK = 0
@@ -130,8 +130,8 @@ def parse_grid(cfg):
     spec = cfg["grid"]
     parts = spec.split(",")
     try:
-        nx = int(parts[0])
-        ny = int(parts[1]) if len(parts) > 1 else nx
+        # three or more parts fail to unpack, which is a ValueError too
+        nx, ny = map(int, parts if len(parts) > 1 else parts * 2)
     except ValueError:
         raise UsageError("bad --grid %r, want NX or NX,NY" % spec)
     dx = cfg["dx"] if cfg["dx"] is not None else 1.0 / nx
@@ -255,26 +255,24 @@ def cmd_certify(cfg):
 
 
 def cmd_simulate(cfg):
-    grid = parse_grid(cfg)
-    name = build_scheme(cfg, grid, parse_params(cfg)).name
+    spec = build_scheme(cfg, parse_grid(cfg), parse_params(cfg))
     try:
         # a step control the run rejects, or M beyond the float range, is a usage error
-        report = checked(vortex_benchmark, name, [cfg["eps"]], grid, cfg["t_end"], c=cfg["c"],
-                         cfl=cfg["cfl"], out_dir=cfg["out"], scheme_kwargs=_scheme_kwargs(cfg))
+        report = checked(vortex_benchmark, spec, cfg["t_end"], cfl=cfg["cfl"], out_dir=cfg["out"])
     except InstabilityError as err:
         doc = {"error": "instability", "step": err.step,
-               "last_stable_time": err.t, "scheme": name,
+               "last_stable_time": err.t, "scheme": spec.name,
                "cfl": cfg["cfl"], "eps": cfg["eps"]}
         emit_json(doc, cfg, "simulate_failed.json")
         return EXIT_UNSTABLE
-    emit_json(report, cfg, "simulate_%s.json" % name)
+    emit_json(report, cfg, "simulate_%s.json" % spec.name)
     return EXIT_OK
 
 
 def cmd_sweep(cfg):
     grid = parse_grid(cfg)
     spec = build_scheme(cfg, grid, parse_params(cfg))
-    state0 = gresho_vortex(grid, VortexParams())
+    state0 = gresho_vortex(grid)
     cfl_grid = [round(0.05 * k, 2) for k in range(1, 33)]
     # M beyond the float range is a usage error naming its entry
     result = checked(cfl_sweep, spec, state0, cfl_grid)

@@ -9,59 +9,46 @@ benchmark orchestration.
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
-from .grid import (AcousticParams, FieldSet, l1_norm_central_diff,
-                   write_field_csv)
-from .schemes import make_scheme, rhs
+from .grid import FieldSet, l1_norm_central_diff, write_field_csv
+from .schemes import rhs
 from .timestep import CFL_NORMALIZATION, StepControl, run
 
 
-@dataclass(frozen=True)
-class VortexParams:
-    x0: float = 0.5
-    y0: float = 0.5
-    r1: float = 0.2
-    r2: float = 0.4
-    speed: float = 1.0
-    p0: float = 1.0
-
-    def __post_init__(self):
-        if not (0 < self.r1 < self.r2):
-            raise ValueError("need 0 < r1 < r2")
+# the one vortex every run starts from: centre, radii, peak speed, background pressure
+X0, Y0, R1, R2, SPEED, P0 = 0.5, 0.5, 0.2, 0.4, 1.0, 1.0
 
 
-def gresho_vortex(grid, vortex=None):
+def gresho_vortex(grid):
     """Piecewise-linear azimuthal velocity profile, constant pressure.
 
-    v_phi rises linearly to `speed` at r1, falls linearly to zero at r2.
+    v_phi rises linearly to SPEED at R1, falls linearly to zero at R2.
     Divergence-free analytically; sampling it at cell centers is only an
     O(dx^2)-accurate discrete stationary state.
     """
-    vortex = vortex or VortexParams()
     lx, ly = grid.nx * grid.dx, grid.ny * grid.dy
-    margin = min(vortex.x0, lx - vortex.x0, vortex.y0, ly - vortex.y0)
+    margin = min(X0, lx - X0, Y0, ly - Y0)
     if margin < 0:
         warnings.warn("vortex centre (%.3g, %.3g) lies outside the domain [0, %.3g] x [0, %.3g]"
-                      % (vortex.x0, vortex.y0, lx, ly))
-    elif vortex.r2 > margin:
-        warnings.warn("vortex radius %.3g exceeds distance %.3g to the boundary"
-                      % (vortex.r2, margin))
+                      % (X0, Y0, lx, ly))
+    elif R2 > margin:
+        warnings.warn("vortex radius %.3g exceeds distance %.3g to the boundary" % (R2, margin))
     x, y = grid.cell_centers()
-    dx_, dy_ = x - vortex.x0, y - vortex.y0
+    dx_, dy_ = x - X0, y - Y0
     r = np.hypot(dx_, dy_)
     # v_phi / r is what multiplies (-dy, dx); finite at r = 0 on the inner branch
-    inner = vortex.speed / vortex.r1
+    inner = SPEED / R1
     with np.errstate(divide="ignore", invalid="ignore"):
-        outer = vortex.speed * (vortex.r2 - r) / ((vortex.r2 - vortex.r1) * r)
-    ratio = np.where(r < vortex.r1, inner, np.where(r < vortex.r2, outer, 0.0))
+        outer = SPEED * (R2 - r) / ((R2 - R1) * r)
+    ratio = np.where(r < R1, inner, np.where(r < R2, outer, 0.0))
     ratio = np.where(r == 0.0, inner, ratio)
     u = -ratio * dy_
     v = ratio * dx_
-    p = np.full_like(u, vortex.p0)
+    p = np.full_like(u, P0)
     return FieldSet(grid, u, v, p)
 
 
@@ -139,13 +126,13 @@ class DecayFit:
     n_points: int
 
 
-def decay_window(times, values, params, grid, floor=1e-14):
+def decay_window(times, values, params, grid):
     """Fit window skipping the initial transient; ends at the series end or
-    the first sample below the floor."""
+    the first sample below 1e-14, where the probe has decayed into roundoff."""
     t_a = 5.0 * grid.min_spacing * params.eps / params.c
     t_b = times[-1]
     for t, v in zip(times, values):
-        if t > t_a and v < floor:
+        if t > t_a and v < 1e-14:
             t_b = t
             break
     return t_a, t_b
@@ -218,13 +205,12 @@ def write_json(path, doc):
         fh.write(json_document(doc))
 
 
-def write_timeseries_csv(path, times, values, metadata=None):
+def write_timeseries_csv(path, times, values, metadata):
     with open(path, "w") as fh:
         fh.write("t,value\n")
         for t, v in zip(times, values):
             fh.write("%.17g,%.17g\n" % (t, v))
-    if metadata is not None:
-        write_json(str(path) + ".meta.json", metadata)
+    write_json(str(path) + ".meta.json", metadata)
 
 
 def _benchmark_probes(grid):
@@ -234,80 +220,68 @@ def _benchmark_probes(grid):
             "duy_l1": lambda s: l1_norm_central_diff(s.ghosted(0), 1, grid, d)}
 
 
-def vortex_benchmark(scheme_name, eps_list, grid, t_end, c=1.0, cfl=0.45,
-                     vortex=None, out_dir=None, scheme_kwargs=None, fit=True):
-    """Vortex runs across eps: probe series, decay fits, final fields.
+def vortex_benchmark(spec, t_end, cfl=0.45, out_dir=None):
+    """One vortex run of a built scheme: probe series, decay fit, final field.
 
-    t_end may be a number (same horizon for all eps) or a callable eps -> t.
-    Returns a report dict; writes CSV/JSON artifacts when out_dir is given.
+    Returns a report dict whose `runs` holds the run's entry; writes CSV/JSON
+    artifacts when out_dir is given.
     """
-    vortex = vortex or VortexParams()
-    scheme_kwargs = scheme_kwargs or {}
+    name, params, grid = spec.name, spec.params, spec.grid
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    report = {"scheme": scheme_name, "grid": [grid.nx, grid.ny],
-              "cfl": cfl, "normalization": CFL_NORMALIZATION, "runs": []}
-    for eps in eps_list:
-        params = AcousticParams(c=c, eps=eps)
-        spec = make_scheme(scheme_name, params, grid, **scheme_kwargs)
-        state0 = gresho_vortex(grid, vortex)
-        horizon = t_end(eps) if callable(t_end) else t_end
-        control = StepControl(cfl=cfl, t_end=float(horizon))
-        result = run(spec, state0, control, probes=_benchmark_probes(grid))
-        entry = {"eps": eps, "t_end": float(horizon), "n_steps": result.n_steps,
-                 "dt": result.dt,
-                 "initial_dux_l1": float(result.series["dux_l1"][0]),
-                 "final_dux_l1": float(result.series["dux_l1"][-1]),
-                 "initial_duy_l1": float(result.series["duy_l1"][0]),
-                 "final_duy_l1": float(result.series["duy_l1"][-1])}
-        if entry["initial_dux_l1"] > 0:
-            entry["dux_retention"] = entry["final_dux_l1"] / entry["initial_dux_l1"]
-        else:
-            entry.update(dux_retention=None,
-                         dux_retention_error="initial dux_l1 is 0: the vortex misses the domain")
-        if fit:
-            window = decay_window(result.times, result.series["dux_l1"], params, grid)
-            try:
-                decay = fit_decay(result.times, result.series["dux_l1"], window)
-                entry["lambda_fit"] = decay.rate
-                entry["fit"] = {"rate": decay.rate, "intercept": decay.intercept,
-                                "t_a": decay.t_a, "t_b": decay.t_b,
-                                "residual": decay.residual, "n_points": decay.n_points}
-            except ValueError as err:
-                entry["lambda_fit"] = None
-                entry["fit_error"] = str(err)
-        if out_dir is not None:
-            tag = "%s_eps%s" % (scheme_name, ("%g" % eps).replace(".", "p").replace("-", "m"))
-            meta = {"scheme": scheme_name, "eps": eps, "c": c,
-                    "grid": [grid.nx, grid.ny], "cfl": cfl,
-                    "t_end": float(horizon), "normalization": CFL_NORMALIZATION}
-            files = {}
-            for probe in ("dux_l1", "duy_l1"):
-                base = "%s_%s.csv" % (tag, probe)
-                write_timeseries_csv(os.path.join(out_dir, base), result.times,
-                                     result.series[probe], dict(meta, probe=probe))
-                files[probe] = base
-            fbase = "%s_final.csv" % tag
-            ffield = os.path.join(out_dir, fbase)
-            write_field_csv(ffield, result.final_state)
-            write_json(ffield + ".meta.json", dict(meta, kind="final_field"))
-            files["final_field"] = fbase
-            entry["files"] = files
-        report["runs"].append(entry)
+    state0 = gresho_vortex(grid)
+    control = StepControl(cfl=cfl, t_end=float(t_end))
+    result = run(spec, state0, control, probes=_benchmark_probes(grid))
+    entry = {"eps": params.eps, "t_end": control.t_end, "n_steps": result.n_steps,
+             "dt": result.dt,
+             "initial_dux_l1": float(result.series["dux_l1"][0]),
+             "final_dux_l1": float(result.series["dux_l1"][-1]),
+             "initial_duy_l1": float(result.series["duy_l1"][0]),
+             "final_duy_l1": float(result.series["duy_l1"][-1])}
+    if entry["initial_dux_l1"] > 0:
+        entry["dux_retention"] = entry["final_dux_l1"] / entry["initial_dux_l1"]
+    else:
+        entry.update(dux_retention=None,
+                     dux_retention_error="initial dux_l1 is 0: the vortex misses the domain")
+    window = decay_window(result.times, result.series["dux_l1"], params, grid)
+    try:
+        decay = fit_decay(result.times, result.series["dux_l1"], window)
+        entry["lambda_fit"] = decay.rate
+        entry["fit"] = asdict(decay)
+    except ValueError as err:
+        entry["lambda_fit"] = None
+        entry["fit_error"] = str(err)
+    report = {"scheme": name, "grid": [grid.nx, grid.ny],
+              "cfl": cfl, "normalization": CFL_NORMALIZATION, "runs": [entry]}
     if out_dir is not None:
-        sbase = "%s_summary.json" % scheme_name
+        tag = "%s_eps%s" % (name, ("%g" % params.eps).replace(".", "p").replace("-", "m"))
+        meta = {"scheme": name, "eps": params.eps, "c": params.c,
+                "grid": [grid.nx, grid.ny], "cfl": cfl,
+                "t_end": control.t_end, "normalization": CFL_NORMALIZATION}
+        files = {}
+        for probe in ("dux_l1", "duy_l1"):
+            base = "%s_%s.csv" % (tag, probe)
+            write_timeseries_csv(os.path.join(out_dir, base), result.times,
+                                 result.series[probe], dict(meta, probe=probe))
+            files[probe] = base
+        fbase = "%s_final.csv" % tag
+        ffield = os.path.join(out_dir, fbase)
+        write_field_csv(ffield, result.final_state)
+        write_json(ffield + ".meta.json", dict(meta, kind="final_field"))
+        files["final_field"] = fbase
+        entry["files"] = files
+        sbase = "%s_summary.json" % name
         write_json(os.path.join(out_dir, sbase), report)
         report["summary_file"] = sbase
     return report
 
 
-def kernel_adapted_state(spec, seed=3, amplitude=1.0, p0=1.0, dyadic=False):
-    """Random streamfunction data lying in the scheme's discrete kernel."""
+def kernel_adapted_state(spec, seed=3, dyadic=False):
+    """Random streamfunction data lying in the scheme's discrete kernel, at pressure 1."""
     grid = spec.grid
     rng = np.random.default_rng(seed)
     if dyadic:
         psi = rng.integers(-(1 << 20), 1 << 20, size=(grid.nx, grid.ny)) / float(1 << 20)
-        psi = psi * amplitude
     else:
-        psi = amplitude * rng.standard_normal((grid.nx, grid.ny))
-    return stream_velocity(psi, spec.divergence_row(), grid, p0=p0)
+        psi = rng.standard_normal((grid.nx, grid.ny))
+    return stream_velocity(psi, spec.divergence_row(), grid, p0=1.0)

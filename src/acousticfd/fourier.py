@@ -31,8 +31,8 @@ def jk_matrix(kx, ky):
 
 
 class KernelDimensionError(ValueError):
-    def __init__(self, dim, msg=None):
-        super().__init__(msg or "kernel dimension is %d, expected 1" % dim)
+    def __init__(self, dim):
+        super().__init__("kernel dimension is %d, expected 1" % dim)
         self.dim = dim
 
 
@@ -97,10 +97,10 @@ def generic_phases(n=200):
                     _fold(_radical_inverse(n, 3)).tolist()))
 
 
-def structured_phases(m=12):
-    """Axis and diagonal samples; degenerate by design, reported but not judged."""
+def structured_phases():
+    """Axis and diagonal samples at 12 phases; degenerate by design, reported but not judged."""
     out = []
-    for t in np.linspace(GUARD, math.pi - GUARD, m).tolist():
+    for t in np.linspace(GUARD, math.pi - GUARD, 12).tolist():
         out += [("axis_x", (t, 0.0)), ("axis_y", (0.0, t)), ("diagonal", (t, t)),
                 ("antidiagonal", (t, -t))]
     return out
@@ -146,7 +146,7 @@ class SpectralVerdict:
 DIAG_COND_LIMIT = 1e8
 
 
-def det_scan(spec, phases=None, tol_rel=1e-12, structured=True):
+def det_scan(spec, phases=None, structured=True):
     """Kernel-dimension scan of a scheme over generic phases plus reported structured ones.
 
     The verdict compares dim ker E^ against dim ker J.k (computed, not assumed)
@@ -173,7 +173,8 @@ def det_scan(spec, phases=None, tol_rel=1e-12, structured=True):
     if not np.isfinite(E).all():
         raise ValueError("the float symbol of %s overflows: its sum over the stencil "
                          "leaves the float range" % spec.name)
-    dims, s = _svd_kernel(E, tol_rel)[:2]
+    # a singular value at or below 1e-12 times the largest counts as zero
+    dims, s = _svd_kernel(E, 1e-12)[:2]
     smax = s[:, 0]
     # LAPACK may return the smallest singular value as -0.0; report the ratio as +0.0
     ratios = np.divide(np.abs(s[:, -1]), smax, out=np.zeros_like(smax), where=smax > 0)

@@ -1,7 +1,7 @@
 """Periodic 2-D Cartesian grid, the (u, v, p) state, and experiment norms."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -75,17 +75,15 @@ class AcousticParams:
 
     c: float
     eps: float
-    c_exact: Fraction = None
-    eps_exact: Fraction = None
+    c_exact: Fraction = field(init=False)
+    eps_exact: Fraction = field(init=False)
 
     def __post_init__(self):
         for name in ("c", "eps"):
             if not math.isfinite(float(getattr(self, name))):
                 raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
-        if self.c_exact is None:
-            object.__setattr__(self, "c_exact", as_fraction(self.c))
-        if self.eps_exact is None:
-            object.__setattr__(self, "eps_exact", as_fraction(self.eps))
+        object.__setattr__(self, "c_exact", as_fraction(self.c))
+        object.__setattr__(self, "eps_exact", as_fraction(self.eps))
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "eps", float(self.eps))
         if not (self.c > 0 and self.eps > 0):

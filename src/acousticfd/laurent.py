@@ -187,17 +187,14 @@ def symmetric_divergence_row(gamma, beta=None):
     return VecStencilRow(bu.with_units(-1, 0), bv.with_units(0, -1))
 
 
-def moore_symmetry_scan(gammas=None):
+def moore_symmetry_scan():
     """Nullspace dimension across the symmetric first-order divergence family.
 
-    Returns one record per family member; dimension > 0 should single out
-    the averaged divergence (gamma = 1/8).
+    Returns one record per member gamma = k/16, k = -8..16; dimension > 0
+    should single out the averaged divergence (gamma = 1/8).
     """
-    if gammas is None:
-        gammas = [Fraction(k, 16) for k in range(-8, 17)]
     report = []
-    for g in gammas:
-        g = as_fraction(g)
+    for g in (Fraction(k, 16) for k in range(-8, 17)):
         row = symmetric_divergence_row(g)
         dim = len(consistency_nullspace(row, radius=1))
         report.append({"gamma": g, "beta": Fraction(1, 2) - 2 * g, "dim": dim,

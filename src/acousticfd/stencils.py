@@ -327,8 +327,8 @@ class MatrixStencil:
         """Float 3x3 blocks by sorted cell offset."""
         return self._floats
 
-    def workspace(self, count):
-        """count periodic halos (3, nx+2r, ny+2r), each a Halo with its copy plan, and the
+    def workspace(self):
+        """Two periodic halos (3, nx+2r, ny+2r), each a Halo with its copy plan, and the
         (K, n) buffer shift_product fills; a span is the flat slice of each component from
         its first interior cell to its last, n values long. Every view a step touches is
         built here, once per workspace, and the caller owns them."""
@@ -338,7 +338,7 @@ class MatrixStencil:
         base, n = r * (ny + 2 * r) + r, nx * (ny + 2 * r) - 2 * r
         buf = np.empty((self._packed[0].shape[1], n))
         halos = []
-        for h in np.empty((count, 3, nx + 2 * r, ny + 2 * r)):
+        for h in np.empty((2, 3, nx + 2 * r, ny + 2 * r)):
             flat = h.reshape(3, -1)
             fill = tuple((buf[k0:k1], flat[comps, off:off + n])
                          for k0, k1, off, comps in self._packed[1])
@@ -370,7 +370,7 @@ class MatrixStencil:
         nx, ny = self.grid.nx, self.grid.ny
         if q.shape != (3, nx, ny):
             raise ValueError("q has shape %s, stencil wants (3, %d, %d)" % (q.shape, nx, ny))
-        (halo, into), buf = self.workspace(2)
+        (halo, into), buf = self.workspace()
         halo.inner[...] = q
         self.wrap_halo(halo)
         self.shift_product(halo, into.span, buf)

@@ -19,9 +19,12 @@ CFL_NORMALIZATION = "nu = (c/eps)*dt/min(dx,dy)"
 _QUIET = dict(over="ignore", invalid="ignore")
 
 
+MAX_STEPS = 10 ** 7
+
+
 class InstabilityError(RuntimeError):
-    def __init__(self, step, t=None, msg=None):
-        super().__init__(msg or "non-finite state after step %s" % step)
+    def __init__(self, step, t=None):
+        super().__init__("non-finite state after step %s" % step)
         self.step = step
         self.t = t
 
@@ -30,7 +33,6 @@ class InstabilityError(RuntimeError):
 class StepControl:
     cfl: float
     t_end: float
-    max_steps: int = 10 ** 7
 
     def __post_init__(self):
         if not 0 < self.cfl < math.inf:
@@ -39,13 +41,13 @@ class StepControl:
             raise ValueError("t_end must be finite and nonnegative")
 
     def steps(self, dt):
-        """Number of fixed steps of size dt that reach t_end; above max_steps, or for a dt
+        """Number of fixed steps of size dt that reach t_end; above MAX_STEPS, or for a dt
         that underflows to 0 or leaves t_end/dt beyond the float range, it raises."""
         if not dt > 0 or self.t_end / dt == math.inf:
             raise ValueError("time step dt = cfl*min(dx,dy)*eps/c = %r underflows" % dt)
         n = max(1, math.ceil(self.t_end / dt - 1e-12)) if self.t_end > 0 else 0
-        if n > self.max_steps:
-            raise ValueError("run wants %d steps, max_steps is %d" % (n, self.max_steps))
+        if n > MAX_STEPS:
+            raise ValueError("run wants %d steps, max_steps is %d" % (n, MAX_STEPS))
         return n
 
 
@@ -67,7 +69,7 @@ class March:
 
     def __init__(self, spec):
         self.stencil, self.grid = spec.stencil, spec.grid
-        halos, self.buf = spec.stencil.workspace(2)
+        halos, self.buf = spec.stencil.workspace()
         ringed = spec.stencil.radius > 0
         # (halo, state over its interior); the current one is first
         self.halos = [(h, FieldSet.from_q(self.grid, h.inner, h.array if ringed else None))

@@ -175,9 +175,10 @@ def test_criterion_5_vorticity_preservation():
 def test_criterion_6_decay_rate_scaling():
     failures = []
     grid = GridSpec.unit_square(50)
-    report = vortex_benchmark("roe", [1.0, 0.1, 0.01], grid,
-                              t_end=lambda eps: 3.0 * eps, cfl=0.45)
-    rates = {entry["eps"]: entry["lambda_fit"] for entry in report["runs"]}
+    rates = {}
+    for eps in (1.0, 0.1, 0.01):
+        spec = make_scheme("roe", AcousticParams(c=1.0, eps=eps), grid)
+        rates[eps] = vortex_benchmark(spec, 3.0 * eps, cfl=0.45)["runs"][0]["lambda_fit"]
     for eps in (1.0, 0.1):
         ratio = rates[eps / 10] / rates[eps]
         if not (7.0 <= ratio <= 13.0):
@@ -187,7 +188,8 @@ def test_criterion_6_decay_rate_scaling():
     # forward-Euler stable (the strongly diffusive members cap below 0.45)
     for name, low, high in (("lowmach3", 0.9, None), ("multid", 0.9, None),
                             ("roe", None, 0.05)):
-        rep = vortex_benchmark(name, [0.01], grid, t_end=0.3, cfl=0.2, fit=False)
+        spec = make_scheme(name, AcousticParams(c=1.0, eps=0.01), grid)
+        rep = vortex_benchmark(spec, 0.3, cfl=0.2)
         retention = rep["runs"][0]["dux_retention"]
         if low is not None and retention < low:
             failures.append("%s retention %.4g < %g" % (name, retention, low))

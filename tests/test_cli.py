@@ -4,6 +4,9 @@ import filecmp
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +98,11 @@ OUT_OF_RANGE = [
     (["analyze", "--scheme", "roe", "--k-samples", "0"], "--k-samples"),
     (["analyze", "--scheme", "roe", "--k-samples", "-5"], "--k-samples"),
     (["catalog", "--grid", "1"], "at least 3x3"),
+    # every part of --grid is read: a third one, even an empty one, is refused
+    (["analyze", "--scheme", "roe", "--grid", "10,20,30"],
+     "bad --grid '10,20,30', want NX or NX,NY"),
+    (["analyze", "--scheme", "roe", "--grid", "10,20,"], "bad --grid '10,20,', want NX or NX,NY"),
+    (["catalog", "--grid", "8,8,8"], "bad --grid '8,8,8', want NX or NX,NY"),
     (["simulate", "--scheme", "roe", "--grid", "8", "--t-end", "-1"], "t_end"),
     (["simulate", "--scheme", "roe", "--grid", "8", "--t-end", "inf"], "t_end must be finite"),
     (["simulate", "--scheme", "roe", "--grid", "8", "--cfl", "0"], "cfl must be positive"),
@@ -617,6 +625,44 @@ def test_float_stencil_derivations(argv, derivations, monkeypatch, capsys):
             lambda spec: pytest.fail("analyze read SchemeSpec.stencil")))
     assert main(argv) == EXIT_OK
     assert len(built) == derivations
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["analyze", "--scheme", "roe", "--grid", "8", "--k-samples", "3"], 1),
+    (["simulate", "--scheme", "multid", "--grid", "8", "--t-end", "0.05"], 1),
+    (["simulate", "--scheme", "dimsplit", "--a2", "0.5", "--grid", "8", "--t-end", "0.001"], 1),
+    (["sweep", "--scheme", "roe", "--grid", "8"], 1),
+    (["catalog"], 6),
+], ids=lambda a: str(a) if isinstance(a, int) else " ".join(a[:3]))
+def test_one_scheme_build_per_command(argv, builds, monkeypatch, capsys):
+    # every module that imported make_scheme gets the counting one
+    from acousticfd import schemes
+
+    calls = []
+    make = schemes.make_scheme
+
+    def counting_make(*args, **kwargs):
+        calls.append(args[0])
+        return make(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "acousticfd" and getattr(module, "make_scheme", None) is make:
+            monkeypatch.setattr(module, "make_scheme", counting_make)
+    assert main(argv) == EXIT_OK
+    assert len(calls) == builds
+
+
+def test_simulate_warning_leaves_stdout_one_document():
+    # a 0.08-wide domain misses the vortex centre: the warning goes to stderr, not stdout
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "acousticfd.cli", "simulate", "--scheme", "roe",
+                           "--grid", "8", "--dx", "0.01", "--t-end", "0.001"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert "UserWarning: vortex centre (0.5, 0.5) lies outside the domain" in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["scheme"] == "roe" and doc["runs"][0]["dux_retention"] is None
 
 
 # near the float limit: tracebacks while the scaling check rebuilt float stencils

@@ -1,6 +1,7 @@
 """Each demo script, README example and README command line runs from a checkout,
 prints its story and writes no file into the checkout."""
 
+import hashlib
 import os
 import re
 import shlex
@@ -19,6 +20,10 @@ COMMAND_BLOCK = re.search(r"^## Command line\n\n```\n(.*?)^```$", README, re.DOT
 README_COMMANDS = [shlex.split(line, comments=True) for line in COMMAND_BLOCK[1].splitlines()]
 # written by the test runner itself, not by a demo
 RUNNER_DIRS = {".git", ".pytest_cache", ".hypothesis", "__pycache__"}
+# sha256 of a demo's stdout, recorded while vortex_benchmark still looped over eps itself
+DEMO_STDOUT_SHA256 = {
+    "vortex_decay": "c1731bb07f634495f1e0e25937a47e6018774087f7fd7b169a89a4978968c1d8",
+}
 
 
 def _tree(root):
@@ -46,11 +51,14 @@ def _run_quietly(argv, cwd=ROOT):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert _tree(ROOT) == before
+    return proc.stdout
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    _run_quietly([str(demo)])
+    out = _run_quietly([str(demo)])
+    if demo.stem in DEMO_STDOUT_SHA256:
+        assert hashlib.sha256(out.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo.stem]
 
 
 def test_readme_has_python_examples():

@@ -10,7 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acousticfd.experiments import (
-    VortexParams,
+    R1,
+    R2,
+    SPEED,
+    X0,
+    Y0,
     decay_window,
     extract_conserved_operator,
     fit_decay,
@@ -34,22 +38,15 @@ from acousticfd.stencils import (
 from helpers import divergence_observed_order
 
 
-def _continuous_vortex_velocity(xx, yy, vp):
-    dx_, dy_ = xx - vp.x0, yy - vp.y0
+def _continuous_vortex_velocity(xx, yy):
+    dx_, dy_ = xx - X0, yy - Y0
     r = np.hypot(dx_, dy_)
-    inner = vp.speed / vp.r1
+    inner = SPEED / R1
     with np.errstate(divide="ignore", invalid="ignore"):
-        outer = vp.speed * (vp.r2 - r) / ((vp.r2 - vp.r1) * r)
-    ratio = np.where(r < vp.r1, inner, np.where(r < vp.r2, outer, 0.0))
+        outer = SPEED * (R2 - r) / ((R2 - R1) * r)
+    ratio = np.where(r < R1, inner, np.where(r < R2, outer, 0.0))
     ratio = np.where(r == 0.0, inner, ratio)
     return -ratio * dy_, ratio * dx_
-
-
-def test_vortex_params_validation():
-    with pytest.raises(ValueError):
-        VortexParams(r1=0.4, r2=0.2)
-    with pytest.raises(ValueError):
-        VortexParams(r1=0.0)
 
 
 def test_vortex_far_field_and_peak():
@@ -65,20 +62,19 @@ def test_vortex_far_field_and_peak():
 
 
 def test_vortex_analytically_divergence_free():
-    vp = VortexParams()
     rng = np.random.default_rng(8)
     h = 1e-6
     checked = 0
     for _ in range(200):
         x, y = rng.uniform(0.05, 0.95, size=2)
-        r = np.hypot(x - vp.x0, y - vp.y0)
+        r = np.hypot(x - X0, y - Y0)
         # skip the profile kinks where one-sided derivatives differ
-        if min(abs(r - vp.r1), abs(r - vp.r2), r) < 0.01:
+        if min(abs(r - R1), abs(r - R2), r) < 0.01:
             continue
-        up, _ = _continuous_vortex_velocity(np.array(x + h), np.array(y), vp)
-        um, _ = _continuous_vortex_velocity(np.array(x - h), np.array(y), vp)
-        _, vp_ = _continuous_vortex_velocity(np.array(x), np.array(y + h), vp)
-        _, vm = _continuous_vortex_velocity(np.array(x), np.array(y - h), vp)
+        up, _ = _continuous_vortex_velocity(np.array(x + h), np.array(y))
+        um, _ = _continuous_vortex_velocity(np.array(x - h), np.array(y))
+        _, vp_ = _continuous_vortex_velocity(np.array(x), np.array(y + h))
+        _, vm = _continuous_vortex_velocity(np.array(x), np.array(y - h))
         div = (up - um) / (2 * h) + (vp_ - vm) / (2 * h)
         assert abs(div) < 1e-4
         checked += 1
@@ -94,9 +90,10 @@ def test_sampled_vortex_not_discretely_stationary():
 
 
 def test_vortex_boundary_warning():
-    grid = GridSpec.unit_square(20)
+    # a 20-cell grid of width 0.035 is [0, 0.7]^2: the boundary lies 0.2 from the centre
+    grid = GridSpec(20, 20, 0.035, 0.035)
     with pytest.warns(UserWarning, match="exceeds distance 0.2 to the boundary"):
-        gresho_vortex(grid, VortexParams(x0=0.2))
+        gresho_vortex(grid)
 
 
 def test_vortex_centre_outside_domain_warning():
@@ -213,7 +210,7 @@ def test_decay_window(square_grid):
     params = AcousticParams(c=2.0, eps=0.5)
     times = np.linspace(0.0, 1.0, 101)
     values = np.exp(-40.0 * times)
-    t_a, t_b = decay_window(times, values, params, square_grid, floor=1e-14)
+    t_a, t_b = decay_window(times, values, params, square_grid)
     assert t_a == pytest.approx(5 * square_grid.min_spacing * 0.5 / 2.0)
     assert t_b == times[np.argmax((times > t_a) & (values < 1e-14))]
     flat = np.ones_like(times)
@@ -264,8 +261,8 @@ def test_divergence_observed_order_quick():
 
 def test_vortex_benchmark_report(tmp_path):
     grid = GridSpec.unit_square(24)
-    report = vortex_benchmark("roe", [0.5], grid, t_end=lambda eps: 0.1 * eps,
-                              cfl=0.45, out_dir=str(tmp_path))
+    spec = make_scheme("roe", AcousticParams(c=1.0, eps=0.5), grid)
+    report = vortex_benchmark(spec, 0.05, cfl=0.45, out_dir=str(tmp_path))
     assert report["scheme"] == "roe"
     assert report["grid"] == [24, 24]
     run0 = report["runs"][0]

@@ -291,7 +291,7 @@ def test_vortex_probes_match_plain_reference_loop(scheme, grid, tmp_path):
     dt = cfl_dt(spec.params, grid, cfl)
     t_end = (n_steps - 0.5) * dt
     assert StepControl(cfl=cfl, t_end=t_end).steps(dt) == n_steps
-    vortex_benchmark(scheme, [eps], grid, t_end, cfl=cfl, out_dir=str(tmp_path), fit=False)
+    vortex_benchmark(spec, t_end, cfl=cfl, out_dir=str(tmp_path))
     probes = {"dux_l1": lambda s: l1_norm_central_diff(s.u, 0, grid),
               "duy_l1": lambda s: l1_norm_central_diff(s.u, 1, grid)}
     _, series = reference_run(spec, gresho_vortex(grid).q, dt, n_steps, probes, 1)
