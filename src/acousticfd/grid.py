@@ -169,23 +169,24 @@ def central_diff(component, axis, grid, out=None):
     march's halo; a bare field gets its ring of 1 from np.pad. The difference
     goes into out, an (nx, ny) C-ordered array, or into a new one.
     """
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
     nx, ny = grid.nx, grid.ny
     ring = np.asarray(component, dtype=float)
-    if ring.shape == (nx, ny):
-        ring = np.pad(ring, 1, mode="wrap")
-    r = (ring.shape[0] - nx) // 2
-    if r < 1 or ring.shape != (nx + 2 * r, ny + 2 * r):
-        raise ValueError("component shape %s is neither the grid's (%d, %d) nor a ring around it"
-                         % (np.shape(component), nx, ny))
-    d = np.empty((nx, ny)) if out is None else out
-    if axis == 0:
-        np.subtract(ring[r + 1:r + 1 + nx, r:r + ny], ring[r - 1:r - 1 + nx, r:r + ny], out=d)
-        d /= 2.0 * grid.dx
+    shape = ring.shape
+    if shape == (nx, ny):
+        ring, r = np.pad(ring, 1, mode="wrap"), 1
     else:
-        np.subtract(ring[r:r + nx, r + 1:r + 1 + ny], ring[r:r + nx, r - 1:r - 1 + ny], out=d)
+        r = (shape[0] - nx) // 2
+        if r < 1 or shape != (nx + 2 * r, ny + 2 * r):
+            raise ValueError("component shape %s is neither the grid's (%d, %d) nor a ring "
+                             "around it" % (shape, nx, ny))
+    if axis == 0:
+        d = np.subtract(ring[r + 1:r + 1 + nx, r:r + ny], ring[r - 1:r - 1 + nx, r:r + ny], out=out)
+        d /= 2.0 * grid.dx
+    elif axis == 1:
+        d = np.subtract(ring[r:r + nx, r + 1:r + 1 + ny], ring[r:r + nx, r - 1:r - 1 + ny], out=out)
         d /= 2.0 * grid.dy
+    else:
+        raise ValueError("axis must be 0 or 1")
     return d
 
 

@@ -273,9 +273,10 @@ def curl_of(div_row):
 
 
 class Halo(NamedTuple):
-    """A workspace halo and its plan: fill holds the (buffer rows, flat shift) pairs that
-    shift_product copies, ghosts the (ghost strip, interior strip) pairs that wrap_halo
-    copies, in order."""
+    """A workspace halo and its plan: fill holds the (buffer rows, flat shifts) pairs that
+    shift_product copies, one per tap, or one for all of them when the taps fill their
+    (2r+1)^2 box; ghosts the (ghost strip, interior strip) pairs that wrap_halo copies, in
+    order."""
 
     array: np.ndarray
     span: np.ndarray
@@ -336,12 +337,22 @@ class MatrixStencil:
         if 2 * r + 1 > min(nx, ny):
             raise ValueError("grid too small for stencil radius %d" % r)
         base, n = r * (ny + 2 * r) + r, nx * (ny + 2 * r) - 2 * r
-        buf = np.empty((self._packed[0].shape[1], n))
+        k, w = self._packed[0].shape[1], 2 * r + 1
+        buf = np.empty((k, n))
         halos = []
         for h in np.empty((2, 3, nx + 2 * r, ny + 2 * r)):
             flat = h.reshape(3, -1)
-            fill = tuple((buf[k0:k1], flat[comps, off:off + n])
-                         for k0, k1, off, comps in self._packed[1])
+            if k == 3 * w * w:
+                # every component at every offset of the box, taps in sorted order: buffer
+                # row 3 (w (r+sx) + r+sy) + c holds flat[c, (r+sx)(ny+2r) + r+sy:][:n], so one
+                # strided view holds all rows; the last one ends at the halo's last value
+                col, comp = flat.strides[1], flat.strides[0]
+                box = np.lib.stride_tricks.as_strided(
+                    flat, (w, w, 3, n), ((ny + 2 * r) * col, col, comp, col), writeable=False)
+                fill = ((buf.reshape(w, w, 3, n), box),)
+            else:
+                fill = tuple((buf[k0:k1], flat[comps, off:off + n])
+                             for k0, k1, off, comps in self._packed[1])
             # y columns, then x rows, which carry the corners; none at radius 0
             ghosts = ((h[:, r:r + nx, :r], h[:, r:r + nx, ny:ny + r]),
                       (h[:, r:r + nx, ny + r:], h[:, r:r + nx, r:2 * r]),
@@ -352,16 +363,17 @@ class MatrixStencil:
 
     @staticmethod
     def wrap_halo(halo):
-        """Refresh a workspace halo's periodic ghosts from its interior."""
+        """Refresh a workspace halo's periodic ghosts from its interior. Slice assignment
+        copies as np.copyto does, with less overhead per call on these small strips."""
         for dst, src in halo.ghosts:
-            np.copyto(dst, src)
+            dst[...] = src
 
     def shift_product(self, halo, span, buf):
         """span = W @ B: B stacks the K packed shifts of a wrapped workspace halo as contiguous
         flat slices, copied into buf, the workspace's buffer. The y ghost columns of span get
         meaningless values."""
         for dst, src in halo.fill:
-            np.copyto(dst, src)
+            dst[...] = src
         np.matmul(self._packed[0], buf, out=span)
 
     def apply_sum(self, q):

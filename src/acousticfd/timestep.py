@@ -21,6 +21,9 @@ _QUIET = dict(over="ignore", invalid="ignore")
 
 MAX_STEPS = 10 ** 7
 
+# `run` checks the state for non-finite cells once per this many steps
+CHECK_BLOCK = 32
+
 
 class InstabilityError(RuntimeError):
     def __init__(self, step, t=None):
@@ -61,7 +64,10 @@ class March:
     A step runs shift_product into the other halo's span, scales it by -dt
     (the sign of -W @ B folded in, which is exact), adds the current span,
     refreshes the ghosts and swaps: bitwise q + dt * rhs(q). The span holds
-    interior cells and copies of them only, so the checks run on it. `state`
+    interior cells and copies of them only, so the checks run on it. A
+    non-finite cell stays non-finite under the step (inf + x and NaN + x are
+    never finite), so a state found finite proves every step before it
+    finite, and one check may follow many steps. `state`
     views the current interior, and its halo the periodic ghost ring (from
     radius 1 up); the step after next overwrites both. Every view is built
     with the March, and a step leaves the floating-point error state to its
@@ -84,7 +90,8 @@ class March:
         return self
 
     def step(self, step, norm=False):
-        """One step; returns max|q| if norm is set. A non-finite cell raises InstabilityError."""
+        """One step. With norm set it returns max|q|, and a non-finite cell raises
+        InstabilityError naming the step; without it the step checks nothing (`finite`)."""
         (cur, _), (nxt, self.state) = self.halos
         out = nxt.span
         self.stencil.shift_product(cur, out, self.buf)
@@ -92,18 +99,26 @@ class March:
         out += cur.span
         self.stencil.wrap_halo(nxt)
         self.halos.reverse()
-        # max|q| without a |q| temporary; + 0.0 turns a -0.0 into 0.0, as abs does
-        peak = float(max(out.max(), -out.min())) + 0.0 if norm else None
-        if not (math.isfinite(peak) if norm else np.isfinite(out).all()):
-            raise InstabilityError(step)
-        return peak
+        if norm:
+            # max|q| without a |q| temporary; + 0.0 turns a -0.0 into 0.0, as abs does
+            peak = float(max(out.max(), -out.min())) + 0.0
+            if not math.isfinite(peak):
+                raise InstabilityError(step)
+            return peak
+
+    def finite(self):
+        """True when every cell of the state is finite."""
+        return bool(np.isfinite(self.halos[0][0].span).all())
 
 
 def forward_euler_step(spec, state, dt, step=None):
-    """One step of q + dt * rhs(q) into a fresh state."""
+    """One step of q + dt * rhs(q) into a fresh state. A non-finite cell raises
+    InstabilityError naming `step`."""
     march = March(spec).load(state, dt)
     with np.errstate(**_QUIET):
-        march.step(step if step is not None else "<single>")
+        march.step(step)
+    if not march.finite():
+        raise InstabilityError(step if step is not None else "<single>")
     return march.state.copy()
 
 
@@ -123,29 +138,54 @@ def run(spec, state, control, probes=None, cadence=1):
     steps, and at the final step, on the march's state (a FieldSet viewing its
     halo), the later samples with over and invalid ignored, as the march runs.
     Returns the probe series and a copy of the final state.
+
+    The state is checked for non-finite cells once per CHECK_BLOCK steps, and
+    a copy of each block's start state is kept. A block that ends non-finite,
+    or whose probe raises on a non-finite state, is stepped again from that
+    copy with a check after every step, so InstabilityError names the first
+    non-finite step and the time before it, as a check after every step would.
     """
-    probes = probes or {}
+    sampled = [(name, fn, []) for name, fn in (probes or {}).items()]
     dt = cfl_dt(spec.params, state.grid, control.cfl)
     n_steps = control.steps(dt)
     march = March(spec).load(state, dt)
 
     times = [0.0]
     # every sample, the first too, sees the march's view of the state
-    series = {name: [fn(march.state)] for name, fn in probes.items()}
+    for _, fn, values in sampled:
+        values.append(fn(march.state))
+    start = march.state.copy()
     with np.errstate(**_QUIET):
-        for step in range(1, n_steps + 1):
+        for first in range(1, n_steps + 1, CHECK_BLOCK):
+            block = range(first, min(first + CHECK_BLOCK, n_steps + 1))
+            start.q[...] = march.state.q
             try:
-                march.step(step)
-            except InstabilityError as err:
-                err.t = (step - 1) * dt
-                raise
-            if step % cadence == 0 or step == n_steps:
-                times.append(step * dt)
-                for name, fn in probes.items():
-                    series[name].append(fn(march.state))
+                for step in block:
+                    march.step(step)
+                    if step % cadence == 0 or step == n_steps:
+                        times.append(step * dt)
+                        for _, fn, values in sampled:
+                            values.append(fn(march.state))
+            except Exception:
+                # a probe may raise on any non-finite state; on a finite one every step
+                # so far was finite, and its error is the run's
+                if march.finite():
+                    raise
+            if not march.finite():
+                _replay(march.load(start, dt), block, dt)
     return RunResult(times=np.array(times),
-                     series={k: np.array(v) for k, v in series.items()},
+                     series={name: np.array(values) for name, _, values in sampled},
                      final_state=march.state.copy(), n_steps=n_steps, dt=dt)
+
+
+def _replay(march, block, dt):
+    """Step a block that ended non-finite again from its start, checking every step, and
+    raise the InstabilityError of its first non-finite step."""
+    for step in block:
+        march.step(step)
+        if not march.finite():
+            raise InstabilityError(step, (step - 1) * dt)
+    raise RuntimeError("a block that ended non-finite replayed finite")
 
 
 def cfl_sweep(spec, state0, cfl_grid, horizon_steps=500, growth_factor=2.0):

@@ -17,13 +17,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acousticfd.cli import EXIT_UNSTABLE, main
-from acousticfd.experiments import gresho_vortex, vortex_benchmark
+from acousticfd.experiments import _benchmark_probes, gresho_vortex, vortex_benchmark
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec, l1_norm_central_diff
 from acousticfd.schemes import CATALOG_NAMES, SchemeSpec, make_scheme, rhs
-from acousticfd.timestep import (InstabilityError, March, StepControl, cfl_dt, cfl_sweep,
-                                 run)
+from acousticfd.timestep import (CHECK_BLOCK, InstabilityError, March, StepControl, cfl_dt,
+                                 cfl_sweep, run)
 
-from matrix_entries import matrix_stencil
+from matrix_entries import full_box_entries, matrix_stencil
 
 
 def reference_step(spec, q, dt, step):
@@ -114,10 +114,12 @@ def catalog_spec(name, coeffs, eps, nx, ny, dx, dy):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(CATALOG_NAMES + ("dimsplit",)),
        coeffs=st.lists(st.floats(-4, 4, allow_subnormal=False), min_size=4, max_size=4),
-       eps=st.sampled_from((1.0, 1e-2, 1e-6)), n_steps=st.integers(0, 9),
+       eps=st.sampled_from((1.0, 1e-2, 1e-6)), n_steps=st.integers(0, 2 * CHECK_BLOCK + 9),
        cadence=st.integers(1, 4), seed=st.integers(0, 2 ** 16), **GRIDS)
 @example(name="multid", coeffs=[0, 0, 0, 0], eps=1.0, n_steps=5, cadence=2, seed=0,
          nx=3, ny=3, dx=1.0, dy=1.0)
+@example(name="lowmach3", coeffs=[0, 0, 0, 0], eps=1e-2, n_steps=2 * CHECK_BLOCK + 1, cadence=3,
+         seed=4, nx=7, ny=10, dx=0.05, dy=1 / 16)
 @example(name="roe", coeffs=[0, 0, 0, 0], eps=1e-2, n_steps=7, cadence=3, seed=1,
          nx=10, ny=3, dx=1e-3, dy=0.07)
 def test_run_matches_reference_loop(name, coeffs, eps, n_steps, cadence, seed, nx, ny, dx, dy):
@@ -192,21 +194,126 @@ def test_sweep_overflow_is_an_unstable_point_without_warnings(square_grid):
     assert report["results"][0]["peak_norm"] == math.inf
 
 
-def test_run_instability_matches_reference_step(square_grid):
-    spec = make_scheme("roe", AcousticParams(c=1.0, eps=1.0), square_grid)
-    q0 = 1e300 * np.random.default_rng(6).standard_normal((3, 16, 16))
-    dt = cfl_dt(spec.params, square_grid, 4.0)
+def reference_blow_up(spec, q0, dt):
+    """The step at which the reference loop first meets a non-finite state."""
     q, step = q0, 0
     with pytest.raises(InstabilityError):
         while True:
             step += 1
             q = reference_step(spec, q, dt, step)
+    return step
+
+
+def assert_instability_matches_reference(spec, q0, cfl, n_steps, probes=None):
+    dt = cfl_dt(spec.params, spec.grid, cfl)
+    step = reference_blow_up(spec, q0, dt)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InstabilityError) as exc:
-            run(spec, FieldSet.from_q(square_grid, q0), StepControl(cfl=4.0, t_end=1e3 * dt))
+            run(spec, FieldSet.from_q(spec.grid, q0), StepControl(cfl=cfl, t_end=n_steps * dt),
+                probes=probes)
     assert exc.value.step == step
     assert exc.value.t == (step - 1) * dt
+    return step
+
+
+def test_run_instability_matches_reference_step(square_grid):
+    spec = make_scheme("roe", AcousticParams(c=1.0, eps=1.0), square_grid)
+    q0 = 1e300 * np.random.default_rng(6).standard_normal((3, 16, 16))
+    assert_instability_matches_reference(spec, q0, 4.0, 1e3)
+
+
+def doubling_spec():
+    # rhs = q and dt = 1 at cfl 1: every step doubles every cell exactly
+    return custom_spec(GridSpec(5, 4, 1.0, 1.0), [((c, c, (0, 0)), F(-1)) for c in range(3)])
+
+
+def doubling_state(spec, blow_up, seed):
+    # |q| in [2^(1024 - blow_up), 2^(1025 - blow_up)): finite until step blow_up
+    rng = np.random.default_rng(seed)
+    shape = (3, spec.grid.nx, spec.grid.ny)
+    return np.ldexp(rng.uniform(1, 2, shape) * rng.choice((-1.0, 1.0), shape), 1024 - blow_up)
+
+
+B = CHECK_BLOCK
+
+
+@pytest.mark.parametrize("blow_up, n_steps", [(2 * B, 3 * B + 5), (2 * B + 1, 3 * B + 5),
+                                              (2 * B + 7, 3 * B + 5), (3 * B, 3 * B + 5),
+                                              (2 * B + 10, 2 * B + 10)])
+def test_blow_up_at_any_step_of_a_block_is_named_exactly(blow_up, n_steps):
+    # the block check and its replay name the step a check after every step names
+    spec = doubling_spec()
+    q0 = doubling_state(spec, blow_up, seed=blow_up)
+    assert assert_instability_matches_reference(spec, q0, 1.0, n_steps) == blow_up
+
+
+THIRD_BLOCK = {"roe": 2.0, "multid": 3.0}
+
+
+@pytest.mark.parametrize("scheme", sorted(THIRD_BLOCK))
+def test_scheme_blow_up_in_the_third_block_matches_reference_step(scheme):
+    grid = GridSpec(10, 8, 0.05, 0.07)
+    spec = make_scheme(scheme, AcousticParams(c=1.0, eps=1.0), grid)
+    q0 = 1e250 * np.random.default_rng(6).standard_normal((3, 10, 8))
+    step = assert_instability_matches_reference(spec, q0, THIRD_BLOCK[scheme], 4 * B)
+    assert 2 * B < step <= 3 * B
+
+
+@pytest.mark.parametrize("at", [B + 7, 2 * B])
+def test_probe_error_on_a_finite_state_comes_at_its_step(at, aniso_grid, rng):
+    spec = make_scheme("multid", AcousticParams(c=1.0, eps=0.01), aniso_grid)
+    q0 = rng.standard_normal((3, aniso_grid.nx, aniso_grid.ny))
+    dt = cfl_dt(spec.params, aniso_grid, 0.4)
+    seen = []
+
+    def probe(s):
+        seen.append(s.q.copy())
+        if len(seen) == at + 1:
+            raise ValueError("probe stops at step %d" % at)
+        return 0.0
+
+    with pytest.raises(ValueError, match="^probe stops at step %d$" % at):
+        run(spec, FieldSet.from_q(aniso_grid, q0), StepControl(cfl=0.4, t_end=3 * B * dt),
+            probes={"stop": probe})
+    q, _ = reference_run(spec, q0, dt, at, {}, 1)
+    assert len(seen) == at + 1
+    assert np.array_equal(seen[-1], q)
+
+
+@pytest.mark.parametrize("case", ["doubling", "roe"])
+def test_vortex_probes_on_a_blow_up_surface_the_instability(case):
+    # the L1 probes raise ValueError on a non-finite u inside a block; the run reports
+    # the instability at its first non-finite step instead
+    if case == "doubling":
+        spec, cfl = doubling_spec(), 1.0
+        q0 = doubling_state(spec, 2 * B + 5, seed=3)
+    else:
+        grid = GridSpec(10, 8, 0.05, 0.07)
+        spec, cfl = make_scheme("roe", AcousticParams(c=1.0, eps=1.0), grid), 2.0
+        q0 = 1e250 * np.random.default_rng(6).standard_normal((3, 10, 8))
+    raised = []
+
+    def watched(fn):
+        def probe(s):
+            try:
+                return fn(s)
+            except ValueError as err:
+                raised.append(err)
+                raise
+        return probe
+
+    probes = {name: watched(fn) for name, fn in _benchmark_probes(spec.grid).items()}
+    step = assert_instability_matches_reference(spec, q0, cfl, 4 * B, probes=probes)
+    assert 2 * B < step <= 3 * B
+    assert raised and all("non-finite" in str(err) for err in raised)
+
+
+def test_full_box_radius_two_stencil_matches_reference_loop(rng):
+    spec = custom_spec(GridSpec(7, 9, 0.05, 0.07), full_box_entries(2))
+    q0 = rng.standard_normal((3, 7, 9))
+    assert_run_matches_reference(spec, q0, B + 3, 2)
+    assert_sweep_matches_reference(spec, q0, 20)
 
 
 # sha256 of the `sweep --grid 32` JSON documents, recorded before the march

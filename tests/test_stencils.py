@@ -17,7 +17,7 @@ from acousticfd.stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                                  smooth_bracket, sum_half, tx, ty)
 
 from helpers import identity_stencil
-from matrix_entries import matrix_stencil
+from matrix_entries import full_box_entries, matrix_stencil
 
 
 def test_identity_stencil(square_grid, rng):
@@ -421,6 +421,34 @@ def test_apply_sum_zero_and_radius_zero_stencils(aniso_grid, rng):
                                          (2, 1, F(2)))])
     assert local.radius == 0
     assert_matches_roll_oracle(local, q)
+
+
+def per_tap_fill(ms, halo, n):
+    """The shift buffer as one copy per tap of the packing fills it."""
+    flat = halo.array.reshape(3, -1)
+    return np.concatenate([flat[comps, off:off + n] for _, _, off, comps in ms._packed[1]])
+
+
+@pytest.mark.parametrize("kind", ["multid", "box2", "roe"])
+def test_workspace_fill_is_one_copy_when_the_taps_fill_their_box(kind, aniso_grid, rng):
+    # multid and a radius-2 stencil hold all three components at every offset of their box
+    if kind == "box2":
+        ms = matrix_stencil(aniso_grid, full_box_entries(2))
+    else:
+        ms = make_scheme(kind, AcousticParams(c=1.0, eps=0.01), aniso_grid).stencil
+    taps, box = len(ms._packed[1]), (2 * ms.radius + 1) ** 2
+    assert (taps == box) == (kind != "roe")
+    halos, buf = ms.workspace()
+    assert buf.shape[0] == (3 * box if kind != "roe" else 11)
+    for halo in halos:
+        assert len(halo.fill) == (1 if kind != "roe" else taps)
+        halo.array[...] = rng.standard_normal(halo.array.shape)
+        buf[...] = np.nan
+        for dst, src in halo.fill:
+            np.copyto(dst, src)
+        assert np.array_equal(buf, per_tap_fill(ms, halo, buf.shape[1]))
+    q = rng.standard_normal((3, aniso_grid.nx, aniso_grid.ny))
+    assert_matches_roll_oracle(ms, q)
 
 
 def test_apply_sum_rejects_wrong_shape(square_grid):
