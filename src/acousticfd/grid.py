@@ -98,13 +98,9 @@ class AcousticParams:
 
 
 class FieldSet:
-    """State q = (u, v, p); stored as one (3, nx, ny) array, components are views.
+    """State q = (u, v, p); stored as one (3, nx, ny) array, components are views."""
 
-    `halo` is None, or the (3, nx+2r, ny+2r) array with r >= 1 whose interior
-    q views and whose periodic ghost ring is current, as a march keeps it.
-    """
-
-    __slots__ = ("grid", "q", "halo")
+    __slots__ = ("grid", "q")
 
     def __init__(self, grid, u, v, p):
         u = np.asarray(u, dtype=float)
@@ -116,12 +112,11 @@ class FieldSet:
                 raise ValueError("%s has shape %s, grid wants %s" % (name, arr.shape, shape))
         self.grid = grid
         self.q = np.stack([u, v, p])
-        self.halo = None
 
     @classmethod
-    def from_q(cls, grid, q, halo=None):
+    def from_q(cls, grid, q):
         out = cls.__new__(cls)
-        out.grid, out.halo = grid, halo
+        out.grid = grid
         out.q = np.asarray(q, dtype=float)
         if out.q.shape != (3, grid.nx, grid.ny):
             raise ValueError("q has shape %s" % (out.q.shape,))
@@ -138,11 +133,6 @@ class FieldSet:
     @property
     def p(self):
         return self.q[2]
-
-    def ghosted(self, k):
-        """Component k inside its halo's ghost ring, or the bare component without a halo;
-        either one is what central_diff takes."""
-        return self.q[k] if self.halo is None else self.halo[k]
 
     def copy(self):
         return FieldSet.from_q(self.grid, self.q.copy())
@@ -165,9 +155,9 @@ def central_diff(component, axis, grid, out=None):
     """Periodic central difference (q_{+1} - q_{-1})/(2 delta) along axis 0 (x) or 1 (y).
 
     component is the (nx, ny) field, or the field inside a periodic ghost ring
-    r >= 1 cells wide, (nx+2r, ny+2r), as `FieldSet.ghosted` gives it from a
-    march's halo; a bare field gets its ring of 1 from np.pad. The difference
-    goes into out, an (nx, ny) C-ordered array, or into a new one.
+    r >= 1 cells wide, (nx+2r, ny+2r), as a march's ring holds it; a bare field
+    gets its ring of 1 from np.pad. The difference goes into out, an (nx, ny)
+    C-ordered array, or into a new one.
     """
     nx, ny = grid.nx, grid.ny
     ring = np.asarray(component, dtype=float)
@@ -191,15 +181,57 @@ def central_diff(component, axis, grid, out=None):
 
 
 def l1_norm_central_diff(component, axis, grid, out=None):
-    """Sum of |central difference| times the cell area; component and out as for
-    central_diff."""
-    d = central_diff(component, axis, grid, out)
-    total = float(np.abs(d, out=d).sum()) * grid.dx * grid.dy
-    # every cell enters two differences, so a non-finite input cannot give a
-    # finite total; a non-finite total from finite input is an overflow
-    if not math.isfinite(total) and not np.all(np.isfinite(component)):
-        raise ValueError("non-finite field component")
-    return total
+    """Sum of |central difference| times the cell area.
+
+    component is one field as central_diff takes it, with out as there, and
+    gives one total; or a stack (k, nx+2r, ny+2r) of fields, each inside its
+    periodic ghost ring r >= 0 cells wide (a march ring's slots), and gives an
+    array of k totals, each bitwise the total of its field alone. A stack is
+    differenced over each field's flat span, divided while its interior is
+    gathered into one contiguous (k, nx, ny) block, and summed per field; out
+    is then None or an `l1_scratch` pair for at least k fields in that ring.
+    A non-finite cell raises ValueError; finite fields whose differences
+    overflow give inf.
+    """
+    single = np.ndim(component) == 2
+    if single:
+        d = central_diff(component, axis, grid, out)
+        totals, stack = [float(np.abs(d, out=d).sum()) * grid.dx * grid.dy], [component]
+    else:
+        stack = np.asarray(component, dtype=float)
+        nx, ny = grid.nx, grid.ny
+        k, h, w = stack.shape if stack.ndim == 3 else (0, -1, -1)
+        r = (h - nx) // 2
+        if r < 0 or (h, w) != (nx + 2 * r, ny + 2 * r):
+            raise ValueError("stack shape %s holds no fields of the grid's (%d, %d) in a ring"
+                             % (stack.shape, nx, ny))
+        ringed = stack if r else np.pad(stack, ((0, 0), (1, 1), (1, 1)), mode="wrap")
+        r = max(r, 1)
+        w, n = ny + 2 * r, nx * (ny + 2 * r) - 2 * r
+        spans, gathered = out if out is not None else l1_scratch(grid, k, r)
+        flat, spans, d = ringed.reshape(k, -1), spans[:k, :nx * w], gathered[:k]
+        base, shift = r * w + r, w if axis == 0 else 1
+        np.subtract(flat[:, base + shift:base + shift + n], flat[:, base - shift:base - shift + n],
+                    out=spans[:, :n])
+        np.divide(spans.reshape(k, nx, w)[:, :, :ny], 2.0 * (grid.dx if axis == 0 else grid.dy),
+                  out=d)
+        totals = np.abs(d, out=d).sum(axis=(1, 2))
+        totals *= grid.dx
+        totals *= grid.dy
+    # every cell enters two differences, so a non-finite field cannot give a finite
+    # total; a non-finite total from a finite field is an overflow
+    if not all(map(math.isfinite, totals)):
+        for total, field in zip(totals, stack):
+            if not math.isfinite(total) and not np.all(np.isfinite(field)):
+                raise ValueError("non-finite field component")
+    return totals[0] if single else totals
+
+
+def l1_scratch(grid, slots, ring):
+    """Scratch for l1_norm_central_diff over up to `slots` stacked fields in a ghost ring
+    `ring` cells wide: the flat span differences and the gathered interiors."""
+    w = grid.ny + 2 * max(ring, 1)
+    return np.empty((slots, grid.nx * w)), np.empty((slots, grid.nx, grid.ny))
 
 
 FIELD_CSV_HEADER = "i,j,x,y,u,v,p"
@@ -207,12 +239,13 @@ FIELD_CSV_HEADER = "i,j,x,y,u,v,p"
 
 def write_field_csv(path, field):
     grid = field.grid
+    # each coordinate formatted once; one row of Python floats at a time, which format to
+    # the bytes numpy scalars give, faster, and the whole field is never held as objects
+    ys = ["%.17g" % ((j + 0.5) * grid.dy) for j in range(grid.ny)]
     with open(path, "w") as fh:
         fh.write(FIELD_CSV_HEADER + "\n")
         for i in range(grid.nx):
-            x = (i + 0.5) * grid.dx
-            # one row of Python floats at a time: they format to the bytes numpy scalars
-            # give, faster, and the whole field is never held as Python objects
-            for j, (u, v, p) in enumerate(zip(*field.q[:, i].tolist())):
-                y = (j + 0.5) * grid.dy
-                fh.write("%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (i, j, x, y, u, v, p))
+            head = "%d," % i
+            x = ",%.17g," % ((i + 0.5) * grid.dx)
+            fh.write("".join(["%s%d%s%s,%.17g,%.17g,%.17g\n" % (head, j, x, y, u, v, p)
+                              for j, (y, u, v, p) in enumerate(zip(ys, *field.q[:, i].tolist()))]))

@@ -272,6 +272,16 @@ def curl_of(div_row):
     return VecStencilRow(-div_row.bv, div_row.bu)
 
 
+# a march keeps up to 8 states resident: as many as fit in RING_BYTES, and at least two
+RING_BYTES = 1 << 20
+
+
+def ring_slots(grid, radius):
+    """How many (3, nx+2r, ny+2r) halos a workspace ring holds on this grid."""
+    halo_bytes = 3 * (grid.nx + 2 * radius) * (grid.ny + 2 * radius) * 8
+    return min(8, max(2, RING_BYTES // halo_bytes))
+
+
 class Halo(NamedTuple):
     """A workspace halo and its plan: fill holds the (buffer rows, flat shifts) pairs that
     shift_product copies, one per tap, or one for all of them when the taps fill their
@@ -283,6 +293,17 @@ class Halo(NamedTuple):
     inner: np.ndarray
     fill: tuple
     ghosts: tuple
+
+
+class Workspace(NamedTuple):
+    """The march's memory: ring is the (S, 3, nx+2r, ny+2r) array of S periodic halos,
+    spans its (S, 3, n) view of each component from its first interior cell to its
+    last, halos one Halo per slot, buf the (K, n) shift buffer."""
+
+    ring: np.ndarray
+    spans: np.ndarray
+    halos: list
+    buf: np.ndarray
 
 
 class MatrixStencil:
@@ -329,9 +350,8 @@ class MatrixStencil:
         return self._floats
 
     def workspace(self):
-        """Two periodic halos (3, nx+2r, ny+2r), each a Halo with its copy plan, and the
-        (K, n) buffer shift_product fills; a span is the flat slice of each component from
-        its first interior cell to its last, n values long. Every view a step touches is
+        """A Workspace: a ring of ring_slots periodic halos, each a Halo with its own copy
+        plan, and the (K, n) buffer shift_product fills. Every view a step touches is
         built here, once per workspace, and the caller owns them."""
         nx, ny, r = self.grid.nx, self.grid.ny, self.radius
         if 2 * r + 1 > min(nx, ny):
@@ -339,8 +359,10 @@ class MatrixStencil:
         base, n = r * (ny + 2 * r) + r, nx * (ny + 2 * r) - 2 * r
         k, w = self._packed[0].shape[1], 2 * r + 1
         buf = np.empty((k, n))
+        ring = np.empty((ring_slots(self.grid, r), 3, nx + 2 * r, ny + 2 * r))
+        spans = ring.reshape(len(ring), 3, -1)[:, :, base:base + n]
         halos = []
-        for h in np.empty((2, 3, nx + 2 * r, ny + 2 * r)):
+        for h, span in zip(ring, spans):
             flat = h.reshape(3, -1)
             if k == 3 * w * w:
                 # every component at every offset of the box, taps in sorted order: buffer
@@ -358,8 +380,8 @@ class MatrixStencil:
                       (h[:, r:r + nx, ny + r:], h[:, r:r + nx, r:2 * r]),
                       (h[:, :r], h[:, nx:nx + r]),
                       (h[:, nx + r:], h[:, r:2 * r])) if r else ()
-            halos.append(Halo(h, flat[:, base:base + n], h[:, r:r + nx, r:r + ny], fill, ghosts))
-        return halos, buf
+            halos.append(Halo(h, span, h[:, r:r + nx, r:r + ny], fill, ghosts))
+        return Workspace(ring, spans, halos, buf)
 
     @staticmethod
     def wrap_halo(halo):
@@ -382,10 +404,11 @@ class MatrixStencil:
         nx, ny = self.grid.nx, self.grid.ny
         if q.shape != (3, nx, ny):
             raise ValueError("q has shape %s, stencil wants (3, %d, %d)" % (q.shape, nx, ny))
-        (halo, into), buf = self.workspace()
+        ws = self.workspace()
+        halo, into = ws.halos[:2]
         halo.inner[...] = q
         self.wrap_halo(halo)
-        self.shift_product(halo, into.span, buf)
+        self.shift_product(halo, into.span, ws.buf)
         return into.inner.copy()
 
     def symbol(self, thx, thy):

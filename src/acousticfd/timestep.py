@@ -21,9 +21,6 @@ _QUIET = dict(over="ignore", invalid="ignore")
 
 MAX_STEPS = 10 ** 7
 
-# `run` checks the state for non-finite cells once per this many steps
-CHECK_BLOCK = 32
-
 
 class InstabilityError(RuntimeError):
     def __init__(self, step, t=None):
@@ -59,56 +56,62 @@ def cfl_dt(params, grid, cfl):
 
 
 class March:
-    """Forward Euler with the state resident in one of two periodic halos.
+    """Forward Euler round a ring of S periodic halos (`MatrixStencil.workspace`).
 
-    A step runs shift_product into the other halo's span, scales it by -dt
-    (the sign of -W @ B folded in, which is exact), adds the current span,
-    refreshes the ghosts and swaps: bitwise q + dt * rhs(q). The span holds
-    interior cells and copies of them only, so the checks run on it. A
-    non-finite cell stays non-finite under the step (inf + x and NaN + x are
-    never finite), so a state found finite proves every step before it
-    finite, and one check may follow many steps. `state`
-    views the current interior, and its halo the periodic ghost ring (from
-    radius 1 up); the step after next overwrites both. Every view is built
-    with the March, and a step leaves the floating-point error state to its
-    callers, which quiet it once around their loops."""
+    A step runs shift_product into the next halo's span, scales it by -dt (the
+    sign of -W @ B folded in, which is exact), adds the current span and
+    refreshes the next halo's ghosts: bitwise q + dt * rhs(q). `advance(k)`
+    makes k <= S steps into slots 0 .. k-1 from the state in slot S-1, where
+    `load` and every full block leave it, so each state of the block stays
+    resident, inside its periodic ghost ring (from radius 1 up), until the
+    next block overwrites it. A span holds interior cells and copies of them
+    only, so the checks run on it. A non-finite cell stays non-finite under
+    the step (inf + x and NaN + x are never finite), so a block whose last
+    state is finite was finite at every step. `state` views the current
+    interior. Every view is built with the March, and a step leaves the
+    floating-point error state to its callers, which quiet it once around
+    their loops."""
 
     def __init__(self, spec):
         self.stencil, self.grid = spec.stencil, spec.grid
-        halos, self.buf = spec.stencil.workspace()
-        ringed = spec.stencil.radius > 0
-        # (halo, state over its interior); the current one is first
-        self.halos = [(h, FieldSet.from_q(self.grid, h.inner, h.array if ringed else None))
-                      for h in halos]
+        self.ring, self.spans, self.halos, self.buf = spec.stencil.workspace()
+        self.states = [FieldSet.from_q(self.grid, h.inner) for h in self.halos]
 
     def load(self, state, dt):
         if state.grid != self.grid:
             raise ValueError("state grid %r does not match scheme grid %r" % (state.grid, self.grid))
-        self.neg_dt, self.state = -dt, self.halos[0][1]
+        self.neg_dt, self.last, self.state = -dt, len(self.halos) - 1, self.states[-1]
         self.state.q[...] = state.q
-        self.stencil.wrap_halo(self.halos[0][0])
+        self.stencil.wrap_halo(self.halos[-1])
         return self
 
-    def step(self, step, norm=False):
-        """One step. With norm set it returns max|q|, and a non-finite cell raises
-        InstabilityError naming the step; without it the step checks nothing (`finite`)."""
-        (cur, _), (nxt, self.state) = self.halos
-        out = nxt.span
-        self.stencil.shift_product(cur, out, self.buf)
-        out *= self.neg_dt
-        out += cur.span
-        self.stencil.wrap_halo(nxt)
-        self.halos.reverse()
-        if norm:
-            # max|q| without a |q| temporary; + 0.0 turns a -0.0 into 0.0, as abs does
-            peak = float(max(out.max(), -out.min())) + 0.0
-            if not math.isfinite(peak):
-                raise InstabilityError(step)
-            return peak
+    def advance(self, k):
+        """k steps, 1 <= k <= S, into slots 0 .. k-1. A block that follows a partial one
+        first copies its start state to slot S-1."""
+        halos = self.halos
+        if not 0 < k <= len(halos):
+            raise ValueError("a block is 1 to %d steps, not %r" % (len(halos), k))
+        if self.last != len(halos) - 1:
+            self.ring[-1] = self.ring[self.last]
+        cur = halos[-1]
+        for nxt in halos[:k]:
+            out = nxt.span
+            self.stencil.shift_product(cur, out, self.buf)
+            out *= self.neg_dt
+            out += cur.span
+            self.stencil.wrap_halo(nxt)
+            cur = nxt
+        self.last, self.state = k - 1, self.states[k - 1]
 
-    def finite(self):
-        """True when every cell of the state is finite."""
-        return bool(np.isfinite(self.halos[0][0].span).all())
+    def peaks(self, k):
+        """max|q| of the states in slots 0 .. k-1, from two reductions over their spans
+        and without a |q| temporary; + 0.0 turns a -0.0 into 0.0, as abs does."""
+        spans = self.spans[:k]
+        return (np.maximum(spans.max(axis=(1, 2)), -spans.min(axis=(1, 2))) + 0.0).tolist()
+
+    def finite(self, slot):
+        """True when every cell of the state in this slot is finite."""
+        return bool(np.isfinite(self.halos[slot].span).all())
 
 
 def forward_euler_step(spec, state, dt, step=None):
@@ -116,8 +119,8 @@ def forward_euler_step(spec, state, dt, step=None):
     InstabilityError naming `step`."""
     march = March(spec).load(state, dt)
     with np.errstate(**_QUIET):
-        march.step(step)
-    if not march.finite():
+        march.advance(1)
+    if not march.finite(0):
         raise InstabilityError(step if step is not None else "<single>")
     return march.state.copy()
 
@@ -134,58 +137,72 @@ class RunResult:
 def run(spec, state, control, probes=None, cadence=1):
     """March to t_end with fixed dt, invoking probe callbacks on a cadence.
 
-    probes maps name -> f(state); each is sampled at t = 0, every `cadence`
-    steps, and at the final step, on the march's state (a FieldSet viewing its
-    halo), the later samples with over and invalid ignored, as the march runs.
-    Returns the probe series and a copy of the final state.
+    probes maps name -> f(stack), where stack is a (k, 3, nx+2r, ny+2r) array
+    of k states, each inside its periodic ghost ring r cells wide (the
+    stencil radius; bare at radius 0), and f returns k values. States are
+    sampled at t = 0, every `cadence` steps and at the final step. The march
+    runs in blocks of up to S steps round its ring, and each probe is called
+    once per block on the block's samples: a view of the ring when every step
+    is sampled, under ignored over and invalid. Returns the probe series and
+    a copy of the final state.
 
-    The state is checked for non-finite cells once per CHECK_BLOCK steps, and
-    a copy of each block's start state is kept. A block that ends non-finite,
-    or whose probe raises on a non-finite state, is stepped again from that
-    copy with a check after every step, so InstabilityError names the first
-    non-finite step and the time before it, as a check after every step would.
+    Only each block's last state is checked for non-finite cells. When it
+    fails, the block's states are scanned, and InstabilityError names the
+    first non-finite step and the time before it, as a check after every step
+    would. A probe may raise on a non-finite state: on a non-finite block its
+    error gives way to the InstabilityError, and on a finite block it is the
+    run's.
     """
     sampled = [(name, fn, []) for name, fn in (probes or {}).items()]
     dt = cfl_dt(spec.params, state.grid, control.cfl)
     n_steps = control.steps(dt)
     march = March(spec).load(state, dt)
+    size = len(march.halos)
 
     times = [0.0]
-    # every sample, the first too, sees the march's view of the state
-    for _, fn, values in sampled:
-        values.append(fn(march.state))
-    start = march.state.copy()
+    _sample(sampled, march.ring[-1:])
     with np.errstate(**_QUIET):
-        for first in range(1, n_steps + 1, CHECK_BLOCK):
-            block = range(first, min(first + CHECK_BLOCK, n_steps + 1))
-            start.q[...] = march.state.q
+        for first in range(1, n_steps + 1, size):
+            k = min(size, n_steps + 1 - first)
+            march.advance(k)
+            slots = [j for j in range(k) if (first + j) % cadence == 0 or first + j == n_steps]
+            times.extend((first + j) * dt for j in slots)
             try:
-                for step in block:
-                    march.step(step)
-                    if step % cadence == 0 or step == n_steps:
-                        times.append(step * dt)
-                        for _, fn, values in sampled:
-                            values.append(fn(march.state))
+                if slots:
+                    _sample(sampled, march.ring[:k] if len(slots) == k else march.ring[slots])
             except Exception:
-                # a probe may raise on any non-finite state; on a finite one every step
-                # so far was finite, and its error is the run's
-                if march.finite():
+                if march.finite(k - 1):
                     raise
-            if not march.finite():
-                _replay(march.load(start, dt), block, dt)
+            if not march.finite(k - 1):
+                j = next(j for j in range(k) if not march.finite(j))
+                raise InstabilityError(first + j, (first + j - 1) * dt)
     return RunResult(times=np.array(times),
-                     series={name: np.array(values) for name, _, values in sampled},
+                     series={name: np.concatenate(chunks) for name, _, chunks in sampled},
                      final_state=march.state.copy(), n_steps=n_steps, dt=dt)
 
 
-def _replay(march, block, dt):
-    """Step a block that ended non-finite again from its start, checking every step, and
-    raise the InstabilityError of its first non-finite step."""
-    for step in block:
-        march.step(step)
-        if not march.finite():
-            raise InstabilityError(step, (step - 1) * dt)
-    raise RuntimeError("a block that ended non-finite replayed finite")
+def _sample(sampled, stack):
+    for name, fn, chunks in sampled:
+        values = fn(stack)
+        if len(values) != len(stack):
+            raise ValueError("probe %r gave %d values for %d states" % (name, len(values), len(stack)))
+        chunks.append(values)
+
+
+def _sweep_point(march, horizon_steps, initial, bound):
+    """(stable, peak) of one loaded CFL point: the stop rule reads each block's max-norms
+    in step order."""
+    size, peak = len(march.halos), initial
+    for first in range(1, horizon_steps + 1, size):
+        k = min(size, horizon_steps + 1 - first)
+        march.advance(k)
+        for p in march.peaks(k):
+            if not math.isfinite(p):
+                return False, math.inf
+            peak = max(peak, p)
+            if peak > bound:
+                return False, peak
+    return True, peak
 
 
 def cfl_sweep(spec, state0, cfl_grid, horizon_steps=500, growth_factor=2.0):
@@ -197,17 +214,7 @@ def cfl_sweep(spec, state0, cfl_grid, horizon_steps=500, growth_factor=2.0):
     with np.errstate(**_QUIET):
         for cfl in cfl_grid:
             march.load(state0, cfl_dt(spec.params, state0.grid, cfl))
-            stable = True
-            peak = initial
-            try:
-                for step in range(1, horizon_steps + 1):
-                    peak = max(peak, march.step(step, norm=True))
-                    if peak > growth_factor * initial:
-                        stable = False
-                        break
-            except InstabilityError:
-                stable = False
-                peak = float("inf")
+            stable, peak = _sweep_point(march, horizon_steps, initial, growth_factor * initial)
             results.append({"cfl": cfl, "stable": stable, "peak_norm": peak})
     passing = [r["cfl"] for r in results if r["stable"]]
     return {"max_stable_cfl": max(passing) if passing else None,

@@ -1,14 +1,15 @@
 """Test-only helpers that no command runs: the identity stencil, the cross-consistency
 of two divergence rows, the observed convergence order of a divergence row, the
-scalar Halton phases that `fourier.generic_phases` must reproduce bitwise, and the
-scaling law by rebuilding, the oracle for `fourier.eigenvalue_scaling_check`."""
+scalar Halton phases that `fourier.generic_phases` must reproduce bitwise, the
+scaling law by rebuilding, the oracle for `fourier.eigenvalue_scaling_check`, and
+the batched run probe made from a per-state one."""
 
 import math
 
 import numpy as np
 
 from acousticfd.fourier import GUARD
-from acousticfd.grid import AcousticParams, GridSpec
+from acousticfd.grid import AcousticParams, FieldSet, GridSpec
 from acousticfd.schemes import make_scheme
 from acousticfd.stencils import ScalarStencil
 
@@ -75,3 +76,15 @@ def rebuilt_scaling_law(spec, **scheme_kwargs):
     return all(make_scheme(spec.name, AcousticParams(c=c2, eps=eps2), spec.grid,
                            **scheme_kwargs).unitless == spec.unitless
                for c2, eps2 in ((2 * c, eps), (c, eps / 2)))
+
+
+def per_state(fn, grid):
+    """A run probe from a per-state one: fn sees each state of the stack in turn, in step
+    order, as a FieldSet over its slot's interior, and the probe returns the list of
+    what fn returned."""
+    nx, ny = grid.nx, grid.ny
+
+    def probe(stack):
+        r = (stack.shape[2] - nx) // 2
+        return [fn(FieldSet.from_q(grid, slot[:, r:r + nx, r:r + ny])) for slot in stack]
+    return probe

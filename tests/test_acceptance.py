@@ -34,7 +34,7 @@ from acousticfd.schemes import SP_NAMES, make_scheme, rhs
 from acousticfd.stencils import averaged_div, central_div, consistent_diffusion, dimsplit_div
 from acousticfd.timestep import StepControl, cfl_dt, run
 
-from helpers import divergence_observed_order
+from helpers import divergence_observed_order, per_state
 
 
 def _report(n, failures):
@@ -207,7 +207,7 @@ def test_criterion_7_low_mach_long_time_equivalence():
         spec = make_scheme("roe", params, grid)
         state = gresho_vortex(grid)
         out = run(spec, state, StepControl(cfl=0.45, t_end=t_end),
-                  probes={"dux": lambda s: l1_norm_central_diff(s.u, 0, grid)})
+                  probes={"dux": per_state(lambda s: l1_norm_central_diff(s.u, 0, grid), grid)})
         series[eps] = (out.times / eps, out.series["dux"])
 
     tau_a, val_a = series[0.1]

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from acousticfd import (AcousticParams, FieldSet, GridSpec, as_fraction,
                         l1_norm_central_diff, write_field_csv)
-from acousticfd.grid import central_diff
+from acousticfd.grid import central_diff, l1_scratch
 from fractions import Fraction
 
 
@@ -63,12 +63,6 @@ def test_fieldset_views_and_copy():
     f2.u[1, 1] = 5.0
     assert f.u[1, 1] == 3.0
     assert f.norm_inf() == 3.0
-    # ghosted gives the bare component without a halo, and the halo's plane with one
-    assert f.halo is None and f.ghosted(0).shape == (4, 4)
-    halo = np.arange(3 * 6 * 6, dtype=float).reshape(3, 6, 6)
-    h = FieldSet.from_q(g, halo[:, 1:5, 1:5], halo)
-    assert np.shares_memory(h.ghosted(2), halo) and np.array_equal(h.ghosted(2), halo[2])
-    assert h.copy().halo is None
 
 
 def test_l1_norm_constant_is_zero():
@@ -133,6 +127,67 @@ def test_central_diff_matches_roll_oracle_bitwise(nx, ny, dx, dy, scale, seed, r
         total = float(np.sum(np.abs(oracle)) * dx * dy)
         assert l1_norm_central_diff(u, axis, g) == total
         assert l1_norm_central_diff(ringed, axis, g, out) == total
+
+
+def roll_oracle_total(u, axis, g):
+    # the total of test_central_diff_matches_roll_oracle_bitwise
+    delta = (g.dx, g.dy)[axis]
+    oracle = (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * delta)
+    return float(np.sum(np.abs(oracle)) * g.dx * g.dy)
+
+
+# a field whose x and y differences all overflow: neighbours two cells apart differ in sign
+OVERFLOWING = np.fromfunction(lambda i, j: np.where((i + j) % 4 < 2, 1e308, -1e308), (10, 10))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(nx=st.integers(3, 10), ny=st.integers(3, 10),
+       dx=st.sampled_from((1.0, 1 / 3, 0.05, 1e-3)), dy=st.sampled_from((1.0, 0.07, 1 / 16)),
+       scale=st.sampled_from((1.0, 1e-200, 1e150)), seed=st.integers(0, 2 ** 16),
+       ring=st.integers(0, 3), k=st.integers(1, 8), slots=st.integers(0, 2),
+       defect=st.sampled_from((None, np.nan, np.inf, -np.inf, "overflow")))
+@example(nx=3, ny=3, dx=1.0, dy=0.07, scale=1.0, seed=0, ring=0, k=1, slots=0, defect=None)
+@example(nx=10, ny=3, dx=1e-3, dy=1.0, scale=1.0, seed=1, ring=3, k=8, slots=2, defect=np.nan)
+@example(nx=4, ny=7, dx=0.05, dy=1 / 16, scale=1.0, seed=2, ring=1, k=8, slots=0,
+         defect="overflow")
+def test_stacked_l1_norm_matches_roll_oracle_bitwise(nx, ny, dx, dy, scale, seed, ring, k,
+                                                     slots, defect):
+    # k fields stacked as a march ring holds them: component 0 of k slots of a (k + slots,
+    # 3, nx+2r, ny+2r) array, each slot inside its periodic ghost ring (bare at r = 0)
+    g = GridSpec(nx, ny, dx, dy)
+    rng = np.random.default_rng(seed)
+    fields = scale * rng.standard_normal((k, nx, ny))
+    victim = int(rng.integers(k))
+    if defect == "overflow":
+        fields[victim] = OVERFLOWING[:nx, :ny]
+    elif defect is not None:
+        fields[victim, rng.integers(nx), rng.integers(ny)] = defect
+    halos = np.pad(rng.standard_normal((k + slots, 3, nx, ny)),
+                   ((0, 0), (0, 0), (ring, ring), (ring, ring)), mode="wrap")
+    halos[:k, 0] = np.pad(fields, ((0, 0), (ring, ring), (ring, ring)), mode="wrap")
+    stack = halos[:k, 0]
+    scratch = l1_scratch(g, k + slots, ring)
+    for axis in (0, 1):
+        for out in (None, scratch):
+            if defect in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="non-finite"):
+                    l1_norm_central_diff(stack, axis, g, out)
+                continue
+            with np.errstate(over="ignore"):
+                totals = l1_norm_central_diff(stack, axis, g, out)
+            assert totals.shape == (k,)
+            for i, (total, u) in enumerate(zip(totals.tolist(), fields)):
+                if defect == "overflow" and i == victim:
+                    assert total == np.inf
+                else:
+                    assert total == roll_oracle_total(u, axis, g)
+
+
+def test_stacked_l1_norm_rejects_shapes_that_fit_no_ring():
+    g = GridSpec(5, 4, 0.2, 0.25)
+    for shape in ((2, 4, 5), (2, 6, 5), (1, 7, 7), (2, 3, 2), (2, 1, 5, 4), (5,)):
+        with pytest.raises(ValueError, match="no fields"):
+            l1_norm_central_diff(np.zeros(shape), 0, g)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -16,14 +16,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from acousticfd import experiments
 from acousticfd.cli import EXIT_UNSTABLE, main
 from acousticfd.experiments import _benchmark_probes, gresho_vortex, vortex_benchmark
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec, l1_norm_central_diff
 from acousticfd.schemes import CATALOG_NAMES, SchemeSpec, make_scheme, rhs
-from acousticfd.timestep import (CHECK_BLOCK, InstabilityError, March, StepControl, cfl_dt,
-                                 cfl_sweep, run)
+from acousticfd.stencils import RING_BYTES, ring_slots
+from acousticfd.timestep import InstabilityError, March, StepControl, cfl_dt, cfl_sweep, run
 
+from helpers import per_state
 from matrix_entries import full_box_entries, matrix_stencil
+
+# the ring size of every grid here but the 64^2 ones: grids this small hold the full ring
+S = ring_slots(GridSpec(10, 10, 1.0, 1.0), 3)
 
 
 def reference_step(spec, q, dt, step):
@@ -80,7 +85,8 @@ def assert_run_matches_reference(spec, q0, n_steps, cadence):
     cfl = 0.4
     dt = cfl_dt(spec.params, grid, cfl)
     state = FieldSet.from_q(grid, q0.copy())
-    out = run(spec, state, StepControl(cfl=cfl, t_end=n_steps * dt), probes=probes_for(grid),
+    out = run(spec, state, StepControl(cfl=cfl, t_end=n_steps * dt),
+              probes={name: per_state(fn, grid) for name, fn in probes_for(grid).items()},
               cadence=cadence)
     assert np.array_equal(state.q, q0)
     q, series = reference_run(spec, q0, dt, out.n_steps, probes_for(grid), cadence)
@@ -114,11 +120,11 @@ def catalog_spec(name, coeffs, eps, nx, ny, dx, dy):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(CATALOG_NAMES + ("dimsplit",)),
        coeffs=st.lists(st.floats(-4, 4, allow_subnormal=False), min_size=4, max_size=4),
-       eps=st.sampled_from((1.0, 1e-2, 1e-6)), n_steps=st.integers(0, 2 * CHECK_BLOCK + 9),
+       eps=st.sampled_from((1.0, 1e-2, 1e-6)), n_steps=st.integers(0, 2 * S + 9),
        cadence=st.integers(1, 4), seed=st.integers(0, 2 ** 16), **GRIDS)
 @example(name="multid", coeffs=[0, 0, 0, 0], eps=1.0, n_steps=5, cadence=2, seed=0,
          nx=3, ny=3, dx=1.0, dy=1.0)
-@example(name="lowmach3", coeffs=[0, 0, 0, 0], eps=1e-2, n_steps=2 * CHECK_BLOCK + 1, cadence=3,
+@example(name="lowmach3", coeffs=[0, 0, 0, 0], eps=1e-2, n_steps=2 * S + 1, cadence=3,
          seed=4, nx=7, ny=10, dx=0.05, dy=1 / 16)
 @example(name="roe", coeffs=[0, 0, 0, 0], eps=1e-2, n_steps=7, cadence=3, seed=1,
          nx=10, ny=3, dx=1e-3, dy=0.07)
@@ -235,32 +241,38 @@ def doubling_state(spec, blow_up, seed):
     return np.ldexp(rng.uniform(1, 2, shape) * rng.choice((-1.0, 1.0), shape), 1024 - blow_up)
 
 
-B = CHECK_BLOCK
+B = S
 
 
-@pytest.mark.parametrize("blow_up, n_steps", [(2 * B, 3 * B + 5), (2 * B + 1, 3 * B + 5),
-                                              (2 * B + 7, 3 * B + 5), (3 * B, 3 * B + 5),
-                                              (2 * B + 10, 2 * B + 10)])
+# every slot of the third block, the boundary before it, every slot of a partial last
+# block and a blow-up at the final step; then deeper into a run: 64 and 96 end a block, 65
+# starts one, 71 lies inside one, and 74 is the final step of a partial last block
+@pytest.mark.parametrize("blow_up, n_steps", [(b, 3 * B + 5) for b in range(2 * B, 3 * B + 6)]
+                         + [(2 * B + 10, 2 * B + 10), (64, 101), (65, 101), (71, 101), (96, 101),
+                            (74, 74)])
 def test_blow_up_at_any_step_of_a_block_is_named_exactly(blow_up, n_steps):
-    # the block check and its replay name the step a check after every step names
+    # the block check and its scan of the resident slots name the step a check after
+    # every step names
     spec = doubling_spec()
+    assert ring_slots(spec.grid, spec.stencil.radius) == B
     q0 = doubling_state(spec, blow_up, seed=blow_up)
     assert assert_instability_matches_reference(spec, q0, 1.0, n_steps) == blow_up
 
 
-THIRD_BLOCK = {"roe": 2.0, "multid": 3.0}
+# the CFL at which each scheme blows up from 1e280-sized data in the third block
+THIRD_BLOCK = {"roe": 6.0, "multid": 10.0}
 
 
 @pytest.mark.parametrize("scheme", sorted(THIRD_BLOCK))
 def test_scheme_blow_up_in_the_third_block_matches_reference_step(scheme):
     grid = GridSpec(10, 8, 0.05, 0.07)
     spec = make_scheme(scheme, AcousticParams(c=1.0, eps=1.0), grid)
-    q0 = 1e250 * np.random.default_rng(6).standard_normal((3, 10, 8))
+    q0 = 1e280 * np.random.default_rng(6).standard_normal((3, 10, 8))
     step = assert_instability_matches_reference(spec, q0, THIRD_BLOCK[scheme], 4 * B)
     assert 2 * B < step <= 3 * B
 
 
-@pytest.mark.parametrize("at", [B + 7, 2 * B])
+@pytest.mark.parametrize("at", [B + 7, 2 * B, 39, 64])
 def test_probe_error_on_a_finite_state_comes_at_its_step(at, aniso_grid, rng):
     spec = make_scheme("multid", AcousticParams(c=1.0, eps=0.01), aniso_grid)
     q0 = rng.standard_normal((3, aniso_grid.nx, aniso_grid.ny))
@@ -274,8 +286,8 @@ def test_probe_error_on_a_finite_state_comes_at_its_step(at, aniso_grid, rng):
         return 0.0
 
     with pytest.raises(ValueError, match="^probe stops at step %d$" % at):
-        run(spec, FieldSet.from_q(aniso_grid, q0), StepControl(cfl=0.4, t_end=3 * B * dt),
-            probes={"stop": probe})
+        run(spec, FieldSet.from_q(aniso_grid, q0), StepControl(cfl=0.4, t_end=(at + B) * dt),
+            probes={"stop": per_state(probe, aniso_grid)})
     q, _ = reference_run(spec, q0, dt, at, {}, 1)
     assert len(seen) == at + 1
     assert np.array_equal(seen[-1], q)
@@ -290,8 +302,8 @@ def test_vortex_probes_on_a_blow_up_surface_the_instability(case):
         q0 = doubling_state(spec, 2 * B + 5, seed=3)
     else:
         grid = GridSpec(10, 8, 0.05, 0.07)
-        spec, cfl = make_scheme("roe", AcousticParams(c=1.0, eps=1.0), grid), 2.0
-        q0 = 1e250 * np.random.default_rng(6).standard_normal((3, 10, 8))
+        spec, cfl = make_scheme("roe", AcousticParams(c=1.0, eps=1.0), grid), THIRD_BLOCK["roe"]
+        q0 = 1e280 * np.random.default_rng(6).standard_normal((3, 10, 8))
     raised = []
 
     def watched(fn):
@@ -307,6 +319,100 @@ def test_vortex_probes_on_a_blow_up_surface_the_instability(case):
     step = assert_instability_matches_reference(spec, q0, cfl, 4 * B, probes=probes)
     assert 2 * B < step <= 3 * B
     assert raised and all("non-finite" in str(err) for err in raised)
+
+
+@pytest.mark.parametrize("kind", ["growth", "blow_up"])
+@pytest.mark.parametrize("slot", range(1, B + 1))
+def test_sweep_stops_at_any_slot_of_a_block_as_the_reference(kind, slot):
+    # the doubling march crosses the growth bound, or leaves the float range, at slot
+    # `slot` of the second block; the sweep reads the block's norms in step order
+    spec = doubling_spec()
+    stop = B + slot
+    if kind == "growth":
+        q0 = np.random.default_rng(slot).uniform(-2.0, 2.0, (3, 5, 4))
+        growth = 2.0 ** (stop - 1) + 0.5
+    else:
+        q0, growth = doubling_state(spec, stop, seed=slot), 2.0 ** 60
+    report = cfl_sweep(spec, FieldSet.from_q(spec.grid, q0), [1.0], horizon_steps=3 * B,
+                       growth_factor=growth)
+    row, = report["results"]
+    assert row == reference_sweep(spec, q0, [1.0], 3 * B, growth)[0]
+    initial = float(np.max(np.abs(q0)))
+    assert not row["stable"]
+    assert row["peak_norm"] == (2.0 ** stop * initial if kind == "growth" else math.inf)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, B - 1, B, B + 1, 3 * B, 3 * B + 5])
+def test_run_calls_each_probe_once_per_block(n_steps, square_grid):
+    # one call at t = 0 and one per block of the ring, each on all of the block's states
+    spec = make_scheme("roe", AcousticParams(c=1.0, eps=0.01), square_grid)
+    assert ring_slots(square_grid, spec.stencil.radius) == B
+    calls = {"a": [], "b": []}
+
+    def counting(name):
+        def probe(stack):
+            assert stack.shape[1:] == (3, 18, 18)
+            calls[name].append(len(stack))
+            return np.arange(len(stack), dtype=float)
+        return probe
+
+    dt = cfl_dt(spec.params, square_grid, 0.4)
+    out = run(spec, gresho_vortex(square_grid), StepControl(cfl=0.4, t_end=n_steps * dt),
+              probes={name: counting(name) for name in calls})
+    assert out.n_steps == n_steps
+    for sizes in calls.values():
+        assert len(sizes) == 1 + math.ceil(n_steps / B)
+        assert sizes == [1] + [B] * (n_steps // B) + ([n_steps % B] if n_steps % B else [])
+    assert len(out.series["a"]) == len(out.times) == n_steps + 1
+
+
+def test_vortex_pass_calls_the_l1_probe_3210_times(monkeypatch, tmp_path):
+    # a clibench vortex pass is one roe and two multid simulate commands of 4,267 steps on
+    # 64^2, t_end = 30 eps at CFL 0.45, each in an 8-slot ring: two probes, each called at
+    # t = 0 and once per block, 2 (1 + 534) = 1070 calls a command where one per sample
+    # made 2 (1 + 4267) = 8536
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return l1_norm_central_diff(*args)
+
+    monkeypatch.setattr(experiments, "l1_norm_central_diff", counting)
+    assert main(["simulate", "--scheme", "roe", "--grid", "64", "--eps", "0.01",
+                 "--t-end", repr(30 * 0.01), "--out", str(tmp_path / "D")]) == 0
+    assert ring_slots(GridSpec.unit_square(64), 1) == 8
+    assert len(calls) == 1070 and sum(calls) == 2 * (1 + 4267)
+    assert 3 * len(calls) == 3210
+
+
+def test_blocks_of_any_length_continue_the_march(aniso_grid, rng):
+    # a block after a partial one starts from that block's last state, wherever it lies
+    spec = make_scheme("multid", AcousticParams(c=1.0, eps=0.01), aniso_grid)
+    q0 = rng.standard_normal((3, aniso_grid.nx, aniso_grid.ny))
+    dt = cfl_dt(spec.params, aniso_grid, 0.4)
+    march = March(spec).load(FieldSet.from_q(aniso_grid, q0), dt)
+    done = 0
+    for k in (3, B, 1, 1, 2, B, B - 1):
+        march.advance(k)
+        done += k
+        q, _ = reference_run(spec, q0, dt, done, {}, 1)
+        assert np.array_equal(march.state.q, q), (k, done)
+    for k in (0, B + 1):
+        with pytest.raises(ValueError, match="a block is 1 to %d steps" % B):
+            march.advance(k)
+
+
+@pytest.mark.parametrize("n, slots", [(64, 8), (200, 2)])
+def test_ring_holds_eight_slots_at_64_and_two_at_200(n, slots):
+    # up to 8 states fit in RING_BYTES at 64^2; from about 128^2 up a ring keeps two
+    spec = make_scheme("multid", AcousticParams(c=1.0, eps=0.01), GridSpec.unit_square(n))
+    ws = spec.stencil.workspace()
+    assert ring_slots(spec.grid, spec.stencil.radius) == slots
+    assert ws.ring.shape == (slots, 3, n + 2, n + 2) and ws.ring.flags.c_contiguous
+    assert ws.ring.nbytes <= max(RING_BYTES, 2 * ws.ring[0].nbytes)
+    assert len(ws.halos) == slots and len({id(h.fill) for h in ws.halos}) == slots
+    for slot, halo in enumerate(ws.halos):
+        assert halo.array.base is ws.ring and np.shares_memory(halo.span, ws.spans[slot])
 
 
 def test_full_box_radius_two_stencil_matches_reference_loop(rng):
@@ -414,22 +520,56 @@ def test_march_step_allocates_no_state_sized_block(scheme):
     spec = make_scheme(scheme, AcousticParams(c=1.0, eps=0.01), grid)
     march = March(spec).load(gresho_vortex(grid), cfl_dt(spec.params, grid, 0.45))
     stencil_state = dict(vars(spec.stencil))
-    for step in range(1, 4):
-        march.step(step, norm=step % 2 == 0)
+    size = len(march.halos)
+    for k in (size, 3):
+        march.advance(k)
+        march.peaks(k)
     limit = min(march.state.q.nbytes, march.buf.nbytes)
     tracemalloc.start()
     try:
-        for step in range(4, 10):
+        for k in (size, size, 5, 1, size):
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            march.step(step, norm=step % 2 == 0)
+            march.advance(k)
+            if k != 1:
+                march.peaks(k)
             _, peak = tracemalloc.get_traced_memory()
-            assert peak - before < limit, (step, peak - before, limit)
+            assert peak - before < limit, (k, peak - before, limit)
     finally:
         tracemalloc.stop()
     # the plans belong to the March: nothing was cached on the stencil
     assert vars(spec.stencil).keys() == stencil_state.keys()
     assert all(vars(spec.stencil)[k] is v for k, v in stencil_state.items())
+
+
+@pytest.mark.parametrize("scheme", ["roe", "multid"])
+def test_run_with_probes_allocates_no_state_sized_block_per_block(scheme):
+    # between two calls of the last probe lie one block's steps, checks and benchmark
+    # probe calls; none of them allocates a state-sized block
+    grid = GridSpec.unit_square(64)
+    spec = make_scheme(scheme, AcousticParams(c=1.0, eps=0.01), grid)
+    limit = FieldSet.zeros(grid).q.nbytes
+    grown = []
+
+    def watch(stack):
+        current, peak = tracemalloc.get_traced_memory()
+        grown.append(peak - watch.current)
+        tracemalloc.reset_peak()
+        watch.current = tracemalloc.get_traced_memory()[0]
+        return [0.0] * len(stack)
+
+    probes = dict(_benchmark_probes(grid), watch=watch)
+    dt = cfl_dt(spec.params, grid, 0.45)
+    tracemalloc.start()
+    try:
+        watch.current = tracemalloc.get_traced_memory()[0]
+        out = run(spec, gresho_vortex(grid), StepControl(cfl=0.45, t_end=(6 * S + 3) * dt),
+                  probes=probes)
+    finally:
+        tracemalloc.stop()
+    assert out.n_steps == 6 * S + 3 and len(grown) == 1 + 7
+    # the first reading holds the March and its workspace
+    assert max(grown[1:]) < limit, (grown, limit)
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -444,6 +584,7 @@ def test_zero_state_peak_norm_is_positive_zero(kind, zero, square_grid):
         assert math.copysign(1.0, row["peak_norm"]) == 1.0
     # the empty stencil keeps every -0.0 cell at -0.0, and the norm still reads +0.0
     march = March(spec).load(state, 0.01)
-    peak = march.step(1, norm=True)
+    march.advance(1)
+    peak, = march.peaks(1)
     assert peak == float(np.max(np.abs(march.state.q)))
     assert math.copysign(1.0, peak) == 1.0

@@ -438,7 +438,8 @@ def test_workspace_fill_is_one_copy_when_the_taps_fill_their_box(kind, aniso_gri
         ms = make_scheme(kind, AcousticParams(c=1.0, eps=0.01), aniso_grid).stencil
     taps, box = len(ms._packed[1]), (2 * ms.radius + 1) ** 2
     assert (taps == box) == (kind != "roe")
-    halos, buf = ms.workspace()
+    ws = ms.workspace()
+    halos, buf = ws.halos, ws.buf
     assert buf.shape[0] == (3 * box if kind != "roe" else 11)
     for halo in halos:
         assert len(halo.fill) == (1 if kind != "roe" else taps)

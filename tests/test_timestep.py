@@ -16,6 +16,8 @@ from acousticfd.timestep import (
 )
 from acousticfd.experiments import kernel_adapted_state
 
+from helpers import per_state
+
 
 def test_cfl_dt_normalization():
     grid = GridSpec(50, 50, 0.02, 0.02)
@@ -115,7 +117,7 @@ def test_instability_reports_step_and_time(square_grid):
 def test_run_probe_cadence(square_grid, params):
     spec = make_scheme("central", params, square_grid)
     state = FieldSet.zeros(square_grid)
-    probes = {"norm": lambda s: s.norm_inf()}
+    probes = {"norm": per_state(lambda s: s.norm_inf(), square_grid)}
     out = run(spec, state, StepControl(cfl=0.5, t_end=0.0), probes=probes)
     assert out.n_steps == 0
     assert list(out.times) == [0.0]
