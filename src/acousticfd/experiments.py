@@ -207,11 +207,13 @@ def write_json(path, doc):
 
 
 def write_timeseries_csv(path, times, values, metadata):
+    """times is an array, or its %.17g strings, which the series of one run share."""
+    if isinstance(times, np.ndarray):  # Python floats format as numpy scalars do, faster
+        times = ["%.17g" % t for t in times.tolist()]
     with open(path, "w") as fh:
         fh.write("t,value\n")
-        # Python floats format to the bytes numpy scalars give, faster
-        for t, v in zip(times.tolist(), values.tolist()):
-            fh.write("%.17g,%.17g\n" % (t, v))
+        for t, v in zip(times, values.tolist()):
+            fh.write("%s,%.17g\n" % (t, v))
     write_json(str(path) + ".meta.json", metadata)
 
 
@@ -268,11 +270,11 @@ def vortex_benchmark(spec, t_end, cfl=0.45, out_dir=None):
         meta = {"scheme": name, "eps": params.eps, "c": params.c,
                 "grid": [grid.nx, grid.ny], "cfl": cfl,
                 "t_end": control.t_end, "normalization": CFL_NORMALIZATION}
-        files = {}
+        files, times = {}, ["%.17g" % t for t in result.times.tolist()]
         for probe in ("dux_l1", "duy_l1"):
             base = "%s_%s.csv" % (tag, probe)
-            write_timeseries_csv(os.path.join(out_dir, base), result.times,
-                                 result.series[probe], dict(meta, probe=probe))
+            write_timeseries_csv(os.path.join(out_dir, base), times, result.series[probe],
+                                 dict(meta, probe=probe))
             files[probe] = base
         fbase = "%s_final.csv" % tag
         ffield = os.path.join(out_dir, fbase)

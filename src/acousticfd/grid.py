@@ -169,62 +169,57 @@ def central_diff(component, axis, grid, out=None):
         if r < 1 or shape != (nx + 2 * r, ny + 2 * r):
             raise ValueError("component shape %s is neither the grid's (%d, %d) nor a ring "
                              "around it" % (shape, nx, ny))
-    if axis == 0:
-        d = np.subtract(ring[r + 1:r + 1 + nx, r:r + ny], ring[r - 1:r - 1 + nx, r:r + ny], out=out)
-        d /= 2.0 * grid.dx
-    elif axis == 1:
-        d = np.subtract(ring[r:r + nx, r + 1:r + 1 + ny], ring[r:r + nx, r - 1:r - 1 + ny], out=out)
-        d /= 2.0 * grid.dy
-    else:
+    if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
+    ex, ey = (1, 0) if axis == 0 else (0, 1)
+    d = np.subtract(ring[r + ex:r + ex + nx, r + ey:r + ey + ny],
+                    ring[r - ex:r - ex + nx, r - ey:r - ey + ny], out=out)
+    d /= 2.0 * (grid.dx, grid.dy)[axis]
     return d
 
 
 def l1_norm_central_diff(component, axis, grid, out=None):
-    """Sum of |central difference| times the cell area.
+    """Sum of |central difference| times the cell area: (delta'/2) sum |u_{+1} - u_{-1}|,
+    delta' the other axis's cell width.
 
-    component is one field as central_diff takes it, with out as there, and
-    gives one total; or a stack (k, nx+2r, ny+2r) of fields, each inside its
-    periodic ghost ring r >= 0 cells wide (a march ring's slots), and gives an
-    array of k totals, each bitwise the total of its field alone. A stack is
-    differenced over each field's flat span, divided while its interior is
-    gathered into one contiguous (k, nx, ny) block, and summed per field; out
-    is then None or an `l1_scratch` pair for at least k fields in that ring.
-    A non-finite cell raises ValueError; finite fields whose differences
-    overflow give inf.
+    component is a stack (k, nx+2r, ny+2r) of fields, each inside its periodic
+    ghost ring r >= 0 cells wide (a march ring's slots), and gives an array of
+    k totals, each bitwise the total of its field alone; or one such field, a
+    stack of one, and gives its total. The fields are differenced over their
+    flat spans, their |differences| gathered into one contiguous (k, nx, ny)
+    block and summed per field, and the k sums scaled once. out is None or an
+    `l1_scratch` pair for at least k fields (1 for one field) in that ring.
+    Where 2 delta is a power of two, a total is bitwise the per-cell form
+    sum |(u_{+1} - u_{-1}) / (2 delta)| dx dy. A non-finite cell raises
+    ValueError; a finite field whose differences, or their sum, overflow gives inf.
     """
-    single = np.ndim(component) == 2
-    if single:
-        d = central_diff(component, axis, grid, out)
-        totals, stack = [float(np.abs(d, out=d).sum()) * grid.dx * grid.dy], [component]
-    else:
-        stack = np.asarray(component, dtype=float)
-        nx, ny = grid.nx, grid.ny
-        k, h, w = stack.shape if stack.ndim == 3 else (0, -1, -1)
-        r = (h - nx) // 2
-        if r < 0 or (h, w) != (nx + 2 * r, ny + 2 * r):
-            raise ValueError("stack shape %s holds no fields of the grid's (%d, %d) in a ring"
-                             % (stack.shape, nx, ny))
-        ringed = stack if r else np.pad(stack, ((0, 0), (1, 1), (1, 1)), mode="wrap")
-        r = max(r, 1)
-        w, n = ny + 2 * r, nx * (ny + 2 * r) - 2 * r
-        spans, gathered = out if out is not None else l1_scratch(grid, k, r)
-        flat, spans, d = ringed.reshape(k, -1), spans[:k, :nx * w], gathered[:k]
-        base, shift = r * w + r, w if axis == 0 else 1
-        np.subtract(flat[:, base + shift:base + shift + n], flat[:, base - shift:base - shift + n],
-                    out=spans[:, :n])
-        np.divide(spans.reshape(k, nx, w)[:, :, :ny], 2.0 * (grid.dx if axis == 0 else grid.dy),
-                  out=d)
-        totals = np.abs(d, out=d).sum(axis=(1, 2))
-        totals *= grid.dx
-        totals *= grid.dy
+    stack = np.asarray(component, dtype=float)
+    single = stack.ndim == 2
+    stack = stack[None] if single else stack
+    nx, ny = grid.nx, grid.ny
+    k, h, w = stack.shape if stack.ndim == 3 else (0, -1, -1)
+    r = (h - nx) // 2
+    if r < 0 or (h, w) != (nx + 2 * r, ny + 2 * r):
+        raise ValueError("stack shape %s holds no fields of the grid's (%d, %d) in a ring"
+                         % (stack.shape, nx, ny))
+    if axis not in (0, 1):
+        raise ValueError("axis must be 0 or 1")
+    ringed, r = (stack, r) if r else (np.pad(stack, ((0, 0), (1, 1), (1, 1)), mode="wrap"), 1)
+    w, n = ny + 2 * r, nx * (ny + 2 * r) - 2 * r
+    spans, gathered = out if out is not None else l1_scratch(grid, k, r)
+    flat, spans = ringed.reshape(k, -1), spans[:k, :nx * w]
+    base, shift = r * w + r, w if axis == 0 else 1
+    np.subtract(flat[:, base + shift:base + shift + n], flat[:, base - shift:base - shift + n],
+                out=spans[:, :n])
+    totals = np.abs(spans.reshape(k, nx, w)[:, :, :ny], out=gathered[:k]).sum(axis=(1, 2))
+    totals *= 0.5 * (grid.dy if axis == 0 else grid.dx)
     # every cell enters two differences, so a non-finite field cannot give a finite
     # total; a non-finite total from a finite field is an overflow
     if not all(map(math.isfinite, totals)):
         for total, field in zip(totals, stack):
             if not math.isfinite(total) and not np.all(np.isfinite(field)):
                 raise ValueError("non-finite field component")
-    return totals[0] if single else totals
+    return float(totals[0]) if single else totals
 
 
 def l1_scratch(grid, slots, ring):

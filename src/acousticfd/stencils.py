@@ -353,13 +353,16 @@ class MatrixStencil:
         """A Workspace: a ring of ring_slots periodic halos, each a Halo with its own copy
         plan, and the (K, n) buffer shift_product fills. Every view a step touches is
         built here, once per workspace, and the caller owns them."""
+        return self._workspace(ring_slots(self.grid, self.radius))
+
+    def _workspace(self, slots):
         nx, ny, r = self.grid.nx, self.grid.ny, self.radius
         if 2 * r + 1 > min(nx, ny):
             raise ValueError("grid too small for stencil radius %d" % r)
         base, n = r * (ny + 2 * r) + r, nx * (ny + 2 * r) - 2 * r
         k, w = self._packed[0].shape[1], 2 * r + 1
         buf = np.empty((k, n))
-        ring = np.empty((ring_slots(self.grid, r), 3, nx + 2 * r, ny + 2 * r))
+        ring = np.empty((slots, 3, nx + 2 * r, ny + 2 * r))
         spans = ring.reshape(len(ring), 3, -1)[:, :, base:base + n]
         halos = []
         for h, span in zip(ring, spans):
@@ -399,16 +402,15 @@ class MatrixStencil:
         np.matmul(self._packed[0], buf, out=span)
 
     def apply_sum(self, q):
-        """sum_S alpha_S q_{I+S} for q of shape (3, nx, ny), through a halo and shift_product."""
+        """sum_S alpha_S q_{I+S} for q of shape (3, nx, ny): shift_product between two halos."""
         q = np.asarray(q, dtype=float)
         nx, ny = self.grid.nx, self.grid.ny
         if q.shape != (3, nx, ny):
             raise ValueError("q has shape %s, stencil wants (3, %d, %d)" % (q.shape, nx, ny))
-        ws = self.workspace()
-        halo, into = ws.halos[:2]
+        _, _, (halo, into), buf = self._workspace(2)
         halo.inner[...] = q
         self.wrap_halo(halo)
-        self.shift_product(halo, into.span, ws.buf)
+        self.shift_product(halo, into.span, buf)
         return into.inner.copy()
 
     def symbol(self, thx, thy):

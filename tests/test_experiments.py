@@ -249,6 +249,11 @@ def test_timeseries_roundtrip(tmp_path):
     with open(path + ".meta.json") as fh:
         meta = json.load(fh)
     assert meta == {"probe": "dux_l1", "eps": 0.1}
+    # the series of one run may share one formatted time column
+    shared = os.path.join(tmp_path, "shared.csv")
+    write_timeseries_csv(shared, ["%.17g" % x for x in t], v, metadata={})
+    with open(path) as a, open(shared) as b:
+        assert a.read() == b.read()
 
 
 def test_divergence_observed_order_quick():

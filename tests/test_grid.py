@@ -124,16 +124,61 @@ def test_central_diff_matches_roll_oracle_bitwise(nx, ny, dx, dy, scale, seed, r
         assert d.shape == (nx, ny) and d.flags.c_contiguous
         assert np.array_equal(d, oracle)
         assert central_diff(ringed, axis, g, out) is out and np.array_equal(out, oracle)
-        total = float(np.sum(np.abs(oracle)) * dx * dy)
+        # the L1 total sums the undivided differences and scales the sum once
+        total = roll_oracle_total(u, axis, g)
         assert l1_norm_central_diff(u, axis, g) == total
-        assert l1_norm_central_diff(ringed, axis, g, out) == total
+        assert l1_norm_central_diff(ringed, axis, g, l1_scratch(g, 1, ring)) == total
 
 
 def roll_oracle_total(u, axis, g):
-    # the total of test_central_diff_matches_roll_oracle_bitwise
+    # (delta'/2) sum |u_{+1} - u_{-1}|, delta' the other axis's cell width
+    other = (g.dy, g.dx)[axis]
+    return float(np.sum(np.abs(np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)))
+                 * (0.5 * other))
+
+
+def divided_total(u, axis, g):
+    # the per-cell form: sum |(u_{+1} - u_{-1}) / (2 delta)| dx dy
     delta = (g.dx, g.dy)[axis]
-    oracle = (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * delta)
-    return float(np.sum(np.abs(oracle)) * g.dx * g.dy)
+    d = (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * delta)
+    return float(np.sum(np.abs(d)) * g.dx * g.dy)
+
+
+def divided_total_bound(n):
+    # numpy sums n <= 128 contiguous values in 8 running sums, combines them in 3 levels
+    # and adds the last n mod 8 values, so each value passes through D <= n // 8 + 9
+    # roundings. With the division and the two products the per-cell form is within
+    # (D + 3) u of the exact total, and the undivided one within (D + 1) u (u = 2^-53)
+    return (2 * (n // 8 + 9) + 4) * 2.0 ** -53
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(nx=st.integers(3, 10), ny=st.integers(3, 10),
+       dx=st.one_of(st.integers(-3, 10).map(lambda a: 2.0 ** -a),
+                    st.sampled_from((1 / 3, 0.05, 1e-3, 0.07))),
+       dy=st.one_of(st.integers(-3, 10).map(lambda b: 2.0 ** -b),
+                    st.sampled_from((1 / 3, 0.05, 1e-3, 0.07))),
+       scale=st.sampled_from((1.0, 1e-200, 1e150)), seed=st.integers(0, 2 ** 16),
+       ring=st.integers(0, 3), k=st.integers(1, 8))
+@example(nx=10, ny=10, dx=1 / 64, dy=1 / 64, scale=1.0, seed=0, ring=1, k=8)
+@example(nx=8, ny=3, dx=2.0 ** 3, dy=0.07, scale=1e-200, seed=1, ring=0, k=1)
+@example(nx=10, ny=9, dx=0.07, dy=1 / 3, scale=1e150, seed=2, ring=3, k=5)
+def test_l1_norm_is_the_divided_total_where_the_spacing_is_a_power_of_two(nx, ny, dx, dy, scale,
+                                                                          seed, ring, k):
+    # dividing by 2 delta = 2^(1-a) only rescales each value, exactly, so summing first and
+    # scaling once gives the per-cell total bit for bit; elsewhere the two round apart
+    g = GridSpec(nx, ny, dx, dy)
+    fields = scale * np.random.default_rng(seed).standard_normal((k, nx, ny))
+    stack = np.pad(fields, ((0, 0), (ring, ring), (ring, ring)), mode="wrap")
+    for axis, delta in ((0, dx), (1, dy)):
+        totals = l1_norm_central_diff(stack, axis, g).tolist()
+        totals.append(l1_norm_central_diff(stack[0], axis, g))
+        for total, u in zip(totals, list(fields) + [fields[0]]):
+            want = divided_total(u, axis, g)
+            if np.frexp(delta)[0] == 0.5:
+                assert total == want
+            else:
+                assert abs(total - want) <= divided_total_bound(nx * ny) * want
 
 
 # a field whose x and y differences all overflow: neighbours two cells apart differ in sign
@@ -190,6 +235,15 @@ def test_stacked_l1_norm_rejects_shapes_that_fit_no_ring():
             l1_norm_central_diff(np.zeros(shape), 0, g)
 
 
+def test_l1_norm_rejects_an_axis_that_is_not_0_or_1():
+    # a field and a stack share one path, which reads any axis but 0 as y unless it checks
+    g = GridSpec(5, 4, 0.2, 0.25)
+    for component in (np.zeros((5, 4)), np.zeros((3, 7, 6))):
+        for axis in (2, -1):
+            with pytest.raises(ValueError, match="axis must be 0 or 1"):
+                l1_norm_central_diff(component, axis, g)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_l1_norm_rejects_any_non_finite_cell(bad):
     g = GridSpec(5, 4, 0.2, 0.25)
@@ -208,6 +262,12 @@ def test_l1_norm_overflow_returns_inf():
     g = GridSpec.unit_square(4)
     u = np.zeros((4, 4))
     u[0], u[2] = 1e308, -1e308
+    assert l1_norm_central_diff(u, 0, g) == np.inf
+    assert l1_norm_central_diff(u.T, 1, g) == np.inf
+    # differences of 1.2e308 are finite, their sum over the field is not
+    u = np.zeros((4, 4))
+    u[0], u[2] = 6e307, -6e307
+    assert np.isfinite(np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)).all()
     assert l1_norm_central_diff(u, 0, g) == np.inf
     assert l1_norm_central_diff(u.T, 1, g) == np.inf
 

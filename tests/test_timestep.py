@@ -1,5 +1,7 @@
 """Explicit stepping, CFL bookkeeping, and stability sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from acousticfd.timestep import (
     forward_euler_step,
     run,
 )
-from acousticfd.experiments import kernel_adapted_state
+from acousticfd.experiments import gresho_vortex, kernel_adapted_state
 
 from helpers import per_state
 
@@ -68,6 +70,30 @@ def test_forward_euler_step_is_out_of_place_update_bitwise(name, eps, grid):
     # the in-place update must not alias the input state
     assert np.array_equal(state.q, before)
     assert not np.shares_memory(stepped.q, state.q)
+
+
+@pytest.mark.parametrize("scheme", ["roe", "multid"])
+def test_one_product_or_step_allocates_two_halos_not_a_ring(scheme):
+    # apply_sum and forward_euler_step fill one halo and multiply into a second; the
+    # march's ring holds 8 at 64^2, six more halos (0.6 MiB) than either uses
+    grid = GridSpec.unit_square(64)
+    spec = make_scheme(scheme, AcousticParams(c=1.0, eps=0.01), grid)
+    state = gresho_vortex(grid)
+    ws = spec.stencil.workspace()
+    assert len(ws.halos) == 8
+    # two halos, the shift buffer and the result, and 16 KiB for views and small objects
+    limit = 2 * ws.ring[0].nbytes + ws.buf.nbytes + state.q.nbytes + (16 << 10)
+    del ws
+    for call in (lambda: spec.stencil.apply_sum(state.q),
+                 lambda: forward_euler_step(spec, state, 1e-3)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
