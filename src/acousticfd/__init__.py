@@ -6,7 +6,7 @@ certificates, and vortex benchmarks.
 """
 
 from .grid import (AcousticParams, FieldSet, GridSpec, as_fraction,
-                   central_diff, l1_norm_central_diff, write_field_csv)
+                   l1_norm_central_diff, write_field_csv)
 from .stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                        averaged_div, central_bracket, central_div,
                        consistent_diffusion, curl_of, diff_half, dimsplit_div,
@@ -19,9 +19,8 @@ from .fourier import (KernelDimensionError, det_scan, dimsplit_closed_form,
                       dimsplit_right_kernel_formula, eigenvalue_scaling_check,
                       generic_phases, jk_matrix, kernel_dim, left_kernel,
                       right_kernel, structured_phases)
-from .schemes import (CATALOG_NAMES, SP_NAMES, SchemeSpec, catalog,
-                      diffusion_scale, dimsplit_symbol, make_scheme,
-                      multid_symbol, rhs)
+from .schemes import (CATALOG_NAMES, SchemeSpec, catalog, diffusion_scale,
+                      dimsplit_symbol, make_scheme, multid_symbol, rhs)
 from .timestep import (CFL_NORMALIZATION, InstabilityError, RunResult,
                        StepControl, cfl_dt, cfl_sweep, forward_euler_step,
                        run)

@@ -27,63 +27,69 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSTABLE = 3
 
-# every option once: (subcommand, or None for all; name; default; argparse
-# keywords). The flag is --name with "-" for "_" and the name is also the
-# flat JSON config key.
-OPTIONS = (
-    (None, "scheme", None, {}),
-    (None, "a1", 0.0, {"type": float}),
-    (None, "a2", 0.0, {"type": float}),
-    (None, "a3", 0.0, {"type": float}),
-    (None, "a4", 0.0, {"type": float}),
-    (None, "eps", 1.0, {"type": float}),
-    (None, "c", 1.0, {"type": float}),
-    (None, "grid", "50", {"metavar": "NX[,NY]"}),
-    (None, "dx", None, {"type": float}),
-    (None, "dy", None, {"type": float}),
-    (None, "cfl", 0.45, {"type": float}),
-    (None, "t_end", 0.3, {"type": float}),
-    (None, "k_samples", 200, {"type": int}),
-    (None, "out", None, {"metavar": "DIR"}),
-    ("certify", "divergence", "both", {"choices": ("central", "averaged", "both")}),
-    ("certify", "radius", 1, {"type": int}),
-    ("certify", "identity_only", False, {"action": "store_true"}),
-)
-DEFAULTS = {name: default for _, name, default, _ in OPTIONS}
+# every option once: name -> (default, argparse keywords). The flag is --name with "-"
+# for "_" and the name is also the flat JSON config key.
+OPTIONS = {
+    "scheme": (None, {}),
+    "a1": (0.0, {"type": float}),
+    "a2": (0.0, {"type": float}),
+    "a3": (0.0, {"type": float}),
+    "a4": (0.0, {"type": float}),
+    "eps": (1.0, {"type": float}),
+    "c": (1.0, {"type": float}),
+    "grid": ("50", {"metavar": "NX[,NY]"}),
+    "dx": (None, {"type": float}),
+    "dy": (None, {"type": float}),
+    "cfl": (0.45, {"type": float}),
+    "t_end": (0.3, {"type": float}),
+    "k_samples": (200, {"type": int}),
+    "out": (None, {"metavar": "DIR"}),
+    "divergence": ("both", {"choices": ("central", "averaged", "both")}),
+    "radius": (1, {"type": int}),
+    "identity_only": (False, {"action": "store_true"}),
+}
 
+GRID_OPTIONS = ("eps", "c", "grid", "dx", "dy")
+SCHEME_OPTIONS = ("scheme", "a1", "a2", "a3", "a4") + GRID_OPTIONS
+
+# (name, help line, the options its command reads)
 SUBCOMMANDS = (
-    ("analyze", "kernel-dimension verdict for one scheme"),
-    ("certify", "exact rational certificates for divergence operators"),
-    ("simulate", "vortex run: series, decay fit, final field"),
-    ("sweep", "max stable CFL scan on vortex data"),
-    ("catalog", "list built-in schemes and their claims"),
+    ("analyze", "kernel-dimension verdict for one scheme",
+     SCHEME_OPTIONS + ("k_samples", "out")),
+    ("certify", "exact rational certificates for divergence operators",
+     ("out", "divergence", "radius", "identity_only")),
+    ("simulate", "vortex run: series, decay fit, final field",
+     SCHEME_OPTIONS + ("cfl", "t_end", "out")),
+    ("sweep", "max stable CFL scan on vortex data", SCHEME_OPTIONS + ("out",)),
+    ("catalog", "list built-in schemes and their claims", GRID_OPTIONS + ("out",)),
 )
+READS = {name: reads for name, _, reads in SUBCOMMANDS}
 
 
 def build_parser(command=None):
     """The parser with every subcommand; only `command`'s subparser, or every one when
-    command is None, gets its flags. A run parses one subcommand, and the names and
-    help lines alone give the top-level help and errors."""
+    command is None, gets its flags, which are the options its command reads. A run
+    parses one subcommand, and the names and help lines alone give the top-level help
+    and errors."""
     ap = argparse.ArgumentParser(prog="acousticfd",
                                  description="semi-discrete acoustic schemes: "
                                              "kernel analysis, exact certification, vortex runs")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text in SUBCOMMANDS:
+    for name, help_text, reads in SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
         if command not in (None, name):
             continue
         p.add_argument("--config", default=None, help="flat JSON config; flags win")
-        for only, option, _, kwargs in OPTIONS:
-            if only in (None, name):
-                # default None marks "not given", so the config can fill it in
-                p.add_argument("--" + option.replace("_", "-"), dest=option, default=None,
-                               **kwargs)
+        for option in reads:
+            # default None marks "not given", so the config can fill it in
+            p.add_argument("--" + option.replace("_", "-"), dest=option, default=None,
+                           **OPTIONS[option][1])
     return ap
 
 
 def config_tokens(path, command):
     """A flat JSON config as `--name=value` tokens for `command`'s parser, which checks them
-    as it checks flags. null means not given; keys of other subcommands are ignored."""
+    as it checks flags. null means not given; keys only other subcommands read are ignored."""
     try:
         with open(path) as fh:
             loaded = json.load(fh)
@@ -91,14 +97,14 @@ def config_tokens(path, command):
         raise UsageError("cannot read config %s: %s" % (path, err))
     if not isinstance(loaded, dict):
         raise UsageError("config must be a flat JSON object")
-    unknown = sorted(set(loaded) - set(DEFAULTS))
+    unknown = sorted(set(loaded) - set(OPTIONS))
     if unknown:
         raise UsageError("unknown config keys: %s" % ", ".join(unknown))
     tokens = []
-    for only, name, _, kwargs in OPTIONS:
+    for name in READS[command]:
         value, flag = loaded.get(name), "--" + name.replace("_", "-")
-        switch = kwargs.get("action") == "store_true"
-        if value is None or only not in (None, command):
+        switch = OPTIONS[name][1].get("action") == "store_true"
+        if value is None:
             continue
         if switch != isinstance(value, bool) or isinstance(value, (list, dict)):
             raise UsageError("config %s = %s: %s takes %s" % (name, json.dumps(value), flag,
@@ -109,9 +115,10 @@ def config_tokens(path, command):
 
 
 def merge_config(args):
-    """Flags win over the config, whose tokens were parsed ahead of them, over defaults."""
-    return {key: default if getattr(args, key, None) is None else getattr(args, key)
-            for key, default in DEFAULTS.items()}
+    """The options the command reads: flags win over the config, whose tokens were parsed
+    ahead of them, over defaults."""
+    return {key: OPTIONS[key][0] if getattr(args, key) is None else getattr(args, key)
+            for key in READS[args.command]}
 
 
 class UsageError(Exception):
@@ -151,11 +158,10 @@ def scheme_name(cfg):
 
 def build_scheme(cfg, grid, params):
     name = scheme_name(cfg)
-    try:
-        return make_scheme(name, params, grid, **_scheme_kwargs(cfg))
-    except KeyError:
+    if name not in CATALOG_NAMES + ("dimsplit",):
         raise UsageError("unknown scheme %r (catalog: %s, dimsplit)"
                          % (name, ", ".join(CATALOG_NAMES)))
+    return make_scheme(name, params, grid, **_scheme_kwargs(cfg))
 
 
 def emit_json(doc, cfg, name):
@@ -168,9 +174,14 @@ def emit_json(doc, cfg, name):
 
 
 def _scheme_kwargs(cfg):
-    if cfg["scheme"] != "dimsplit":
-        return {}
+    """dimsplit's finite a1..a4; any other scheme takes them only at their default 0."""
     kwargs = {key: cfg[key] for key in ("a1", "a2", "a3", "a4")}
+    if cfg["scheme"] != "dimsplit":
+        given = ["--" + key for key, value in kwargs.items() if value != 0]
+        if given:
+            raise UsageError("%s set dimsplit coefficients; --scheme %s takes none"
+                             % (", ".join(given), cfg["scheme"]))
+        return {}
     for key, value in kwargs.items():
         if not math.isfinite(value):
             raise UsageError("--%s must be finite, got %r" % (key, value))

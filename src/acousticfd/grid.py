@@ -151,33 +151,6 @@ class FieldSet:
         return FieldSet.from_q(grid, q)
 
 
-def central_diff(component, axis, grid, out=None):
-    """Periodic central difference (q_{+1} - q_{-1})/(2 delta) along axis 0 (x) or 1 (y).
-
-    component is the (nx, ny) field, or the field inside a periodic ghost ring
-    r >= 1 cells wide, (nx+2r, ny+2r), as a march's ring holds it; a bare field
-    gets its ring of 1 from np.pad. The difference goes into out, an (nx, ny)
-    C-ordered array, or into a new one.
-    """
-    nx, ny = grid.nx, grid.ny
-    ring = np.asarray(component, dtype=float)
-    shape = ring.shape
-    if shape == (nx, ny):
-        ring, r = np.pad(ring, 1, mode="wrap"), 1
-    else:
-        r = (shape[0] - nx) // 2
-        if r < 1 or shape != (nx + 2 * r, ny + 2 * r):
-            raise ValueError("component shape %s is neither the grid's (%d, %d) nor a ring "
-                             "around it" % (shape, nx, ny))
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
-    ex, ey = (1, 0) if axis == 0 else (0, 1)
-    d = np.subtract(ring[r + ex:r + ex + nx, r + ey:r + ey + ny],
-                    ring[r - ex:r - ex + nx, r - ey:r - ey + ny], out=out)
-    d /= 2.0 * (grid.dx, grid.dy)[axis]
-    return d
-
-
 def l1_norm_central_diff(component, axis, grid, out=None):
     """Sum of |central difference| times the cell area: (delta'/2) sum |u_{+1} - u_{-1}|,
     delta' the other axis's cell width.

@@ -149,7 +149,6 @@ def multid_symbol(grid):
 
 
 CATALOG_NAMES = ("central", "roe", "lowmach1", "lowmach2", "lowmach3", "multid")
-SP_NAMES = ("central", "lowmach1", "lowmach2", "lowmach3", "multid")
 
 
 def make_scheme(name, params, grid, a1=0, a2=0, a3=0, a4=0):

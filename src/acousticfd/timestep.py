@@ -134,24 +134,21 @@ class RunResult:
     dt: float
 
 
-def run(spec, state, control, probes=None, cadence=1):
-    """March to t_end with fixed dt, invoking probe callbacks on a cadence.
+def run(spec, state, control, probes=None):
+    """March to t_end with fixed dt, invoking probe callbacks on every state.
 
     probes maps name -> f(stack), where stack is a (k, 3, nx+2r, ny+2r) array
     of k states, each inside its periodic ghost ring r cells wide (the
     stencil radius; bare at radius 0), and f returns k values. States are
-    sampled at t = 0, every `cadence` steps and at the final step. The march
-    runs in blocks of up to S steps round its ring, and each probe is called
-    once per block on the block's samples: a view of the ring when every step
-    is sampled, under ignored over and invalid. Returns the probe series and
-    a copy of the final state.
+    sampled at t = 0 and after every step. The march runs in blocks of up to
+    S steps round its ring; each block is checked for non-finite cells, and
+    then each probe is called once on a view of the block's states in the
+    ring, under ignored over and invalid, so a probe sees only finite states.
+    Returns the probe series and a copy of the final state.
 
-    Only each block's last state is checked for non-finite cells. When it
-    fails, the block's states are scanned, and InstabilityError names the
-    first non-finite step and the time before it, as a check after every step
-    would. A probe may raise on a non-finite state: on a non-finite block its
-    error gives way to the InstabilityError, and on a finite block it is the
-    run's.
+    Only each block's last state is checked. When it fails, the block's states
+    are scanned, and InstabilityError names the first non-finite step and the
+    time before it, as a check after every step would.
     """
     sampled = [(name, fn, []) for name, fn in (probes or {}).items()]
     dt = cfl_dt(spec.params, state.grid, control.cfl)
@@ -159,25 +156,16 @@ def run(spec, state, control, probes=None, cadence=1):
     march = March(spec).load(state, dt)
     size = len(march.halos)
 
-    times = [0.0]
     _sample(sampled, march.ring[-1:])
     with np.errstate(**_QUIET):
         for first in range(1, n_steps + 1, size):
             k = min(size, n_steps + 1 - first)
             march.advance(k)
-            slots = range(k) if cadence == 1 else [
-                j for j in range(k) if (first + j) % cadence == 0 or first + j == n_steps]
-            times.extend((first + j) * dt for j in slots)
-            try:
-                if slots:
-                    _sample(sampled, march.ring[:k] if len(slots) == k else march.ring[slots])
-            except Exception:
-                if march.finite(k - 1):
-                    raise
             if not march.finite(k - 1):
                 j = next(j for j in range(k) if not march.finite(j))
                 raise InstabilityError(first + j, (first + j - 1) * dt)
-    return RunResult(times=np.array(times),
+            _sample(sampled, march.ring[:k])
+    return RunResult(times=np.arange(n_steps + 1) * dt,
                      series={name: np.concatenate(chunks) for name, _, chunks in sampled},
                      final_state=march.state.copy(), n_steps=n_steps, dt=dt)
 

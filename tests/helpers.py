@@ -2,7 +2,8 @@
 of two divergence rows, the observed convergence order of a divergence row, the
 scalar Halton phases that `fourier.generic_phases` must reproduce bitwise, the
 scaling law by rebuilding, the oracle for `fourier.eigenvalue_scaling_check`, and
-the batched run probe made from a per-state one."""
+the batched run probe made from a per-state one, and the catalog schemes the paper
+calls stationarity preserving, written out so that no test reads them from the claims."""
 
 import math
 
@@ -12,6 +13,8 @@ from acousticfd.fourier import GUARD
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec
 from acousticfd.schemes import make_scheme
 from acousticfd.stencils import ScalarStencil
+
+SP_NAMES = ("central", "lowmach1", "lowmach2", "lowmach3", "multid")
 
 
 def identity_stencil():

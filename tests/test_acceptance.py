@@ -30,11 +30,11 @@ from acousticfd.laurent import (
     spans_match,
     taylor_expand,
 )
-from acousticfd.schemes import SP_NAMES, make_scheme, rhs
+from acousticfd.schemes import make_scheme, rhs
 from acousticfd.stencils import averaged_div, central_div, consistent_diffusion, dimsplit_div
 from acousticfd.timestep import StepControl, cfl_dt, run
 
-from helpers import divergence_observed_order, per_state
+from helpers import SP_NAMES, divergence_observed_order, per_state
 
 
 def _report(n, failures):

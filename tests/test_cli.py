@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from acousticfd.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, OPTIONS,
-                            SUBCOMMANDS, build_parser, main)
+from acousticfd.cli import (COMMANDS, EXIT_FAIL, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE,
+                            SUBCOMMANDS, build_parser, main, merge_config)
 
 
 def _read_json(path):
@@ -114,6 +114,13 @@ OUT_OF_RANGE = [
     (["analyze", "--scheme", "dimsplit", "--a1", "1e400"], "--a1 must be finite"),
     (["sweep", "--scheme", "dimsplit", "--a3", "inf", "--grid", "8"], "--a3 must be finite"),
     (["simulate", "--scheme", "dimsplit", "--a2", "nan", "--grid", "8"], "--a2 must be finite"),
+    # a catalog scheme takes no coefficients: a nonzero or NaN one is named, not dropped
+    (["analyze", "--scheme", "roe", "--a1", "5"],
+     "--a1 set dimsplit coefficients; --scheme roe takes none"),
+    (["simulate", "--scheme", "multid", "--grid", "8", "--a2", "nan"],
+     "--a2 set dimsplit coefficients; --scheme multid takes none"),
+    (["sweep", "--scheme", "central", "--grid", "8", "--a4", "2", "--a3=-1e-300"],
+     "--a3, --a4 set dimsplit coefficients; --scheme central takes none"),
     # exact symbol entries beyond the float range, and a time step that underflows
     (["analyze", "--scheme", "roe", "--dx", "1e-320"],
      "symbol entry (u, u) at cell offset (1, 0) is beyond the float range"),
@@ -192,27 +199,113 @@ def test_out_dir_is_made_once_and_undone_on_usage_error(tmp_path):
     assert os.listdir(tmp_path) == ["a"]
 
 
-@pytest.mark.parametrize("command", [name for name, _ in SUBCOMMANDS])
+@pytest.mark.parametrize("command", [name for name, _, _ in SUBCOMMANDS])
 def test_subcommand_parser_carries_exactly_its_option_rows(command):
-    rows = {name for only, name, _, _ in OPTIONS if only in (None, command)}
+    reads = dict((name, reads) for name, _, reads in SUBCOMMANDS)[command]
     for built in (command, None):
         args = build_parser(built).parse_args([command])
-        assert set(vars(args)) == {"command", "config"} | rows
+        assert set(vars(args)) == {"command", "config"} | set(reads)
         assert all(value is None for key, value in vars(args).items() if key != "command")
-    for other, _ in SUBCOMMANDS:
+    for other, _, _ in SUBCOMMANDS:
         if other != command:
             assert set(vars(build_parser(other).parse_args([command]))) == {"command"}
 
 
-# sha256 of each --help screen at 80 columns, recorded while build_parser still
-# gave every subparser its flags whatever the command
+class RecordingConfig(dict):
+    """A config that records every key its command reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# one cheap run of each command; the scheme commands use dimsplit, which reads a1..a4
+READ_RUNS = {
+    "analyze": ["--scheme", "dimsplit", "--a4", "0.5", "--grid", "4", "--k-samples", "3"],
+    "certify": [],
+    "simulate": ["--scheme", "dimsplit", "--a4", "0.5", "--grid", "4", "--t-end", "0.05"],
+    "sweep": ["--scheme", "dimsplit", "--a4", "0.5", "--grid", "4"],
+    "catalog": ["--grid", "4"],
+}
+
+
+@pytest.mark.parametrize("command, reads", [(name, reads) for name, _, reads in SUBCOMMANDS],
+                         ids=[name for name, _, _ in SUBCOMMANDS])
+def test_each_command_reads_every_option_it_takes(command, reads, capsys):
+    argv = [command, *READ_RUNS[command]]
+    cfg = RecordingConfig(merge_config(build_parser(command).parse_args(argv)))
+    assert COMMANDS[command](cfg) == EXIT_OK
+    json.loads(capsys.readouterr().out)
+    assert cfg.read == set(cfg) == set(reads)
+
+
+# the (command, flag) pairs that every subcommand once took and its command never read
+DROPPED = {
+    "analyze": ("cfl", "t_end"),
+    "certify": ("scheme", "a1", "a2", "a3", "a4", "eps", "c", "grid", "dx", "dy", "cfl",
+                "t_end", "k_samples"),
+    "simulate": ("k_samples",),
+    "sweep": ("cfl", "t_end", "k_samples"),
+    "catalog": ("scheme", "a1", "a2", "a3", "a4", "cfl", "t_end", "k_samples"),
+}
+DROPPED_PAIRS = [(command, "--" + name.replace("_", "-"))
+                 for command, names in DROPPED.items() for name in names]
+
+
+def test_subcommands_take_46_flags():
+    assert len(DROPPED_PAIRS) == 27
+    assert sum(len(reads) for _, _, reads in SUBCOMMANDS) == 46
+    for command, _, reads in SUBCOMMANDS:
+        assert not set(reads) & set(DROPPED[command])
+
+
+@pytest.mark.parametrize("command, flag", DROPPED_PAIRS, ids=[" ".join(p) for p in DROPPED_PAIRS])
+def test_dropped_flags_are_usage_errors(command, flag, capsys):
+    value = "roe" if flag == "--scheme" else "1"
+    assert _exit_code([command, flag, value]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    if (command, flag) == ("certify", "--c"):
+        # argparse reads a unique prefix of a flag as the flag: here --config
+        assert err.startswith("error: cannot read config 1: ")
+    else:
+        assert err.endswith("acousticfd: error: unrecognized arguments: %s %s\n" % (flag, value))
+
+
+def _load_clibench(module):
+    """A clibench module loaded by its path, as the benchmark loads it."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "clibench", module + ".py")
+    spec = importlib.util.spec_from_file_location("clibench_" + module, path)
+    loaded = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    return loaded
+
+
+def test_benchmark_command_lines_parse():
+    workloads = _load_clibench("workloads")
+    for workload in workloads.WORKLOADS:
+        for seed in range(10):
+            for argv in workloads.commands(workload, seed):
+                for built in (argv[0], None):
+                    assert build_parser(built).parse_args(argv).command == argv[0]
+
+
+# sha256 of each --help screen at 80 columns: the top-level screen recorded while
+# build_parser still gave every subparser its flags whatever the command, and each
+# subcommand's since it takes only the options its command reads
 HELP_SHA256 = {
     (): "4c502cdd0fbfe26bfda12d0ad62ad978b7471501b14d0be21003e5de4111364e",
-    ("analyze",): "9df3b475f84c68772149b2f5e51ec21e9a02b9fa69e582b7b1a56a5868da3b72",
-    ("certify",): "ec529715891e53a77ed463a871a469363843ffaacc89ffb779f709943244ac32",
-    ("simulate",): "0574a995b494a6191b8a50429d76e47099913f8b8ba3e35a992b6fd82d53f820",
-    ("sweep",): "03baf26cfd36f2181e24808084be3617a6c7c554efb78dfd660f10a5bd4ece2c",
-    ("catalog",): "cb7c87dc66f603b09020771eaef6e2654f0aaaf7a02fe3df8b95b16441191576",
+    ("analyze",): "69e74800ee93dadfb7b9c37a188f79acc1978540eac77b19503eb8af0c2af711",
+    ("certify",): "f2245e3be85bbc524f67683e5681b985374d9482f4ddf275d429428c1db99577",
+    ("simulate",): "e43da48efc2dc1c213344d0de17e79712c1a4e213695b52f5489166236b17b6f",
+    ("sweep",): "b56bcef6c5f4ba5615f4b09740b8bc74ed3e7dc2e7f704a15d1ae56ae7d342ab",
+    ("catalog",): "065d5db20ecf849cc06f357b291101afecf728113e0d42ac59638066ff396918",
 }
 USAGE = "usage: acousticfd [-h] {analyze,certify,simulate,sweep,catalog} ...\n"
 PARSE_ERRORS = {
@@ -297,12 +390,8 @@ def test_c1_c2_flags_are_gone(tmp_path):
 def test_traced_names_resolve():
     # the benchmark's tracer wraps these by module and name; a rename breaks it
     import importlib
-    import importlib.util
 
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "clibench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("clibench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_clibench("tracing")
     for module, names in tracing.WRAPPED.items():
         mod = importlib.import_module("acousticfd." + module)
         for qual in names:
@@ -366,6 +455,8 @@ CONFIG_PROBES = [
      "config grid = [12, 7]: --grid takes a string or a number"),
     (["analyze"], {"scheme": "dimsplit", "a1": "x"}, EXIT_USAGE,
      "argument --a1: invalid float value: 'x'"),
+    (["analyze", "--grid", "8"], {"scheme": "roe", "a1": 5}, EXIT_USAGE,
+     "--a1 set dimsplit coefficients; --scheme roe takes none"),
     # null means not given, and a flag still beats the config
     (["simulate", "--scheme", "roe", "--grid", "8"], {"t_end": None}, EXIT_OK, None),
     (["certify", "--radius", "1"], {"radius": 3}, EXIT_OK, None),
@@ -373,7 +464,8 @@ CONFIG_PROBES = [
     (["certify"], {"identity_only": False, "radius": 1}, EXIT_OK, None),
     # keys of other subcommands stay ignored, checked or not
     (["analyze", "--scheme", "roe", "--grid", "8", "--k-samples", "3"],
-     {"radius": "x", "identity_only": "no"}, EXIT_OK, None),
+     {"radius": "x", "identity_only": "no", "cfl": "x", "t_end": None}, EXIT_OK, None),
+    (["catalog", "--grid", "8"], {"scheme": "nosuch", "a1": 5, "k_samples": 0}, EXIT_OK, None),
 ]
 
 

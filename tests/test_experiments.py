@@ -27,7 +27,7 @@ from acousticfd.experiments import (
     write_timeseries_csv,
 )
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec
-from acousticfd.schemes import SP_NAMES, make_scheme
+from acousticfd.schemes import make_scheme
 from acousticfd.stencils import (
     averaged_div,
     central_div,
@@ -35,7 +35,7 @@ from acousticfd.stencils import (
     dimsplit_div,
 )
 
-from helpers import divergence_observed_order
+from helpers import SP_NAMES, divergence_observed_order
 
 
 def _continuous_vortex_velocity(xx, yy):

@@ -39,14 +39,13 @@ def reference_step(spec, q, dt, step):
     return q
 
 
-def reference_run(spec, q0, dt, n_steps, probes, cadence):
+def reference_run(spec, q0, dt, n_steps, probes):
     q = q0.copy()
     series = {name: [fn(FieldSet.from_q(spec.grid, q))] for name, fn in probes.items()}
     for step in range(1, n_steps + 1):
         q = reference_step(spec, q, dt, step)
-        if step % cadence == 0 or step == n_steps:
-            for name, fn in probes.items():
-                series[name].append(fn(FieldSet.from_q(spec.grid, q)))
+        for name, fn in probes.items():
+            series[name].append(fn(FieldSet.from_q(spec.grid, q)))
     return q, series
 
 
@@ -80,16 +79,15 @@ def probes_for(grid):
             "dux_l1": lambda s: l1_norm_central_diff(s.u, 0, grid)}
 
 
-def assert_run_matches_reference(spec, q0, n_steps, cadence):
+def assert_run_matches_reference(spec, q0, n_steps):
     grid = spec.grid
     cfl = 0.4
     dt = cfl_dt(spec.params, grid, cfl)
     state = FieldSet.from_q(grid, q0.copy())
     out = run(spec, state, StepControl(cfl=cfl, t_end=n_steps * dt),
-              probes={name: per_state(fn, grid) for name, fn in probes_for(grid).items()},
-              cadence=cadence)
+              probes={name: per_state(fn, grid) for name, fn in probes_for(grid).items()})
     assert np.array_equal(state.q, q0)
-    q, series = reference_run(spec, q0, dt, out.n_steps, probes_for(grid), cadence)
+    q, series = reference_run(spec, q0, dt, out.n_steps, probes_for(grid))
     assert np.array_equal(out.final_state.q, q)
     assert out.final_state.q.flags.c_contiguous
     assert len(out.series["q"]) == len(series["q"]) == len(out.times)
@@ -121,17 +119,19 @@ def catalog_spec(name, coeffs, eps, nx, ny, dx, dy):
 @given(name=st.sampled_from(CATALOG_NAMES + ("dimsplit",)),
        coeffs=st.lists(st.floats(-4, 4, allow_subnormal=False), min_size=4, max_size=4),
        eps=st.sampled_from((1.0, 1e-2, 1e-6)), n_steps=st.integers(0, 2 * S + 9),
-       cadence=st.integers(1, 4), seed=st.integers(0, 2 ** 16), **GRIDS)
-@example(name="multid", coeffs=[0, 0, 0, 0], eps=1.0, n_steps=5, cadence=2, seed=0,
+       seed=st.integers(0, 2 ** 16), **GRIDS)
+@example(name="multid", coeffs=[0, 0, 0, 0], eps=1.0, n_steps=5, seed=0,
          nx=3, ny=3, dx=1.0, dy=1.0)
-@example(name="lowmach3", coeffs=[0, 0, 0, 0], eps=1e-2, n_steps=2 * S + 1, cadence=3,
+@example(name="central", coeffs=[0, 0, 0, 0], eps=1.0, n_steps=0, seed=2,
+         nx=4, ny=5, dx=1.0, dy=1.0)
+@example(name="lowmach3", coeffs=[0, 0, 0, 0], eps=1e-2, n_steps=2 * S + 1,
          seed=4, nx=7, ny=10, dx=0.05, dy=1 / 16)
-@example(name="roe", coeffs=[0, 0, 0, 0], eps=1e-2, n_steps=7, cadence=3, seed=1,
+@example(name="roe", coeffs=[0, 0, 0, 0], eps=1e-2, n_steps=7, seed=1,
          nx=10, ny=3, dx=1e-3, dy=0.07)
-def test_run_matches_reference_loop(name, coeffs, eps, n_steps, cadence, seed, nx, ny, dx, dy):
+def test_run_matches_reference_loop(name, coeffs, eps, n_steps, seed, nx, ny, dx, dy):
     spec = catalog_spec(name, coeffs, eps, nx, ny, dx, dy)
     q0 = np.random.default_rng(seed).standard_normal((3, nx, ny))
-    assert_run_matches_reference(spec, q0, n_steps, cadence)
+    assert_run_matches_reference(spec, q0, n_steps)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -163,11 +163,10 @@ def _wide_stencils(draw):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(spec=_wide_stencils(), n_steps=st.integers(1, 6), cadence=st.integers(1, 3),
-       seed=st.integers(0, 2 ** 16))
-def test_wide_stencils_match_reference_loop(spec, n_steps, cadence, seed):
+@given(spec=_wide_stencils(), n_steps=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+def test_wide_stencils_match_reference_loop(spec, n_steps, seed):
     q0 = np.random.default_rng(seed).standard_normal((3, spec.grid.nx, spec.grid.ny))
-    assert_run_matches_reference(spec, q0, n_steps, cadence)
+    assert_run_matches_reference(spec, q0, n_steps)
     assert_sweep_matches_reference(spec, q0, n_steps)
 
 
@@ -184,7 +183,7 @@ def test_radius_zero_and_empty_stencils_match_reference_loop(kind, aniso_grid, r
     spec = custom_spec(aniso_grid, RADIUS_ZERO[kind])
     assert spec.stencil.radius == 0
     q0 = rng.standard_normal((3, aniso_grid.nx, aniso_grid.ny))
-    assert_run_matches_reference(spec, q0, 5, 2)
+    assert_run_matches_reference(spec, q0, 5)
     assert_sweep_matches_reference(spec, q0, 20)
 
 
@@ -288,15 +287,15 @@ def test_probe_error_on_a_finite_state_comes_at_its_step(at, aniso_grid, rng):
     with pytest.raises(ValueError, match="^probe stops at step %d$" % at):
         run(spec, FieldSet.from_q(aniso_grid, q0), StepControl(cfl=0.4, t_end=(at + B) * dt),
             probes={"stop": per_state(probe, aniso_grid)})
-    q, _ = reference_run(spec, q0, dt, at, {}, 1)
+    q, _ = reference_run(spec, q0, dt, at, {})
     assert len(seen) == at + 1
     assert np.array_equal(seen[-1], q)
 
 
 @pytest.mark.parametrize("case", ["doubling", "roe"])
 def test_vortex_probes_on_a_blow_up_surface_the_instability(case):
-    # the L1 probes raise ValueError on a non-finite u inside a block; the run reports
-    # the instability at its first non-finite step instead
+    # the L1 probes raise ValueError on a non-finite u; the run checks each block before
+    # its probes read it, so they never see one, and it reports the first non-finite step
     if case == "doubling":
         spec, cfl = doubling_spec(), 1.0
         q0 = doubling_state(spec, 2 * B + 5, seed=3)
@@ -318,7 +317,7 @@ def test_vortex_probes_on_a_blow_up_surface_the_instability(case):
     probes = {name: watched(fn) for name, fn in _benchmark_probes(spec.grid).items()}
     step = assert_instability_matches_reference(spec, q0, cfl, 4 * B, probes=probes)
     assert 2 * B < step <= 3 * B
-    assert raised and all("non-finite" in str(err) for err in raised)
+    assert not raised
 
 
 @pytest.mark.parametrize("kind", ["growth", "blow_up"])
@@ -395,7 +394,7 @@ def test_blocks_of_any_length_continue_the_march(aniso_grid, rng):
     for k in (3, B, 1, 1, 2, B, B - 1):
         march.advance(k)
         done += k
-        q, _ = reference_run(spec, q0, dt, done, {}, 1)
+        q, _ = reference_run(spec, q0, dt, done, {})
         assert np.array_equal(march.state.q, q), (k, done)
     for k in (0, B + 1):
         with pytest.raises(ValueError, match="a block is 1 to %d steps" % B):
@@ -418,7 +417,7 @@ def test_ring_holds_eight_slots_at_64_and_two_at_200(n, slots):
 def test_full_box_radius_two_stencil_matches_reference_loop(rng):
     spec = custom_spec(GridSpec(7, 9, 0.05, 0.07), full_box_entries(2))
     q0 = rng.standard_normal((3, 7, 9))
-    assert_run_matches_reference(spec, q0, B + 3, 2)
+    assert_run_matches_reference(spec, q0, B + 3)
     assert_sweep_matches_reference(spec, q0, 20)
 
 
@@ -507,7 +506,7 @@ def test_vortex_probes_match_plain_reference_loop(scheme, grid, tmp_path):
     vortex_benchmark(spec, t_end, cfl=cfl, out_dir=str(tmp_path))
     probes = {"dux_l1": lambda s: l1_norm_central_diff(s.u, 0, grid),
               "duy_l1": lambda s: l1_norm_central_diff(s.u, 1, grid)}
-    _, series = reference_run(spec, gresho_vortex(grid).q, dt, n_steps, probes, 1)
+    _, series = reference_run(spec, gresho_vortex(grid).q, dt, n_steps, probes)
     for name, want in series.items():
         got = read_series(tmp_path / ("%s_eps0p1_%s.csv" % (scheme, name)))
         assert [t for t, _ in got] == [k * dt for k in range(n_steps + 1)]

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec
 from acousticfd.schemes import (
     CATALOG_NAMES,
-    SP_NAMES,
     catalog,
     diffusion_scale,
     dimsplit_symbol,
@@ -19,6 +18,8 @@ from acousticfd.schemes import (
 from acousticfd.laurent import taylor_expand
 from acousticfd.stencils import (ScalarStencil, VecStencilRow, averaged_div, central_div,
                                  consistent_diffusion, dimsplit_div)
+
+from helpers import SP_NAMES
 
 
 def test_catalog_names_and_claims(square_grid, params):

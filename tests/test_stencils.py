@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from acousticfd import AcousticParams, GridSpec
 from acousticfd.experiments import kernel_adapted_state
-from acousticfd.schemes import CATALOG_NAMES, SP_NAMES, make_scheme, rhs
+from acousticfd.schemes import CATALOG_NAMES, make_scheme, rhs
 from acousticfd.timestep import StepControl, cfl_dt, run
 from acousticfd.stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                                  averaged_div, central_bracket, central_div,
@@ -16,7 +16,7 @@ from acousticfd.stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                                  dimsplit_div, rational_string, second_bracket,
                                  smooth_bracket, sum_half, tx, ty)
 
-from helpers import identity_stencil
+from helpers import SP_NAMES, identity_stencil
 from matrix_entries import full_box_entries, matrix_stencil
 
 

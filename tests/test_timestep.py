@@ -140,24 +140,6 @@ def test_instability_reports_step_and_time(square_grid):
     assert exc.value.t == pytest.approx((exc.value.step - 1) * cfl_dt(params, square_grid, 4.0))
 
 
-def test_run_probe_cadence(square_grid, params):
-    spec = make_scheme("central", params, square_grid)
-    state = FieldSet.zeros(square_grid)
-    probes = {"norm": per_state(lambda s: s.norm_inf(), square_grid)}
-    out = run(spec, state, StepControl(cfl=0.5, t_end=0.0), probes=probes)
-    assert out.n_steps == 0
-    assert list(out.times) == [0.0]
-    assert out.series["norm"].tolist() == [0.0]
-
-    out = run(spec, state, StepControl(cfl=0.5, t_end=20 * cfl_dt(params, square_grid, 0.5)),
-              probes=probes, cadence=7)
-    assert out.n_steps == 20
-    # t = 0, steps 7, 14, and the final step
-    assert len(out.times) == 4
-    assert np.all(out.series["norm"] == 0.0)
-    assert out.times[-1] == pytest.approx(20 * out.dt)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cfl_sweep_brackets_stability(square_grid):
     params = AcousticParams(c=1.0, eps=1.0)

@@ -19,7 +19,9 @@ from acousticfd.cli import EXIT_OK, main
 from acousticfd.experiments import extract_conserved_operator, json_document
 from acousticfd.fourier import det_scan, generic_phases
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec
-from acousticfd.schemes import CATALOG_NAMES, SP_NAMES, make_scheme, rhs
+from acousticfd.schemes import CATALOG_NAMES, make_scheme, rhs
+
+from helpers import SP_NAMES
 
 LADDER_EPS = ("1", "1e-2", "1e-4", "1e-5", "1e-6", "1e-8", "1e-10")
 LADDER_GRIDS = {
