@@ -73,10 +73,11 @@ def build_parser(command=None):
     and errors."""
     ap = argparse.ArgumentParser(prog="acousticfd",
                                  description="semi-discrete acoustic schemes: "
-                                             "kernel analysis, exact certification, vortex runs")
+                                             "kernel analysis, exact certification, vortex runs",
+                                 allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, help_text, reads in SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if command not in (None, name):
             continue
         p.add_argument("--config", default=None, help="flat JSON config; flags win")
@@ -141,9 +142,7 @@ def parse_grid(cfg):
         nx, ny = map(int, parts if len(parts) > 1 else parts * 2)
     except ValueError:
         raise UsageError("bad --grid %r, want NX or NX,NY" % spec)
-    dx = cfg["dx"] if cfg["dx"] is not None else 1.0 / nx
-    dy = cfg["dy"] if cfg["dy"] is not None else 1.0 / ny
-    return checked(GridSpec, nx=nx, ny=ny, dx=dx, dy=dy)
+    return checked(GridSpec, nx=nx, ny=ny, dx=cfg["dx"], dy=cfg["dy"])
 
 
 def parse_params(cfg):

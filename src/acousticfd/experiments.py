@@ -38,17 +38,18 @@ def gresho_vortex(grid):
                       % (X0, Y0, lx, ly))
     elif R2 > margin:
         warnings.warn("vortex radius %.3g exceeds distance %.3g to the boundary" % (R2, margin))
-    x, y = grid.cell_centers()
-    dx_, dy_ = x - X0, y - Y0
-    r = np.hypot(dx_, dy_)
-    # v_phi / r is what multiplies (-dy, dx); finite at r = 0 on the inner branch
+    # v_phi / r is what multiplies (-dy, dx); finite at r = 0 on the inner branch. Cell
+    # centres beyond the float range give non-finite data, which a march refuses to load
     inner = SPEED / R1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        x, y = grid.cell_centers()
+        dx_, dy_ = x - X0, y - Y0
+        r = np.hypot(dx_, dy_)
         outer = SPEED * (R2 - r) / ((R2 - R1) * r)
-    ratio = np.where(r < R1, inner, np.where(r < R2, outer, 0.0))
-    ratio = np.where(r == 0.0, inner, ratio)
-    u = -ratio * dy_
-    v = ratio * dx_
+        ratio = np.where(r < R1, inner, np.where(r < R2, outer, 0.0))
+        ratio = np.where(r == 0.0, inner, ratio)
+        u = -ratio * dy_
+        v = ratio * dx_
     p = np.full_like(u, P0)
     return FieldSet(grid, u, v, p)
 
@@ -232,7 +233,7 @@ def _benchmark_probes(grid):
     return {"dux_l1": l1(0), "duy_l1": l1(1)}
 
 
-def vortex_benchmark(spec, t_end, cfl=0.45, out_dir=None):
+def vortex_benchmark(spec, t_end, cfl, out_dir=None):
     """One vortex run of a built scheme: probe series, decay fit, final field.
 
     Returns a report dict whose `runs` holds the run's entry; writes CSV/JSON

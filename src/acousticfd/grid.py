@@ -29,25 +29,27 @@ def as_fraction(x):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic grid: nx*ny cells of size dx*dy, cell centers at ((i+1/2)dx, (j+1/2)dy)."""
+    """Periodic grid: nx*ny cells of size dx*dy, cell centers at ((i+1/2)dx, (j+1/2)dy).
+    A width left None is the unit square's, 1/nx or 1/ny, set once the size is checked."""
 
     nx: int
     ny: int
-    dx: float
-    dy: float
+    dx: float = None
+    dy: float = None
 
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ValueError("grid must be at least 3x3, got %dx%d" % (self.nx, self.ny))
-        for name in ("dx", "dy"):
+        for name, n in (("dx", self.nx), ("dy", self.ny)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, 1.0 / n)
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("cell widths must be positive and finite, got %s = %r"
                                  % (name, getattr(self, name)))
 
     @staticmethod
     def unit_square(nx, ny=None):
-        ny = nx if ny is None else ny
-        return GridSpec(nx, ny, 1.0 / nx, 1.0 / ny)
+        return GridSpec(nx, nx if ny is None else ny)
 
     # exact binary values of the stored spacings; used to bind stencil
     # coefficients so the float weights are single-rounded

@@ -225,10 +225,6 @@ class VecStencilRow:
     def apply(self, u, v, grid):
         return self.bu.apply(u, grid) + self.bv.apply(v, grid)
 
-    @property
-    def cell_radius(self):
-        return max(self.bu.cell_radius, self.bv.cell_radius)
-
     def to_json_dict(self):
         return {"bu": self.bu.to_json_dict(), "bv": self.bv.to_json_dict()}
 
@@ -283,12 +279,12 @@ def ring_slots(grid, radius):
 
 
 class Halo(NamedTuple):
-    """A workspace halo and its plan: fill holds the (buffer rows, flat shifts) pairs that
-    shift_product copies, one per tap, or one for all of them when the taps fill their
-    (2r+1)^2 box; ghosts the (ghost strip, interior strip) pairs that wrap_halo copies, in
-    order."""
+    """A workspace halo's views and its plan: span the flat run from its first interior
+    cell to its last, inner its (3, nx, ny) interior; fill holds the (buffer rows, flat
+    shifts) pairs that shift_product copies, one per tap, or one for all of them when the
+    taps fill their (2r+1)^2 box; ghosts the (ghost strip, interior strip) pairs that
+    wrap_halo copies, in order."""
 
-    array: np.ndarray
     span: np.ndarray
     inner: np.ndarray
     fill: tuple
@@ -383,7 +379,7 @@ class MatrixStencil:
                       (h[:, r:r + nx, ny + r:], h[:, r:r + nx, r:2 * r]),
                       (h[:, :r], h[:, nx:nx + r]),
                       (h[:, nx + r:], h[:, r:2 * r])) if r else ()
-            halos.append(Halo(h, span, h[:, r:r + nx, r:r + ny], fill, ghosts))
+            halos.append(Halo(span, h[:, r:r + nx, r:r + ny], fill, ghosts))
         return Workspace(ring, spans, halos, buf)
 
     @staticmethod

@@ -61,58 +61,53 @@ class March:
 
     A step runs shift_product into the next halo's span, scales it by -dt (the
     sign of -W @ B folded in, which is exact), adds the current span and
-    refreshes the next halo's ghosts: bitwise q + dt * rhs(q). `advance(k)`
-    makes k <= S steps into slots 0 .. k-1 from the state in slot S-1, where
-    `load` and every full block leave it, so each state of the block stays
-    resident, inside its periodic ghost ring (from radius 1 up), until the
-    next block overwrites it. A span holds interior cells and copies of them
-    only, so the checks run on it. A non-finite cell stays non-finite under
-    the step (inf + x and NaN + x are never finite), so a block whose last
-    state is finite was finite at every step. `state` views the current
-    interior. Every view is built with the March, and a step leaves the
+    refreshes the next halo's ghosts: bitwise q + dt * rhs(q). `load` puts a
+    finite state in slot S-1, and `blocks` steps from there in blocks of up to S
+    states, so each state of a block stays resident, inside its periodic ghost
+    ring (from radius 1 up), until the next block overwrites it. A span holds
+    interior cells and copies of them only, so the checks run on it. A
+    non-finite cell stays non-finite under the step (inf + x and NaN + x are
+    never finite), so a block whose last state is finite was finite at every
+    step. Every view is built with the March, and a step leaves the
     floating-point error state to its callers, which quiet it once around
     their loops."""
 
     def __init__(self, spec):
         self.stencil, self.grid = spec.stencil, spec.grid
         self.ring, self.spans, self.halos, self.buf = spec.stencil.workspace()
-        self.states = [FieldSet.from_q(self.grid, h.inner) for h in self.halos]
 
     def load(self, state, dt):
         if state.grid != self.grid:
             raise ValueError("state grid %r does not match scheme grid %r" % (state.grid, self.grid))
-        self.neg_dt, self.last, self.state = -dt, len(self.halos) - 1, self.states[-1]
-        self.state.q[...] = state.q
+        if not np.isfinite(state.q).all():
+            raise ValueError("the initial state has a non-finite cell")
+        self.neg_dt = -dt
+        self.halos[-1].inner[...] = state.q
         self.stencil.wrap_halo(self.halos[-1])
         return self
 
-    def advance(self, k):
-        """k steps, 1 <= k <= S, into slots 0 .. k-1. A block that follows a partial one
-        first copies its start state to slot S-1."""
-        halos = self.halos
-        if not 0 < k <= len(halos):
-            raise ValueError("a block is 1 to %d steps, not %r" % (len(halos), k))
-        if self.last != len(halos) - 1:
-            self.ring[-1] = self.ring[self.last]
-        cur = halos[-1]
-        for nxt in halos[:k]:
-            out = nxt.span
-            self.stencil.shift_product(cur, out, self.buf)
-            out *= self.neg_dt
-            out += cur.span
-            self.stencil.wrap_halo(nxt)
-            cur = nxt
-        self.last, self.state = k - 1, self.states[k - 1]
+    def blocks(self, n_steps):
+        """Step n_steps states in blocks of up to S, each from slot S-1 into slots 0 .. k-1;
+        only the last block can be shorter than S. Yields (first, k) after each block, first
+        the number of its first step."""
+        halos, size = self.halos, len(self.halos)
+        for first in range(1, n_steps + 1, size):
+            k = min(size, n_steps + 1 - first)
+            cur = halos[-1]
+            for nxt in halos[:k]:
+                out = nxt.span
+                self.stencil.shift_product(cur, out, self.buf)
+                out *= self.neg_dt
+                out += cur.span
+                self.stencil.wrap_halo(nxt)
+                cur = nxt
+            yield first, k
 
     def peaks(self, k):
         """max|q| of the states in slots 0 .. k-1, from two reductions over their spans
         and without a |q| temporary; + 0.0 turns a -0.0 into 0.0, as abs does."""
         spans = self.spans[:k]
         return (np.maximum(spans.max(axis=(1, 2)), -spans.min(axis=(1, 2))) + 0.0).tolist()
-
-    def finite(self, slot):
-        """True when every cell of the state in this slot is finite."""
-        return bool(np.isfinite(self.halos[slot].span).all())
 
 
 def forward_euler_step(spec, state, dt, step=None):
@@ -144,7 +139,8 @@ def run(spec, state, control, probes=None):
     S steps round its ring; each block is checked for non-finite cells, and
     then each probe is called once on a view of the block's states in the
     ring, under ignored over and invalid, so a probe sees only finite states.
-    Returns the probe series and a copy of the final state.
+    Returns the probe series and a copy of the final state. A non-finite
+    initial state is a ValueError: `March.load` refuses it.
 
     Only each block's last state is checked. When it fails, the block's states
     are scanned, and InstabilityError names the first non-finite step and the
@@ -154,20 +150,19 @@ def run(spec, state, control, probes=None):
     dt = cfl_dt(spec.params, state.grid, control.cfl)
     n_steps = control.steps(dt)
     march = March(spec).load(state, dt)
-    size = len(march.halos)
 
     _sample(sampled, march.ring[-1:])
+    k = 0  # with no block, the final state is the loaded one in slot S-1
     with np.errstate(**_QUIET):
-        for first in range(1, n_steps + 1, size):
-            k = min(size, n_steps + 1 - first)
-            march.advance(k)
-            if not march.finite(k - 1):
-                j = next(j for j in range(k) if not march.finite(j))
+        for first, k in march.blocks(n_steps):
+            if not np.isfinite(march.spans[k - 1]).all():
+                j = next(j for j in range(k) if not np.isfinite(march.spans[j]).all())
                 raise InstabilityError(first + j, (first + j - 1) * dt)
             _sample(sampled, march.ring[:k])
     return RunResult(times=np.arange(n_steps + 1) * dt,
                      series={name: np.concatenate(chunks) for name, _, chunks in sampled},
-                     final_state=march.state.copy(), n_steps=n_steps, dt=dt)
+                     final_state=FieldSet.from_q(state.grid, march.halos[k - 1].inner.copy()),
+                     n_steps=n_steps, dt=dt)
 
 
 def _sample(sampled, stack):
@@ -181,10 +176,8 @@ def _sample(sampled, stack):
 def _sweep_point(march, horizon_steps, initial, bound):
     """(stable, peak) of one loaded CFL point: the stop rule reads each block's max-norms
     in step order."""
-    size, peak = len(march.halos), initial
-    for first in range(1, horizon_steps + 1, size):
-        k = min(size, horizon_steps + 1 - first)
-        march.advance(k)
+    peak = initial
+    for _, k in march.blocks(horizon_steps):
         for p in march.peaks(k):
             if not math.isfinite(p):
                 return False, math.inf

@@ -384,21 +384,29 @@ def test_vortex_pass_calls_the_l1_probe_3210_times(monkeypatch, tmp_path):
     assert 3 * len(calls) == 3210
 
 
-def test_blocks_of_any_length_continue_the_march(aniso_grid, rng):
-    # a block after a partial one starts from that block's last state, wherever it lies
-    spec = make_scheme("multid", AcousticParams(c=1.0, eps=0.01), aniso_grid)
-    q0 = rng.standard_normal((3, aniso_grid.nx, aniso_grid.ny))
-    dt = cfl_dt(spec.params, aniso_grid, 0.4)
-    march = March(spec).load(FieldSet.from_q(aniso_grid, q0), dt)
-    done = 0
-    for k in (3, B, 1, 1, 2, B, B - 1):
-        march.advance(k)
-        done += k
-        q, _ = reference_run(spec, q0, dt, done, {})
-        assert np.array_equal(march.state.q, q), (k, done)
-    for k in (0, B + 1):
-        with pytest.raises(ValueError, match="a block is 1 to %d steps" % B):
-            march.advance(k)
+ANISO = GridSpec(nx=12, ny=10, dx=0.05, dy=0.07)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n_steps=st.integers(0, 3 * S + 2), seed=st.integers(0, 2 ** 16))
+@example(n_steps=0, seed=0)
+@example(n_steps=S, seed=1)
+@example(n_steps=3 * S + 1, seed=2)
+def test_blocks_walk_the_ring_in_full_blocks_and_one_last(n_steps, seed):
+    # blocks of S states from slot S-1 into slots 0 .. S-1, and a last block of the rest
+    spec = make_scheme("multid", AcousticParams(c=1.0, eps=0.01), ANISO)
+    q0 = np.random.default_rng(seed).standard_normal((3, ANISO.nx, ANISO.ny))
+    dt = cfl_dt(spec.params, ANISO, 0.4)
+    _, series = reference_run(spec, q0, dt, n_steps, {"q": lambda s: s.q.copy()})
+    march = March(spec).load(FieldSet.from_q(ANISO, q0), dt)
+    walked = []
+    for first, k in march.blocks(n_steps):
+        walked.append((first, k))
+        for slot in range(k):
+            assert np.array_equal(march.halos[slot].inner, series["q"][first + slot]), (first, slot)
+    full = max(n_steps - 1, 0) // S
+    last = [(full * S + 1, n_steps - S * full)] if n_steps else []
+    assert walked == [(1 + S * b, S) for b in range(full)] + last
 
 
 @pytest.mark.parametrize("n, slots", [(64, 8), (200, 2)])
@@ -411,7 +419,8 @@ def test_ring_holds_eight_slots_at_64_and_two_at_200(n, slots):
     assert ws.ring.nbytes <= max(RING_BYTES, 2 * ws.ring[0].nbytes)
     assert len(ws.halos) == slots and len({id(h.fill) for h in ws.halos}) == slots
     for slot, halo in enumerate(ws.halos):
-        assert halo.array.base is ws.ring and np.shares_memory(halo.span, ws.spans[slot])
+        assert np.shares_memory(halo.inner, ws.ring[slot])
+        assert np.shares_memory(halo.span, ws.ring[slot]) and np.shares_memory(halo.span, ws.spans[slot])
 
 
 def test_full_box_radius_two_stencil_matches_reference_loop(rng):
@@ -520,20 +529,22 @@ def test_march_step_allocates_no_state_sized_block(scheme):
     march = March(spec).load(gresho_vortex(grid), cfl_dt(spec.params, grid, 0.45))
     stencil_state = dict(vars(spec.stencil))
     size = len(march.halos)
-    for k in (size, 3):
-        march.advance(k)
+    for _, k in march.blocks(size + 3):
         march.peaks(k)
-    limit = min(march.state.q.nbytes, march.buf.nbytes)
+    limit = min(march.halos[0].inner.nbytes, march.buf.nbytes)
     tracemalloc.start()
     try:
-        for k in (size, size, 5, 1, size):
-            before, _ = tracemalloc.get_traced_memory()
+        # two full blocks and a last one of 5, then a walk of one step
+        for n_steps in (3 * size - 3, 1):
             tracemalloc.reset_peak()
-            march.advance(k)
-            if k != 1:
-                march.peaks(k)
-            _, peak = tracemalloc.get_traced_memory()
-            assert peak - before < limit, (k, peak - before, limit)
+            before, _ = tracemalloc.get_traced_memory()
+            for _, k in march.blocks(n_steps):
+                if k != 1:
+                    march.peaks(k)
+                current, peak = tracemalloc.get_traced_memory()
+                assert peak - before < limit, (k, peak - before, limit)
+                tracemalloc.reset_peak()
+                before = current
     finally:
         tracemalloc.stop()
     # the plans belong to the March: nothing was cached on the stencil
@@ -583,7 +594,7 @@ def test_zero_state_peak_norm_is_positive_zero(kind, zero, square_grid):
         assert math.copysign(1.0, row["peak_norm"]) == 1.0
     # the empty stencil keeps every -0.0 cell at -0.0, and the norm still reads +0.0
     march = March(spec).load(state, 0.01)
-    march.advance(1)
-    peak, = march.peaks(1)
-    assert peak == float(np.max(np.abs(march.state.q)))
+    for _, k in march.blocks(1):
+        peak, = march.peaks(k)
+    assert peak == float(np.max(np.abs(march.halos[0].inner)))
     assert math.copysign(1.0, peak) == 1.0

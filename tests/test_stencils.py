@@ -423,9 +423,9 @@ def test_apply_sum_zero_and_radius_zero_stencils(aniso_grid, rng):
     assert_matches_roll_oracle(local, q)
 
 
-def per_tap_fill(ms, halo, n):
-    """The shift buffer as one copy per tap of the packing fills it."""
-    flat = halo.array.reshape(3, -1)
+def per_tap_fill(ms, slot, n):
+    """The shift buffer as one copy per tap of the packing fills it from a ring slot."""
+    flat = slot.reshape(3, -1)
     return np.concatenate([flat[comps, off:off + n] for _, _, off, comps in ms._packed[1]])
 
 
@@ -441,13 +441,13 @@ def test_workspace_fill_is_one_copy_when_the_taps_fill_their_box(kind, aniso_gri
     ws = ms.workspace()
     halos, buf = ws.halos, ws.buf
     assert buf.shape[0] == (3 * box if kind != "roe" else 11)
-    for halo in halos:
+    for halo, slot in zip(halos, ws.ring):
         assert len(halo.fill) == (1 if kind != "roe" else taps)
-        halo.array[...] = rng.standard_normal(halo.array.shape)
+        slot[...] = rng.standard_normal(slot.shape)
         buf[...] = np.nan
         for dst, src in halo.fill:
             np.copyto(dst, src)
-        assert np.array_equal(buf, per_tap_fill(ms, halo, buf.shape[1]))
+        assert np.array_equal(buf, per_tap_fill(ms, slot, buf.shape[1]))
     q = rng.standard_normal((3, aniso_grid.nx, aniso_grid.ny))
     assert_matches_roll_oracle(ms, q)
 
