@@ -15,8 +15,7 @@ from .stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
 from .laurent import (consistency_nullspace, moore_symmetry_scan,
                       operator_identity_check, rref, rref_nullspace,
                       spans_match, symmetric_divergence_row, taylor_expand)
-from .fourier import (KernelDimensionError, det_scan, dimsplit_closed_form,
-                      dimsplit_right_kernel_formula, eigenvalue_scaling_check,
+from .fourier import (KernelDimensionError, det_scan, eigenvalue_scaling_check,
                       generic_phases, jk_matrix, kernel_dim, left_kernel,
                       right_kernel, structured_phases)
 from .schemes import (CATALOG_NAMES, SchemeSpec, catalog, diffusion_scale,

@@ -80,7 +80,7 @@ class ConservedOperator:
     """Physical-space left-kernel row: a per-cell functional constant in time.
 
     wu, wv, wp are whole-cell scalar stencils with units already bound into
-    their coefficients; apply returns the conserved density field.
+    their coefficients; wu(u) + wv(v) + wp(p) is the conserved density field.
     """
 
     def __init__(self, grid, wu, wv, wp):
@@ -88,18 +88,6 @@ class ConservedOperator:
         self.wu = wu
         self.wv = wv
         self.wp = wp
-
-    def apply(self, field):
-        out = self.wu.apply(field.u, self.grid) + self.wv.apply(field.v, self.grid)
-        if not self.wp.is_zero():
-            out = out + self.wp.apply(field.p, self.grid)
-        return out
-
-    def weight_norm(self):
-        total = 0.0
-        for st in (self.wu, self.wv, self.wp):
-            total += sum(abs(w) for w in st.weights(self.grid).values())
-        return total
 
     def to_json_dict(self):
         return {"wu": self.wu.to_json_dict(), "wv": self.wv.to_json_dict(),

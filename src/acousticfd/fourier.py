@@ -201,40 +201,6 @@ def det_scan(spec, phases=None, structured=True):
                            withheld=withheld, expected=spec.claims["stationarity_preserving"])
 
 
-def dimsplit_closed_form(params, a1, a2, a3, a4, grid, thx, thy):
-    """Evolution matrix of the dimensionally split scheme, written directly in phases.
-
-    Kept independent of the stencil assembly on purpose: the two paths are
-    compared term by term in tests.
-    """
-    c = params.c
-    e2 = params.eps ** 2
-    dx, dy = grid.dx, grid.dy
-    sx = 2j * math.sin(thx)
-    sy = 2j * math.sin(thy)
-    qx = 2.0 * math.cos(thx) - 2.0
-    qy = 2.0 * math.cos(thy) - 2.0
-    M = np.array([
-        [-a1 * qx / (2 * dx), 0.0, (sx / e2 - a2 * qx) / (2 * dx)],
-        [0.0, -a1 * qy / (2 * dy), (sy / e2 - a2 * qy) / (2 * dy)],
-        [(c * c * sx - a3 * qx) / (2 * dx), (c * c * sy - a3 * qy) / (2 * dy),
-         -a4 * (qx / (2 * dx) + qy / (2 * dy))],
-    ], dtype=complex)
-    return -1j * M
-
-
-def dimsplit_right_kernel_formula(params, a3, grid, thx, thy):
-    """(a3 Qy - c^2 Sy)/(2dy), -(a3 Qx - c^2 Sx)/(2dx), 0) for a1 = 0 schemes."""
-    c2 = params.c ** 2
-    sx = 2j * math.sin(thx)
-    sy = 2j * math.sin(thy)
-    qx = 2.0 * math.cos(thx) - 2.0
-    qy = 2.0 * math.cos(thy) - 2.0
-    return np.array([(a3 * qy - c2 * sy) / (2 * grid.dy),
-                     -(a3 * qx - c2 * sx) / (2 * grid.dx),
-                     0.0], dtype=complex)
-
-
 def eigenvalue_scaling_check(spec):
     """The law M(c, eps) = (c/eps) T M^ T^-1, which scales E's eigenvalues with c/eps, exactly.
 

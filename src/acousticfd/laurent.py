@@ -1,7 +1,7 @@
 """Exact linear algebra over stencil symbols.
 
-A ScalarStencil is its own Laurent symbol in (tx, ty) with Fraction
-coefficients; the grid spacings stay formal invertible units, never
+A ScalarStencil is its own Laurent symbol in (tx, ty) with rational
+coefficients, int numerators over one denominator; the grid spacings stay formal invertible units, never
 substituted numerically here, so every certified identity holds for all
 spacings. This module builds and solves the exact linear systems behind the
 certificates: cross-consistency nullspaces, span comparisons, the symmetric
@@ -18,10 +18,13 @@ from .stencils import (ScalarStencil, VecStencilRow, averaged_div, central_brack
 
 
 def _integer_row(row):
-    """A rational row scaled by the lcm of its denominators; zeros stay the int 0."""
+    """(int row, den): a rational row scaled by den, the lcm of its denominators; zeros
+    stay the int 0. A row of ints is its own."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     den = math.lcm(*(x.denominator for x in row if x))
-    return [x.numerator * (den // x.denominator) if x else 0 for x in row]
+    return [x.numerator * (den // x.denominator) if x else 0 for x in row], den
 
 
 def distinct_rows(rows):
@@ -41,12 +44,13 @@ def rref(rows, ncols):
     """Reduced row echelon form of a rational matrix: (reduced Fraction rows, pivot columns).
 
     Entries are ints or Fractions; any other entry, such as a float, enters
-    exactly through Fraction(x). Gauss-Jordan runs over Python ints, each
-    updated row divided by the gcd of its entries; Fractions are built only
-    for the nonzero entries on exit. The reduced form is unique, so it equals
-    elimination over Fraction.
+    exactly through Fraction(x). A row of ints enters as it is, any other row
+    scaled by the lcm of its denominators. Gauss-Jordan runs over Python ints,
+    each updated row divided by the gcd of its entries; Fractions are built
+    only for the nonzero entries on exit. The reduced form is unique, so it
+    equals elimination over Fraction.
     """
-    mat = [_integer_row(r) for r in rows]
+    mat = [_integer_row(r)[0] for r in rows]
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -91,9 +95,11 @@ def rref_nullspace(rows, ncols):
 def _row_symbol_from_vector(vec, offsets):
     """Unknown vector -> VecStencilRow; first half is bu/dx, second half bv/dy."""
     n = len(offsets)
-    bu = {(2 * sx, 2 * sy): vec[i] for i, (sx, sy) in enumerate(offsets) if vec[i] != 0}
-    bv = {(2 * sx, 2 * sy): vec[n + i] for i, (sx, sy) in enumerate(offsets) if vec[n + i] != 0}
-    return VecStencilRow(ScalarStencil(bu, (-1, 0)), ScalarStencil(bv, (0, -1)))
+    num, den = _integer_row(vec)
+    bu = {(2 * sx, 2 * sy): num[i] for i, (sx, sy) in enumerate(offsets) if num[i]}
+    bv = {(2 * sx, 2 * sy): num[n + i] for i, (sx, sy) in enumerate(offsets) if num[n + i]}
+    return VecStencilRow(ScalarStencil.from_ints(bu, den, (-1, 0)),
+                         ScalarStencil.from_ints(bv, den, (0, -1)))
 
 
 def consistency_nullspace(A, radius=1):
@@ -118,9 +124,8 @@ def consistency_nullspace(A, radius=1):
     col = [comp * (n // 2 + 1) + max(i, n - 1 - i) - n // 2 for comp in (0, 1) for i in range(n)]
     ncols = col[-1] + 1
     (pu, qu), (pv, qv) = A.bu.units, A.bv.units
-    den = math.lcm(*(c.denominator for st in (A.bu, A.bv) for c in st.coeffs.values()))
-    au, av = ({k: c.numerator * (den // c.denominator) for k, c in st.coeffs.items()}
-              for st in (A.bu, A.bv))
+    den = math.lcm(A.bu.den, A.bv.den)
+    au, av = ({k: v * (den // st.den) for k, v in st.num.items()} for st in (A.bu, A.bv))
 
     # cross-consistency: for each product monomial one linear equation
     eqs = {}

@@ -5,9 +5,12 @@ shifts tx, ty whose exponents are integer half-cell offsets, so tx^n sits at
 offset (2n, 0) and the bracket builders compose on the half lattice by plain
 convolution. Only stencils whose offsets are all even (whole cells) can be
 applied to a field or exported. A stencil carries one formal unit monomial
-dx^px dy^py so coefficient maps stay exact rationals independent of the grid.
+dx^px dy^py so coefficient maps stay exact rationals independent of the grid; they
+are held as ints over one denominator, and Fractions appear only at entry and in the
+`coeffs` view.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -17,31 +20,42 @@ import numpy as np
 from .grid import as_fraction
 
 
-def _clean(coeffs):
-    return {off: c for off, c in coeffs.items() if c != 0}
-
-
 class ScalarStencil:
-    """Finite map half-offset -> Fraction, times dx^px dy^py.
+    """Finite map half-offset -> rational, times dx^px dy^py, held as int numerators
+    `num` over one positive denominator `den` in lowest terms.
 
     `*` composes two stencils (the product of their symbols; units add) or
     scales by a number; numbers added to a stencil are multiples of the
-    identity.
+    identity. Every result is reduced by one gcd, so equal maps have equal
+    (num, den). `coeffs` is the read-only Fraction view.
     """
 
-    __slots__ = ("coeffs", "units")
+    __slots__ = ("num", "den", "units")
 
     def __init__(self, coeffs, units=(0, 0)):
-        self.coeffs = _clean({(int(a), int(b)): as_fraction(c) for (a, b), c in coeffs.items()})
+        fr = {(int(a), int(b)): as_fraction(c) for (a, b), c in coeffs.items()}
+        # the lcm of reduced denominators leaves num/den in lowest terms
+        self.den = math.lcm(*(c.denominator for c in fr.values()))
+        self.num = {off: c.numerator * (self.den // c.denominator) for off, c in fr.items() if c}
         self.units = (int(units[0]), int(units[1]))
 
     @classmethod
-    def _of(cls, coeffs, units):
-        """A stencil over a map that is already clean: int offsets to nonzero Fractions,
-        int units. The algebra below builds only such maps, so it skips __init__."""
+    def from_ints(cls, num, den, units):
+        """The stencil num/den with nonzero int numerators, den > 0 and int units,
+        reduced by the gcd of den and the numerators. The algebra builds only such
+        maps, so it skips __init__."""
         st = cls.__new__(cls)
-        st.coeffs, st.units = coeffs, units
+        g = math.gcd(den, *num.values())
+        if g > 1:
+            num = {off: v // g for off, v in num.items()}
+            den //= g
+        st.num, st.den, st.units = num, den, units
         return st
+
+    @property
+    def coeffs(self):
+        """Half-offset -> nonzero Fraction."""
+        return {off: Fraction(v, self.den) for off, v in self.num.items()}
 
     def __repr__(self):
         return "ScalarStencil(%r, units=%r)" % (self.coeffs, self.units)
@@ -49,35 +63,38 @@ class ScalarStencil:
     def __eq__(self, other):
         if not isinstance(other, ScalarStencil):
             return NotImplemented
-        if not self.coeffs and not other.coeffs:
+        if not self.num and not other.num:
             return True
-        return self.coeffs == other.coeffs and self.units == other.units
+        return (self.num == other.num and self.den == other.den
+                and self.units == other.units)
 
     def __hash__(self):
         # every zero stencil is equal to every other, whatever its units
-        return hash((frozenset(self.coeffs.items()), self.units if self.coeffs else None))
+        return hash((frozenset(self.num.items()), self.den, self.units if self.num else None))
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def is_whole_cell(self):
-        return all(a % 2 == 0 and b % 2 == 0 for a, b in self.coeffs)
+        return all(a % 2 == 0 and b % 2 == 0 for a, b in self.num)
 
     @property
     def cell_radius(self):
-        if not self.coeffs:
-            return 0
-        m = max(max(abs(a), abs(b)) for a, b in self.coeffs)
+        m = max((max(abs(a), abs(b)) for a, b in self.num), default=0)
         return (m + 1) // 2
+
+    def _cells(self):
+        """(whole-cell offset, numerator) pairs; only for whole-cell stencils."""
+        if not self.is_whole_cell():
+            raise ValueError("stencil sits on half-index positions")
+        return [((a // 2, b // 2), v) for (a, b), v in self.num.items()]
 
     def cell_offsets(self):
         """Coefficient map in whole-cell offsets; only for whole-cell stencils."""
-        if not self.is_whole_cell():
-            raise ValueError("stencil sits on half-index positions")
-        return {(a // 2, b // 2): c for (a, b), c in self.coeffs.items()}
+        return {off: Fraction(v, self.den) for off, v in self._cells()}
 
     def __neg__(self):
-        return ScalarStencil._of({off: -c for off, c in self.coeffs.items()}, self.units)
+        return self.from_ints({off: -v for off, v in self.num.items()}, self.den, self.units)
 
     def __add__(self, other):
         if not isinstance(other, ScalarStencil):
@@ -89,11 +106,13 @@ class ScalarStencil:
         if self.units != other.units:
             raise ValueError("cannot add stencils with units %r and %r"
                              % (self.units, other.units))
-        out = dict(self.coeffs)
-        for off, c in other.coeffs.items():
+        den = math.lcm(self.den, other.den)
+        m1, m2 = den // self.den, den // other.den
+        out = {off: v * m1 for off, v in self.num.items()}
+        for off, v in other.num.items():
             prev = out.get(off)
-            out[off] = c if prev is None else prev + c
-        return ScalarStencil._of(_clean(out), self.units)
+            out[off] = v * m2 if prev is None else prev + v * m2
+        return self.from_ints({off: v for off, v in out.items() if v}, den, self.units)
 
     __radd__ = __add__
 
@@ -103,31 +122,33 @@ class ScalarStencil:
     def __mul__(self, other):
         if not isinstance(other, ScalarStencil):
             s = as_fraction(other)
-            # a product of nonzero Fractions is nonzero, so only s = 0 empties the map
-            return ScalarStencil._of({off: c * s for off, c in self.coeffs.items()} if s else {},
-                                     self.units)
+            p = s.numerator  # only s = 0 empties the map
+            return self.from_ints({off: v * p for off, v in self.num.items()} if p else {},
+                                  self.den * s.denominator, self.units)
         out = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
+        for (a1, b1), c1 in self.num.items():
+            for (a2, b2), c2 in other.num.items():
                 key = (a1 + a2, b1 + b2)
                 prev = out.get(key)
                 out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return ScalarStencil._of(_clean(out), (self.units[0] + other.units[0],
-                                               self.units[1] + other.units[1]))
+        return self.from_ints({off: v for off, v in out.items() if v}, self.den * other.den,
+                              (self.units[0] + other.units[0], self.units[1] + other.units[1]))
 
     __rmul__ = __mul__
 
     def with_units(self, px, py):
-        return ScalarStencil._of(self.coeffs, (self.units[0] + px, self.units[1] + py))
+        return self.from_ints(self.num, self.den, (self.units[0] + px, self.units[1] + py))
 
     def bound(self, grid):
         """The unitless stencil with dx^px dy^py bound to the grid's exact spacings."""
-        return ScalarStencil._of(self.coeffs, (0, 0)) * (grid.dx_exact ** self.units[0]
-                                                         * grid.dy_exact ** self.units[1])
+        return self.from_ints(self.num, self.den, (0, 0)) * (grid.dx_exact ** self.units[0]
+                                                             * grid.dy_exact ** self.units[1])
 
     def weights(self, grid):
-        """Whole-cell offsets with float weights, units bound to the grid."""
-        return {off: float(c) for off, c in self.bound(grid).cell_offsets().items()}
+        """Whole-cell offsets with float weights, units bound to the grid. Int true
+        division is correctly rounded, as float(Fraction) is."""
+        st = self.bound(grid)
+        return {off: v / st.den for off, v in st._cells()}
 
     def apply(self, arr, grid):
         arr = np.asarray(arr, dtype=float)
@@ -174,12 +195,12 @@ def rational_string(fr):
 
 def tx(n=1):
     """Shift by n cells in x: the monomial tx^n."""
-    return ScalarStencil({(2 * n, 0): 1})
+    return ScalarStencil.from_ints({(2 * n, 0): 1}, 1, (0, 0))
 
 
 def ty(n=1):
     """Shift by n cells in y: the monomial ty^n."""
-    return ScalarStencil({(0, 2 * n): 1})
+    return ScalarStencil.from_ints({(0, 2 * n): 1}, 1, (0, 0))
 
 
 def _axis_pair(axis, value_plus, value_minus):
@@ -192,12 +213,12 @@ def _axis_pair(axis, value_plus, value_minus):
 
 def diff_half(axis):
     """[q]_{i+-1/2}: difference of the two neighbors half a cell away."""
-    return ScalarStencil(_axis_pair(axis, 1, -1))
+    return ScalarStencil.from_ints(_axis_pair(axis, 1, -1), 1, (0, 0))
 
 
 def sum_half(axis):
     """{q}_{i+-1/2}: sum of the two neighbors half a cell away."""
-    return ScalarStencil(_axis_pair(axis, 1, 1))
+    return ScalarStencil.from_ints(_axis_pair(axis, 1, 1), 1, (0, 0))
 
 
 def central_bracket(axis):
@@ -221,9 +242,6 @@ class VecStencilRow:
 
     bu: ScalarStencil
     bv: ScalarStencil
-
-    def apply(self, u, v, grid):
-        return self.bu.apply(u, grid) + self.bv.apply(v, grid)
 
     def to_json_dict(self):
         return {"bu": self.bu.to_json_dict(), "bv": self.bv.to_json_dict()}
@@ -321,9 +339,9 @@ class MatrixStencil:
             for c, st in enumerate(row):
                 if st.units != (0, 0) and not st.is_zero():
                     raise ValueError("entry (%d, %d) still carries units %r" % (r, c, st.units))
-                for off, value in st.cell_offsets().items():
+                for off, value in st._cells():
                     try:
-                        blocks.setdefault(off, np.zeros((3, 3)))[r, c] = float(value)
+                        blocks.setdefault(off, np.zeros((3, 3)))[r, c] = value / st.den
                     except OverflowError:
                         raise OverflowError("symbol entry (%s, %s) at cell offset %r is beyond "
                                             "the float range" % ("uvp"[r], "uvp"[c], off)) from None

@@ -12,8 +12,6 @@ from acousticfd.fourier import (
     KernelDimensionError,
     SpectralVerdict,
     det_scan,
-    dimsplit_closed_form,
-    dimsplit_right_kernel_formula,
     eigenvalue_scaling_check,
     generic_phases,
     jk_matrix,
@@ -25,7 +23,8 @@ from acousticfd.fourier import (
 from acousticfd.grid import AcousticParams, GridSpec
 from acousticfd.schemes import CATALOG_NAMES, make_scheme
 
-from helpers import halton, rebuilt_scaling_law, scalar_generic_phases
+from helpers import (dimsplit_closed_form, dimsplit_right_kernel_formula, halton,
+                     rebuilt_scaling_law, scalar_generic_phases)
 
 
 def evolution(stencil, thx, thy):

@@ -19,7 +19,7 @@ from acousticfd.laurent import taylor_expand
 from acousticfd.stencils import (ScalarStencil, VecStencilRow, averaged_div, central_div,
                                  consistent_diffusion, dimsplit_div)
 
-from helpers import SP_NAMES
+from helpers import SP_NAMES, det_and_cofactors
 
 
 def test_catalog_names_and_claims(square_grid, params):
@@ -228,3 +228,23 @@ def test_dimsplit_scheme_defaults(square_grid, params):
     assert spec.claims["stationarity_preserving"]
     assert physical_diffusion(spec) == dp
     assert spec.unitless == dimsplit_symbol(square_grid, spec.diffusion)
+
+
+RANK_GRIDS = {"24x24": GridSpec.unit_square(24), "12x7": GridSpec(12, 7, 1e-3, 0.07)}
+
+
+@pytest.mark.parametrize("grid", RANK_GRIDS.values(), ids=RANK_GRIDS.keys())
+def test_exact_rank_of_the_symbol_decides_stationarity(grid):
+    # the paper's criterion: at a generic wavevector J.k has a one-dimensional kernel, so
+    # a scheme preserves stationarity iff M^ has rank 2 over the Laurent polynomials:
+    # det(M^) = 0 identically and some cofactor is not
+    params = AcousticParams(c=1.0, eps=1.0)
+    for name in SP_NAMES:
+        det, cof = det_and_cofactors(make_scheme(name, params, grid).unitless)
+        assert det.is_zero(), name
+        assert any(not c.is_zero() for row in cof for c in row), name
+    # a1^ = 1e-154 lies below the float scan's relative tolerance; the exact det sees it
+    for spec in (make_scheme("roe", params, grid),
+                 make_scheme("dimsplit", params, grid, a1=1e-154, a2=0.5),
+                 make_scheme("dimsplit", AcousticParams(c=5e153, eps=1.0), grid, a1=0.5, a2=0.5)):
+        assert not det_and_cofactors(spec.unitless)[0].is_zero(), spec.diffusion

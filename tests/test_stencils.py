@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,7 +17,7 @@ from acousticfd.stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                                  dimsplit_div, rational_string, second_bracket,
                                  smooth_bracket, sum_half, tx, ty)
 
-from helpers import SP_NAMES, identity_stencil
+from helpers import FractionModel, SP_NAMES, identity_stencil, row_apply
 from matrix_entries import full_box_entries, matrix_stencil
 
 
@@ -112,25 +113,25 @@ def test_divergence_rows_exact_on_linear_fields():
     g = GridSpec(nx=8, ny=8, dx=0.125, dy=0.125)
     x, y = g.cell_centers()
     for row in (central_div(), averaged_div(), dimsplit_div(F(1, 3) / F(2) ** 2)):
-        out = row.apply(x, y, g)   # u = x, v = y, divergence 2
+        out = row_apply(row, x, y, g)   # u = x, v = y, divergence 2
         assert np.max(np.abs(out[2:-2, 2:-2] - 2.0)) < 1e-13
 
 
 def test_central_div_rigid_rotation_and_checkerboard():
     g = GridSpec.unit_square(8)
     x, y = g.cell_centers()
-    out = central_div().apply(-(y - 0.5), x - 0.5, g)
+    out = row_apply(central_div(), -(y - 0.5), x - 0.5, g)
     assert np.max(np.abs(out[1:-1, 1:-1])) < 1e-13
     cb = np.fromfunction(lambda i, j: (-1.0) ** (i + j), (8, 8))
-    assert np.max(np.abs(central_div().apply(cb, np.zeros_like(cb), g))) == 0.0
-    assert np.max(np.abs(averaged_div().apply(cb, np.zeros_like(cb), g))) == 0.0
+    assert np.max(np.abs(row_apply(central_div(), cb, np.zeros_like(cb), g))) == 0.0
+    assert np.max(np.abs(row_apply(averaged_div(), cb, np.zeros_like(cb), g))) == 0.0
 
 
 def test_curl_rows():
     g = GridSpec.unit_square(8)
     x, y = g.cell_centers()
     # rigid rotation u = -y, v = x has curl 2, linear so exact
-    out = curl_of(dimsplit_div(F(1, 2))).apply(-(y - 0.5), x - 0.5, g)
+    out = row_apply(curl_of(dimsplit_div(F(1, 2))), -(y - 0.5), x - 0.5, g)
     assert np.max(np.abs(out[1:-1, 1:-1] - 2.0)) < 1e-13
     assert curl_of(dimsplit_div(0)).to_json_dict() == curl_of(central_div()).to_json_dict()
     # curl of a sampled gradient field is O(dx^2) small; an oblique plane
@@ -141,7 +142,7 @@ def test_curl_rows():
         xx, yy = gg.cell_centers()
         phi_x = 2 * np.pi * np.cos(2 * np.pi * (xx + 2 * yy))
         phi_y = 4 * np.pi * np.cos(2 * np.pi * (xx + 2 * yy))
-        errs.append(np.max(np.abs(curl_of(averaged_div()).apply(phi_x, phi_y, gg))))
+        errs.append(np.max(np.abs(row_apply(curl_of(averaged_div()), phi_x, phi_y, gg))))
     assert errs[0] > 1e-6
     assert errs[1] < errs[0] / 3.0
 
@@ -195,49 +196,52 @@ def test_product_is_composition(a, b, c, ua, ub, dx, dy, seed):
     assert a * (b + c) == a * b + a * c
 
 
-def _convolve(a, b):
-    # reference: the product of two symbols as a plain double loop over Fractions
-    out = {}
-    for (ax, ay), ca in a.items():
-        for (bx, by), cb in b.items():
-            key = (ax + bx, ay + by)
-            out[key] = out.get(key, F(0)) + ca * cb
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def _combine(a, b, sign):
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, F(0)) + sign * c
-    return {k: c for k, c in out.items() if c != 0}
-
-
 def _assert_clean(stencil, want, units):
     assert stencil.coeffs == want and stencil.units == units
     assert all(type(c) is F and c != 0 for c in stencil.coeffs.values())
     assert all(type(a) is int and type(b) is int for a, b in stencil.coeffs)
+    # nonzero int numerators over one positive int denominator, in lowest terms
+    assert all(type(v) is int and v for v in stencil.num.values())
+    assert type(stencil.den) is int and stencil.den > 0
+    assert math.gcd(stencil.den, *stencil.num.values()) == 1
 
 
 half_cells = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                              st.fractions(-3, 3, max_denominator=6), max_size=6)
+scalars = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7),
+                    st.decimals(-5, 5, places=3, allow_nan=False, allow_infinity=False).map(str),
+                    st.just(0))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(a=half_cells, b=half_cells, ua=units, ub=units,
-       s=st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=5)))
-@example(a={(2, 0): F(1)}, b={(2, 0): F(1)}, ua=(0, 0), ub=(0, 0), s=0)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(a=half_cells, b=half_cells, ua=units, ub=units, s=scalars, shift=units,
+       dx=st.sampled_from((1.0, 1 / 3, 0.05, 1e-3)), dy=st.sampled_from((1.0, 0.07, 1 / 16)))
+@example(a={(2, 0): F(1)}, b={(2, 0): F(1)}, ua=(0, 0), ub=(0, 0), s=0, shift=(0, 0),
+         dx=1.0, dy=1.0)
 @example(a={(1, 0): F(1), (-1, 0): F(-1)}, b={(1, 0): F(1), (-1, 0): F(1)},
-         ua=(-1, 0), ub=(0, 0), s=F(1, 2))
-def test_products_and_sums_match_convolution(a, b, ua, ub, s):
-    sa, sb = ScalarStencil(a, ua), ScalarStencil(b, ua)
-    clean_a, clean_b = {k: c for k, c in a.items() if c}, {k: c for k, c in b.items() if c}
-    _assert_clean(sa * ScalarStencil(b, ub), _convolve(clean_a, clean_b),
-                  (ua[0] + ub[0], ua[1] + ub[1]))
-    _assert_clean(sa + sb, _combine(clean_a, clean_b, 1), ua)
-    _assert_clean(sa - sb, _combine(clean_a, clean_b, -1), ua)
-    _assert_clean(sa * s, {k: c * s for k, c in clean_a.items() if c * s}, ua)
-    _assert_clean(-sa, {k: -c for k, c in clean_a.items()}, ua)
-    assert (sa - sa).coeffs == {} and (sa * 0).coeffs == {}
+         ua=(-1, 0), ub=(0, 0), s=F(1, 2), shift=(1, 0), dx=1 / 3, dy=1.0)
+@example(a={(1, 0): F(1, 2), (-1, 0): F(-1, 2)}, b={(1, 0): F(1, 2)}, ua=(0, 0), ub=(-1, 0),
+         s="0.250", shift=(1, 1), dx=1e-3, dy=0.07)
+def test_integer_stencil_matches_fraction_model(a, b, ua, ub, s, shift, dx, dy):
+    # products, sums, scaling, units and binding against one Fraction per coefficient
+    grid = GridSpec(12, 10, dx, dy)
+    sa, sb, sc = ScalarStencil(a, ua), ScalarStencil(b, ua), ScalarStencil(b, ub)
+    ma, mb, mc = FractionModel.of(a, ua), FractionModel.of(b, ua), FractionModel.of(b, ub)
+    for got, want in ((sa * sc, ma * mc), (sc * sa, ma * mc), (sa + sb, ma + mb),
+                      (sa - sb, ma - mb), (-sa, -ma), (sa * s, ma * s), (s * sa, ma * s),
+                      (ScalarStencil(a) + s, FractionModel.of(a) + s),
+                      (sa.with_units(*shift), ma.with_units(*shift)),
+                      (sa.bound(grid), ma.bound(grid)), (sc.bound(grid), mc.bound(grid))):
+        _assert_clean(got, want.coeffs, want.units)
+    # every zero stencil is one value, whatever its units
+    zeros = [sa - sa, sa * 0, sc - sc, ScalarStencil({}, ub),
+             ScalarStencil(dict.fromkeys(b, 0), ua)]
+    assert all(z == zeros[0] and hash(z) == hash(zeros[0]) for z in zeros)
+    assert all(z.is_zero() for z in zeros)
+    with pytest.raises(TypeError):
+        ScalarStencil({**a, (1, 1): True}, ua)
+    with pytest.raises(TypeError):
+        sa * True
 
 
 def test_cancellation_leaves_no_zero_coefficient():
