@@ -16,8 +16,8 @@ from .laurent import (consistency_nullspace, moore_symmetry_scan,
                       operator_identity_check, rref, rref_nullspace,
                       spans_match, symmetric_divergence_row, taylor_expand)
 from .fourier import (KernelDimensionError, det_scan, eigenvalue_scaling_check,
-                      generic_phases, jk_matrix, kernel_dim, left_kernel,
-                      right_kernel, structured_phases)
+                      generic_phases, kernel_dim, left_kernel, right_kernel,
+                      structured_phases)
 from .schemes import (CATALOG_NAMES, SchemeSpec, catalog, diffusion_scale,
                       dimsplit_symbol, make_scheme, multid_symbol, rhs)
 from .timestep import (CFL_NORMALIZATION, InstabilityError, RunResult,

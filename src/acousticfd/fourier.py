@@ -18,18 +18,6 @@ from .stencils import MatrixStencil
 GUARD = 0.1  # phases closer than this to 0 or pi are degenerate lattice modes
 
 
-def jk_matrix(kx, ky):
-    """Unitless continuous generator (eps/c) T^-1 (J.k) T: rows (0,0,kx), (0,0,ky), (kx,ky,0).
-
-    Array-valued kx, ky give a (..., 3, 3) stack.
-    """
-    kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
-    J = np.zeros(kx.shape + (3, 3))
-    J[..., 0, 2] = J[..., 2, 0] = kx
-    J[..., 1, 2] = J[..., 2, 1] = ky
-    return J
-
-
 class KernelDimensionError(ValueError):
     def __init__(self, dim):
         super().__init__("kernel dimension is %d, expected 1" % dim)
@@ -118,8 +106,10 @@ class SampleRecord:
     non_diagonalizable: bool
 
     def to_json_dict(self):
+        # an |det| past the float range is null: JSON has no Infinity
         return {"thx": self.thx, "thy": self.thy, "kind": self.kind,
-                "absdet": self.absdet, "sigma_min_ratio": self.sigma_ratio,
+                "absdet": self.absdet if math.isfinite(self.absdet) else None,
+                "sigma_min_ratio": self.sigma_ratio,
                 "kernel_dim": self.kernel_dim, "continuous_dim": self.continuous_dim,
                 "non_diagonalizable": self.non_diagonalizable}
 
@@ -149,13 +139,16 @@ DIAG_COND_LIMIT = 1e8
 def det_scan(spec, phases=None, structured=True):
     """Kernel-dimension scan of a scheme over generic phases plus reported structured ones.
 
-    The verdict compares dim ker E^ against dim ker J.k (computed, not assumed)
-    at each generic sample; structured axis/diagonal samples are degenerate
-    lattice phases and never enter the verdict. Every sample quantity comes
-    from E^ = -i M^(theta), M^ rounded once to floats: one symbol call for the
-    stack, and per sample one SVD (kernel dimension and sigma ratio), one
-    determinant and one eig. A symbol whose exact entries fit the float range
-    but whose float sum does not (at subnormal cell widths) is a ValueError.
+    The verdict compares dim ker E^ against dim ker J.k at each generic sample:
+    the unitless J.k, rows (0, 0, kx), (0, 0, ky), (kx, ky, 0), has rank 2 for
+    k != 0, so its kernel dimension is 1, or 3 at theta = 0. Structured
+    axis/diagonal samples are degenerate lattice phases and never enter the
+    verdict. Every sample quantity comes from E^ = -i M^(theta), M^ rounded
+    once to floats: one symbol call for the stack, and per sample one SVD
+    (kernel dimension and sigma ratio), one determinant and one eig; an |det|
+    past the float range is inf, written as JSON null. A symbol whose exact
+    entries fit the float range but whose float sum does not (at subnormal
+    cell widths) is a ValueError.
     """
     if phases is None:
         phases = generic_phases()
@@ -178,9 +171,11 @@ def det_scan(spec, phases=None, structured=True):
     smax = s[:, 0]
     # LAPACK may return the smallest singular value as -0.0; report the ratio as +0.0
     ratios = np.divide(np.abs(s[:, -1]), smax, out=np.zeros_like(smax), where=smax > 0)
-    # |det| from LU, not prod(s): the product turns an exact 0 into roundoff
-    absdets = np.abs(np.linalg.det(E))
-    cdims = _svd_kernel(jk_matrix(thx / spec.grid.dx, thy / spec.grid.dy), 1e-10)[0]
+    # |det| from LU, not prod(s): the product turns an exact 0 into roundoff; an LU
+    # product past the float range is inf, without warnings on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        absdets = np.abs(np.linalg.det(E))
+    cdims = np.where((thx == 0) & (thy == 0), 3, 1)
     conds = np.linalg.cond(np.linalg.eig(E)[1])
 
     records = []

@@ -5,8 +5,9 @@ coefficients, int numerators over one denominator; the grid spacings stay formal
 substituted numerically here, so every certified identity holds for all
 spacings. This module builds and solves the exact linear systems behind the
 certificates: cross-consistency nullspaces, span comparisons, the symmetric
-divergence scan and the telescoping operator identities. Floating point is
-confined to the numeric symbol module.
+divergence scan and the telescoping operator identities. A row of these
+systems is a list of ints and a solution vector an (ints, den) pair. Floating
+point is confined to the numeric symbol module.
 """
 
 import math
@@ -17,40 +18,32 @@ from .stencils import (ScalarStencil, VecStencilRow, averaged_div, central_brack
                        central_div, consistent_diffusion, smooth_bracket, tx, ty)
 
 
-def _integer_row(row):
-    """(int row, den): a rational row scaled by den, the lcm of its denominators; zeros
-    stay the int 0. A row of ints is its own."""
-    if all(type(x) is int for x in row):
-        return list(row), 1
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    den = math.lcm(*(x.denominator for x in row if x))
-    return [x.numerator * (den // x.denominator) if x else 0 for x in row], den
+def _primitive(row):
+    """An int row divided by the gcd of its entries, first nonzero entry positive: the
+    canonical multiple of its line. A zero row comes back as it is."""
+    lead = next((x for x in row if x), 0)
+    if not lead:
+        return row
+    g = math.gcd(*row) if lead > 0 else -math.gcd(*row)
+    return [x // g for x in row]
 
 
 def distinct_rows(rows):
-    """The nonzero int rows, each once up to a nonzero factor: divided by the gcd of its
-    entries, first nonzero entry positive, in first-seen order. They span the rows'
-    space, so rref gives the same reduced rows."""
-    seen = {}
-    for row in rows:
-        lead = next((x for x in row if x), 0)
-        if lead:
-            g = math.gcd(*row) if lead > 0 else -math.gcd(*row)
-            seen[tuple(x // g for x in row)] = None
-    return list(seen)
+    """The nonzero int rows, each once up to a nonzero factor (`_primitive`, as tuples),
+    in first-seen order. They span the rows' space, so rref gives the same reduced rows."""
+    return list(dict.fromkeys(tuple(_primitive(row)) for row in rows if any(row)))
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form of a rational matrix: (reduced Fraction rows, pivot columns).
+    """Reduced row echelon form of an int matrix: (canonical int rows, pivot columns).
 
-    Entries are ints or Fractions; any other entry, such as a float, enters
-    exactly through Fraction(x). A row of ints enters as it is, any other row
-    scaled by the lcm of its denominators. Gauss-Jordan runs over Python ints,
-    each updated row divided by the gcd of its entries; Fractions are built
-    only for the nonzero entries on exit. The reduced form is unique, so it
-    equals elimination over Fraction.
+    Each reduced rational row comes back times the positive lcm of its
+    denominators, that is `_primitive` of any nonzero multiple of it; zero rows
+    follow as rows of 0. Gauss-Jordan runs over Python ints, each updated row
+    divided by the gcd of its entries. The reduced form is unique, so it equals
+    elimination over Fraction, scaled row by row.
     """
-    mat = [_integer_row(r)[0] for r in rows]
+    mat = [list(r) for r in rows]
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -72,32 +65,29 @@ def rref(rows, ncols):
                 mat[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
         rank += 1
-    zero = Fraction(0)
-    out = [[Fraction(x, row[pc]) if x else zero for x in row]
-           for row, pc in zip(mat, pivots)]
-    return out + [[zero] * len(row) for row in mat[rank:]], pivots
+    return [_primitive(row) for row in mat], pivots
 
 
 def rref_nullspace(rows, ncols):
-    """Exact nullspace basis of a Fraction matrix given as a list of rows."""
+    """Exact nullspace basis of an int matrix: one (ints, den) pair per free column fc, the
+    vector ints/den with ints[fc] = den, den the lcm of the pivots it divides by."""
     mat, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        den = math.lcm(*(row[pc] for row, pc in zip(mat, pivots) if row[fc]))
+        vec = [0] * ncols
+        vec[fc] = den
+        for row, pc in zip(mat, pivots):
+            vec[pc] = -row[fc] * (den // row[pc])
+        basis.append((vec, den))
     return basis
 
 
-def _row_symbol_from_vector(vec, offsets):
-    """Unknown vector -> VecStencilRow; first half is bu/dx, second half bv/dy."""
+def _row_symbol_from_vector(vec, den, offsets):
+    """Unknown vector vec/den -> VecStencilRow; first half is bu/dx, second half bv/dy."""
     n = len(offsets)
-    num, den = _integer_row(vec)
-    bu = {(2 * sx, 2 * sy): num[i] for i, (sx, sy) in enumerate(offsets) if num[i]}
-    bv = {(2 * sx, 2 * sy): num[n + i] for i, (sx, sy) in enumerate(offsets) if num[n + i]}
+    bu = {(2 * sx, 2 * sy): vec[i] for i, (sx, sy) in enumerate(offsets) if vec[i]}
+    bv = {(2 * sx, 2 * sy): vec[n + i] for i, (sx, sy) in enumerate(offsets) if vec[n + i]}
     return VecStencilRow(ScalarStencil.from_ints(bu, den, (-1, 0)),
                          ScalarStencil.from_ints(bv, den, (0, -1)))
 
@@ -146,28 +136,30 @@ def consistency_nullspace(A, radius=1):
         rows.append(r)
 
     basis = rref_nullspace(distinct_rows(rows), ncols)
-    return [_row_symbol_from_vector([vec[c] for c in col], offsets) for vec in basis]
+    return [_row_symbol_from_vector([vec[c] for c in col], den, offsets) for vec, den in basis]
 
 
 def row_coefficient_vector(row, radius=1):
-    """Flatten a VecStencilRow to the unknown vector used by consistency_nullspace."""
+    """Flatten a VecStencilRow to consistency_nullspace's unknown vector as (ints, den) in
+    lowest terms: bu's cells, then bv's, each in the row-major order of the (2N+1)^2 block."""
     N = radius
-    offsets = [(sx, sy) for sx in range(-N, N + 1) for sy in range(-N, N + 1)]
-    n = len(offsets)
-    vec = [Fraction(0)] * (2 * n)
+    w = 2 * N + 1
     if row.bu.units != (-1, 0) or row.bv.units != (0, -1):
         raise ValueError("row units do not match the (1/dx, 1/dy) convention")
-    for (a, b), c in row.bu.cell_offsets().items():
-        vec[offsets.index((a, b))] = c
-    for (a, b), c in row.bv.cell_offsets().items():
-        vec[n + offsets.index((a, b))] = c
-    return vec
+    if max(row.bu.cell_radius, row.bv.cell_radius) > N:
+        raise ValueError("row reaches beyond radius %d" % N)
+    den = math.lcm(row.bu.den, row.bv.den)
+    vec = [0] * (2 * w * w)
+    for base, st in ((0, row.bu), (w * w, row.bv)):
+        for (a, b), v in st._cells():
+            vec[base + (a + N) * w + b + N] = v * (den // st.den)
+    return vec, den
 
 
 def spans_match(rows_a, rows_b, radius=1):
     """True iff both row lists span the same space over the rationals."""
-    va = [row_coefficient_vector(r, radius) for r in rows_a]
-    vb = [row_coefficient_vector(r, radius) for r in rows_b]
+    va = [row_coefficient_vector(r, radius)[0] for r in rows_a]
+    vb = [row_coefficient_vector(r, radius)[0] for r in rows_b]
     ncols = 2 * (2 * radius + 1) ** 2
     ra, rb, rab = (len(rref(m, ncols)[1]) for m in (va, vb, va + vb))
     return ra == rb == rab

@@ -26,8 +26,11 @@ class ScalarStencil:
 
     `*` composes two stencils (the product of their symbols; units add) or
     scales by a number; numbers added to a stencil are multiples of the
-    identity. Every result is reduced by one gcd, so equal maps have equal
-    (num, den). `coeffs` is the read-only Fraction view.
+    identity. `+` needs equal units, except that a zero stencil, whatever its
+    units, is the identity of `+`, as it equals every other zero stencil under
+    `==` and `hash`: `ScalarStencil({}, (0, 1)) + 1` is the unitless 1. Every
+    result is reduced by one gcd, so equal maps have equal (num, den).
+    `coeffs` is the read-only Fraction view.
     """
 
     __slots__ = ("num", "den", "units")

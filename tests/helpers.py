@@ -2,11 +2,12 @@
 reference model of ScalarStencil, det(M^) and its cofactors, the float application
 of a divergence row and of a conserved operator, the cross-consistency of two
 divergence rows, the observed convergence order of a divergence row, the scalar
-Halton phases that `fourier.generic_phases` must reproduce bitwise, the scaling law
-by rebuilding, the split scheme's evolution matrix and right kernel written directly
-in phases, the batched run probe made from a per-state one, and the catalog schemes
-the paper calls stationarity preserving, written out so that no test reads them from
-the claims."""
+Halton phases that `fourier.generic_phases` must reproduce bitwise, the unitless
+continuous generator whose SVD checks `det_scan`'s closed-form kernel dimension,
+the scaling law by rebuilding, the split scheme's evolution matrix and right
+kernel written directly in phases, the batched run probe made from a per-state
+one, and the catalog schemes the paper calls stationarity preserving, written out
+so that no test reads them from the claims."""
 
 import math
 from dataclasses import dataclass
@@ -147,6 +148,18 @@ def fold(u):
 def scalar_generic_phases(n):
     """The generic phases one index at a time: the oracle for `fourier.generic_phases`."""
     return [(fold(halton(i, 2)), fold(halton(i, 3))) for i in range(1, n + 1)]
+
+
+def jk_matrix(kx, ky):
+    """Unitless continuous generator (eps/c) T^-1 (J.k) T: rows (0,0,kx), (0,0,ky), (kx,ky,0).
+
+    Array-valued kx, ky give a (..., 3, 3) stack.
+    """
+    kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
+    J = np.zeros(kx.shape + (3, 3))
+    J[..., 0, 2] = J[..., 2, 0] = kx
+    J[..., 1, 2] = J[..., 2, 1] = ky
+    return J
 
 
 def rebuilt_scaling_law(spec, **scheme_kwargs):

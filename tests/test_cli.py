@@ -175,7 +175,9 @@ def test_out_of_range_values_are_usage_errors(argv, message, capsys):
 
 
 # analyze reads only M^, which neither c nor eps enters: these scales once overflowed the
-# float M (c/eps = 1e400) or its float symbol, and were refused as usage errors
+# float M (c/eps = 1e400) or its float symbol, and were refused as usage errors; the
+# last two once overflowed k = theta/dx of the continuous generator (an SVD that did not
+# converge) and |det M^| (Infinity in the JSON)
 UNITLESS_SCALES = {
     "multid-c1e200-eps1e-200": ["--scheme", "multid", "--c", "1e200", "--eps", "1e-200"],
     "roe-c5e153": ["--scheme", "roe", "--c", "5e153", "--grid", "8", "--k-samples", "3"],
@@ -183,15 +185,24 @@ UNITLESS_SCALES = {
     "central-eps2e-154": ["--scheme", "central", "--eps", "2e-154", "--grid", "8"],
     "dimsplit-a1-0.5-c5e153": ["--scheme", "dimsplit", "--a1", "0.5", "--a2", "0.5",
                                "--c", "5e153", "--grid", "8"],
+    "central-dx1e-308": ["--scheme", "central", "--grid", "8", "--dx", "1e-308"],
+    "multid-dx1e-110-dy1e-110": ["--scheme", "multid", "--grid", "8", "--dx", "1e-110",
+                                 "--dy", "1e-110"],
 }
 
 
+def _refuse_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(UNITLESS_SCALES))
 def test_extreme_scales_are_analyzed(name, capsys):
     code = main(["analyze", *UNITLESS_SCALES[name]])
     out, err = capsys.readouterr()
     assert "Traceback" not in err
-    doc = json.loads(out)
+    # stdout is pure JSON: Infinity and NaN are not
+    doc = json.loads(out, parse_constant=_refuse_constant)
     if doc["scheme"] == "dimsplit":
         # a1 = 0.5 at c/eps = 5e153 is a1^ = 1e-154, below the scan's 1e-12 tolerance: the
         # float verdict misses it, as it misses --a1 1e-154 at c = 1 (exact verdict: ROADMAP)

@@ -14,7 +14,6 @@ from acousticfd.fourier import (
     det_scan,
     eigenvalue_scaling_check,
     generic_phases,
-    jk_matrix,
     kernel_dim,
     left_kernel,
     right_kernel,
@@ -24,7 +23,7 @@ from acousticfd.grid import AcousticParams, GridSpec
 from acousticfd.schemes import CATALOG_NAMES, make_scheme
 
 from helpers import (dimsplit_closed_form, dimsplit_right_kernel_formula, halton,
-                     rebuilt_scaling_law, scalar_generic_phases)
+                     jk_matrix, rebuilt_scaling_law, scalar_generic_phases)
 
 
 def evolution(stencil, thx, thy):
@@ -292,3 +291,6 @@ def test_det_scan_matches_per_sample_oracle(aniso_grid, name, kwargs, eps):
         assert np.linalg.norm(left @ E) <= 1e-12 * smax
         assert np.linalg.norm(right) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
+    # theta = 0, where the continuous kernel has dimension 3, is checked against J.k alone
+    zero = det_scan(spec, phases=[(0.0, 0.0)], structured=False).records[0]
+    assert zero.continuous_dim == kernel_dim(jk_matrix(0.0, 0.0), tol_rel=1e-10) == 3

@@ -64,6 +64,12 @@ def test_axis_brackets_commute():
 def test_stencil_add_requires_matching_units():
     with pytest.raises(ValueError):
         diff_half(0).with_units(-1, 0) + diff_half(0)
+    with pytest.raises(ValueError):
+        tx(1).with_units(0, 1) + 1
+    # a zero stencil is the identity of +, whatever its units, as it is for == and hash
+    a = tx(1).with_units(0, 1)
+    for zero in (ScalarStencil({}, (0, 1)), a - a):
+        assert (zero + 1).units == (0, 0) and zero + 1 == 1 + zero == ScalarStencil({(0, 0): 1})
 
 
 def test_scalar_apply_rejects_small_grid():
