@@ -23,7 +23,8 @@ for name, spec in specs.items():
     print("%-9s  %s" % (name, claim))
     if spec.diffusion is not None:
         # the physical a1..a4: the unitless ones times (c/eps, 1/eps^2, c^2, c/eps)
-        coeffs = ", ".join("a%d=%s" % (k, rational_string(a * f)) for k, (a, f)
+        coeffs = ", ".join("a%d=%s" % (k, rational_string(*(a * f).as_integer_ratio()))
+                           for k, (a, f)
                            in enumerate(zip(spec.diffusion, diffusion_scale(params)), 1))
         print("           %s" % coeffs)
     if "expected_max_cfl" in spec.claims:

@@ -12,7 +12,7 @@ from .stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                        consistent_diffusion, curl_of, diff_half, dimsplit_div,
                        rational_string, second_bracket, smooth_bracket,
                        sum_half, tx, ty)
-from .laurent import (consistency_nullspace, moore_symmetry_scan,
+from .laurent import (consistency_nullspace, has_rank_two, moore_symmetry_scan,
                       operator_identity_check, rref, rref_nullspace,
                       spans_match, symmetric_divergence_row, taylor_expand)
 from .fourier import (KernelDimensionError, det_scan, eigenvalue_scaling_check,

@@ -13,7 +13,7 @@ import sys
 
 from .fourier import det_scan, eigenvalue_scaling_check, generic_phases
 from .grid import AcousticParams, GridSpec
-from .laurent import (consistency_nullspace, moore_symmetry_scan,
+from .laurent import (consistency_nullspace, has_rank_two, moore_symmetry_scan,
                       operator_identity_check, spans_match)
 from .schemes import CATALOG_NAMES, diffusion_scale, make_scheme
 from .stencils import (averaged_div, central_div, consistent_diffusion,
@@ -193,12 +193,14 @@ def cmd_analyze(cfg):
     if k_samples < 1:
         raise UsageError("--k-samples must be at least 1, got %d" % k_samples)
     # M^ beyond the float range, or a float symbol whose sum overflows, is a usage error
-    verdict = checked(det_scan, spec, phases=generic_phases(k_samples))
-    doc = verdict.to_json_dict()
+    scan = checked(det_scan, spec, phases=generic_phases(k_samples))
+    # the exact rank of M^ decides; the float scan's scan_verdict is reported beside it
+    verdict, expected = has_rank_two(spec.unitless), spec.claims["stationarity_preserving"]
+    doc = dict(scan.to_json_dict(), verdict=verdict, expected=expected)
     doc["config"] = {k: cfg[k] for k in ("scheme", "eps", "c", "grid", "k_samples")}
     doc["eigenvalue_scaling"] = eigenvalue_scaling_check(spec)
 
-    if verdict.is_stationarity_preserving:
+    if verdict:
         doc["divergence_row"] = spec.divergence_row().to_json_dict()
         try:
             op = extract_conserved_operator(spec)
@@ -209,7 +211,7 @@ def cmd_analyze(cfg):
     emit_json(doc, cfg, "analyze_%s.json" % spec.name)
     # scaling is reported but only the claim comparison decides the exit code:
     # user-supplied diffusion coefficients are fixed numbers with no c/eps law
-    return EXIT_OK if verdict.is_stationarity_preserving == verdict.expected else EXIT_FAIL
+    return EXIT_OK if verdict == expected else EXIT_FAIL
 
 
 def cmd_certify(cfg):
@@ -245,10 +247,10 @@ def cmd_certify(cfg):
                                 "consistent diffusion pair")
         if which == "both":
             scan = moore_symmetry_scan()
-            report["symmetry_scan"] = [{"gamma": rational_string(r["gamma"]),
-                                        "beta": rational_string(r["beta"]),
-                                        "dim": r["dim"],
-                                        "is_averaged": r["is_averaged"]} for r in scan]
+            report["symmetry_scan"] = [
+                {"gamma": rational_string(*r["gamma"].as_integer_ratio()),
+                 "beta": rational_string(*r["beta"].as_integer_ratio()),
+                 "dim": r["dim"], "is_averaged": r["is_averaged"]} for r in scan]
             bad = [r for r in scan if (r["dim"] > 0) != r["is_averaged"]]
             if bad:
                 failures.append("nullspace dimension positive off the averaged ray: %r"
@@ -302,7 +304,8 @@ def cmd_catalog(cfg):
         entry = {"name": name, "claims": spec.claims,
                  "stationarity_preserving_expected": spec.claims["stationarity_preserving"]}
         if spec.diffusion is not None:
-            entry["diffusion"] = {"a%d" % k: rational_string(a * f) for k, (a, f) in
+            entry["diffusion"] = {"a%d" % k: rational_string(*(a * f).as_integer_ratio())
+                                  for k, (a, f) in
                                   enumerate(zip(spec.diffusion, diffusion_scale(params)), 1)}
         doc["schemes"].append(entry)
     emit_json(doc, cfg, "catalog.json")

@@ -1,11 +1,11 @@
 """Numeric symbol analysis: evolution matrices, kernel scans, the scaling law.
 
 The evolution matrix of a scheme d/dt q_I + sum_S alpha_S q_{I+S} = 0 is
-E(k) = -i sum_S alpha_S tx^sx ty^sy with tm = exp(i k_m dx_m). A scheme is
-stationarity preserving when dim ker E(k) matches dim ker of the continuous
-generator J.k at every generic wavevector. Both are compared in unitless
-form: E^ = (eps/c) T^-1 E T with T = diag(1, 1, c eps) is -i times the symbol of
-the scheme's unitless M^ (`SchemeSpec.unitless`), which neither c nor eps enters.
+E(k) = -i sum_S alpha_S tx^sx ty^sy with tm = exp(i k_m dx_m). The scan
+cross-checks the exact verdict (`laurent.has_rank_two`) in floats: dim ker E(k)
+against dim ker of the continuous generator J.k, both in unitless form:
+E^ = (eps/c) T^-1 E T with T = diag(1, 1, c eps) is -i times the symbol of the
+scheme's unitless M^ (`SchemeSpec.unitless`), which neither c nor eps enters.
 """
 
 import math
@@ -103,52 +103,44 @@ class SampleRecord:
     sigma_ratio: float
     kernel_dim: int
     continuous_dim: int
-    non_diagonalizable: bool
 
     def to_json_dict(self):
         # an |det| past the float range is null: JSON has no Infinity
         return {"thx": self.thx, "thy": self.thy, "kind": self.kind,
                 "absdet": self.absdet if math.isfinite(self.absdet) else None,
                 "sigma_min_ratio": self.sigma_ratio,
-                "kernel_dim": self.kernel_dim, "continuous_dim": self.continuous_dim,
-                "non_diagonalizable": self.non_diagonalizable}
+                "kernel_dim": self.kernel_dim, "continuous_dim": self.continuous_dim}
 
 
 @dataclass
 class SpectralVerdict:
     scheme: str
-    is_stationarity_preserving: bool
+    scan_verdict: bool
     records: list = field(default_factory=list)
+    # no sample is withheld; the field stays because the benchmark's tracer reads it
     withheld: int = 0
-    expected: bool = None
 
     def generic_records(self):
         return [r for r in self.records if r.kind == "generic"]
 
     def to_json_dict(self):
-        return {"scheme": self.scheme,
-                "verdict": bool(self.is_stationarity_preserving),
-                "expected": self.expected,
-                "samples_withheld": self.withheld,
+        return {"scheme": self.scheme, "scan_verdict": bool(self.scan_verdict),
                 "samples": [r.to_json_dict() for r in self.records]}
-
-
-DIAG_COND_LIMIT = 1e8
 
 
 def det_scan(spec, phases=None, structured=True):
     """Kernel-dimension scan of a scheme over generic phases plus reported structured ones.
 
-    The verdict compares dim ker E^ against dim ker J.k at each generic sample:
-    the unitless J.k, rows (0, 0, kx), (0, 0, ky), (kx, ky, 0), has rank 2 for
-    k != 0, so its kernel dimension is 1, or 3 at theta = 0. Structured
-    axis/diagonal samples are degenerate lattice phases and never enter the
-    verdict. Every sample quantity comes from E^ = -i M^(theta), M^ rounded
-    once to floats: one symbol call for the stack, and per sample one SVD
-    (kernel dimension and sigma ratio), one determinant and one eig; an |det|
-    past the float range is inf, written as JSON null. A symbol whose exact
-    entries fit the float range but whose float sum does not (at subnormal
-    cell widths) is a ValueError.
+    Its scan_verdict is true when dim ker E^ equals dim ker J.k at every generic
+    sample. The unitless J.k, rows (0, 0, kx), (0, 0, ky), (kx, ky, 0), has rank
+    2 for k != 0, so its kernel dimension is 1, or 3 at theta = 0. Structured
+    axis/diagonal samples are degenerate lattice phases and never enter it.
+    Every sample quantity comes from E^ = -i M^(theta), M^ rounded once to
+    floats: one symbol call for the stack, and per sample one SVD (kernel
+    dimension and sigma ratio) and one determinant; an |det| past the float
+    range is inf, written as JSON null. A symbol whose exact entries fit the
+    float range but whose float sum does not (at subnormal cell widths) is a
+    ValueError.
     """
     if phases is None:
         phases = generic_phases()
@@ -176,24 +168,12 @@ def det_scan(spec, phases=None, structured=True):
     with np.errstate(over="ignore", invalid="ignore"):
         absdets = np.abs(np.linalg.det(E))
     cdims = np.where((thx == 0) & (thy == 0), 3, 1)
-    conds = np.linalg.cond(np.linalg.eig(E)[1])
 
-    records = []
-    withheld = 0
-    ok = True
-    columns = zip(samples, absdets.tolist(), ratios.tolist(), dims.tolist(), cdims.tolist(),
-                  (conds > DIAG_COND_LIMIT).tolist())
-    for (kind, (phx, phy)), absdet, ratio, dim, cdim, non_diag in columns:
-        records.append(SampleRecord(phx, phy, kind, absdet, ratio, dim, cdim, non_diag))
-        if kind != "generic":
-            continue
-        if non_diag:
-            withheld += 1
-            continue
-        if dim != cdim:
-            ok = False
-    return SpectralVerdict(scheme=spec.name, is_stationarity_preserving=ok, records=records,
-                           withheld=withheld, expected=spec.claims["stationarity_preserving"])
+    columns = zip(samples, absdets.tolist(), ratios.tolist(), dims.tolist(), cdims.tolist())
+    records = [SampleRecord(phx, phy, kind, absdet, ratio, dim, cdim)
+               for (kind, (phx, phy)), absdet, ratio, dim, cdim in columns]
+    ok = all(r.kernel_dim == r.continuous_dim for r in records if r.kind == "generic")
+    return SpectralVerdict(scheme=spec.name, scan_verdict=ok, records=records)
 
 
 def eigenvalue_scaling_check(spec):

@@ -5,9 +5,9 @@ coefficients, int numerators over one denominator; the grid spacings stay formal
 substituted numerically here, so every certified identity holds for all
 spacings. This module builds and solves the exact linear systems behind the
 certificates: cross-consistency nullspaces, span comparisons, the symmetric
-divergence scan and the telescoping operator identities. A row of these
-systems is a list of ints and a solution vector an (ints, den) pair. Floating
-point is confined to the numeric symbol module.
+divergence scan, the telescoping operator identities and the rank of a scheme's
+symbol. A row of these systems is a list of ints and a solution vector an
+(ints, den) pair. Floating point is confined to the numeric symbol module.
 """
 
 import math
@@ -214,6 +214,23 @@ def operator_identity_check():
     central_x = telescopes(tx(1), cd10, central_div())
     return {"x_identity": x_ok, "y_identity": y_ok,
             "central_substitute": central_x, "ok": x_ok and y_ok}
+
+
+def has_rank_two(m):
+    """True iff the 3x3 matrix m of ScalarStencils has rank 2 over the Laurent polynomials:
+    det(m) = 0 and some cofactor (r, c) = m[r+1][c+1] m[r+2][c+2] - m[r+1][c+2] m[r+2][c+1],
+    indices mod 3, is not. For a scheme's M^ that is stationarity preservation, as J.k has
+    a one-dimensional kernel at a generic k. The first row's cofactors give det and, when
+    one is nonzero, the witness; the other six are formed only when all three vanish."""
+    def cofactor(r, c):
+        r1, r2, c1, c2 = (r + 1) % 3, (r + 2) % 3, (c + 1) % 3, (c + 2) % 3
+        return m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1]
+
+    first = [cofactor(0, c) for c in range(3)]
+    if not (m[0][0] * first[0] + m[0][1] * first[1] + m[0][2] * first[2]).is_zero():
+        return False
+    return (any(not f.is_zero() for f in first)
+            or any(not cofactor(r, c).is_zero() for r in (1, 2) for c in range(3)))
 
 
 def taylor_expand(row, order):

@@ -92,10 +92,6 @@ class ScalarStencil:
             raise ValueError("stencil sits on half-index positions")
         return [((a // 2, b // 2), v) for (a, b), v in self.num.items()]
 
-    def cell_offsets(self):
-        """Coefficient map in whole-cell offsets; only for whole-cell stencils."""
-        return {off: Fraction(v, self.den) for off, v in self._cells()}
-
     def __neg__(self):
         return self.from_ints({off: -v for off, v in self.num.items()}, self.den, self.units)
 
@@ -166,29 +162,30 @@ class ScalarStencil:
         return out
 
     def to_json_dict(self):
-        cells = self.cell_offsets()
-        entries = [{"sx": sx, "sy": sy, "value": rational_string(c)}
-                   for (sx, sy), c in sorted(cells.items())]
+        entries = []
+        for (sx, sy), v in sorted(self._cells()):
+            g = math.gcd(v, self.den)
+            entries.append({"sx": sx, "sy": sy, "value": rational_string(v // g, self.den // g)})
         return {"radius": self.cell_radius,
                 "units": {"dx": self.units[0], "dy": self.units[1]},
                 "entries": entries}
 
 
-def rational_string(fr):
-    """Exact decimal string when the denominator is 2^a 5^b, else 'num/den'."""
-    fr = as_fraction(fr)
-    den = fr.denominator
+def rational_string(num, den):
+    """num/den in lowest terms with den > 0: an exact decimal string when den is 2^a 5^b,
+    else 'num/den'."""
+    rest = den
     two = five = 0
-    while den % 2 == 0:
-        den //= 2
+    while rest % 2 == 0:
+        rest //= 2
         two += 1
-    while den % 5 == 0:
-        den //= 5
+    while rest % 5 == 0:
+        rest //= 5
         five += 1
-    if den != 1:
-        return "%d/%d" % (fr.numerator, fr.denominator)
+    if rest != 1:
+        return "%d/%d" % (num, den)
     shift = max(two, five)
-    scaled = fr.numerator * 10 ** shift // fr.denominator
+    scaled = num * 10 ** shift // den
     if shift == 0:
         return "%d" % scaled
     s = "%0*d" % (shift + 1, abs(scaled))

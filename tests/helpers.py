@@ -1,7 +1,7 @@
 """Test-only helpers that no command runs: the identity stencil, a dict-of-Fraction
-reference model of ScalarStencil, det(M^) and its cofactors, the float application
-of a divergence row and of a conserved operator, the cross-consistency of two
-divergence rows, the observed convergence order of a divergence row, the scalar
+reference model of ScalarStencil, the float application of a divergence row and of
+a conserved operator, the cross-consistency of two divergence rows, the observed
+convergence order of a divergence row, the scalar
 Halton phases that `fourier.generic_phases` must reproduce bitwise, the unitless
 continuous generator whose SVD checks `det_scan`'s closed-form kernel dimension,
 the scaling law by rebuilding, the split scheme's evolution matrix and right
@@ -70,16 +70,6 @@ class FractionModel:
     def bound(self, grid):
         s = grid.dx_exact ** self.units[0] * grid.dy_exact ** self.units[1]
         return FractionModel({off: c * s for off, c in self.coeffs.items()})
-
-
-def det_and_cofactors(m):
-    """det(m) and the 3x3 cofactor matrix of a 3x3 matrix of ScalarStencils, by products
-    of their symbols: cofactor (r, c) is m[r+1][c+1] m[r+2][c+2] - m[r+1][c+2] m[r+2][c+1],
-    indices mod 3, and det(m) expands along the first row."""
-    cof = [[m[(r + 1) % 3][(c + 1) % 3] * m[(r + 2) % 3][(c + 2) % 3]
-            - m[(r + 1) % 3][(c + 2) % 3] * m[(r + 2) % 3][(c + 1) % 3]
-            for c in range(3)] for r in range(3)]
-    return m[0][0] * cof[0][0] + m[0][1] * cof[0][1] + m[0][2] * cof[0][2], cof
 
 
 def row_apply(row, u, v, grid):

@@ -272,12 +272,15 @@ def test_hash_agrees_with_equality():
 
 
 def test_rational_string_exact_decimals():
-    assert rational_string(F(1, 4)) == "0.25"
-    assert rational_string(F(1, 8)) == "0.125"
-    assert rational_string(F(-3, 2)) == "-1.5"
-    assert rational_string(F(1, 3)) == "1/3"
-    assert rational_string(F(7)) == "7"
-    assert rational_string(F(1, 10)) == "0.1"
+    assert rational_string(1, 4) == "0.25"
+    assert rational_string(1, 8) == "0.125"
+    assert rational_string(-3, 2) == "-1.5"
+    assert rational_string(1, 3) == "1/3"
+    assert rational_string(7, 1) == "7"
+    assert rational_string(1, 10) == "0.1"
+    # each JSON cell is its own numerator over the shared denominator, reduced
+    st = ScalarStencil({(0, 0): F(1, 2), (2, 0): F(-1, 3), (0, -2): F(5, 6)})
+    assert [e["value"] for e in st.to_json_dict()["entries"]] == ["5/6", "0.5", "-1/3"]
 
 
 def test_stencil_json_schema():
