@@ -37,10 +37,10 @@ print(" offsets centred on the cell, weights carrying the grid's 1/dx = 16)")
 for name, spec in specs.items():
     if not spec.claims["stationarity_preserving"]:
         continue
-    op = extract_conserved_operator(spec)
+    wu, wv, wp = extract_conserved_operator(spec)
     print()
     print("%s:" % name)
-    for label, row in (("u", op.wu), ("v", op.wv), ("p", op.wp)):
+    for label, row in (("u", wu), ("v", wv), ("p", wp)):
         terms = row.to_json_dict()["entries"]
         if not terms:
             print("  %s-part: 0" % label)

@@ -24,7 +24,7 @@ for name in CATALOG_NAMES:
     claim = spec.claims["stationarity_preserving"]
     exact = has_rank_two(spec.unitless)
     out = det_scan(spec, phases=phases)
-    ratios = [r.sigma_ratio for r in out.generic_records()]
+    ratios = [r["sigma_min_ratio"] for r in out.generic_records()]
     agree = "ok" if exact == claim else "MISMATCH"
     print("%-9s  %-5s  %-5s  %-5s  %.3e        %.3e  %s"
           % (name, claim, exact, out.scan_verdict, min(ratios), max(ratios), agree))

@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from .fourier import det_scan, eigenvalue_scaling_check, generic_phases
@@ -19,8 +20,8 @@ from .schemes import CATALOG_NAMES, diffusion_scale, make_scheme
 from .stencils import (averaged_div, central_div, consistent_diffusion,
                        rational_string)
 from .timestep import CFL_NORMALIZATION, InstabilityError, cfl_sweep
-from .experiments import (gresho_vortex, json_document, vortex_benchmark,
-                          extract_conserved_operator, write_json)
+from .experiments import (checked_divergence_row, extract_conserved_operator,
+                          gresho_vortex, json_document, vortex_benchmark, write_json)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -64,6 +65,9 @@ SUBCOMMANDS = (
     ("catalog", "list built-in schemes and their claims", GRID_OPTIONS + ("out",)),
 )
 READS = {name: reads for name, _, reads in SUBCOMMANDS}
+# a token read as a negative number, so a flag takes it as its value: argparse's own
+# pattern misses the exponent forms such as -1e-3, while -inf and -nan stay flags
+NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 def build_parser(command=None):
@@ -78,6 +82,7 @@ def build_parser(command=None):
     sub = ap.add_subparsers(dest="command", required=True)
     for name, help_text, reads in SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p._negative_number_matcher = NEGATIVE_NUMBER
         if command not in (None, name):
             continue
         p.add_argument("--config", default=None, help="flat JSON config; flags win")
@@ -201,10 +206,15 @@ def cmd_analyze(cfg):
     doc["eigenvalue_scaling"] = eigenvalue_scaling_check(spec)
 
     if verdict:
-        doc["divergence_row"] = spec.divergence_row().to_json_dict()
+        # each closed-form row is written only once its exact check holds
         try:
-            op = extract_conserved_operator(spec)
-            doc["conserved_operator"] = op.to_json_dict()
+            doc["divergence_row"] = checked_divergence_row(spec).to_json_dict()
+        except RuntimeError as err:
+            doc["divergence_row_error"] = str(err)
+        try:
+            wu, wv, wp = extract_conserved_operator(spec)
+            doc["conserved_operator"] = {"wu": wu.to_json_dict(), "wv": wv.to_json_dict(),
+                                         "wp": wp.to_json_dict(), "exact": True}
         except (ValueError, RuntimeError) as err:
             doc["conserved_operator_error"] = str(err)
 

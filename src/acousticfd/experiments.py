@@ -1,9 +1,9 @@
 """Benchmark setups and measurements.
 
 Vortex initial data, kernel-adapted (discretely stationary) data built from
-a streamfunction, the conserved operator (each scheme's closed-form vorticity
-row, checked exactly against its symbol), decay-rate fits, and the vortex
-benchmark orchestration.
+a streamfunction, each scheme's closed-form divergence and vorticity rows,
+checked exactly against its symbol, decay-rate fits, and the vortex benchmark
+orchestration.
 """
 
 import json
@@ -50,8 +50,7 @@ def gresho_vortex(grid):
         ratio = np.where(r == 0.0, inner, ratio)
         u = -ratio * dy_
         v = ratio * dx_
-    p = np.full_like(u, P0)
-    return FieldSet(grid, u, v, p)
+    return FieldSet(grid, np.stack([u, v, np.full_like(u, P0)]))
 
 
 def stream_velocity(psi, div_row, grid, p0=0.0):
@@ -64,8 +63,7 @@ def stream_velocity(psi, div_row, grid, p0=0.0):
     psi = np.asarray(psi, dtype=float)
     u = -div_row.bv.apply(psi, grid)
     v = div_row.bu.apply(psi, grid)
-    p = np.full_like(u, p0)
-    return FieldSet(grid, u, v, p)
+    return FieldSet(grid, np.stack([u, v, np.full_like(u, p0)]))
 
 
 def stationarity_residual(spec, state):
@@ -76,34 +74,29 @@ def stationarity_residual(spec, state):
     return rhs(spec, state).norm_inf() / denom
 
 
-class ConservedOperator:
-    """Physical-space left-kernel row: a per-cell functional constant in time.
-
-    wu, wv, wp are whole-cell scalar stencils with units already bound into
-    their coefficients; wu(u) + wv(v) + wp(p) is the conserved density field.
-    """
-
-    def __init__(self, grid, wu, wv, wp):
-        self.grid = grid
-        self.wu = wu
-        self.wv = wv
-        self.wp = wp
-
-    def to_json_dict(self):
-        return {"wu": self.wu.to_json_dict(), "wv": self.wv.to_json_dict(),
-                "wp": self.wp.to_json_dict(), "exact": True}
+def checked_divergence_row(spec):
+    """The scheme's closed-form divergence row, checked exactly: M^ (-bv, bu, 0) = 0 with the
+    row bound to the grid. Every entry of M^ is built from brackets that vanish on constants,
+    so each (-bv psi, bu psi, p) with p constant is then a stationary state."""
+    row = spec.divergence_row()
+    bu, bv = row.bu.bound(spec.grid), row.bv.bound(spec.grid)
+    for r, m in enumerate(spec.unitless):
+        if not (m[1] * bu - m[0] * bv).is_zero():
+            raise RuntimeError("divergence row fails M (-bv, bu, 0) = 0 on row %d" % r)
+    return row
 
 
 def extract_conserved_operator(spec):
-    """The scheme's closed-form vorticity row, checked exactly column by column: w M = 0,
-    which holds iff (w T) M^ = 0 since M = s T M^ T^-1 (`AcousticParams.balance`)."""
+    """The scheme's closed-form vorticity row (wu, wv, wp), checked exactly column by column:
+    w M = 0, which holds iff (w T) M^ = 0 since M = s T M^ T^-1 (`AcousticParams.balance`).
+    wu(u) + wv(v) + wp(p) is the per-cell density the scheme conserves."""
     w = spec.vorticity_row()
     wt = [wk * tk for wk, tk in zip(w, spec.params.balance[1])]
     m = spec.unitless
     for c in range(3):
         if not (wt[0] * m[0][c] + wt[1] * m[1][c] + wt[2] * m[2][c]).is_zero():
             raise RuntimeError("vorticity row fails w M = 0 on column %d" % c)
-    return ConservedOperator(spec.grid, *w)
+    return w
 
 
 @dataclass(frozen=True)

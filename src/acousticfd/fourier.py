@@ -95,24 +95,6 @@ def structured_phases():
 
 
 @dataclass
-class SampleRecord:
-    thx: float
-    thy: float
-    kind: str
-    absdet: float
-    sigma_ratio: float
-    kernel_dim: int
-    continuous_dim: int
-
-    def to_json_dict(self):
-        # an |det| past the float range is null: JSON has no Infinity
-        return {"thx": self.thx, "thy": self.thy, "kind": self.kind,
-                "absdet": self.absdet if math.isfinite(self.absdet) else None,
-                "sigma_min_ratio": self.sigma_ratio,
-                "kernel_dim": self.kernel_dim, "continuous_dim": self.continuous_dim}
-
-
-@dataclass
 class SpectralVerdict:
     scheme: str
     scan_verdict: bool
@@ -121,15 +103,15 @@ class SpectralVerdict:
     withheld: int = 0
 
     def generic_records(self):
-        return [r for r in self.records if r.kind == "generic"]
+        return [r for r in self.records if r["kind"] == "generic"]
 
     def to_json_dict(self):
         return {"scheme": self.scheme, "scan_verdict": bool(self.scan_verdict),
-                "samples": [r.to_json_dict() for r in self.records]}
+                "samples": self.records}
 
 
-def det_scan(spec, phases=None, structured=True):
-    """Kernel-dimension scan of a scheme over generic phases plus reported structured ones.
+def det_scan(spec, phases=None):
+    """Kernel-dimension scan of a scheme over generic phases, then the 48 structured ones.
 
     Its scan_verdict is true when dim ker E^ equals dim ker J.k at every generic
     sample. The unitless J.k, rows (0, 0, kx), (0, 0, ky), (kx, ky, 0), has rank
@@ -137,16 +119,14 @@ def det_scan(spec, phases=None, structured=True):
     axis/diagonal samples are degenerate lattice phases and never enter it.
     Every sample quantity comes from E^ = -i M^(theta), M^ rounded once to
     floats: one symbol call for the stack, and per sample one SVD (kernel
-    dimension and sigma ratio) and one determinant; an |det| past the float
-    range is inf, written as JSON null. A symbol whose exact entries fit the
-    float range but whose float sum does not (at subnormal cell widths) is a
+    dimension and sigma ratio) and one determinant. Each sample is its JSON row,
+    where an |det| past the float range is null. A symbol whose exact entries fit
+    the float range but whose float sum does not (at subnormal cell widths) is a
     ValueError.
     """
     if phases is None:
         phases = generic_phases()
-    samples = [("generic", ph) for ph in phases]
-    if structured:
-        samples += structured_phases()
+    samples = [("generic", ph) for ph in phases] + structured_phases()
 
     thx = np.array([ph[0] for _, ph in samples], dtype=float)
     thy = np.array([ph[1] for _, ph in samples], dtype=float)
@@ -170,9 +150,11 @@ def det_scan(spec, phases=None, structured=True):
     cdims = np.where((thx == 0) & (thy == 0), 3, 1)
 
     columns = zip(samples, absdets.tolist(), ratios.tolist(), dims.tolist(), cdims.tolist())
-    records = [SampleRecord(phx, phy, kind, absdet, ratio, dim, cdim)
+    records = [{"thx": phx, "thy": phy, "kind": kind,
+                "absdet": absdet if math.isfinite(absdet) else None, "sigma_min_ratio": ratio,
+                "kernel_dim": dim, "continuous_dim": cdim}
                for (kind, (phx, phy)), absdet, ratio, dim, cdim in columns]
-    ok = all(r.kernel_dim == r.continuous_dim for r in records if r.kind == "generic")
+    ok = all(r["kernel_dim"] == r["continuous_dim"] for r in records if r["kind"] == "generic")
     return SpectralVerdict(scheme=spec.name, scan_verdict=ok, records=records)
 
 

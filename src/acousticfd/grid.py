@@ -104,25 +104,12 @@ class FieldSet:
 
     __slots__ = ("grid", "q")
 
-    def __init__(self, grid, u, v, p):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        p = np.asarray(p, dtype=float)
-        shape = (grid.nx, grid.ny)
-        for name, arr in (("u", u), ("v", v), ("p", p)):
-            if arr.shape != shape:
-                raise ValueError("%s has shape %s, grid wants %s" % (name, arr.shape, shape))
+    def __init__(self, grid, q):
         self.grid = grid
-        self.q = np.stack([u, v, p])
-
-    @classmethod
-    def from_q(cls, grid, q):
-        out = cls.__new__(cls)
-        out.grid = grid
-        out.q = np.asarray(q, dtype=float)
-        if out.q.shape != (3, grid.nx, grid.ny):
-            raise ValueError("q has shape %s" % (out.q.shape,))
-        return out
+        self.q = np.asarray(q, dtype=float)
+        if self.q.shape != (3, grid.nx, grid.ny):
+            raise ValueError("q has shape %s, grid wants (3, %d, %d)"
+                             % (self.q.shape, grid.nx, grid.ny))
 
     @property
     def u(self):
@@ -137,20 +124,20 @@ class FieldSet:
         return self.q[2]
 
     def copy(self):
-        return FieldSet.from_q(self.grid, self.q.copy())
+        return FieldSet(self.grid, self.q.copy())
 
     def norm_inf(self):
         return float(np.max(np.abs(self.q)))
 
     @staticmethod
     def zeros(grid):
-        return FieldSet.from_q(grid, np.zeros((3, grid.nx, grid.ny)))
+        return FieldSet(grid, np.zeros((3, grid.nx, grid.ny)))
 
     @staticmethod
     def constant(grid, u=0.0, v=0.0, p=0.0):
         q = np.empty((3, grid.nx, grid.ny))
         q[0], q[1], q[2] = u, v, p
-        return FieldSet.from_q(grid, q)
+        return FieldSet(grid, q)
 
 
 def l1_norm_central_diff(component, axis, grid, out=None):

@@ -173,4 +173,4 @@ def rhs(spec, state):
     """Tendency -sum_S alpha_S q_{I+S} as a FieldSet-shaped object."""
     if state.grid != spec.grid:
         raise ValueError("state grid %r does not match scheme grid %r" % (state.grid, spec.grid))
-    return FieldSet.from_q(state.grid, -spec.stencil.apply_sum(state.q))
+    return FieldSet(state.grid, -spec.stencil.apply_sum(state.q))

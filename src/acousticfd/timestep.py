@@ -117,7 +117,7 @@ def forward_euler_step(spec, state, dt, step=None):
         q = state.q + dt * rhs(spec, state).q
     if not np.isfinite(q).all():
         raise InstabilityError(step if step is not None else "<single>")
-    return FieldSet.from_q(state.grid, q)
+    return FieldSet(state.grid, q)
 
 
 @dataclass
@@ -161,7 +161,7 @@ def run(spec, state, control, probes=None):
             _sample(sampled, march.ring[:k])
     return RunResult(times=np.arange(n_steps + 1) * dt,
                      series={name: np.concatenate(chunks) for name, _, chunks in sampled},
-                     final_state=FieldSet.from_q(state.grid, march.halos[k - 1].inner.copy()),
+                     final_state=FieldSet(state.grid, march.halos[k - 1].inner.copy()),
                      n_steps=n_steps, dt=dt)
 
 

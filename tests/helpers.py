@@ -1,13 +1,13 @@
 """Test-only helpers that no command runs: the identity stencil, a dict-of-Fraction
 reference model of ScalarStencil, the float application of a divergence row and of
-a conserved operator, the cross-consistency of two divergence rows, the observed
-convergence order of a divergence row, the scalar
-Halton phases that `fourier.generic_phases` must reproduce bitwise, the unitless
-continuous generator whose SVD checks `det_scan`'s closed-form kernel dimension,
-the scaling law by rebuilding, the split scheme's evolution matrix and right
-kernel written directly in phases, the batched run probe made from a per-state
-one, and the catalog schemes the paper calls stationarity preserving, written out
-so that no test reads them from the claims."""
+a vorticity row, the cross-consistency of two divergence rows, the observed
+convergence order of a divergence row, the scalar Halton phases that
+`fourier.generic_phases` must reproduce bitwise, the unitless continuous
+generator whose SVD checks `det_scan`'s closed-form kernel dimension, the scaling
+law by rebuilding, the split scheme's evolution matrix and right kernel written
+directly in phases, the batched run probe made from a per-state one, forward
+Euler taken per Fourier mode, and the catalog schemes the paper calls
+stationarity preserving, written out so that no test reads them from the claims."""
 
 import math
 from dataclasses import dataclass
@@ -77,17 +77,19 @@ def row_apply(row, u, v, grid):
     return row.bu.apply(u, grid) + row.bv.apply(v, grid)
 
 
-def conserved_apply(op, field):
-    """The conserved density of a ConservedOperator on a FieldSet: wu(u) + wv(v) + wp(p)."""
-    out = op.wu.apply(field.u, op.grid) + op.wv.apply(field.v, op.grid)
-    if not op.wp.is_zero():
-        out = out + op.wp.apply(field.p, op.grid)
+def conserved_apply(w, field):
+    """The conserved density of a vorticity row w = (wu, wv, wp) on a FieldSet:
+    wu(u) + wv(v) + wp(p), on the field's grid."""
+    wu, wv, wp = w
+    out = wu.apply(field.u, field.grid) + wv.apply(field.v, field.grid)
+    if not wp.is_zero():
+        out = out + wp.apply(field.p, field.grid)
     return out
 
 
-def weight_norm(op):
-    """Sum of |w| over the float weights of a ConservedOperator's three stencils."""
-    return sum(abs(w) for st in (op.wu, op.wv, op.wp) for w in st.weights(op.grid).values())
+def weight_norm(w, grid):
+    """Sum of |w| over the float weights on the grid of a vorticity row's three stencils."""
+    return sum(abs(x) for st in w for x in st.weights(grid).values())
 
 
 def cross_consistency(B, A):
@@ -170,8 +172,21 @@ def per_state(fn, grid):
 
     def probe(stack):
         r = (stack.shape[2] - nx) // 2
-        return [fn(FieldSet.from_q(grid, slot[:, r:r + nx, r:r + ny])) for slot in stack]
+        return [fn(FieldSet(grid, slot[:, r:r + nx, r:r + ny])) for slot in stack]
     return probe
+
+
+def fourier_propagate(spec, q0, dt, n):
+    """n forward-Euler steps of the (3, nx, ny) state q0, taken per Fourier mode: the fft2
+    of q0 times (I - dt S(theta))^n, S = `spec.stencil.symbol` at theta = 2 pi fftfreq,
+    then the ifft2. It shares only the symbol with the march; the result is complex."""
+    grid = spec.grid
+    thx, thy = np.meshgrid(2 * np.pi * np.fft.fftfreq(grid.nx),
+                           2 * np.pi * np.fft.fftfreq(grid.ny), indexing="ij")
+    step = np.eye(3) - dt * spec.stencil.symbol(thx, thy)
+    modes = np.moveaxis(np.fft.fft2(q0, axes=(1, 2)), 0, -1)[..., None]
+    out = (np.linalg.matrix_power(step, n) @ modes)[..., 0]
+    return np.fft.ifft2(np.moveaxis(out, -1, 0), axes=(1, 2))
 
 
 def dimsplit_closed_form(params, a1, a2, a3, a4, grid, thx, thy):

@@ -67,8 +67,9 @@ def test_criterion_2_symbol_verdicts():
     params = AcousticParams(c=2.0, eps=0.5)
     phases = generic_phases(200)
 
-    verdict = det_scan(make_scheme("roe", params, grid), phases=phases, structured=False)
-    bad = [r for r in verdict.records if r.kernel_dim != 0 or r.sigma_ratio < 1e-3]
+    verdict = det_scan(make_scheme("roe", params, grid), phases=phases)
+    bad = [r for r in verdict.generic_records()
+           if r["kernel_dim"] != 0 or r["sigma_min_ratio"] < 1e-3]
     if bad:
         failures.append("roe: %d samples with a kernel or sigma ratio < 1e-3" % len(bad))
 
@@ -78,8 +79,9 @@ def test_criterion_2_symbol_verdicts():
         a2, a3, a4 = rng.uniform(-1.0, 1.0, size=3)
         specs.append(make_scheme("dimsplit", params, grid, a1=0.0, a2=a2, a3=a3, a4=a4))
     for spec in specs:
-        out = det_scan(spec, phases=phases, structured=False)
-        bad = [r for r in out.records if r.kernel_dim != 1 or r.sigma_ratio > 1e-12]
+        out = det_scan(spec, phases=phases)
+        bad = [r for r in out.generic_records()
+               if r["kernel_dim"] != 1 or r["sigma_min_ratio"] > 1e-12]
         if bad:
             failures.append("%s: %d samples without an exact 1-dim kernel"
                             % (spec.name, len(bad)))
@@ -146,10 +148,10 @@ def test_criterion_5_vorticity_preservation():
     for name in SP_NAMES:
         spec = make_scheme(name, params, grid)
         op = extract_conserved_operator(spec)
-        scale = weight_norm(op) * (params.c / params.eps)
+        scale = weight_norm(op, grid) * (params.c / params.eps)
         from acousticfd.grid import FieldSet
         for trial in range(20):
-            state = FieldSet.from_q(grid, rng.standard_normal((3, 16, 16)))
+            state = FieldSet(grid, rng.standard_normal((3, 16, 16)))
             val = np.max(np.abs(conserved_apply(op, rhs(spec, state))))
             if val > 1e-12 * scale * state.norm_inf():
                 failures.append("%s trial %d: omega(rhs) %.3g" % (name, trial, val))
@@ -164,7 +166,7 @@ def test_criterion_5_vorticity_preservation():
     dt = cfl_dt(vparams, vortex_grid, 0.45)
     out = run(spec, state, StepControl(cfl=0.45, t_end=500 * dt))
     drift = np.max(np.abs(conserved_apply(op, out.final_state) - before))
-    limit = 1e-10 * weight_norm(op) * state.norm_inf()
+    limit = 1e-10 * weight_norm(op, vortex_grid) * state.norm_inf()
     if out.n_steps != 500:
         failures.append("vortex run took %d steps, wanted 500" % out.n_steps)
     if drift > limit:

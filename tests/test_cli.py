@@ -216,6 +216,56 @@ def test_extreme_scales_are_analyzed(name, capsys):
     assert doc["scan_verdict"] is (doc["verdict"] or name in SCAN_MISSES)
 
 
+@pytest.mark.parametrize("grid", [("--grid", "24"),
+                                  ("--grid", "12,7", "--dx", "1e-3", "--dy", "0.07")],
+                         ids=["24", "12x7"])
+def test_analyze_writes_no_unchecked_divergence_row(grid, monkeypatch, capsys):
+    # a spec whose diffusion names a3^ = 0 while its symbol holds lowmach1's -1: the
+    # closed-form row fails its exact check, and the verdict alone sets the exit code
+    import dataclasses
+
+    from acousticfd import cli
+
+    build = cli.make_scheme
+    monkeypatch.setattr(cli, "make_scheme", lambda *args, **kwargs: dataclasses.replace(
+        build(*args, **kwargs), diffusion=(0, 1, 0, 0)))
+    assert main(["analyze", "--scheme", "lowmach1", "--k-samples", "10", *grid]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] is True
+    assert "divergence_row" not in doc
+    assert doc["divergence_row_error"].startswith("divergence row fails M (-bv, bu, 0) = 0")
+    assert doc["conserved_operator"]["exact"] is True
+
+
+# a flag takes any float literal after a space as after "=": argparse alone reads only
+# tokens like -12 and -1.5 as negative numbers
+NEGATIVE_VALUES = [
+    (("analyze", "--scheme", "dimsplit", "--grid", "8"), "--a3", "-1e-3"),
+    (("analyze", "--scheme", "dimsplit", "--grid", "8"), "--a3", "-1E2"),
+    (("analyze", "--scheme", "dimsplit", "--grid", "8"), "--a2", "-.5e1"),
+    (("simulate", "--scheme", "dimsplit", "--grid", "8", "--t-end", "0.01"), "--a4", "-2e0"),
+    (("sweep", "--scheme", "dimsplit", "--grid", "8"), "--a3", "-1e-1"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value", NEGATIVE_VALUES,
+                         ids=["%s %s %s" % (a[0], f, v) for a, f, v in NEGATIVE_VALUES])
+def test_negative_float_literal_follows_its_flag(argv, flag, value, capsys):
+    assert main([*argv, flag, value]) == EXIT_OK
+    spaced = capsys.readouterr().out
+    assert main([*argv, "%s=%s" % (flag, value)]) == EXIT_OK
+    assert capsys.readouterr().out == spaced
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan"])
+def test_negative_inf_and_nan_stay_flags(value, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--scheme", "dimsplit", "--a3", value, "--grid", "8"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: argument --a3: expected one argument\n")
+
+
 def test_out_dir_is_made_once_and_undone_on_usage_error(tmp_path):
     out = tmp_path / "a" / "b"
     assert main(["catalog", "--out", str(out)]) == EXIT_OK

@@ -1,5 +1,6 @@
 """Vortex data, kernel-adapted data, decay fits, conserved functionals."""
 
+import dataclasses
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from acousticfd.experiments import (
     SPEED,
     X0,
     Y0,
+    checked_divergence_row,
     decay_window,
     extract_conserved_operator,
     fit_decay,
@@ -145,17 +147,18 @@ def test_kernel_adapted_dyadic_state(square_grid, params):
     assert np.max(np.abs(state.u)) > 0.0
 
 
-def assert_operator_is_row(op, row, grid):
-    assert op.wu == row.bu.bound(grid)
-    assert op.wv == row.bv.bound(grid)
-    assert op.wp.is_zero()
+def assert_operator_is_row(w, row, grid):
+    wu, wv, wp = w
+    assert wu == row.bu.bound(grid)
+    assert wv == row.bv.bound(grid)
+    assert wp.is_zero()
 
 
 def test_extracted_operator_central_is_curl(square_grid, aniso_grid, params):
     for grid in (square_grid, aniso_grid):
         op = extract_conserved_operator(make_scheme("central", params, grid))
         assert_operator_is_row(op, curl_of(central_div()), grid)
-        assert op.wu.cell_radius == 1
+        assert op[0].cell_radius == 1
 
 
 def test_extracted_operator_dimsplit_subfamily(square_grid, aniso_grid):
@@ -172,10 +175,23 @@ def test_extracted_operator_multid_pressure_weight(square_grid, aniso_grid, para
     assert_operator_is_row(sq, curl_of(averaged_div()), square_grid)
     an = extract_conserved_operator(make_scheme("multid", params, aniso_grid))
     # unequal spacings leave a genuine pressure contribution in the functional
-    assert an.wu.cell_radius == an.wv.cell_radius == an.wp.cell_radius == 2
-    doc = an.to_json_dict()
-    assert doc["exact"] is True
-    assert doc["wp"]["entries"]
+    assert [st.cell_radius for st in an] == [2, 2, 2]
+    assert not an[2].is_zero()
+
+
+MISMATCH_GRIDS = [GridSpec.unit_square(24), GridSpec(12, 7, 1e-3, 0.07)]
+
+
+@pytest.mark.parametrize("grid", MISMATCH_GRIDS, ids=["24", "12x7"])
+def test_divergence_row_check_catches_a_diffusion_that_disagrees_with_the_symbol(grid, params):
+    spec = make_scheme("lowmach1", params, grid)
+    assert checked_divergence_row(spec) == spec.divergence_row()
+    # the symbol's a3^ is -1; a diffusion naming a3^ = 0 gives the central divergence,
+    # whose kernel the scheme does not keep
+    wrong = dataclasses.replace(spec, diffusion=(0, 1, 0, 0))
+    assert wrong.divergence_row() == central_div()
+    with pytest.raises(RuntimeError, match="divergence row fails M"):
+        checked_divergence_row(wrong)
 
 
 def test_conserved_operator_annihilates_rhs(square_grid, params, rng):
@@ -183,9 +199,9 @@ def test_conserved_operator_annihilates_rhs(square_grid, params, rng):
 
     spec = make_scheme("multid", params, square_grid)
     op = extract_conserved_operator(spec)
-    scale = weight_norm(op) * (params.c / params.eps)
+    scale = weight_norm(op, square_grid) * (params.c / params.eps)
     for _ in range(5):
-        state = FieldSet.from_q(square_grid, rng.standard_normal((3, 16, 16)))
+        state = FieldSet(square_grid, rng.standard_normal((3, 16, 16)))
         drift = np.max(np.abs(conserved_apply(op, rhs(spec, state))))
         assert drift <= 1e-12 * scale * state.norm_inf()
 

@@ -193,20 +193,20 @@ def test_det_scan_verdicts(square_grid, params):
     assert good.withheld == 0
     assert len(good.records) == 25 + 48
     for rec in good.generic_records():
-        assert rec.kernel_dim == 1 and rec.continuous_dim == 1
-        assert rec.sigma_ratio <= 1e-12
+        assert rec["kernel_dim"] == 1 and rec["continuous_dim"] == 1
+        assert rec["sigma_min_ratio"] <= 1e-12
 
     bad = det_scan(make_scheme("roe", params, square_grid), phases=phases)
     assert not bad.scan_verdict
     assert bad.scheme == "roe"
     for rec in bad.generic_records():
-        assert rec.kernel_dim == 0
-        assert rec.sigma_ratio > 1e-3
+        assert rec["kernel_dim"] == 0
+        assert rec["sigma_min_ratio"] > 1e-3
 
     doc = good.to_json_dict()
     assert set(doc) == {"scheme", "scan_verdict", "samples"}
     assert doc["scheme"] == "multid" and doc["scan_verdict"] is True
-    assert len(doc["samples"]) == len(good.records)
+    assert doc["samples"] == good.records
     assert set(doc["samples"][0]) == {"thx", "thy", "kind", "absdet",
                                       "sigma_min_ratio", "kernel_dim",
                                       "continuous_dim"}
@@ -216,7 +216,7 @@ def test_det_scan_verdicts(square_grid, params):
 def test_sigma_ratio_is_never_negative_zero(name):
     # the full SVD can return the smallest singular value as -0.0
     spec = make_scheme(name, AcousticParams(c=1.0, eps=1.0), GridSpec.unit_square(24))
-    ratios = [r.sigma_ratio for r in det_scan(spec, phases=generic_phases(200)).records]
+    ratios = [r["sigma_min_ratio"] for r in det_scan(spec, phases=generic_phases(200)).records]
     assert not np.signbit(ratios).any()
 
 
@@ -224,15 +224,19 @@ def test_det_scan_rejects_phases_outside_half_open_interval(square_grid, params)
     spec = make_scheme("multid", params, square_grid)
     for bad in ((4.0, 0.0), (0.3, -math.pi), (-math.pi, 0.3), (0.3, math.pi + 1e-9)):
         with pytest.raises(ValueError, match="phases must lie in"):
-            det_scan(spec, phases=[(0.5, 0.5), bad], structured=False)
-    ok = det_scan(spec, phases=[(math.pi, math.pi)], structured=False)
-    assert [(r.thx, r.thy) for r in ok.records] == [(math.pi, math.pi)]
+            det_scan(spec, phases=[(0.5, 0.5), bad])
+    ok = det_scan(spec, phases=[(math.pi, math.pi)])
+    assert [(r["thx"], r["thy"]) for r in ok.generic_records()] == [(math.pi, math.pi)]
 
 
-def test_det_scan_without_structured(square_grid, params):
-    out = det_scan(make_scheme("central", params, square_grid),
-                   phases=generic_phases(5), structured=False)
-    assert len(out.records) == 5
+def test_det_scan_rows_are_generic_then_structured(square_grid, params):
+    # the n generic rows come first, in phase order, then the 48 structured ones
+    phases = generic_phases(5)
+    out = det_scan(make_scheme("central", params, square_grid), phases=phases)
+    assert [r["kind"] for r in out.records[:5]] == ["generic"] * 5
+    assert [(r["thx"], r["thy"]) for r in out.records[:5]] == phases
+    assert [(r["kind"], (r["thx"], r["thy"])) for r in out.records[5:]] == structured_phases()
+    assert out.generic_records() == out.records[:5]
     assert out.scan_verdict
 
 
@@ -274,11 +278,11 @@ def test_det_scan_matches_per_sample_oracle(aniso_grid, name, kwargs, eps):
     out = det_scan(spec, phases=generic_phases(40))
     assert len(out.records) == 40 + 48
     for rec in out.records:
-        E = balanced_evolution(spec, rec.thx, rec.thy)
-        assert rec.kernel_dim == kernel_dim(E)
-        J = jk_matrix(rec.thx / aniso_grid.dx, rec.thy / aniso_grid.dy)
-        assert rec.continuous_dim == kernel_dim(J, tol_rel=1e-10)
-        if rec.kernel_dim != 1:
+        E = balanced_evolution(spec, rec["thx"], rec["thy"])
+        assert rec["kernel_dim"] == kernel_dim(E)
+        J = jk_matrix(rec["thx"] / aniso_grid.dx, rec["thy"] / aniso_grid.dy)
+        assert rec["continuous_dim"] == kernel_dim(J, tol_rel=1e-10)
+        if rec["kernel_dim"] != 1:
             with pytest.raises(KernelDimensionError):
                 right_kernel(E)
             continue
@@ -289,5 +293,5 @@ def test_det_scan_matches_per_sample_oracle(aniso_grid, name, kwargs, eps):
         assert np.linalg.norm(right) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
     # theta = 0, where the continuous kernel has dimension 3, is checked against J.k alone
-    zero = det_scan(spec, phases=[(0.0, 0.0)], structured=False).records[0]
-    assert zero.continuous_dim == kernel_dim(jk_matrix(0.0, 0.0), tol_rel=1e-10) == 3
+    zero = det_scan(spec, phases=[(0.0, 0.0)]).records[0]
+    assert zero["continuous_dim"] == kernel_dim(jk_matrix(0.0, 0.0), tol_rel=1e-10) == 3

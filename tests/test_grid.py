@@ -65,6 +65,15 @@ def test_fieldset_views_and_copy():
     assert f.norm_inf() == 3.0
 
 
+def test_fieldset_checks_the_shape_of_q():
+    g = GridSpec(4, 5)
+    for shape in ((3, 5, 4), (2, 4, 5), (4, 5)):
+        with pytest.raises(ValueError, match=r"grid wants \(3, 4, 5\)"):
+            FieldSet(g, np.zeros(shape))
+    q = np.ones((3, 4, 5), dtype=int)
+    assert FieldSet(g, q).q.dtype == float
+
+
 def test_l1_norm_constant_is_zero():
     g = GridSpec.unit_square(8)
     f = FieldSet.constant(g, u=7.0)
@@ -268,7 +277,7 @@ def test_l1_norm_overflow_returns_inf():
 
 def test_field_csv_roundtrip(tmp_path, rng):
     g = GridSpec.unit_square(5)
-    f = FieldSet.from_q(g, rng.standard_normal((3, 5, 5)))
+    f = FieldSet(g, rng.standard_normal((3, 5, 5)))
     path = tmp_path / "field.csv"
     write_field_csv(path, f)
     header = path.read_text().splitlines()[0]
@@ -287,7 +296,7 @@ def test_field_csv_bytes_match_per_cell_numpy_formatting(tmp_path, rng):
     g = GridSpec(6, 5, 0.1, 1 / 3)
     q = rng.standard_normal((3, 6, 5)) * np.array([1.0, 1e-300, 1e300])[:, None, None]
     q[0, 1, 2], q[1, 0, 0] = -0.0, 0.1
-    f = FieldSet.from_q(g, q)
+    f = FieldSet(g, q)
     lines = ["i,j,x,y,u,v,p\n"]
     for i in range(g.nx):
         for j in range(g.ny):

@@ -24,7 +24,7 @@ from acousticfd.schemes import CATALOG_NAMES, SchemeSpec, make_scheme, rhs
 from acousticfd.stencils import RING_BYTES, ring_slots
 from acousticfd.timestep import InstabilityError, March, StepControl, cfl_dt, cfl_sweep, run
 
-from helpers import per_state
+from helpers import fourier_propagate, per_state
 from matrix_entries import full_box_entries, matrix_stencil
 
 # the ring size of every grid here but the 64^2 ones: grids this small hold the full ring
@@ -33,7 +33,7 @@ S = ring_slots(GridSpec(10, 10, 1.0, 1.0), 3)
 
 def reference_step(spec, q, dt, step):
     with np.errstate(over="ignore", invalid="ignore"):
-        q = q + dt * rhs(spec, FieldSet.from_q(spec.grid, q)).q
+        q = q + dt * rhs(spec, FieldSet(spec.grid, q)).q
     if not np.all(np.isfinite(q)):
         raise InstabilityError(step)
     return q
@@ -41,11 +41,11 @@ def reference_step(spec, q, dt, step):
 
 def reference_run(spec, q0, dt, n_steps, probes):
     q = q0.copy()
-    series = {name: [fn(FieldSet.from_q(spec.grid, q))] for name, fn in probes.items()}
+    series = {name: [fn(FieldSet(spec.grid, q))] for name, fn in probes.items()}
     for step in range(1, n_steps + 1):
         q = reference_step(spec, q, dt, step)
         for name, fn in probes.items():
-            series[name].append(fn(FieldSet.from_q(spec.grid, q)))
+            series[name].append(fn(FieldSet(spec.grid, q)))
     return q, series
 
 
@@ -83,7 +83,7 @@ def assert_run_matches_reference(spec, q0, n_steps):
     grid = spec.grid
     cfl = 0.4
     dt = cfl_dt(spec.params, grid, cfl)
-    state = FieldSet.from_q(grid, q0.copy())
+    state = FieldSet(grid, q0.copy())
     out = run(spec, state, StepControl(cfl=cfl, t_end=n_steps * dt),
               probes={name: per_state(fn, grid) for name, fn in probes_for(grid).items()})
     assert np.array_equal(state.q, q0)
@@ -98,7 +98,7 @@ def assert_run_matches_reference(spec, q0, n_steps):
 
 def assert_sweep_matches_reference(spec, q0, horizon_steps, growth_factor=2.0):
     cfl_grid = [0.05, 0.4, 1.5, 6.0]
-    state = FieldSet.from_q(spec.grid, q0.copy())
+    state = FieldSet(spec.grid, q0.copy())
     report = cfl_sweep(spec, state, cfl_grid, horizon_steps=horizon_steps,
                        growth_factor=growth_factor)
     assert np.array_equal(state.q, q0)
@@ -194,7 +194,7 @@ def test_sweep_overflow_is_an_unstable_point_without_warnings(square_grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_sweep_matches_reference(spec, q0, 10, growth_factor=1e300)
-    report = cfl_sweep(spec, FieldSet.from_q(square_grid, q0), [6.0], horizon_steps=10,
+    report = cfl_sweep(spec, FieldSet(square_grid, q0), [6.0], horizon_steps=10,
                        growth_factor=1e300)
     assert report["results"][0]["peak_norm"] == math.inf
 
@@ -215,7 +215,7 @@ def assert_instability_matches_reference(spec, q0, cfl, n_steps, probes=None):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InstabilityError) as exc:
-            run(spec, FieldSet.from_q(spec.grid, q0), StepControl(cfl=cfl, t_end=n_steps * dt),
+            run(spec, FieldSet(spec.grid, q0), StepControl(cfl=cfl, t_end=n_steps * dt),
                 probes=probes)
     assert exc.value.step == step
     assert exc.value.t == (step - 1) * dt
@@ -285,7 +285,7 @@ def test_probe_error_on_a_finite_state_comes_at_its_step(at, aniso_grid, rng):
         return 0.0
 
     with pytest.raises(ValueError, match="^probe stops at step %d$" % at):
-        run(spec, FieldSet.from_q(aniso_grid, q0), StepControl(cfl=0.4, t_end=(at + B) * dt),
+        run(spec, FieldSet(aniso_grid, q0), StepControl(cfl=0.4, t_end=(at + B) * dt),
             probes={"stop": per_state(probe, aniso_grid)})
     q, _ = reference_run(spec, q0, dt, at, {})
     assert len(seen) == at + 1
@@ -332,7 +332,7 @@ def test_sweep_stops_at_any_slot_of_a_block_as_the_reference(kind, slot):
         growth = 2.0 ** (stop - 1) + 0.5
     else:
         q0, growth = doubling_state(spec, stop, seed=slot), 2.0 ** 60
-    report = cfl_sweep(spec, FieldSet.from_q(spec.grid, q0), [1.0], horizon_steps=3 * B,
+    report = cfl_sweep(spec, FieldSet(spec.grid, q0), [1.0], horizon_steps=3 * B,
                        growth_factor=growth)
     row, = report["results"]
     assert row == reference_sweep(spec, q0, [1.0], 3 * B, growth)[0]
@@ -398,7 +398,7 @@ def test_blocks_walk_the_ring_in_full_blocks_and_one_last(n_steps, seed):
     q0 = np.random.default_rng(seed).standard_normal((3, ANISO.nx, ANISO.ny))
     dt = cfl_dt(spec.params, ANISO, 0.4)
     _, series = reference_run(spec, q0, dt, n_steps, {"q": lambda s: s.q.copy()})
-    march = March(spec).load(FieldSet.from_q(ANISO, q0), dt)
+    march = March(spec).load(FieldSet(ANISO, q0), dt)
     walked = []
     for first, k in march.blocks(n_steps):
         walked.append((first, k))
@@ -587,7 +587,7 @@ def test_run_with_probes_allocates_no_state_sized_block_per_block(scheme):
 def test_zero_state_peak_norm_is_positive_zero(kind, zero, square_grid):
     spec = (make_scheme("roe", AcousticParams(c=1.0, eps=1.0), square_grid) if kind == "roe"
             else custom_spec(square_grid, RADIUS_ZERO["empty"]))
-    state = FieldSet.from_q(square_grid, np.full((3, 16, 16), zero))
+    state = FieldSet(square_grid, np.full((3, 16, 16), zero))
     report = cfl_sweep(spec, state, [0.1, 0.5], horizon_steps=5)
     for row in report["results"]:
         assert row["stable"] and row["peak_norm"] == 0.0
@@ -598,3 +598,19 @@ def test_zero_state_peak_norm_is_positive_zero(kind, zero, square_grid):
         peak, = march.peaks(k)
     assert peak == float(np.max(np.abs(march.halos[0].inner)))
     assert math.copysign(1.0, peak) == 1.0
+
+
+@pytest.mark.parametrize("grid", [GridSpec.unit_square(16), GridSpec(12, 10, 1 / 12, 0.1)],
+                         ids=["16", "12x10"])
+@pytest.mark.parametrize("eps", [1.0, 0.01])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_run_matches_fourier_propagator(name, eps, grid):
+    # an oracle that shares only the symbol with the march: 200 steps taken per mode
+    spec = make_scheme(name, AcousticParams(c=1.0, eps=eps), grid)
+    q0 = np.random.default_rng(29).standard_normal((3, grid.nx, grid.ny))
+    cfl = 0.2
+    dt = cfl_dt(spec.params, grid, cfl)
+    out = run(spec, FieldSet(grid, q0), StepControl(cfl=cfl, t_end=200 * dt))
+    assert out.n_steps == 200
+    ref = fourier_propagate(spec, q0, dt, 200)
+    assert np.max(np.abs(out.final_state.q - ref.real)) <= 1e-10 * np.max(np.abs(ref))

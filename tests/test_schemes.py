@@ -191,13 +191,13 @@ def test_rhs_linear_and_translation_equivariant(square_grid, params, rng):
     spec = make_scheme("lowmach3", params, square_grid)
     qa = rng.standard_normal((3, square_grid.nx, square_grid.ny))
     qb = rng.standard_normal((3, square_grid.nx, square_grid.ny))
-    fa = FieldSet.from_q(square_grid, qa)
-    fb = FieldSet.from_q(square_grid, qb)
-    combo = FieldSet.from_q(square_grid, 2.0 * qa - 3.0 * qb)
+    fa = FieldSet(square_grid, qa)
+    fb = FieldSet(square_grid, qb)
+    combo = FieldSet(square_grid, 2.0 * qa - 3.0 * qb)
     lin = rhs(spec, combo).q - (2.0 * rhs(spec, fa).q - 3.0 * rhs(spec, fb).q)
     assert np.max(np.abs(lin)) < 1e-11
 
-    rolled = FieldSet.from_q(square_grid, np.roll(qa, (2, -3), axis=(1, 2)))
+    rolled = FieldSet(square_grid, np.roll(qa, (2, -3), axis=(1, 2)))
     equiv = rhs(spec, rolled).q - np.roll(rhs(spec, fa).q, (2, -3), axis=(1, 2))
     assert np.max(np.abs(equiv)) == 0.0
 

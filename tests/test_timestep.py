@@ -48,7 +48,7 @@ def test_forward_euler_fixes_stationary_states_bitwise(square_grid, params):
     state = kernel_adapted_state(spec, seed=9)
     assert np.max(np.abs(rhs(spec, state).q)) < 1e-13 * state.norm_inf()
     # remove the tiny rounding residue so the state is an exact fixed point
-    base = FieldSet.from_q(square_grid, state.q.copy())
+    base = FieldSet(square_grid, state.q.copy())
     tend = rhs(spec, base).q
     stepped = forward_euler_step(spec, base, 0.01)
     assert np.array_equal(stepped.q, base.q + 0.01 * tend)
@@ -61,7 +61,7 @@ def test_forward_euler_fixes_stationary_states_bitwise(square_grid, params):
 def test_forward_euler_step_is_out_of_place_update_bitwise(name, eps, grid):
     spec = make_scheme(name, AcousticParams(c=1.0, eps=eps), grid)
     rng = np.random.default_rng(17)
-    state = FieldSet.from_q(grid, rng.standard_normal((3, grid.nx, grid.ny)))
+    state = FieldSet(grid, rng.standard_normal((3, grid.nx, grid.ny)))
     before = state.q.copy()
     dt = cfl_dt(spec.params, grid, 0.4)
     expect = state.q + dt * rhs(spec, state).q
@@ -116,7 +116,7 @@ def test_two_half_steps_beat_one_full_step(square_grid, params, rng):
     # Richardson ratio between dt and dt/2 experiments approaches 4
     spec = make_scheme("multid", params, square_grid)
     q0 = rng.standard_normal((3, square_grid.nx, square_grid.ny))
-    state = FieldSet.from_q(square_grid, q0)
+    state = FieldSet(square_grid, q0)
 
     def defect(dt):
         one = forward_euler_step(spec, state, dt)
@@ -145,7 +145,7 @@ def test_cfl_sweep_brackets_stability(square_grid):
     params = AcousticParams(c=1.0, eps=1.0)
     spec = make_scheme("roe", params, square_grid)
     rng = np.random.default_rng(2)
-    state = FieldSet.from_q(square_grid, 0.01 * rng.standard_normal((3, 16, 16)))
+    state = FieldSet(square_grid, 0.01 * rng.standard_normal((3, 16, 16)))
     report = cfl_sweep(spec, state, [0.1, 0.4, 1.5, 3.0], horizon_steps=400)
     by_cfl = {r["cfl"]: r for r in report["results"]}
     assert by_cfl[0.1]["stable"] and by_cfl[0.4]["stable"]
@@ -161,7 +161,7 @@ def test_cfl_sweep_all_unstable_yields_none(square_grid):
     params = AcousticParams(c=1.0, eps=1.0)
     spec = make_scheme("roe", params, square_grid)
     rng = np.random.default_rng(3)
-    state = FieldSet.from_q(square_grid, rng.standard_normal((3, 16, 16)))
+    state = FieldSet(square_grid, rng.standard_normal((3, 16, 16)))
     report = cfl_sweep(spec, state, [4.0, 8.0], horizon_steps=200)
     assert report["max_stable_cfl"] is None
     assert all(not r["stable"] for r in report["results"])
@@ -176,11 +176,11 @@ def test_conserved_functional_drift_over_run(square_grid, params):
     spec = make_scheme("lowmach3", params, square_grid)
     op = extract_conserved_operator(spec)
     rng = np.random.default_rng(21)
-    state = FieldSet.from_q(square_grid, rng.standard_normal((3, 16, 16)))
+    state = FieldSet(square_grid, rng.standard_normal((3, 16, 16)))
     before = conserved_apply(op, state)
     control = StepControl(cfl=0.05, t_end=1000 * cfl_dt(params, square_grid, 0.05))
     out = run(spec, state, control)
     assert out.n_steps == 1000
     after = conserved_apply(op, out.final_state)
-    scale = weight_norm(op) * max(1.0, state.norm_inf())
+    scale = weight_norm(op, square_grid) * max(1.0, state.norm_inf())
     assert np.max(np.abs(after - before)) <= 1e-11 * scale

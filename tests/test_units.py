@@ -28,6 +28,13 @@ LADDER_GRIDS = {
     "50": ("--grid", "50"),
     "50-dx1e-3-dy1": ("--grid", "50", "--dx", "1e-3", "--dy", "1"),
     "20-h1e-6": ("--grid", "20", "--dx", "1e-6", "--dy", "1e-6"),
+    # the anisotropy ladder: dy/dx in {1.1, 2, 10} and their reciprocals
+    "12-dy1.1": ("--grid", "12", "--dx", "1", "--dy", "1.1"),
+    "12-dy2": ("--grid", "12", "--dx", "1", "--dy", "2"),
+    "12-dy10": ("--grid", "12", "--dx", "1", "--dy", "10"),
+    "12-dx1.1": ("--grid", "12", "--dx", "1.1", "--dy", "1"),
+    "12-dx2": ("--grid", "12", "--dx", "2", "--dy", "1"),
+    "12-dx10": ("--grid", "12", "--dx", "10", "--dy", "1"),
 }
 
 
@@ -42,6 +49,8 @@ def test_analyze_ladder_matches_claim(grid, eps, scheme, capsys):
     assert doc["eigenvalue_scaling"] == {"passed": True, "exact": True}
     assert "conserved_operator_error" not in doc
     assert ("conserved_operator" in doc) is (scheme in SP_NAMES)
+    assert "divergence_row_error" not in doc
+    assert ("divergence_row" in doc) is (scheme in SP_NAMES)
 
 
 def analyze_without_config(scheme, c, eps):
@@ -77,8 +86,9 @@ PHASES = generic_phases(8)
 
 
 def scan_summary(spec):
-    out = det_scan(spec, phases=PHASES, structured=False)
-    return out.scan_verdict, [(r.kernel_dim, r.continuous_dim) for r in out.records]
+    out = det_scan(spec, phases=PHASES)
+    dims = [(r["kernel_dim"], r["continuous_dim"]) for r in out.generic_records()]
+    return out.scan_verdict, dims
 
 
 @cache
@@ -108,9 +118,9 @@ def test_rescaling_changes_no_verdict(fc, feps, lam):
             # states T q^ with q^ of unit size make every row of rhs about (c/eps)/h
             ce, t = params.balance
             t = np.array(t, dtype=float)[:, None, None]
-            scale = weight_norm(op) * float(ce) / grid.min_spacing
+            scale = weight_norm(op, grid) * float(ce) / grid.min_spacing
             rng = np.random.default_rng(11)
             for _ in range(3):
                 q = rng.standard_normal((3, grid.nx, grid.ny))
-                drift = np.max(np.abs(conserved_apply(op, rhs(spec, FieldSet.from_q(grid, t * q)))))
+                drift = np.max(np.abs(conserved_apply(op, rhs(spec, FieldSet(grid, t * q)))))
                 assert drift <= 1e-11 * scale * np.max(np.abs(q)), name
