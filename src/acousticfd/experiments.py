@@ -159,10 +159,19 @@ def json_document(doc):
     falls back to the pure-Python encoder whenever an indent is set. Here a
     container of scalars is one call to the C encoder, whose item separator
     carries the newline and indent: it escapes every newline inside a string,
-    so each one it writes is a separator. Only containers that hold containers
-    recurse in Python, and their keys must be strings.
+    so each one it writes is a separator. So is a list of nonempty dicts of
+    scalars, at the dicts' indent: there "}," + newline only ends a dict, and
+    the two ends and each join between dicts are moved out one level. Only
+    other containers that hold containers recurse in Python, and their keys
+    must be strings.
     """
     encoders = {}
+
+    def c_encode(o, indent):
+        if indent not in encoders:
+            encoders[indent] = c_make_encoder(None, _UNENCODABLE, encode_basestring_ascii,
+                                              None, ": ", "," + indent, True, False, True)
+        return "".join(encoders[indent](o, 0))
 
     def encode(o, newline):
         inner = newline + " "
@@ -171,11 +180,13 @@ def json_document(doc):
                 [encode_basestring_ascii(k) + ": " + encode(v, inner) for k, v in sorted(o.items())]
             ) + newline + "}"
         if isinstance(o, (list, tuple)) and _holds_containers(o):
+            if all(isinstance(v, dict) and v and not _holds_containers(v.values()) for v in o):
+                deeper = inner + " "
+                text = c_encode(o, deeper)[2:-2].replace("}," + deeper + "{",
+                                                         inner + "}," + inner + "{" + deeper)
+                return "[" + inner + "{" + deeper + text + inner + "}" + newline + "]"
             return "[" + inner + ("," + inner).join([encode(v, inner) for v in o]) + newline + "]"
-        if inner not in encoders:
-            encoders[inner] = c_make_encoder(None, _UNENCODABLE, encode_basestring_ascii,
-                                             None, ": ", "," + inner, True, False, True)
-        text = "".join(encoders[inner](o, 0))
+        text = c_encode(o, inner)
         if len(text) == 2 or not isinstance(o, (dict, list, tuple)):
             return text
         return text[0] + inner + text[1:-1] + newline + text[-1]

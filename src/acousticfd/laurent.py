@@ -92,6 +92,48 @@ def _row_symbol_from_vector(vec, den, offsets):
                          ScalarStencil.from_ints(bv, den, (0, -1)))
 
 
+def _block(radius):
+    """The unknowns of consistency_nullspace at radius N: the (2N+1)^2 cell offsets, and the
+    orbit column of each full unknown, bu's cells then bv's."""
+    N = radius
+    offsets = [(sx, sy) for sx in range(-N, N + 1) for sy in range(-N, N + 1)]
+    n = len(offsets)
+    # offsets[n - 1 - i] is -offsets[i]
+    col = [comp * (n // 2 + 1) + max(i, n - 1 - i) - n // 2 for comp in (0, 1) for i in range(n)]
+    return offsets, col
+
+
+def _consistency_system(A, offsets, col):
+    """consistency_nullspace's system for the row A, as (eqs, den).
+
+    eqs maps each product monomial to the int row of its cross-consistency
+    equation over den, the common denominator of A's components, and each
+    component's key ("order 0", comp) to its order-0 row times den. So for a
+    fixed key a row is linear in A's coefficients; a missing key is a zero row.
+    """
+    n, ncols = len(offsets), col[-1] + 1
+    (pu, qu), (pv, qv) = A.bu.units, A.bv.units
+    den = math.lcm(A.bu.den, A.bv.den)
+    au, av = ({k: v * (den // st.den) for k, v in st.num.items()} for st in (A.bu, A.bv))
+
+    # cross-consistency: for each product monomial one linear equation
+    eqs = {}
+    for i, (sx, sy) in enumerate(offsets):
+        # bu term tx^sx ty^sy / dx times Av
+        for (a, b), c in av.items():
+            eqs.setdefault((a + 2 * sx, b + 2 * sy, pv - 1, qv), [0] * ncols)[col[i]] += c
+        # minus bv term / dy times Au
+        for (a, b), c in au.items():
+            eqs.setdefault((a + 2 * sx, b + 2 * sy, pu, qu - 1), [0] * ncols)[col[n + i]] -= c
+
+    # order 0 per component annihilates constants; the parity already annihilates linear fields
+    for comp in (0, 1):
+        r = eqs["order 0", comp] = [0] * ncols
+        for i in range(n):
+            r[col[comp * n + i]] += den
+    return eqs, den
+
+
 def consistency_nullspace(A, radius=1):
     """Exact basis of rows B with Bu*Av = Bv*Au plus order constraints.
 
@@ -107,35 +149,9 @@ def consistency_nullspace(A, radius=1):
     elimination once, up to a nonzero factor, which leaves the row space and
     so the reduced form unchanged.
     """
-    N = radius
-    offsets = [(sx, sy) for sx in range(-N, N + 1) for sy in range(-N, N + 1)]
-    n = len(offsets)
-    # orbit column of each full unknown; offsets[n - 1 - i] is -offsets[i]
-    col = [comp * (n // 2 + 1) + max(i, n - 1 - i) - n // 2 for comp in (0, 1) for i in range(n)]
-    ncols = col[-1] + 1
-    (pu, qu), (pv, qv) = A.bu.units, A.bv.units
-    den = math.lcm(A.bu.den, A.bv.den)
-    au, av = ({k: v * (den // st.den) for k, v in st.num.items()} for st in (A.bu, A.bv))
-
-    # cross-consistency: for each product monomial one linear equation
-    eqs = {}
-    for i, (sx, sy) in enumerate(offsets):
-        # bu term tx^sx ty^sy / dx times Av
-        for (a, b), c in av.items():
-            eqs.setdefault((a + 2 * sx, b + 2 * sy, pv - 1, qv), [0] * ncols)[col[i]] += c
-        # minus bv term / dy times Au
-        for (a, b), c in au.items():
-            eqs.setdefault((a + 2 * sx, b + 2 * sy, pu, qu - 1), [0] * ncols)[col[n + i]] -= c
-    rows = list(eqs.values())
-
-    # order 0 per component annihilates constants; the parity already annihilates linear fields
-    for base in (0, n):
-        r = [0] * ncols
-        for i in range(n):
-            r[col[base + i]] += 1
-        rows.append(r)
-
-    basis = rref_nullspace(distinct_rows(rows), ncols)
+    offsets, col = _block(radius)
+    eqs, _ = _consistency_system(A, offsets, col)
+    basis = rref_nullspace(distinct_rows(list(eqs.values())), col[-1] + 1)
     return [_row_symbol_from_vector([vec[c] for c in col], den, offsets) for vec, den in basis]
 
 
@@ -165,11 +181,6 @@ def spans_match(rows_a, rows_b, radius=1):
     return ra == rb == rab
 
 
-# (Sx, Py - 2) and (Sy, Px - 2), built once: they would be most of a Moore row's cost
-_MOORE_BRACKETS = ((central_bracket("x"), smooth_bracket("y") - 2),
-                  (central_bracket("y"), smooth_bracket("x") - 2))
-
-
 def symmetric_divergence_row(gamma, beta=None):
     """The generic symmetric Moore divergence: bu = Sx(beta + gamma(ty + 1/ty))/dx.
 
@@ -180,23 +191,83 @@ def symmetric_divergence_row(gamma, beta=None):
     gamma = as_fraction(gamma)
     beta = Fraction(1, 2) - 2 * gamma if beta is None else as_fraction(beta)
     # beta first: coefficient order sets consistency_nullspace's equation order, and cost
-    bu, bv = (s * (ScalarStencil({(0, 0): beta}) + p * gamma) for s, p in _MOORE_BRACKETS)
+    bu, bv = (central_bracket(a) * (ScalarStencil({(0, 0): beta}) + (smooth_bracket(b) - 2) * gamma)
+              for a, b in ("xy", "yx"))
     return VecStencilRow(bu.with_units(-1, 0), bv.with_units(0, -1))
+
+
+# the prime of _rank_mod
+_P = 2 ** 31 - 1
+
+
+def _rank_mod(rows, ncols):
+    """Rank of an int matrix modulo the prime _P, by forward elimination; a count only.
+
+    A minor that is nonzero mod _P is a nonzero integer, so this is at most the
+    rank over the rationals, and a full column rank mod _P proves it exact.
+    """
+    mat = [[x % _P for x in row] for row in rows]
+    rank = 0
+    for _ in range(ncols):
+        # the rows left hold only the columns not yet eliminated
+        i = next((i for i, row in enumerate(mat) if row[0]), None)
+        if i is not None:
+            piv = mat.pop(i)
+            inv = pow(piv[0], -1, _P)
+            nonzero = [(j, y) for j, y in enumerate(piv) if y]
+            for row in mat:
+                f = row[0] * inv % _P
+                if f:
+                    for j, y in nonzero:
+                        row[j] = (row[j] - f * y) % _P
+            rank += 1
+        mat = [row[1:] for row in mat]
+    return rank
+
+
+def _nullity(rows, ncols):
+    """ncols minus the rank of an int matrix over the rationals. A full rank mod _P
+    certifies 0; otherwise rref decides. A rank that drops only mod _P costs that
+    exact fallback, never a wrong count, so no answer depends on _P."""
+    if _rank_mod(rows, ncols) == ncols:
+        return 0
+    return ncols - len(rref(distinct_rows(rows), ncols)[1])
+
+
+def _moore_systems():
+    """consistency_nullspace's radius-1 rows for every member gamma = k/16, k = -8..16,
+    as (ncols, [(gamma, int rows)]), read off one affine pencil in gamma.
+
+    A Moore row is affine in gamma, bu = Sx/2 + gamma Sx(Py - 4), and for a
+    fixed key each row of `_consistency_system` is linear in the row's
+    coefficients. So the systems of gamma = 0 and 1, over one denominator, give
+    member k's rows as 16 row0 + k (row1 - row0): positive multiples of its own
+    rows, and zero rows for the keys it lacks. Neither changes the row space.
+    """
+    offsets, col = _block(1)
+    ncols = col[-1] + 1
+    (e0, d0), (e1, d1) = (_consistency_system(symmetric_divergence_row(g), offsets, col)
+                          for g in (0, 1))
+    s0, s1 = math.lcm(d0, d1) // d0, math.lcm(d0, d1) // d1
+    zero = [0] * ncols
+    # each distinct (row0 | row1 - row0) once; the order-0 rows have row1 - row0 = 0
+    pencil = [(p[:ncols], p[ncols:]) for p in distinct_rows(
+        [[s0 * x for x in r0] + [s1 * y - s0 * x for x, y in zip(r0, r1)]
+         for r0, r1 in ((e0.get(key, zero), e1.get(key, zero)) for key in {**e0, **e1})])]
+    return ncols, [(Fraction(k, 16), [[16 * a + k * d for a, d in zip(*pair)] for pair in pencil])
+                   for k in range(-8, 17)]
 
 
 def moore_symmetry_scan():
     """Nullspace dimension across the symmetric first-order divergence family.
 
     Returns one record per member gamma = k/16, k = -8..16; dimension > 0
-    should single out the averaged divergence (gamma = 1/8).
+    should single out the averaged divergence (gamma = 1/8). Each dim is
+    consistency_nullspace's: `_nullity` of the member's rows from `_moore_systems`.
     """
-    report = []
-    for g in (Fraction(k, 16) for k in range(-8, 17)):
-        row = symmetric_divergence_row(g)
-        dim = len(consistency_nullspace(row, radius=1))
-        report.append({"gamma": g, "beta": Fraction(1, 2) - 2 * g, "dim": dim,
-                       "is_averaged": g == Fraction(1, 8)})
-    return report
+    ncols, members = _moore_systems()
+    return [{"gamma": g, "beta": Fraction(1, 2) - 2 * g, "dim": _nullity(rows, ncols),
+             "is_averaged": g == Fraction(1, 8)} for g, rows in members]
 
 
 def operator_identity_check():

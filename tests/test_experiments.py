@@ -249,6 +249,10 @@ _DOCUMENTS = st.recursive(
                        "non_diagonalizable": False}], "config": {"grid": "50", "c": None},
           "empty": [{}, [], ()], "text": "{\n}\\\"\u00e9"})
 @example([[[]], {"a": {"b": {}}}, [{"k": "v"}, 1.5, []]])
+@example([{"a": "},\n {", "b": 1}, {"c": "}, {"}])
+@example({"rows": [{}, {"k": 1}, {"k": 2, "j": None}, {}]})
+@example(({"x": 0.5, "y": [1]}, {"x": -0.0}) + ({"z": True},))
+@example(({"x": 0.5}, {"y": "}\u2028{"}))
 def test_json_document_matches_the_standard_encoder(doc):
     assert json_document(doc) == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 

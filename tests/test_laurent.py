@@ -170,20 +170,13 @@ def test_rref_takes_int_rows_only():
 BASES_SHA256 = "ce3d9fb73e229c78cd10fb56ca9d1aafa4a2a43d569b19c3294ba1732e881fcb"
 
 
-def test_certify_nullspace_bases_unchanged(monkeypatch):
-    bases = []
-
-    def recording(A, radius=1):
-        basis = consistency_nullspace(A, radius)
-        # the Fraction view keeps the digest of the Fraction vectors it was taken from
-        bases.append([_fractions(row_coefficient_vector(b, radius)) for b in basis])
-        return basis
-
-    monkeypatch.setattr(laurent, "consistency_nullspace", recording)
-    for radius in (1, 2, 3):
-        for div in (central_div, averaged_div):
-            laurent.consistency_nullspace(div(), radius=radius)
-    moore_symmetry_scan()
+def test_certify_nullspace_bases_unchanged():
+    # the scan reads its dims off one pencil, so its 25 bases are solved here one by one
+    systems = [(div(), radius) for radius in (1, 2, 3) for div in (central_div, averaged_div)]
+    systems += [(symmetric_divergence_row(Fraction(k, 16)), 1) for k in range(-8, 17)]
+    # the Fraction view keeps the digest of the Fraction vectors it was taken from
+    bases = [[_fractions(row_coefficient_vector(b, radius))
+              for b in consistency_nullspace(A, radius)] for A, radius in systems]
     assert len(bases) == 31
     assert hashlib.sha256(repr(bases).encode()).hexdigest() == BASES_SHA256
 
@@ -392,6 +385,68 @@ def test_moore_symmetry_scan():
         assert (rec["dim"] > 0) == rec["is_averaged"]
     hit = [rec for rec in report if rec["dim"] > 0]
     assert len(hit) == 1 and hit[0]["dim"] == 2
+    # the pencil and the modular certificate agree with each member solved on its own
+    for rec in report:
+        assert rec["dim"] == len(consistency_nullspace(symmetric_divergence_row(rec["gamma"]), 1))
+
+
+def test_moore_pencil_gives_each_member_its_own_rows():
+    # 16 row0 + k (row1 - row0) is, up to a positive factor, the row of the same key in the
+    # member's own system, or zero where the member lacks the key
+    ncols, members = laurent._moore_systems()
+    assert ncols == 10
+    assert [g for g, _ in members] == [Fraction(k, 16) for k in range(-8, 17)]
+    for g, rows in members:
+        eqs, _ = laurent._consistency_system(symmetric_divergence_row(g), *laurent._block(1))
+        assert set(distinct_rows(rows)) == set(distinct_rows(list(eqs.values())))
+
+
+P = laurent._P
+# entries that reduce to 0 or wrap round mod P, among small ones
+_mod_entries = st.one_of(st.integers(-4, 4), st.integers(-3, 3).map(lambda m: m * P),
+                         st.integers(P, 2 * P + 5), st.integers(-2 ** 40, 2 ** 40))
+
+
+@st.composite
+def _mod_matrices(draw, entries=_mod_entries):
+    ncols = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=12))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_mod_matrices())
+@example(([], 3))
+@example(([[P]], 1))
+@example(([[P, 0], [0, 1]], 2))
+@example(([[1, 1], [1, 1 + P]], 2))
+def test_rank_mod_never_exceeds_the_exact_rank(matrix):
+    rows, ncols = matrix
+    before = copy.deepcopy(rows)
+    rank = laurent._rank_mod(rows, ncols)
+    exact = len(rref(rows, ncols)[1])
+    assert rows == before
+    # a minor nonzero mod P is a nonzero integer: a full rank mod P is the exact rank
+    assert rank <= exact
+    assert rank < ncols or exact == ncols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_mod_matrices(st.integers(-1, 1)))
+def test_rank_mod_is_exact_on_sign_matrices(matrix):
+    # a minor of at most 10 rows of entries in {-1, 0, 1} is at most 10^5 < P (Hadamard),
+    # so none vanishes mod P alone
+    rows, ncols = matrix
+    assert laurent._rank_mod(rows, ncols) == len(rref(rows, ncols)[1])
+
+
+def test_nullity_falls_back_where_the_rank_drops_only_mod_p():
+    assert laurent._rank_mod([[P]], 1) == 0
+    assert laurent._nullity([[P]], 1) == 0
+    assert laurent._rank_mod([[P, 0], [0, 1]], 2) == 1
+    assert laurent._nullity([[P, 0], [0, 1]], 2) == 0
+    assert laurent._nullity([[1, 2], [2, 4], [0, 0]], 2) == 1
+    assert laurent._nullity([], 3) == 3
 
 
 def test_operator_identity_check():

@@ -9,6 +9,7 @@ the same at every scale.
 import io
 import json
 from contextlib import redirect_stdout
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -51,6 +52,24 @@ def test_analyze_ladder_matches_claim(grid, eps, scheme, capsys):
     assert ("conserved_operator" in doc) is (scheme in SP_NAMES)
     assert "divergence_row_error" not in doc
     assert ("divergence_row" in doc) is (scheme in SP_NAMES)
+
+
+# the CFL half of the ladder: dx:dy, the smaller width the unit square's 1/64
+CFL_LADDER = ((1, 1), (1, Fraction(11, 10)), (1, 2), (1, 10), (2, 1), (10, 1))
+# the von Neumann limit of nu = (c/eps) dt / min(dx, dy) at r = max(dx, dy) / min(dx, dy)
+VON_NEUMANN_LIMIT = {"roe": lambda r: r / (1 + r), "multid": lambda r: 1}
+
+
+@pytest.mark.parametrize("scheme", sorted(VON_NEUMANN_LIMIT))
+@pytest.mark.parametrize("ratio", CFL_LADDER, ids=lambda ab: "%s:%s" % ab)
+def test_sweep_ladder_meets_the_von_neumann_limit(ratio, scheme, capsys):
+    dx, dy = (Fraction(w, 64) / min(ratio) for w in ratio)
+    assert main(["sweep", "--scheme", scheme, "--grid", "64", "--eps", "0.01",
+                 "--dx", repr(float(dx)), "--dy", repr(float(dy))]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    limit = VON_NEUMANN_LIMIT[scheme](max(ratio) / min(ratio))
+    # the sweep's CFL points are k/20, k = 1..32: the largest at most the limit
+    assert doc["max_stable_cfl"] == max(k for k in range(1, 33) if Fraction(k, 20) <= limit) / 20
 
 
 def analyze_without_config(scheme, c, eps):
