@@ -144,8 +144,9 @@ def det_scan(spec, phases=None):
     # LAPACK may return the smallest singular value as -0.0; report the ratio as +0.0
     ratios = np.divide(np.abs(s[:, -1]), smax, out=np.zeros_like(smax), where=smax > 0)
     # |det| from LU, not prod(s): the product turns an exact 0 into roundoff; an LU
-    # product past the float range is inf, without warnings on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
+    # product past the float range is inf, and a subnormal pivot may divide by zero, all
+    # without warnings on stderr
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         absdets = np.abs(np.linalg.det(E))
     cdims = np.where((thx == 0) & (thy == 0), 3, 1)
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .grid import AcousticParams, FieldSet, as_fraction
-from .stencils import (MatrixStencil, ScalarStencil, averaged_div, central_bracket,
-                       curl_of, dimsplit_div, second_bracket, smooth_bracket)
+from .stencils import (MatrixStencil, ScalarStencil, VecStencilRow, central_bracket,
+                       dimsplit_div, second_bracket, smooth_bracket)
 
 # unitless (a1^, a2^, a3^, a4^) of the split catalog members
 DIFFUSIONS = {
@@ -65,65 +65,48 @@ class SchemeSpec:
         return claims
 
     def divergence_row(self):
-        """The discrete divergence whose kernel hosts this scheme's stationary states."""
-        if self.diffusion is None:
-            return averaged_div()
-        return dimsplit_div(self.diffusion[2])
+        """The discrete divergence whose kernel hosts this scheme's stationary states: M^'s
+        pressure row, entries (p, u) and (p, v), times dx and dy so its units are formal."""
+        grid, (pu, pv, _) = self.grid, self.unitless[2]
+        return VecStencilRow((pu * grid.dx_exact).with_units(-1, 0),
+                             (pv * grid.dy_exact).with_units(0, -1))
 
     def vorticity_row(self):
         """(wu, wv, wp) with (wu, wv, wp) M = 0, bound to the grid like the symbol entries:
         the per-cell vorticity this scheme conserves, d/dx v - d/dy u + O(h).
 
-        A split member with a1 = 0 conserves the curl of the divergence built from a2^,
-        as its stationary states are built from a3^. multid conserves the curl of its
-        own divergence (the Morton-Roe vorticity) when dx = dy. Otherwise its primitive
-        row has radius 2 and a pressure part, (dy - dx)/(2 c eps) d/dx d/dy p + O(h^2).
-        That row holds at dx = dy too, but there it is the square-cell row times
-        4Px + 4Py - PxPy (P the smooth bracket), hence the branch.
+        With M^'s velocity block symmetric, in every split member with a1 = 0 and in multid
+        at dx = dy, it is the curl of M^'s pressure column, (-m_vp, m_up, 0). multid at
+        dx != dy conserves a row that M^'s entries do not hold, of radius 2 with a pressure
+        part (dy - dx)/(2 c eps) d/dx d/dy p + O(h^2); at dx = dy that row is the read-off
+        one times 4Px + 4Py - PxPy (P the smooth bracket), hence the branch.
         """
-        grid = self.grid
-        if self.diffusion is not None:
-            if self.diffusion[0] != 0:
-                raise ValueError("a split scheme with a1 != 0 conserves no vorticity")
-            row = curl_of(dimsplit_div(self.diffusion[1]))
-        elif grid.dx_exact == grid.dy_exact:
-            row = curl_of(averaged_div())
-        else:
-            hx, hy = 1 / grid.dx_exact, 1 / grid.dy_exact
-            sx, qx, px = central_bracket("x"), second_bracket("x"), smooth_bracket("x")
-            sy, qy, py = central_bracket("y"), second_bracket("y"), smooth_bracket("y")
-            # w M = 0 iff (w T) M^ = 0, so the pressure weight carries 1/t = 1/(c eps)
-            k, t = Fraction(1, 128), self.params.balance[1][2]
-            return (sy * px * (qx * py * hx - px * (4 * hy)) * k,
-                    sx * py * (py * (4 * hx) - qy * px * hy) * k,
-                    sx * sy * px * py * ((hx - hy) * k / t))
-        return row.bu.bound(grid), row.bv.bound(grid), ScalarStencil({})
-
-
-# the unit Jx^ and Jy^: J = s T J^ T^-1 carries the 1/eps^2 and c^2 of the acoustic system
-JX = ((0, 0, 1), (0, 0, 0), (1, 0, 0))
-JY = ((0, 0, 0), (0, 0, 1), (0, 1, 0))
+        if not self.claims["stationarity_preserving"]:
+            raise ValueError("a split scheme with a1 != 0 conserves no vorticity")
+        m = self.unitless
+        if self.diffusion is not None or m[0][1] == m[1][0]:
+            return -m[1][2], m[0][2], ScalarStencil({})
+        hx, hy = 1 / self.grid.dx_exact, 1 / self.grid.dy_exact
+        sx, qx, px = central_bracket("x"), second_bracket("x"), smooth_bracket("x")
+        sy, qy, py = central_bracket("y"), second_bracket("y"), smooth_bracket("y")
+        # w M = 0 iff (w T) M^ = 0, so the pressure weight carries 1/t = 1/(c eps)
+        k, t = Fraction(1, 128), self.params.balance[1][2]
+        return (sy * px * (qx * py * hx - px * (4 * hy)) * k,
+                sx * py * (py * (4 * hx) - qy * px * hy) * k,
+                sx * sy * px * py * ((hx - hy) * k / t))
 
 
 def dimsplit_symbol(grid, diffusion):
-    """M^ of the split member with unitless (a1^, a2^, a3^, a4^)."""
+    """M^ of the split member with unitless (a1^, a2^, a3^, a4^): the divergence built from
+    a2^ is its pressure column and the one built from a3^ its pressure row, both bound to
+    the grid, and -a1^ and -a4^ times [[.]]/(2dx) + [[.]]/(2dy) fill its diagonal."""
     a1, a2, a3, a4 = diffusion
-    dxm = ((a1, 0, a2), (0, 0, 0), (a3, 0, a4))
-    dym = ((0, 0, 0), (0, a1, a2), (0, a3, a4))
-    # entry (r, c) is (cb_x Jx^ - sb_x Dx^)/(2dx) + (cb_y Jy^ - sb_y Dy^)/(2dy)
-    hx, hy = 1 / (2 * grid.dx_exact), 1 / (2 * grid.dy_exact)
-    axes = ((central_bracket("x") * hx, second_bracket("x") * -hx, JX, dxm),
-            (central_bracket("y") * hy, second_bracket("y") * -hy, JY, dym))
-
-    def entry(r, c):
-        out = ScalarStencil({})
-        for cb, sb, j, d in axes:
-            # skipping the zero pairs keeps the build cheap: most entries are empty
-            if j[r][c] or d[r][c]:
-                out += cb * j[r][c] + sb * d[r][c]
-        return out
-
-    return tuple(tuple(entry(r, c) for c in range(3)) for r in range(3))
+    (up, vp), (pu, pv) = ((d.bu.bound(grid), d.bv.bound(grid))
+                          for d in (dimsplit_div(a2), dimsplit_div(a3)))
+    qx = second_bracket("x") * (-1 / (2 * grid.dx_exact))
+    qy = second_bracket("y") * (-1 / (2 * grid.dy_exact))
+    zero = ScalarStencil({})
+    return ((qx * a1, zero, up), (zero, qy * a1, vp), (pu, pv, (qx + qy) * a4))
 
 
 def multid_symbol(grid):
@@ -137,8 +120,9 @@ def multid_symbol(grid):
     sx, qx, px = central_bracket("x"), second_bracket("x"), smooth_bracket("x")
     sy, qy, py = central_bracket("y"), second_bracket("y"), smooth_bracket("y")
     hx, hy = Fraction(1, 8) / grid.dx_exact, Fraction(1, 8) / grid.dy_exact
-    # averaged divergence (ax, ay) and second differences (qx_py, qy_px), bound to the grid
-    ax, ay, qx_py, qy_px = sx * py * hx, sy * px * hy, qx * py * hx, qy * px * hy
+    # averaged divergence (ax, ay) and second differences (qx_py, qy_px), bound to the grid;
+    # ax and ay multiply in averaged_div's order, so rows read off them apply taps as it does
+    ax, ay, qx_py, qy_px = py * sx * hx, px * sy * hy, qx * py * hx, qy * px * hy
     return (
         # u and v: averaged pressure gradient minus velocity diffusion
         (-qx_py, -sx * sy * hy, ax),

@@ -43,9 +43,10 @@ class StepControl:
 
     def steps(self, dt):
         """Number of fixed steps of size dt that reach t_end; above MAX_STEPS, or for a dt
-        that underflows to 0 or leaves t_end/dt beyond the float range, it raises."""
-        if not dt > 0 or self.t_end / dt == math.inf:
-            raise ValueError("time step dt = cfl*min(dx,dy)*eps/c = %r underflows" % dt)
+        that underflows to 0, leaves t_end/dt beyond the float range or overflows, it raises."""
+        if not 0 < dt < math.inf or self.t_end / dt == math.inf:
+            raise ValueError("time step dt = cfl*min(dx,dy)*eps/c = %r %s"
+                             % (dt, "overflows" if dt == math.inf else "underflows"))
         n = max(1, math.ceil(self.t_end / dt - 1e-12)) if self.t_end > 0 else 0
         if n > MAX_STEPS:
             raise ValueError("run wants %d steps, max_steps is %d" % (n, MAX_STEPS))
@@ -175,12 +176,12 @@ def _sample(sampled, stack):
 
 def _sweep_point(march, horizon_steps, initial, bound):
     """(stable, peak) of one loaded CFL point: the stop rule reads each block's max-norms
-    in step order."""
+    in step order. peak is None when a state turns non-finite before passing the bound."""
     peak = initial
     for _, k in march.blocks(horizon_steps):
         for p in march.peaks(k):
             if not math.isfinite(p):
-                return False, math.inf
+                return False, None
             peak = max(peak, p)
             if peak > bound:
                 return False, peak
@@ -198,6 +199,8 @@ def cfl_sweep(spec, state0, cfl_grid, horizon_steps=500, growth_factor=2.0):
             march.load(state0, cfl_dt(spec.params, state0.grid, cfl))
             stable, peak = _sweep_point(march, horizon_steps, initial, growth_factor * initial)
             results.append({"cfl": cfl, "stable": stable, "peak_norm": peak})
+            if peak is None:
+                results[-1]["peak_norm_error"] = "a state turned non-finite below the bound"
     passing = [r["cfl"] for r in results if r["stable"]]
     return {"max_stable_cfl": max(passing) if passing else None,
             "horizon_steps": horizon_steps,

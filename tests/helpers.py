@@ -1,14 +1,17 @@
-"""Test-only helpers that no command runs: the identity stencil, a dict-of-Fraction
-reference model of ScalarStencil, the float application of a divergence row and of
-a vorticity row, the cross-consistency of two divergence rows, the observed
+"""Test-only helpers that no command runs: a JSON loader that refuses NaN and Infinity, a
+scheme whose symbol has its p-column added to its u-column, the identity stencil, a
+dict-of-Fraction reference model of ScalarStencil, the float application of a divergence
+row and of a vorticity row, the cross-consistency of two divergence rows, the observed
 convergence order of a divergence row, the scalar Halton phases that
-`fourier.generic_phases` must reproduce bitwise, the unitless continuous
-generator whose SVD checks `det_scan`'s closed-form kernel dimension, the scaling
-law by rebuilding, the split scheme's evolution matrix and right kernel written
-directly in phases, the batched run probe made from a per-state one, forward
-Euler taken per Fourier mode, and the catalog schemes the paper calls
-stationarity preserving, written out so that no test reads them from the claims."""
+`fourier.generic_phases` must reproduce bitwise, the unitless continuous generator whose
+SVD checks `det_scan`'s closed-form kernel dimension, the scaling law by rebuilding, the
+split scheme's evolution matrix and right kernel written directly in phases, the batched
+run probe made from a per-state one, forward Euler taken per Fourier mode, and the
+catalog schemes the paper calls stationarity preserving, written out so that no test
+reads them from the claims."""
 
+import dataclasses
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +24,23 @@ from acousticfd.schemes import make_scheme
 from acousticfd.stencils import ScalarStencil
 
 SP_NAMES = ("central", "lowmach1", "lowmach2", "lowmach3", "multid")
+
+
+def _refuse_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+def strict_json(text):
+    """json.loads that raises ValueError on NaN, Infinity and -Infinity, which RFC 8259
+    does not admit as numbers."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+def p_column_added_to_u(spec):
+    """spec with M^'s p-column added to its u-column. A column operation keeps the rank and
+    the left kernel, so the vorticity row still holds, while the pressure row's
+    (-m_pv, m_pu, 0) leaves the right kernel of a split member: its u-row gains -m_up m_pv."""
+    return dataclasses.replace(spec, unitless=tuple((u + p, v, p) for u, v, p in spec.unitless))
 
 
 def identity_stencil():

@@ -16,6 +16,8 @@ from acousticfd.fourier import det_scan
 from acousticfd.grid import AcousticParams, GridSpec
 from acousticfd.schemes import make_scheme
 
+from helpers import p_column_added_to_u, strict_json
+
 
 def _read_json(path):
     with open(path) as fh:
@@ -137,6 +139,11 @@ OUT_OF_RANGE = [
      "symbol entry (p, u) at cell offset (1, 0) is beyond the float range"),
     (["simulate", "--scheme", "multid", "--grid", "8", "--c", "1e308", "--eps", "1e-308"],
      "time step dt = cfl*min(dx,dy)*eps/c = 0.0 underflows"),
+    # and one that overflows, which once marched to a NaN time or wrote dt as Infinity
+    (["simulate", "--scheme", "roe", "--eps", "1.7e308", "--c", "1e-154", "--grid", "3"],
+     "time step dt = cfl*min(dx,dy)*eps/c = inf overflows"),
+    (["simulate", "--scheme", "roe", "--eps", "1.7e308", "--c", "1e-154", "--grid", "3",
+      "--t-end", "0"], "time step dt = cfl*min(dx,dy)*eps/c = inf overflows"),
     # cell centres beyond the float range give a non-finite initial state, refused on load
     (["simulate", "--scheme", "roe", "--grid", "8", "--dx", "1e308", "--dy", "1e308"],
      "the initial state has a non-finite cell"),
@@ -193,14 +200,14 @@ UNITLESS_SCALES = {
                                  "--dy", "1e-110"],
     "dimsplit-a1-1e-154": ["--scheme", "dimsplit", "--a1", "1e-154", "--grid", "8"],
     "roe-dx1e300": ["--scheme", "roe", "--grid", "8", "--dx", "1e300"],
+    # a subnormal a1^ once made numpy warn "divide by zero encountered in det" on stderr
+    "dimsplit-a1-4.9e-324-dy3": ["--scheme", "dimsplit", "--a1", "4.9e-324", "--dy", "3"],
 }
-# the float scan's relative tolerance of 1e-12 misses a1^ = 1e-154, and roe's x terms
-# at dx/dy = 1e300: its scan_verdict is true where the exact rank says not preserving
-SCAN_MISSES = {"dimsplit-a1-0.5-c5e153", "dimsplit-a1-1e-154", "roe-dx1e300"}
-
-
-def _refuse_constant(name):
-    raise ValueError("%s is not JSON" % name)
+# the float scan's relative tolerance of 1e-12 misses a1^ = 1e-154 and 4.9e-324, and
+# roe's x terms at dx/dy = 1e300: its scan_verdict is true where the exact rank says not
+# preserving
+SCAN_MISSES = {"dimsplit-a1-0.5-c5e153", "dimsplit-a1-1e-154", "roe-dx1e300",
+               "dimsplit-a1-4.9e-324-dy3"}
 
 
 @pytest.mark.filterwarnings("error")
@@ -210,7 +217,7 @@ def test_extreme_scales_are_analyzed(name, capsys):
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     # stdout is pure JSON: Infinity and NaN are not
-    doc = json.loads(out, parse_constant=_refuse_constant)
+    doc = strict_json(out)
     # the exact rank of M^ decides, whatever the scan says
     assert code == EXIT_OK and doc["verdict"] is doc["expected"]
     assert doc["scan_verdict"] is (doc["verdict"] or name in SCAN_MISSES)
@@ -220,17 +227,15 @@ def test_extreme_scales_are_analyzed(name, capsys):
                                   ("--grid", "12,7", "--dx", "1e-3", "--dy", "0.07")],
                          ids=["24", "12x7"])
 def test_analyze_writes_no_unchecked_divergence_row(grid, monkeypatch, capsys):
-    # a spec whose diffusion names a3^ = 0 while its symbol holds lowmach1's -1: the
-    # closed-form row fails its exact check, and the verdict alone sets the exit code
-    import dataclasses
-
+    # lowmach1 with M^'s p-column added to its u-column: rank 2 and its vorticity row stay,
+    # its pressure row fails the exact check, and the verdict alone sets the exit code
     from acousticfd import cli
 
     build = cli.make_scheme
-    monkeypatch.setattr(cli, "make_scheme", lambda *args, **kwargs: dataclasses.replace(
-        build(*args, **kwargs), diffusion=(0, 1, 0, 0)))
+    monkeypatch.setattr(cli, "make_scheme",
+                        lambda *args, **kwargs: p_column_added_to_u(build(*args, **kwargs)))
     assert main(["analyze", "--scheme", "lowmach1", "--k-samples", "10", *grid]) == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["verdict"] is True
     assert "divergence_row" not in doc
     assert doc["divergence_row_error"].startswith("divergence row fails M (-bv, bu, 0) = 0")
@@ -690,6 +695,44 @@ def test_catalog_listing(capsys):
                                    "stationarity_preserving_expected"}
 
 
+# finite runs whose values leave the float range write null beside a reason, never Infinity
+# or NaN: at c = 5e-324 every sweep step is non-finite, and at cfl 1.7e308 one
+# anti-diffusive step leaves the state finite and its L1 probes past the float range; at
+# cfl 4e102 the third step does, inside the fit window, which once fitted a NaN rate
+@pytest.mark.filterwarnings("error")
+def test_sweep_writes_null_for_a_non_finite_peak(capsys):
+    assert main(["sweep", "--scheme", "roe", "--c", "5e-324", "--dx", "123456789",
+                 "--grid", "3"]) == EXIT_OK
+    doc = strict_json(capsys.readouterr().out)
+    assert len(doc["results"]) == 32 and doc["max_stable_cfl"] is None
+    for row in doc["results"]:
+        assert row["stable"] is False and row["peak_norm"] is None
+        assert row["peak_norm_error"] == "a state turned non-finite below the bound"
+
+
+OVERFLOWING_PROBES = {
+    1: (["--cfl", "1.7e308", "--t-end", "0.01"], "fit window [1, 3.4e+307] holds 1 samples"),
+    3: (["--cfl", "4e102", "--t-end", "2.4e102"], "non-finite values in fit window"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_steps", sorted(OVERFLOWING_PROBES))
+def test_simulate_writes_null_for_an_overflowing_probe(n_steps, capsys):
+    step_args, fit_error = OVERFLOWING_PROBES[n_steps]
+    assert main(["simulate", "--scheme", "dimsplit", "--a1", "-1", "--a2", "0.01", "--dy", "0.5",
+                 "--grid", "5,3", *step_args]) == EXIT_OK
+    run0 = strict_json(capsys.readouterr().out)["runs"][0]
+    assert run0["n_steps"] == n_steps and run0["initial_dux_l1"] > 0
+    for key in ("final_dux_l1", "final_duy_l1"):
+        assert run0[key] is None
+        assert run0[key + "_error"] == "the L1 probe overflows on a finite state"
+    assert run0["dux_retention"] is None
+    assert run0["dux_retention_error"] == "dux_l1 or its ratio leaves the float range"
+    assert not any(key.startswith("initial_") and key.endswith("_error") for key in run0)
+    assert run0["lambda_fit"] is None and run0["fit_error"].startswith(fit_error)
+
+
 # sha256 of the analyze stdout, recorded when "conserved_operator" became the
 # closed-form vorticity row (SchemeSpec.vorticity_row) and sigma_min_ratio lost
 # its sign bit. Against the digests before that, only those two fields changed:
@@ -735,7 +778,7 @@ ANALYZE_DIGESTS = {
 def test_analyze_document_digest_unchanged(argv, capsys):
     assert main(["analyze", *argv]) == EXIT_OK
     out = capsys.readouterr().out
-    assert json.loads(out)["scheme"] == argv[1]
+    assert strict_json(out)["scheme"] == argv[1]
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_DIGESTS[argv]
 
 
@@ -751,6 +794,7 @@ CATALOG_SHA256 = {
 def test_catalog_document_digest_unchanged(argv, capsys):
     assert main(["catalog", *argv]) == EXIT_OK
     out = capsys.readouterr().out
+    assert strict_json(out)["schemes"]
     assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_SHA256[argv]
 
 
@@ -774,6 +818,7 @@ def test_certify_document_digest_unchanged(argv, capsys):
     code, digest = CERTIFY_SHA256[argv]
     assert main(["certify", *argv]) == code
     out = capsys.readouterr().out
+    assert strict_json(out)["certified"] is (code == EXIT_OK)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -1,6 +1,5 @@
 """Vortex data, kernel-adapted data, decay fits, conserved functionals."""
 
-import dataclasses
 import json
 import math
 import os
@@ -29,6 +28,7 @@ from acousticfd.experiments import (
     write_timeseries_csv,
 )
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec
+from acousticfd.laurent import has_rank_two
 from acousticfd.schemes import make_scheme
 from acousticfd.stencils import (
     averaged_div,
@@ -37,7 +37,8 @@ from acousticfd.stencils import (
     dimsplit_div,
 )
 
-from helpers import SP_NAMES, conserved_apply, divergence_observed_order, row_apply, weight_norm
+from helpers import (SP_NAMES, conserved_apply, divergence_observed_order, p_column_added_to_u,
+                     row_apply, weight_norm)
 
 
 def _continuous_vortex_velocity(xx, yy):
@@ -186,10 +187,11 @@ MISMATCH_GRIDS = [GridSpec.unit_square(24), GridSpec(12, 7, 1e-3, 0.07)]
 def test_divergence_row_check_catches_a_diffusion_that_disagrees_with_the_symbol(grid, params):
     spec = make_scheme("lowmach1", params, grid)
     assert checked_divergence_row(spec) == spec.divergence_row()
-    # the symbol's a3^ is -1; a diffusion naming a3^ = 0 gives the central divergence,
-    # whose kernel the scheme does not keep
-    wrong = dataclasses.replace(spec, diffusion=(0, 1, 0, 0))
-    assert wrong.divergence_row() == central_div()
+    # M^ with its p-column added to its u-column keeps rank 2 and its vorticity row, but
+    # its pressure row no longer bounds its stationary states
+    wrong = p_column_added_to_u(spec)
+    assert has_rank_two(wrong.unitless)
+    assert extract_conserved_operator(wrong) == spec.vorticity_row()
     with pytest.raises(RuntimeError, match="divergence row fails M"):
         checked_divergence_row(wrong)
 
@@ -220,6 +222,9 @@ def test_fit_decay_recovers_rate():
         fit_decay(t, v - 1.0, (0.1, 2.0))
     with pytest.raises(ValueError):
         fit_decay(t, v, (1.99, 1.995))
+    # an overflowing probe value is refused, not fitted to a NaN rate
+    with pytest.raises(ValueError, match="non-finite values in fit window"):
+        fit_decay(t, np.where(t > 1.0, np.inf, v), (0.1, 2.0))
 
 
 def test_decay_window(square_grid):

@@ -102,16 +102,21 @@ def test_conjugate_symmetry(square_grid, params):
         assert np.max(np.abs(E2 + np.conj(E1))) < 1e-12 * np.max(np.abs(E1))
 
 
+# dx:dy from 1:10 to 10:1
+ASPECT_GRIDS = [GridSpec(16, 16, dx, dy) for dx, dy in
+                ((0.01, 0.1), (0.05, 0.1), (0.1, 0.05), (0.1, 0.01))]
+
+
 def test_dimsplit_closed_form_matches_assembly(square_grid, params):
     draws = [(0.3, 0.7, -0.2, 1.1), (0.0, 0.25, 0.25, 0.0), (1.0, 0.0, 0.0, 1.0)]
-    for a1, a2, a3, a4 in draws:
-        spec = make_scheme("dimsplit", params, square_grid,
-                           a1=a1, a2=a2, a3=a3, a4=a4)
-        for thx, thy in generic_phases(8):
-            E = evolution(spec.stencil, thx, thy)
-            ref = dimsplit_closed_form(params, a1, a2, a3, a4, square_grid, thx, thy)
-            scale = np.max(np.abs(ref))
-            assert np.max(np.abs(E - ref)) <= 1e-13 * scale
+    for grid in (square_grid, *ASPECT_GRIDS):
+        for a1, a2, a3, a4 in draws:
+            spec = make_scheme("dimsplit", params, grid, a1=a1, a2=a2, a3=a3, a4=a4)
+            for thx, thy in generic_phases(8):
+                E = evolution(spec.stencil, thx, thy)
+                ref = dimsplit_closed_form(params, a1, a2, a3, a4, grid, thx, thy)
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(E - ref)) <= 1e-13 * scale, (grid, a1, a2, a3, a4)
 
 
 def test_dimsplit_right_kernel_formula(square_grid, params):

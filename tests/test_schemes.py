@@ -15,9 +15,10 @@ from acousticfd.schemes import (
     make_scheme,
     rhs,
 )
+from acousticfd.experiments import extract_conserved_operator
 from acousticfd.laurent import has_rank_two, taylor_expand
 from acousticfd.stencils import (ScalarStencil, VecStencilRow, averaged_div, central_div,
-                                 consistent_diffusion, dimsplit_div)
+                                 consistent_diffusion, curl_of, dimsplit_div)
 
 from helpers import SP_NAMES
 
@@ -284,3 +285,45 @@ def test_exact_verdict_of_split_members_is_a1_zero(a1_hat, rest, c, eps, aspect)
     spec = make_scheme("dimsplit", params, grid, *a)
     assert spec.diffusion[0] == a1_hat
     assert has_rank_two(spec.unitless) is (a1_hat == 0)
+
+
+# square cells and dx:dy from 1:10 to 10:1
+ROW_GRIDS = (GridSpec.unit_square(8), GridSpec(8, 8, 0.01, 0.1), GridSpec(12, 7, 1e-3, 0.07),
+             GridSpec(8, 8, 0.1, 0.05), GridSpec(8, 8, 0.1, 0.01))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(("dimsplit",) * 5 + ("multid",) * 2 + CATALOG_NAMES),
+       a1_hat=A1_HAT, rest=st.tuples(SPLIT_COEFFICIENT, SPLIT_COEFFICIENT, SPLIT_COEFFICIENT),
+       c=EXTREME_SCALE, eps=EXTREME_SCALE, grid=st.sampled_from(ROW_GRIDS))
+@example(name="dimsplit", a1_hat=Fraction(1, 4), rest=(Fraction(1, 2), Fraction(-1), 0),
+         c=1.0, eps=1.0, grid=ROW_GRIDS[4])
+@example(name="multid", a1_hat=Fraction(0), rest=(0, 0, 0), c=1.0, eps=1e-8, grid=ROW_GRIDS[0])
+@example(name="multid", a1_hat=Fraction(0), rest=(0, 0, 0), c=3.0, eps=0.1, grid=ROW_GRIDS[2])
+def test_rows_read_off_the_symbol_are_the_closed_forms(name, a1_hat, rest, c, eps, grid):
+    # the closed forms are the oracles: a split member's pressure row is the divergence
+    # built from a3^ and the curl of its pressure column the one built from a2^; multid's
+    # is the averaged divergence, and its curl on square cells
+    params = AcousticParams(c=c, eps=eps)
+    if name == "dimsplit":
+        a = [h * f for h, f in zip((a1_hat, *rest), diffusion_scale(params))]
+        spec = make_scheme(name, params, grid, *a)
+    else:
+        spec = make_scheme(name, params, grid)
+    if spec.diffusion is None:
+        divergence, curl = averaged_div(), curl_of(averaged_div())
+    else:
+        _, a2, a3, _ = spec.diffusion
+        divergence, curl = dimsplit_div(a3), curl_of(dimsplit_div(a2))
+    assert spec.divergence_row() == divergence
+    if not spec.claims["stationarity_preserving"]:
+        with pytest.raises(ValueError, match="a1 != 0"):
+            spec.vorticity_row()
+        return
+    wu, wv, wp = spec.vorticity_row()
+    if spec.diffusion is None and grid.dx_exact != grid.dy_exact:
+        # multid on non-square cells keeps its closed form, with a pressure part
+        assert not wp.is_zero()
+        assert extract_conserved_operator(spec) == (wu, wv, wp)
+    else:
+        assert (wu, wv, wp) == (curl.bu.bound(grid), curl.bv.bound(grid), ScalarStencil({}))
