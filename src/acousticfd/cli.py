@@ -19,7 +19,7 @@ from .laurent import (consistency_nullspace, has_rank_two, moore_symmetry_scan,
 from .schemes import CATALOG_NAMES, diffusion_scale, make_scheme
 from .stencils import (averaged_div, central_div, consistent_diffusion,
                        rational_string)
-from .timestep import CFL_NORMALIZATION, InstabilityError, cfl_sweep
+from .timestep import CFL_NORMALIZATION, InstabilityError, cfl_dt, cfl_sweep, check_dt
 from .experiments import (checked_divergence_row, extract_conserved_operator,
                           gresho_vortex, json_document, vortex_benchmark, write_json)
 
@@ -91,6 +91,52 @@ def build_parser(command=None):
             p.add_argument("--" + option.replace("_", "-"), dest=option, default=None,
                            **OPTIONS[option][1])
     return ap
+
+
+def table_parse(argv):
+    """argv read off OPTIONS and READS, without building argparse, as the Namespace that
+    build_parser(argv[0]).parse_args(argv) returns; None for an argv it cannot read
+    exactly: help, an unknown or dropped flag, a missing or malformed value, a bad choice,
+    or a value token that argparse reads as a flag (one that starts with "-", unless it is
+    a lone "-" or NEGATIVE_NUMBER matches it)."""
+    if not argv or argv[0] not in READS:
+        return None
+    values = dict.fromkeys(("config",) + READS[argv[0]])
+    flags = {"--" + name.replace("_", "-"): name for name in values}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            return None
+        name = flags[flag]
+        keywords = OPTIONS[name][1] if name in OPTIONS else {}
+        if keywords.get("action") == "store_true":
+            if eq:  # argparse refuses a value for a switch
+                return None
+            values[name] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or (text.startswith("-") and text != "-"
+                                and not NEGATIVE_NUMBER.match(text)):
+                return None
+        elif text == "--":  # argparse drops "--" from a value, leaving an empty list
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[name] = value
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def parse_args(argv):
+    """The table's Namespace for argv; argparse is built only where the table declines, so
+    it alone prints help and errors."""
+    args = table_parse(argv)
+    return build_parser(argv[0] if argv else None).parse_args(argv) if args is None else args
 
 
 def config_tokens(path, command):
@@ -294,10 +340,13 @@ def cmd_simulate(cfg):
 def cmd_sweep(cfg):
     grid = parse_grid(cfg)
     spec = build_scheme(cfg, grid, parse_params(cfg))
-    state0 = gresho_vortex(grid)
     cfl_grid = [round(0.05 * k, 2) for k in range(1, 33)]
+    # every point's time step is checked before the vortex is sampled and the first march, as
+    # simulate checks its one: one beyond the float range is a usage error naming its options
+    for cfl in cfl_grid:
+        checked(check_dt, cfl_dt(spec.params, grid, cfl))
     # M beyond the float range is a usage error naming its entry
-    result = checked(cfl_sweep, spec, state0, cfl_grid)
+    result = checked(cfl_sweep, spec, gresho_vortex(grid), cfl_grid)
     result["scheme"] = spec.name
     result["eps"] = cfg["eps"]
     result["grid"] = [grid.nx, grid.ny]
@@ -343,13 +392,11 @@ def make_out_dir(path):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         if args.config:
             # the config's entries go ahead of the flags, so the flags win
-            args = parser.parse_args(argv[:1] + config_tokens(args.config, args.command)
-                                     + argv[1:])
+            args = parse_args(argv[:1] + config_tokens(args.config, args.command) + argv[1:])
         cfg = merge_config(args)
         made = make_out_dir(cfg["out"]) if cfg["out"] else []
         try:

@@ -32,11 +32,10 @@ def gresho_vortex(grid):
     Divergence-free analytically; sampling it at cell centers is only an
     O(dx^2)-accurate discrete stationary state.
     """
-    lx, ly = grid.nx * grid.dx, grid.ny * grid.dy
-    margin = min(X0, lx - X0, Y0, ly - Y0)
+    margin = _vortex_margin(grid)
     if margin < 0:
         warnings.warn("vortex centre (%.3g, %.3g) lies outside the domain [0, %.3g] x [0, %.3g]"
-                      % (X0, Y0, lx, ly))
+                      % (X0, Y0, grid.nx * grid.dx, grid.ny * grid.dy))
     elif R2 > margin:
         warnings.warn("vortex radius %.3g exceeds distance %.3g to the boundary" % (R2, margin))
     # v_phi / r is what multiplies (-dy, dx); finite at r = 0 on the inner branch. Cell
@@ -51,7 +50,16 @@ def gresho_vortex(grid):
         ratio = np.where(r == 0.0, inner, ratio)
         u = -ratio * dy_
         v = ratio * dx_
+    if margin >= 0 and not (u.any() or v.any()):
+        warnings.warn("vortex radius %.3g holds no cell centre off the vortex centre: cells of "
+                      "%.3g x %.3g sample a constant state" % (R2, grid.dx, grid.dy))
     return FieldSet(grid, np.stack([u, v, np.full_like(u, P0)]))
+
+
+def _vortex_margin(grid):
+    """Distance from the vortex centre to the nearest edge of the domain; negative when the
+    centre lies outside it."""
+    return min(X0, grid.nx * grid.dx - X0, Y0, grid.ny * grid.dy - Y0)
 
 
 def stream_velocity(psi, div_row, grid, p0=0.0):
@@ -256,8 +264,9 @@ def vortex_benchmark(spec, t_end, cfl, out_dir=None):
         entry["dux_retention"] = retention
     else:
         entry.update(dux_retention=None, dux_retention_error=(
-            "initial dux_l1 is 0: the vortex misses the domain" if initial == 0
-            else "dux_l1 or its ratio leaves the float range"))
+            "dux_l1 or its ratio leaves the float range" if initial
+            else "initial dux_l1 is 0: the vortex misses the domain" if _vortex_margin(grid) < 0
+            else "initial dux_l1 is 0: no cell centre off the vortex centre lies inside it"))
     window = decay_window(result.times, result.series["dux_l1"], params, grid)
     try:
         decay = fit_decay(result.times, result.series["dux_l1"], window)

@@ -43,10 +43,8 @@ class StepControl:
 
     def steps(self, dt):
         """Number of fixed steps of size dt that reach t_end; above MAX_STEPS, or for a dt
-        that underflows to 0, leaves t_end/dt beyond the float range or overflows, it raises."""
-        if not 0 < dt < math.inf or self.t_end / dt == math.inf:
-            raise ValueError("time step dt = cfl*min(dx,dy)*eps/c = %r %s"
-                             % (dt, "overflows" if dt == math.inf else "underflows"))
+        that `check_dt` refuses, it raises."""
+        check_dt(dt, self.t_end)
         n = max(1, math.ceil(self.t_end / dt - 1e-12)) if self.t_end > 0 else 0
         if n > MAX_STEPS:
             raise ValueError("run wants %d steps, max_steps is %d" % (n, MAX_STEPS))
@@ -55,6 +53,14 @@ class StepControl:
 
 def cfl_dt(params, grid, cfl):
     return cfl * grid.min_spacing * params.eps / params.c
+
+
+def check_dt(dt, t_end=0.0):
+    """A ValueError naming the options dt comes from, when it underflows to 0, overflows or
+    leaves t_end/dt beyond the float range."""
+    if not 0 < dt < math.inf or t_end / dt == math.inf:
+        raise ValueError("time step dt = cfl*min(dx,dy)*eps/c = %r %s"
+                         % (dt, "overflows" if dt == math.inf else "underflows"))
 
 
 class March:

@@ -1,7 +1,9 @@
 """End-to-end command line behavior: exit codes, artifacts, determinism."""
 
+import contextlib
 import filecmp
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from acousticfd.cli import (COMMANDS, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE,
-                            SUBCOMMANDS, build_parser, main, merge_config)
+from acousticfd import cli
+from acousticfd.cli import (COMMANDS, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, OPTIONS, READS,
+                            SUBCOMMANDS, build_parser, main, merge_config, table_parse)
 from acousticfd.fourier import det_scan
 from acousticfd.grid import AcousticParams, GridSpec
 from acousticfd.schemes import make_scheme
@@ -144,6 +148,12 @@ OUT_OF_RANGE = [
      "time step dt = cfl*min(dx,dy)*eps/c = inf overflows"),
     (["simulate", "--scheme", "roe", "--eps", "1.7e308", "--c", "1e-154", "--grid", "3",
       "--t-end", "0"], "time step dt = cfl*min(dx,dy)*eps/c = inf overflows"),
+    # a sweep checks every CFL point's time step before it samples the vortex or marches:
+    # this one once marched an infinite dt and reported all 32 points unstable
+    (["sweep", "--scheme", "roe", "--c", "5e-324", "--dx", "123456789", "--grid", "3"],
+     "time step dt = cfl*min(dx,dy)*eps/c = inf overflows"),
+    (["sweep", "--scheme", "multid", "--grid", "8", "--c", "1e308", "--eps", "1e-308"],
+     "time step dt = cfl*min(dx,dy)*eps/c = 0.0 underflows"),
     # cell centres beyond the float range give a non-finite initial state, refused on load
     (["simulate", "--scheme", "roe", "--grid", "8", "--dx", "1e308", "--dy", "1e308"],
      "the initial state has a non-finite cell"),
@@ -374,6 +384,96 @@ def test_benchmark_command_lines_parse():
                     assert build_parser(built).parse_args(argv).command == argv[0]
 
 
+def _same_namespace(table, parsed):
+    # repr tells float from int and str, and reads nan as nan: nan != nan
+    return ({key: repr(value) for key, value in vars(table).items()}
+            == {key: repr(value) for key, value in vars(parsed).items()})
+
+
+# every flag of every command, the dropped ones too, and --config
+FLAGS = ["--" + name.replace("_", "-") for name in ("config", *OPTIONS)]
+VALUES = ["0.5", "3", "12,7", "-2", "-1e-3", "-.5e1", "-inf", "nan", "1e400", "", "-", "--",
+          "central", "averaged", "x", "1.9", "-x", " -1", "1 2", "-h"]
+# tokens that are no flag of any command
+OTHERS = ["-h", "--help", "--", "--bogus", "-e", "-x1", "--k", "--t_end", "--eps-"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and tokens drawn mostly from its own flags, so that many lines parse."""
+    command = draw(st.sampled_from(sorted(READS)))
+    own = st.sampled_from(["--" + name.replace("_", "-") for name in ("config", *READS[command])])
+    flag, value = st.one_of(own, own, own, st.sampled_from(FLAGS)), st.sampled_from(VALUES)
+    pair = st.tuples(flag, value)
+    group = st.one_of(pair.map(lambda fv: ["%s=%s" % fv]), pair.map(list), own.map(lambda f: [f]),
+                      pair.map(lambda fv: ["%s=%s" % fv]), pair.map(list),
+                      st.sampled_from(OTHERS + VALUES).map(lambda token: [token]))
+    return [command] + [token for tokens in draw(st.lists(group, max_size=3)) for token in tokens]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argv=command_lines())
+@example(argv=["analyze", "--out=--"])
+@example(argv=["certify", "--identity-only="])
+@example(argv=["certify", "--identity-only", "x"])
+@example(argv=["certify", "--divergence=both", "--divergence", "nope"])
+@example(argv=["analyze", "--eps", "-inf"])
+@example(argv=["analyze", "--eps", "--", "1"])
+@example(argv=["sweep", "--grid", "-", "--out", "-"])
+def test_table_parse_declines_or_returns_the_argparse_namespace(argv):
+    table = table_parse(argv)
+    if table is None:
+        return
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            parsed = build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            pytest.fail("the table read %r, which argparse refuses" % argv)
+    assert _same_namespace(table, parsed), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--out", "-"], ["sweep", "--grid", "-"], ["analyze", "--a3", "-1e-3"],
+    ["analyze", "--eps=nan", "--eps", "0.5"], ["certify", "--identity-only", "--identity-only"],
+    ["certify", "--divergence=averaged", "--radius", "3"], ["catalog", "--out="],
+], ids=" ".join)
+def test_table_parse_reads_these_as_argparse_does(argv):
+    assert _same_namespace(table_parse(argv), build_parser(argv[0]).parse_args(argv))
+
+
+def test_valid_command_lines_build_no_argparse(tmp_path, monkeypatch, capsys):
+    workloads = _load_clibench("workloads")
+    lines = [[str(tmp_path / ("out%d" % i)) if token == workloads.OUT else token
+              for token in argv]
+             for i, argv in enumerate(argv for workload in workloads.WORKLOADS
+                                      for seed in range(10)
+                                      for argv in workloads.commands(workload, seed))]
+    expected = [merge_config(build_parser(argv[0]).parse_args(argv)) for argv in lines]
+
+    def refuse(*args):
+        raise AssertionError("a valid command line built argparse")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    # every command for real, from flags and from a config that holds the same values
+    cfgfile = tmp_path / "cfg.json"
+    for command, flags in [*READ_RUNS.items(), ("certify", ["--divergence", "averaged"])]:
+        assert main([command, *flags]) == EXIT_OK
+        from_flags = capsys.readouterr().out
+        strict_json(from_flags)
+        names = (flag[2:].replace("-", "_") for flag in flags[::2])
+        cfgfile.write_text(json.dumps(dict(zip(names, flags[1::2]))))
+        assert main([command, "--config", str(cfgfile)]) == EXIT_OK
+        assert capsys.readouterr().out == from_flags
+    # the benchmark's lines parse to the options argparse gives them; the commands are
+    # recorded, not run, since the marches take seconds
+    ran = []
+    monkeypatch.setattr(cli, "COMMANDS", {name: lambda cfg: ran.append(cfg) or EXIT_OK
+                                          for name in COMMANDS})
+    for argv in lines:
+        assert main(argv) == EXIT_OK
+    assert [repr(cfg) for cfg in ran] == [repr(cfg) for cfg in expected]
+
+
 # sha256 of each --help screen at 80 columns: the top-level screen recorded while
 # build_parser still gave every subparser its flags whatever the command, and each
 # subcommand's since it takes only the options its command reads
@@ -449,6 +549,33 @@ def test_vortex_outside_domain_reports_null_retention(tmp_path):
     assert run0["initial_dux_l1"] == 0.0
     assert run0["dux_retention"] is None
     assert "vortex misses the domain" in run0["dux_retention_error"]
+
+
+VORTEX_UNSAMPLED = "vortex radius 0.4 holds no cell centre off the vortex centre: cells of 1 x 1"
+
+
+def test_vortex_no_cell_samples_reports_null_retention(capsys):
+    # unit cells: the one cell centre inside the vortex is its centre, where u = v = 0
+    with pytest.warns(UserWarning, match=VORTEX_UNSAMPLED):
+        assert main(["simulate", "--scheme", "roe", "--grid", "8", "--dx", "1", "--dy", "1",
+                     "--t-end", "0.5"]) == EXIT_OK
+    run0 = strict_json(capsys.readouterr().out)["runs"][0]
+    assert run0["initial_dux_l1"] == 0.0 and run0["dux_retention"] is None
+    assert run0["dux_retention_error"] == ("initial dux_l1 is 0: no cell centre off the vortex "
+                                           "centre lies inside it")
+
+
+def test_sweep_of_an_unsampled_vortex_warns():
+    # the constant state passes every CFL point, so the sweep reads the grid's last one
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "acousticfd.cli", "sweep", "--scheme", "roe",
+                           "--grid", "64", "--eps", "0.01", "--dx", "1", "--dy", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert "UserWarning: %s sample a constant state" % VORTEX_UNSAMPLED in proc.stderr
+    doc = strict_json(proc.stdout)
+    assert doc["max_stable_cfl"] == 1.6 and all(r["stable"] for r in doc["results"])
 
 
 def test_seed_flag_is_gone():
@@ -696,12 +823,13 @@ def test_catalog_listing(capsys):
 
 
 # finite runs whose values leave the float range write null beside a reason, never Infinity
-# or NaN: at c = 5e-324 every sweep step is non-finite, and at cfl 1.7e308 one
-# anti-diffusive step leaves the state finite and its L1 probes past the float range; at
-# cfl 4e102 the third step does, inside the fit window, which once fitted a NaN rate
+# or NaN: at a1 = 1e300 and c = 1e-300 each dt is finite (below 1e300) while dt times the
+# diffusion taps is not, so the first step of every sweep point is non-finite; at cfl
+# 1.7e308 one anti-diffusive step leaves the state finite and its L1 probes past the float
+# range; at cfl 4e102 the third step does, inside the fit window, which once fitted a NaN rate
 @pytest.mark.filterwarnings("error")
 def test_sweep_writes_null_for_a_non_finite_peak(capsys):
-    assert main(["sweep", "--scheme", "roe", "--c", "5e-324", "--dx", "123456789",
+    assert main(["sweep", "--scheme", "dimsplit", "--a1", "1e300", "--c", "1e-300",
                  "--grid", "3"]) == EXIT_OK
     doc = strict_json(capsys.readouterr().out)
     assert len(doc["results"]) == 32 and doc["max_stable_cfl"] is None
