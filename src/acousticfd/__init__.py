@@ -23,7 +23,7 @@ from .schemes import (CATALOG_NAMES, SchemeSpec, catalog, diffusion_scale,
 from .timestep import (CFL_NORMALIZATION, InstabilityError, RunResult,
                        StepControl, cfl_dt, cfl_sweep, forward_euler_step,
                        run)
-from .experiments import (DecayFit, checked_divergence_row, decay_window,
+from .experiments import (checked_divergence_row, decay_window,
                           extract_conserved_operator, fit_decay,
                           gresho_vortex, kernel_adapted_state,
                           stationarity_residual, stream_velocity,

@@ -70,11 +70,8 @@ READS = {name: reads for name, _, reads in SUBCOMMANDS}
 NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
-def build_parser(command=None):
-    """The parser with every subcommand; only `command`'s subparser, or every one when
-    command is None, gets its flags, which are the options its command reads. A run
-    parses one subcommand, and the names and help lines alone give the top-level help
-    and errors."""
+def build_parser():
+    """The parser with every subcommand, each with its flags: the options its command reads."""
     ap = argparse.ArgumentParser(prog="acousticfd",
                                  description="semi-discrete acoustic schemes: "
                                              "kernel analysis, exact certification, vortex runs",
@@ -83,8 +80,6 @@ def build_parser(command=None):
     for name, help_text, reads in SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p._negative_number_matcher = NEGATIVE_NUMBER
-        if command not in (None, name):
-            continue
         p.add_argument("--config", default=None, help="flat JSON config; flags win")
         for option in reads:
             # default None marks "not given", so the config can fill it in
@@ -95,10 +90,10 @@ def build_parser(command=None):
 
 def table_parse(argv):
     """argv read off OPTIONS and READS, without building argparse, as the Namespace that
-    build_parser(argv[0]).parse_args(argv) returns; None for an argv it cannot read
-    exactly: help, an unknown or dropped flag, a missing or malformed value, a bad choice,
-    or a value token that argparse reads as a flag (one that starts with "-", unless it is
-    a lone "-" or NEGATIVE_NUMBER matches it)."""
+    build_parser().parse_args(argv) returns; None for an argv it cannot read exactly: help,
+    an unknown or dropped flag, a missing or malformed value, a bad choice, or a value token
+    that argparse reads as a flag (one that starts with "-", unless it is a lone "-" or
+    NEGATIVE_NUMBER matches it)."""
     if not argv or argv[0] not in READS:
         return None
     values = dict.fromkeys(("config",) + READS[argv[0]])
@@ -120,7 +115,7 @@ def table_parse(argv):
             if text is None or (text.startswith("-") and text != "-"
                                 and not NEGATIVE_NUMBER.match(text)):
                 return None
-        elif text == "--":  # argparse drops "--" from a value, leaving an empty list
+        elif text == "--":  # a missing value, which argparse reads as an empty list
             return None
         try:
             value = keywords.get("type", str)(text)
@@ -133,10 +128,17 @@ def table_parse(argv):
 
 
 def parse_args(argv):
-    """The table's Namespace for argv; argparse is built only where the table declines, so
-    it alone prints help and errors."""
+    """The table's Namespace for argv. A line the table declines runs no command: argparse is
+    built for it only to print help or its own error, and exit."""
     args = table_parse(argv)
-    return build_parser(argv[0] if argv else None).parse_args(argv) if args is None else args
+    if args is None:
+        parser = build_parser()
+        parser.parse_args(argv)
+        # argparse still takes an `=` value of exactly "--", as an empty list, which the table
+        # refuses as missing: argparse gets that flag alone and exits on its missing value
+        flag = next(t[:-3] for t in argv if t.startswith("--") and t.partition("=")[2] == "--")
+        parser.parse_args([argv[0], flag])
+    return args
 
 
 def config_tokens(path, command):
@@ -200,14 +202,10 @@ def parse_params(cfg):
     return checked(AcousticParams, c=cfg["c"], eps=cfg["eps"])
 
 
-def scheme_name(cfg):
-    if cfg["scheme"] is None:
-        raise UsageError("--scheme is required")
-    return cfg["scheme"]
-
-
 def build_scheme(cfg, grid, params):
-    name = scheme_name(cfg)
+    name = cfg["scheme"]
+    if name is None:
+        raise UsageError("--scheme is required")
     if name not in CATALOG_NAMES + ("dimsplit",):
         raise UsageError("unknown scheme %r (catalog: %s, dimsplit)"
                          % (name, ", ".join(CATALOG_NAMES)))

@@ -10,7 +10,6 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .grid import FieldSet, l1_norm_central_diff, l1_scratch, write_field_csv
 from .schemes import rhs
 from .stencils import ring_slots
-from .timestep import CFL_NORMALIZATION, StepControl, run
+from .timestep import CFL_NORMALIZATION, StepControl, cfl_dt, run
 
 
 # the one vortex every run starts from: centre, radii, peak speed, background pressure
@@ -107,16 +106,6 @@ def extract_conserved_operator(spec):
     return w
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    rate: float
-    intercept: float
-    t_a: float
-    t_b: float
-    residual: float
-    n_points: int
-
-
 def decay_window(times, values, params, grid):
     """Fit window skipping the initial transient; ends at the series end or
     the first sample below 1e-14, where the probe has decayed into roundoff."""
@@ -130,7 +119,8 @@ def decay_window(times, values, params, grid):
 
 
 def fit_decay(times, values, window):
-    """Least squares on log(value): value ~ exp(intercept - rate * t)."""
+    """Least squares on log(value): value ~ exp(intercept - rate * t), as the dict written
+    under `fit`."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     t_a, t_b = window
@@ -145,9 +135,8 @@ def fit_decay(times, values, window):
     logv = np.log(sel_v)
     slope, intercept = np.polyfit(sel_t, logv, 1)
     resid = float(np.sqrt(np.mean((logv - (slope * sel_t + intercept)) ** 2)))
-    return DecayFit(rate=float(-slope), intercept=float(intercept),
-                    t_a=float(sel_t[0]), t_b=float(sel_t[-1]),
-                    residual=resid, n_points=int(mask.sum()))
+    return {"rate": float(-slope), "intercept": float(intercept), "t_a": float(sel_t[0]),
+            "t_b": float(sel_t[-1]), "residual": resid, "n_points": int(mask.sum())}
 
 
 # what the encoders call on a value that is no JSON type: it raises TypeError
@@ -244,9 +233,11 @@ def vortex_benchmark(spec, t_end, cfl, out_dir=None):
     name, params, grid = spec.name, spec.params, spec.grid
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    state0 = gresho_vortex(grid)
+    # the step control and the step count it gives are checked before the vortex is sampled,
+    # so a run refused as a usage error warns of nothing
     control = StepControl(cfl=cfl, t_end=float(t_end))
-    result = run(spec, state0, control, probes=_benchmark_probes(grid))
+    control.steps(cfl_dt(params, grid, cfl))
+    result = run(spec, gresho_vortex(grid), control, probes=_benchmark_probes(grid))
     entry = {"eps": params.eps, "t_end": control.t_end, "n_steps": result.n_steps,
              "dt": result.dt}
     # a probe of a finite state can still overflow: such a value, and a ratio of them that
@@ -269,9 +260,8 @@ def vortex_benchmark(spec, t_end, cfl, out_dir=None):
             else "initial dux_l1 is 0: no cell centre off the vortex centre lies inside it"))
     window = decay_window(result.times, result.series["dux_l1"], params, grid)
     try:
-        decay = fit_decay(result.times, result.series["dux_l1"], window)
-        entry["lambda_fit"] = decay.rate
-        entry["fit"] = asdict(decay)
+        entry["fit"] = fit_decay(result.times, result.series["dux_l1"], window)
+        entry["lambda_fit"] = entry["fit"]["rate"]
     except ValueError as err:
         entry["lambda_fit"] = None
         entry["fit_error"] = str(err)

@@ -8,17 +8,21 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from acousticfd import cli
-from acousticfd.cli import (COMMANDS, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, OPTIONS, READS,
-                            SUBCOMMANDS, build_parser, main, merge_config, table_parse)
+from acousticfd.cli import (COMMANDS, EXIT_FAIL, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, OPTIONS,
+                            READS, SUBCOMMANDS, build_parser, main, merge_config, table_parse)
+from acousticfd.experiments import gresho_vortex, write_timeseries_csv
 from acousticfd.fourier import det_scan
-from acousticfd.grid import AcousticParams, GridSpec
-from acousticfd.schemes import make_scheme
+from acousticfd.grid import AcousticParams, GridSpec, write_field_csv
+from acousticfd.schemes import CATALOG_NAMES, make_scheme
+from acousticfd.timestep import StepControl, cfl_dt, cfl_sweep, run
 
 from helpers import p_column_added_to_u, strict_json
 
@@ -151,6 +155,10 @@ OUT_OF_RANGE = [
     # a sweep checks every CFL point's time step before it samples the vortex or marches:
     # this one once marched an infinite dt and reported all 32 points unstable
     (["sweep", "--scheme", "roe", "--c", "5e-324", "--dx", "123456789", "--grid", "3"],
+     "time step dt = cfl*min(dx,dy)*eps/c = inf overflows"),
+    # and so does simulate before it samples the vortex, which no cell centre of these wide
+    # cells holds: it once warned of that on its way to the same error
+    (["simulate", "--scheme", "roe", "--c", "5e-324", "--dx", "123456789", "--grid", "3"],
      "time step dt = cfl*min(dx,dy)*eps/c = inf overflows"),
     (["sweep", "--scheme", "multid", "--grid", "8", "--c", "1e308", "--eps", "1e-308"],
      "time step dt = cfl*min(dx,dy)*eps/c = 0.0 underflows"),
@@ -294,13 +302,9 @@ def test_out_dir_is_made_once_and_undone_on_usage_error(tmp_path):
 @pytest.mark.parametrize("command", [name for name, _, _ in SUBCOMMANDS])
 def test_subcommand_parser_carries_exactly_its_option_rows(command):
     reads = dict((name, reads) for name, _, reads in SUBCOMMANDS)[command]
-    for built in (command, None):
-        args = build_parser(built).parse_args([command])
-        assert set(vars(args)) == {"command", "config"} | set(reads)
-        assert all(value is None for key, value in vars(args).items() if key != "command")
-    for other, _, _ in SUBCOMMANDS:
-        if other != command:
-            assert set(vars(build_parser(other).parse_args([command]))) == {"command"}
+    args = build_parser().parse_args([command])
+    assert set(vars(args)) == {"command", "config"} | set(reads)
+    assert all(value is None for key, value in vars(args).items() if key != "command")
 
 
 class RecordingConfig(dict):
@@ -329,7 +333,7 @@ READ_RUNS = {
                          ids=[name for name, _, _ in SUBCOMMANDS])
 def test_each_command_reads_every_option_it_takes(command, reads, capsys):
     argv = [command, *READ_RUNS[command]]
-    cfg = RecordingConfig(merge_config(build_parser(command).parse_args(argv)))
+    cfg = RecordingConfig(merge_config(table_parse(argv)))
     assert COMMANDS[command](cfg) == EXIT_OK
     json.loads(capsys.readouterr().out)
     assert cfg.read == set(cfg) == set(reads)
@@ -380,8 +384,7 @@ def test_benchmark_command_lines_parse():
     for workload in workloads.WORKLOADS:
         for seed in range(10):
             for argv in workloads.commands(workload, seed):
-                for built in (argv[0], None):
-                    assert build_parser(built).parse_args(argv).command == argv[0]
+                assert build_parser().parse_args(argv).command == argv[0]
 
 
 def _same_namespace(table, parsed):
@@ -399,15 +402,18 @@ OTHERS = ["-h", "--help", "--", "--bogus", "-e", "-x1", "--k", "--t_end", "--eps
 
 
 @st.composite
-def command_lines(draw):
-    """A command and tokens drawn mostly from its own flags, so that many lines parse."""
+def command_lines(draw, flags=FLAGS, values=VALUES, others=OTHERS):
+    """A command and tokens drawn mostly from its own flags, so that many lines parse. Only
+    `flags` are drawn; `values` are the values and `others` the stray tokens besides them."""
     command = draw(st.sampled_from(sorted(READS)))
-    own = st.sampled_from(["--" + name.replace("_", "-") for name in ("config", *READS[command])])
-    flag, value = st.one_of(own, own, own, st.sampled_from(FLAGS)), st.sampled_from(VALUES)
+    own = st.sampled_from([flag for flag in ("--" + name.replace("_", "-")
+                                             for name in ("config", *READS[command]))
+                           if flag in flags])
+    flag, value = st.one_of(own, own, own, st.sampled_from(flags)), st.sampled_from(values)
     pair = st.tuples(flag, value)
     group = st.one_of(pair.map(lambda fv: ["%s=%s" % fv]), pair.map(list), own.map(lambda f: [f]),
                       pair.map(lambda fv: ["%s=%s" % fv]), pair.map(list),
-                      st.sampled_from(OTHERS + VALUES).map(lambda token: [token]))
+                      st.sampled_from(others + values).map(lambda token: [token]))
     return [command] + [token for tokens in draw(st.lists(group, max_size=3)) for token in tokens]
 
 
@@ -426,10 +432,121 @@ def test_table_parse_declines_or_returns_the_argparse_namespace(argv):
         return
     with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
         try:
-            parsed = build_parser(argv[0]).parse_args(argv)
+            parsed = build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail("the table read %r, which argparse refuses" % argv)
     assert _same_namespace(table, parsed), argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=command_lines())
+@example(argv=["analyze", "--out=--"])
+@example(argv=["catalog", "--out=--", "--out", "made"])
+@example(argv=["analyze", "--out=--x=--", "--eps=--"])
+def test_declined_lines_run_no_command(argv):
+    # a line the table declines exits in argparse, on help (0) or an error (2)
+    if table_parse(argv) is not None:
+        return
+
+    def refuse(cfg):
+        pytest.fail("%r ran a command on a line the table declines" % argv)
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(cli.COMMANDS, dict.fromkeys(COMMANDS, refuse)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        main(argv)
+    if exc.value.code == EXIT_OK:
+        assert {"-h", "--help"} & set(argv) and out.getvalue().startswith("usage:")
+    else:
+        assert exc.value.code == EXIT_USAGE and out.getvalue() == "", argv
+        assert "error: argument" in err.getvalue() or "error: unrecognized" in err.getvalue()
+
+
+# an `=` value of exactly "--" is a missing value; argparse reads it as an empty list, which
+# once reached the commands as a traceback (--eps, --grid), as stdout for --out or as no
+# config at all. F holds {"eps": "--"}
+EMPTY_VALUES = [
+    (["analyze", "--scheme", "roe", "--eps=--"], "--eps"),
+    (["analyze", "--scheme", "roe", "--grid=--"], "--grid"),
+    (["catalog", "--out=--"], "--out"),
+    (["certify", "--identity-only", "--config=--"], "--config"),
+    (["analyze", "--scheme", "roe", "--config", "F"], "--eps"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", EMPTY_VALUES, ids=[" ".join(a) for a, _ in EMPTY_VALUES])
+def test_empty_values_are_usage_errors(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text(json.dumps({"eps": "--"}))
+    # and with an --out ahead of them, which is never made
+    for line in (argv, [argv[0], "--out", "made", *argv[1:]]):
+        assert _exit_code(line) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.endswith("error: argument %s: expected one argument\n" % flag)
+    assert os.listdir(tmp_path) == ["F"]
+
+
+# the run half's pools: no --config and no --out; the float extremes, grids up to 8 and a
+# few malformed values; no -h, so that every line runs or exits 2
+RUN_FLAGS = [flag for flag in FLAGS if flag not in ("--config", "--out")]
+RUN_VALUES = ["0", "1", "-1", "0.5", "2", "3", "8", "5,3", "3,8", "5e-324", "1e-308", "1e-154",
+              "1e154", "5e153", "1.7e308", "-1e-3", "nan", "inf", "-inf", "1e400", "central",
+              "averaged", "x", "", "-", "--"]
+# the three warnings gresho_vortex gives on purpose, which the README documents
+VORTEX_WARNINGS = ("vortex centre", "vortex radius .* exceeds distance",
+                   "vortex radius .* holds no cell centre")
+
+
+@st.composite
+def runnable_lines(draw):
+    """command_lines over the run pools, after a scheme, a grid up to 8, --k-samples 8 and
+    --t-end 0.005 for the commands that read them; the drawn tokens may override these."""
+    argv = draw(command_lines(flags=RUN_FLAGS, values=RUN_VALUES, others=[]))
+    given_first = {"scheme": draw(st.sampled_from(CATALOG_NAMES + ("dimsplit",))),
+                   "grid": draw(st.sampled_from(["3", "8", "5,3"])),
+                   "k_samples": "8", "t_end": "0.005"}
+    return argv[:1] + [token for name, value in given_first.items() if name in READS[argv[0]]
+                       for token in ("--" + name.replace("_", "-"), value)] + argv[1:]
+
+
+def _cheap(argv):
+    """--t-end at most 0.01, a simulate run of at most 2,000 steps by cfl_dt, and --radius at
+    most 2; the pools bound grids and --k-samples to 8. A line the table declines is cheap."""
+    args = table_parse(argv)
+    if args is None:
+        return True
+    cfg = merge_config(args)
+    if cfg.get("radius", 1) > 2 or cfg.get("t_end", 0) > 0.01:
+        return False
+    if argv[0] != "simulate":
+        return True
+    try:
+        dt = cfl_dt(cli.parse_params(cfg), cli.parse_grid(cfg), cfg["cfl"])
+        return not cfg["t_end"] / dt > 2000
+    except (cli.UsageError, ZeroDivisionError):
+        return True
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argv=runnable_lines())
+@example(argv=["analyze", "--scheme", "dimsplit", "--grid", "3", "--a1=--"])
+def test_every_line_exits_0_to_3_with_strict_json(argv):
+    assume(_cheap(argv))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        for message in VORTEX_WARNINGS:
+            warnings.filterwarnings("ignore", message=message, category=UserWarning)
+        code = _exit_code(argv)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_UNSTABLE), argv
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert out.getvalue() == "", argv
+    else:
+        strict_json(out.getvalue())
 
 
 @pytest.mark.parametrize("argv", [
@@ -438,7 +555,7 @@ def test_table_parse_declines_or_returns_the_argparse_namespace(argv):
     ["certify", "--divergence=averaged", "--radius", "3"], ["catalog", "--out="],
 ], ids=" ".join)
 def test_table_parse_reads_these_as_argparse_does(argv):
-    assert _same_namespace(table_parse(argv), build_parser(argv[0]).parse_args(argv))
+    assert _same_namespace(table_parse(argv), build_parser().parse_args(argv))
 
 
 def test_valid_command_lines_build_no_argparse(tmp_path, monkeypatch, capsys):
@@ -448,7 +565,7 @@ def test_valid_command_lines_build_no_argparse(tmp_path, monkeypatch, capsys):
              for i, argv in enumerate(argv for workload in workloads.WORKLOADS
                                       for seed in range(10)
                                       for argv in workloads.commands(workload, seed))]
-    expected = [merge_config(build_parser(argv[0]).parse_args(argv)) for argv in lines]
+    expected = [merge_config(build_parser().parse_args(argv)) for argv in lines]
 
     def refuse(*args):
         raise AssertionError("a valid command line built argparse")
@@ -616,6 +733,38 @@ def test_traced_det_scan_counts_resolve():
     spec = make_scheme("multid", AcousticParams(c=1.0, eps=0.01), GridSpec.unit_square(24))
     scan = det_scan(spec)
     assert tracing.EXTRAS["fourier.det_scan"]((), {}, scan) == [248, 200, 0]
+
+
+def test_traced_counts_resolve(tmp_path):
+    # each other count the tracer records, read off the real arguments and result of its call
+    tracing = _load_clibench("tracing")
+    extras = tracing.EXTRAS
+    grid = GridSpec.unit_square(8)
+    spec = make_scheme("roe", AcousticParams(c=1.0, eps=0.5), grid)
+    state = gresho_vortex(grid)
+    args = (spec.stencil, state.q)
+    assert extras["stencils.apply_sum"](args, {}, spec.stencil.apply_sum(state.q)) == [64, 5]
+    args = (spec, state, StepControl(cfl=0.4, t_end=0.05))
+    assert extras["timestep.run"](args, {}, run(*args)) == [2, 64]
+    args = (spec, state, [0.1, 0.4, 2.0])
+    assert extras["timestep.cfl_sweep"](args, {}, cfl_sweep(*args, horizon_steps=20)) == [3, 1, 64]
+    path = tmp_path / "field.csv"
+    assert extras["grid.write_field_csv"]((path, state), {}, write_field_csv(path, state)) == [
+        path.stat().st_size]
+    args = (tmp_path / "series.csv", [0.0, 0.5], state.q[0, 0, :2], {"probe": "dux_l1"})
+    assert extras["experiments.write_timeseries_csv"](args, {}, write_timeseries_csv(*args)) == [
+        args[0].stat().st_size + (tmp_path / "series.csv.meta.json").stat().st_size]
+    # emit_json counts the bytes of its file, or of what it wrote to stdout
+    doc = {"scheme": "roe"}
+    args = (doc, {"out": str(tmp_path)}, "doc.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        result = cli.emit_json(*args)
+    assert tracing._emit_json_extra(args, {}, result, 0) == [(tmp_path / "doc.json").stat().st_size]
+    args = (doc, {"out": None}, "doc.json")
+    with contextlib.redirect_stdout(io.StringIO("ahead")) as out:
+        out.seek(5)
+        result = cli.emit_json(*args)
+        assert tracing._emit_json_extra(args, {}, result, 5) == [len(out.getvalue()) - 5]
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -212,12 +212,12 @@ def test_fit_decay_recovers_rate():
     t = np.linspace(0.0, 2.0, 121)
     v = np.exp(-3.0 * t) * 7.0
     fit = fit_decay(t, v, (0.1, 2.0))
-    assert fit.rate == pytest.approx(3.0, abs=1e-10)
-    assert fit.residual < 1e-12
-    assert fit.n_points == np.sum((t >= 0.1) & (t <= 2.0))
+    assert fit["rate"] == pytest.approx(3.0, abs=1e-10)
+    assert fit["residual"] < 1e-12
+    assert fit["n_points"] == np.sum((t >= 0.1) & (t <= 2.0))
     # positive rescaling shifts the intercept only
     fit5 = fit_decay(t, 5.0 * v, (0.1, 2.0))
-    assert fit5.rate == pytest.approx(fit.rate, abs=1e-12)
+    assert fit5["rate"] == pytest.approx(fit["rate"], abs=1e-12)
     with pytest.raises(ValueError):
         fit_decay(t, v - 1.0, (0.1, 2.0))
     with pytest.raises(ValueError):
