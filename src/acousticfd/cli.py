@@ -90,10 +90,10 @@ def build_parser():
 
 def table_parse(argv):
     """argv read off OPTIONS and READS, without building argparse, as the Namespace that
-    build_parser().parse_args(argv) returns; None for an argv it cannot read exactly: help,
-    an unknown or dropped flag, a missing or malformed value, a bad choice, or a value token
-    that argparse reads as a flag (one that starts with "-", unless it is a lone "-" or
-    NEGATIVE_NUMBER matches it)."""
+    build_parser().parse_args(argv) returns; None for an argv it cannot read exactly: help, an
+    unknown or dropped flag, a missing or malformed value, a bad choice, or a value token that
+    argparse's _parse_optional reads as a flag: one led by "-", unless it is a lone "-", matches
+    NEGATIVE_NUMBER, or holds a space and neither starts "-h" nor names a flag before an "="."""
     if not argv or argv[0] not in READS:
         return None
     values = dict.fromkeys(("config",) + READS[argv[0]])
@@ -113,7 +113,9 @@ def table_parse(argv):
         if not eq:
             text = next(tokens, None)
             if text is None or (text.startswith("-") and text != "-"
-                                and not NEGATIVE_NUMBER.match(text)):
+                                and not NEGATIVE_NUMBER.match(text)
+                                and (" " not in text or text[:2] == "-h"
+                                     or text.partition("=")[0] in (*flags, "--help"))):
                 return None
         elif text == "--":  # a missing value, which argparse reads as an empty list
             return None
@@ -129,15 +131,16 @@ def table_parse(argv):
 
 def parse_args(argv):
     """The table's Namespace for argv. A line the table declines runs no command: argparse is
-    built for it only to print help or its own error, and exit."""
+    built only to print help or its error and exit. It takes one such kind, a flag whose `=`
+    value is exactly "--", read by _get_values as an empty list: that flag exits alone."""
     args = table_parse(argv)
     if args is None:
         parser = build_parser()
         parser.parse_args(argv)
-        # argparse still takes an `=` value of exactly "--", as an empty list, which the table
-        # refuses as missing: argparse gets that flag alone and exits on its missing value
-        flag = next(t[:-3] for t in argv if t.startswith("--") and t.partition("=")[2] == "--")
-        parser.parse_args([argv[0], flag])
+        flag = next((t[:-3] for t in argv[1:] if re.fullmatch(r"--[^ =]+=--", t)), None)
+        if flag:
+            parser.parse_args([argv[0], flag])
+        parser.error("cannot read %s" % " ".join(argv))
     return args
 
 
@@ -272,8 +275,7 @@ def cmd_certify(cfg):
     radius = cfg["radius"]
     if radius < 1:
         raise UsageError("--radius must be at least 1, got %d" % radius)
-    report = {}
-    failures = []
+    report, failures = {}, []
 
     ident = operator_identity_check()
     report["operator_identities"] = ident

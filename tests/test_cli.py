@@ -396,7 +396,7 @@ def _same_namespace(table, parsed):
 # every flag of every command, the dropped ones too, and --config
 FLAGS = ["--" + name.replace("_", "-") for name in ("config", *OPTIONS)]
 VALUES = ["0.5", "3", "12,7", "-2", "-1e-3", "-.5e1", "-inf", "nan", "1e400", "", "-", "--",
-          "central", "averaged", "x", "1.9", "-x", " -1", "1 2", "-h"]
+          "central", "averaged", "x", "1.9", "-x", " -1", "1 2", "-h", "-a b", "-h x", "--eps=1 2"]
 # tokens that are no flag of any command
 OTHERS = ["-h", "--help", "--", "--bogus", "-e", "-x1", "--k", "--t_end", "--eps-"]
 
@@ -443,6 +443,8 @@ def test_table_parse_declines_or_returns_the_argparse_namespace(argv):
 @example(argv=["analyze", "--out=--"])
 @example(argv=["catalog", "--out=--", "--out", "made"])
 @example(argv=["analyze", "--out=--x=--", "--eps=--"])
+@example(argv=["catalog", "--out", "-a b", "--dx", "-2"])
+@example(argv=["catalog", "--out", "-a b", "--grid=--"])
 def test_declined_lines_run_no_command(argv):
     # a line the table declines exits in argparse, on help (0) or an error (2)
     if table_parse(argv) is not None:
@@ -553,9 +555,25 @@ def test_every_line_exits_0_to_3_with_strict_json(argv):
     ["analyze", "--out", "-"], ["sweep", "--grid", "-"], ["analyze", "--a3", "-1e-3"],
     ["analyze", "--eps=nan", "--eps", "0.5"], ["certify", "--identity-only", "--identity-only"],
     ["certify", "--divergence=averaged", "--radius", "3"], ["catalog", "--out="],
+    ["simulate", "--scheme", "roe", "--out", "-run 1"], ["analyze", "--eps", "-inf "],
+    ["catalog", "--out", "--x=a b"], ["catalog", "--out", "--scheme=a b"],
 ], ids=" ".join)
 def test_table_parse_reads_these_as_argparse_does(argv):
     assert _same_namespace(table_parse(argv), build_parser().parse_args(argv))
+
+
+# argparse reads a value that starts with "-" and holds a space as a value, unless it starts
+# with "-h" or names one of the command's flags before an "="; these once ended in a traceback
+def test_spaced_values_led_by_a_dash_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--scheme", "roe", "--out", "-run 1"]) == EXIT_OK
+    assert capsys.readouterr().out == os.path.join("-run 1", "simulate_roe.json") + "\n"
+    assert main(["analyze", "--scheme", "roe", "--eps", "-inf "]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: eps must be finite, got -inf\n"
+    for value in ("-h x", "--eps=1 2"):
+        assert _exit_code(["analyze", "--scheme", "roe", "--out", value]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith("error: argument --out: expected one argument\n")
+    assert os.listdir(tmp_path) == ["-run 1"]
 
 
 def test_valid_command_lines_build_no_argparse(tmp_path, monkeypatch, capsys):
