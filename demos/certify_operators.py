@@ -6,6 +6,7 @@ from acousticfd import (
     central_div,
     consistency_nullspace,
     consistent_diffusion,
+    moore_family,
     moore_symmetry_scan,
     operator_identity_check,
     spans_match,
@@ -39,4 +40,11 @@ for rec in moore_symmetry_scan():
     mark = "  <- averaged" if rec["is_averaged"] else ""
     print("   %7s  %7s  %d%s" % (rec["gamma"], rec["beta"], rec["dim"], mark))
 print()
-print("only gamma = 1/8 admits a stationarity-consistent diffusion")
+
+print("5) the whole family at once, for every gamma and not only the members above")
+family = moore_family()
+print("   restricted determinant in k = 16 gamma, coefficients of 1, k, k^2, ...: %s"
+      % family["det_coefficients"])
+print("   its one root: gamma = %s, nullspace dimension %d there"
+      % (family["singular_gamma"], family["nullity"]))
+print("only gamma = 1/8 admits a stationarity-consistent diffusion, for every gamma")

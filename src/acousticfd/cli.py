@@ -11,10 +11,11 @@ import math
 import os
 import re
 import sys
+from fractions import Fraction
 
 from .fourier import det_scan, eigenvalue_scaling_check, generic_phases
 from .grid import AcousticParams, GridSpec
-from .laurent import (consistency_nullspace, has_rank_two, moore_symmetry_scan,
+from .laurent import (consistency_nullspace, has_rank_two, moore_family, moore_symmetry_scan,
                       operator_identity_check, spans_match)
 from .schemes import CATALOG_NAMES, diffusion_scale, make_scheme
 from .stencils import (averaged_div, central_div, consistent_diffusion,
@@ -311,6 +312,13 @@ def cmd_certify(cfg):
             if bad:
                 failures.append("nullspace dimension positive off the averaged ray: %r"
                                 % [(str(r["gamma"]), r["dim"]) for r in bad])
+            family = moore_family()
+            gamma = family["singular_gamma"]
+            report["moore_family"] = dict(family, singular_gamma=None if gamma is None
+                                          else rational_string(*gamma.as_integer_ratio()))
+            if gamma != Fraction(1, 8):
+                failures.append("the restricted determinant %r in k = 16 gamma does not vanish "
+                                "at gamma = 1/8 alone" % family["det_coefficients"])
 
     report["failures"] = failures
     report["certified"] = not failures
@@ -345,7 +353,8 @@ def cmd_sweep(cfg):
     # simulate checks its one: one beyond the float range is a usage error naming its options
     for cfl in cfl_grid:
         checked(check_dt, cfl_dt(spec.params, grid, cfl))
-    # M beyond the float range is a usage error naming its entry
+    # so is M beyond the float range, naming its entry: derived before the vortex can warn
+    checked(getattr, spec, "stencil")
     result = checked(cfl_sweep, spec, gresho_vortex(grid), cfl_grid)
     result["scheme"] = spec.name
     result["eps"] = cfg["eps"]

@@ -233,10 +233,11 @@ def vortex_benchmark(spec, t_end, cfl, out_dir=None):
     name, params, grid = spec.name, spec.params, spec.grid
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    # the step control and the step count it gives are checked before the vortex is sampled,
-    # so a run refused as a usage error warns of nothing
+    # the step control and the step count it gives are checked, and M derived, before the
+    # vortex is sampled, so a run refused as a usage error warns of nothing
     control = StepControl(cfl=cfl, t_end=float(t_end))
     control.steps(cfl_dt(params, grid, cfl))
+    spec.stencil
     result = run(spec, gresho_vortex(grid), control, probes=_benchmark_probes(grid))
     entry = {"eps": params.eps, "t_end": control.t_end, "n_steps": result.n_steps,
              "dt": result.dt}

@@ -5,11 +5,13 @@ coefficients, int numerators over one denominator; the grid spacings stay formal
 substituted numerically here, so every certified identity holds for all
 spacings. This module builds and solves the exact linear systems behind the
 certificates: cross-consistency nullspaces, span comparisons, the symmetric
-divergence scan, the telescoping operator identities and the rank of a scheme's
-symbol. A row of these systems is a list of ints and a solution vector an
-(ints, den) pair. Floating point is confined to the numeric symbol module.
+divergence family (decided for every gamma from one reduction of its pencil), the
+telescoping operator identities and the rank of a scheme's symbol. A row of these
+systems is a list of ints and a solution vector an (ints, den) pair. Floating point
+is confined to the numeric symbol module.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -196,47 +198,10 @@ def symmetric_divergence_row(gamma, beta=None):
     return VecStencilRow(bu.with_units(-1, 0), bv.with_units(0, -1))
 
 
-# the prime of _rank_mod
-_P = 2 ** 31 - 1
-
-
-def _rank_mod(rows, ncols):
-    """Rank of an int matrix modulo the prime _P, by forward elimination; a count only.
-
-    A minor that is nonzero mod _P is a nonzero integer, so this is at most the
-    rank over the rationals, and a full column rank mod _P proves it exact.
-    """
-    mat = [[x % _P for x in row] for row in rows]
-    rank = 0
-    for _ in range(ncols):
-        # the rows left hold only the columns not yet eliminated
-        i = next((i for i, row in enumerate(mat) if row[0]), None)
-        if i is not None:
-            piv = mat.pop(i)
-            inv = pow(piv[0], -1, _P)
-            nonzero = [(j, y) for j, y in enumerate(piv) if y]
-            for row in mat:
-                f = row[0] * inv % _P
-                if f:
-                    for j, y in nonzero:
-                        row[j] = (row[j] - f * y) % _P
-            rank += 1
-        mat = [row[1:] for row in mat]
-    return rank
-
-
-def _nullity(rows, ncols):
-    """ncols minus the rank of an int matrix over the rationals. A full rank mod _P
-    certifies 0; otherwise rref decides. A rank that drops only mod _P costs that
-    exact fallback, never a wrong count, so no answer depends on _P."""
-    if _rank_mod(rows, ncols) == ncols:
-        return 0
-    return ncols - len(rref(distinct_rows(rows), ncols)[1])
-
-
-def _moore_systems():
-    """consistency_nullspace's radius-1 rows for every member gamma = k/16, k = -8..16,
-    as (ncols, [(gamma, int rows)]), read off one affine pencil in gamma.
+def _moore_pencil():
+    """consistency_nullspace's radius-1 system for the whole Moore family, as (ncols, pencil):
+    int rows [r0 | d], one per distinct equation, such that member gamma = k/16 has the
+    rows 16 r0 + k d.
 
     A Moore row is affine in gamma, bu = Sx/2 + gamma Sx(Py - 4), and for a
     fixed key each row of `_consistency_system` is linear in the row's
@@ -251,11 +216,93 @@ def _moore_systems():
     s0, s1 = math.lcm(d0, d1) // d0, math.lcm(d0, d1) // d1
     zero = [0] * ncols
     # each distinct (row0 | row1 - row0) once; the order-0 rows have row1 - row0 = 0
-    pencil = [(p[:ncols], p[ncols:]) for p in distinct_rows(
+    return ncols, distinct_rows(
         [[s0 * x for x in r0] + [s1 * y - s0 * x for x, y in zip(r0, r1)]
-         for r0, r1 in ((e0.get(key, zero), e1.get(key, zero)) for key in {**e0, **e1})])]
-    return ncols, [(Fraction(k, 16), [[16 * a + k * d for a, d in zip(*pair)] for pair in pencil])
-                   for k in range(-8, 17)]
+         for r0, r1 in ((e0.get(key, zero), e1.get(key, zero)) for key in {**e0, **e1})])
+
+
+def _restrict_pencil(n, pencil):
+    """(s, a): for every rational k, the nullity of the pencil's member 16 r0 + k d equals
+    that of s I + k a. pencil holds int rows [r0 | d] of width 2n, and r0 has full column
+    rank n; a is an int matrix on V below, s a positive int.
+
+    One rref of [r0 | d], by row operations that do not depend on k, brings every member
+    to [16 I + k B ; k C] (Gantmacher, vol. 2, ch. XII). For k != 0 a null vector x has
+    C x = 0 and B x = -(16/k) x, so it lies in V, the largest B-invariant subspace of
+    ker C: the kernel of [C; C B; C B^2; ...]. Conversely, V lies in ker C, so a null
+    vector of 16 I + k B in V is one of the member. The nullity is therefore that of
+    16 I + k B restricted to V, also at k = 0, where both are 0. a is B|V in V's free
+    coordinates, scaled to ints by s / 16.
+    """
+    mat, pivots = rref(pencil, 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("the gamma = 0 rows do not have full column rank")
+    scale = math.lcm(*(mat[i][i] for i in range(n)))
+    b = [[x * (scale // mat[i][i]) for x in mat[i][n:]] for i in range(n)]
+    # add w B to the rows w until their rank stops growing: then they span C B^j for every j
+    w, rank = [row[n:] for row in mat[n:]], None
+    while True:
+        w, pivots = rref(w + [[sum(x * y for x, y in zip(row, c)) for c in zip(*b)]
+                              for row in w], n)
+        w = w[:len(pivots)]
+        if len(pivots) == rank:
+            break
+        rank = len(pivots)
+    # basis vector j of V is den_j at free column j and 0 at the other free columns
+    free = [c for c in range(n) if c not in pivots]
+    basis = rref_nullspace(w, n)
+    m = math.lcm(*(den for _, den in basis))
+    cols = [[sum(x * v for x, v in zip(b[f], vec)) * (m // den) for f in free]
+            for vec, den in basis]
+    return 16 * scale * m, [list(row) for row in zip(*cols)]
+
+
+def _det_pencil(s, a):
+    """det(s I + k a) for an int matrix a, as the ascending int coefficients of a polynomial
+    in k divided by their gcd, trailing zeros dropped. The coefficient of k^j is e_j s^(n-j),
+    e_j the j-th elementary symmetric function of a's eigenvalues, from the power traces
+    tr(a^i) by Newton's identities; each division by j is exact."""
+    n = len(a)
+    traces, power = [], a
+    for _ in range(n):
+        traces.append(sum(power[i][i] for i in range(n)))
+        power = [[sum(x * y for x, y in zip(row, c)) for c in zip(*a)] for row in power]
+    e = [1]
+    for j in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[j - i] * traces[i - 1] for i in range(1, j + 1)) // j)
+    coeffs = _primitive([x * s ** (n - j) for j, x in enumerate(e)])
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _nullity_at(s, a, k):
+    """Nullity of s I + k a at a rational k, by rref of the int rows den(k) s I + num(k) a."""
+    k = Fraction(k)
+    rows = [[k.numerator * x + (s * k.denominator if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(a)]
+    return len(a) - len(rref(rows, len(a))[1])
+
+
+def _only_root(coeffs):
+    """r when the int polynomial with these ascending coefficients is lead (k - r)^d, d >= 1,
+    so that r is its one complex root, as a Fraction; else None."""
+    d = len(coeffs) - 1
+    if d < 1:
+        return None
+    r = Fraction(-coeffs[d - 1], d * coeffs[d])
+    if all(c == coeffs[d] * math.comb(d, j) * (-r) ** (d - j) for j, c in enumerate(coeffs)):
+        return r
+    return None
+
+
+@functools.cache
+def _moore_reduction():
+    """(s, a, det) of the Moore pencil: `_restrict_pencil` and `_det_pencil`. Member k = 16
+    gamma has a nonzero nullspace exactly where det vanishes, and there its dimension is
+    `_nullity_at(s, a, k)`."""
+    s, a = _restrict_pencil(*_moore_pencil())
+    return s, a, _det_pencil(s, a)
 
 
 def moore_symmetry_scan():
@@ -263,11 +310,27 @@ def moore_symmetry_scan():
 
     Returns one record per member gamma = k/16, k = -8..16; dimension > 0
     should single out the averaged divergence (gamma = 1/8). Each dim is
-    consistency_nullspace's: `_nullity` of the member's rows from `_moore_systems`.
+    consistency_nullspace's, read off `_moore_reduction`: 0 where the restricted
+    determinant is nonzero, else the nullity of the restricted block.
     """
-    ncols, members = _moore_systems()
-    return [{"gamma": g, "beta": Fraction(1, 2) - 2 * g, "dim": _nullity(rows, ncols),
-             "is_averaged": g == Fraction(1, 8)} for g, rows in members]
+    s, a, det = _moore_reduction()
+    return [{"gamma": Fraction(k, 16), "beta": Fraction(1, 2) - Fraction(k, 8),
+             "dim": _nullity_at(s, a, k) if not sum(c * k ** j for j, c in enumerate(det)) else 0,
+             "is_averaged": k == 2} for k in range(-8, 17)]
+
+
+def moore_family():
+    """The symmetric divergence family decided for every gamma, not only the scan's members.
+
+    Returns {"det_coefficients", "singular_gamma", "nullity"}: the restricted determinant of
+    `_moore_reduction` as ascending int coefficients in k = 16 gamma; its one root over
+    16, the only member with a nonzero nullspace, or None when it has no single root; and
+    the nullspace dimension there. The paper's claim is gamma = 1/8 with nullity 2.
+    """
+    s, a, det = _moore_reduction()
+    root = _only_root(det)
+    return {"det_coefficients": det, "singular_gamma": None if root is None else root / 16,
+            "nullity": None if root is None else _nullity_at(s, a, root)}
 
 
 def operator_identity_check():

@@ -145,6 +145,12 @@ OUT_OF_RANGE = [
      "symbol entry (u, u) at cell offset (1, 0) is beyond the float range"),
     (["simulate", "--scheme", "roe", "--grid", "8", "--c", "1e160", "--eps", "1e160"],
      "symbol entry (p, u) at cell offset (1, 0) is beyond the float range"),
+    # M is derived before the vortex is sampled, which no cell centre of these unit cells
+    # holds: both once warned of that on their way to the same error
+    (["simulate", "--scheme", "roe", "--grid", "8", "--dx", "1", "--dy", "1", "--c", "1e160",
+      "--eps", "1e160"], "symbol entry (p, u) at cell offset (1, 0) is beyond the float range"),
+    (["sweep", "--scheme", "roe", "--grid", "8", "--dx", "1", "--dy", "1", "--c", "1e160",
+      "--eps", "1e160"], "symbol entry (p, u) at cell offset (1, 0) is beyond the float range"),
     (["simulate", "--scheme", "multid", "--grid", "8", "--c", "1e308", "--eps", "1e-308"],
      "time step dt = cfl*min(dx,dy)*eps/c = 0.0 underflows"),
     # and one that overflows, which once marched to a NaN time or wrote dt as Infinity
@@ -897,6 +903,19 @@ def test_certify_default(tmp_path, capsys):
     assert len(doc["symmetry_scan"]) == 25
     hits = [r for r in doc["symmetry_scan"] if r["dim"] > 0]
     assert len(hits) == 1 and hits[0]["gamma"] == "0.125"
+    # and for every gamma, not only the 25 members: det = (k - 2)^2 in k = 16 gamma
+    assert doc["moore_family"] == {"det_coefficients": [4, -4, 1], "singular_gamma": "0.125",
+                                   "nullity": 2}
+
+
+def test_certify_fails_when_the_family_is_singular_off_the_averaged_member(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "moore_family", lambda: {
+        "det_coefficients": [2, -3, 1], "singular_gamma": None, "nullity": None})
+    assert main(["certify"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    doc = strict_json(out)
+    assert doc["certified"] is False and doc["moore_family"]["singular_gamma"] is None
+    assert "[2, -3, 1]" in err
 
 
 def test_certify_identity_only(capsys):
@@ -1096,7 +1115,7 @@ def test_catalog_document_digest_unchanged(argv, capsys):
 # sha256 of the certify stdout and its exit code, recorded before json_document stopped
 # calling json.dumps; the radius 2 and 3 runs admit consistent diffusions and exit 1
 CERTIFY_SHA256 = {
-    (): (0, "18dd2a49a3ed40a2cc4b0489efcd9b582900ddce8f8611fc82c8d96f3e28a377"),
+    (): (0, "4f79577296cb40464367a230dc49f7b6bba45a516fff0aa667dc5fa1b213d80e"),
     ("--divergence", "central", "--radius", "2"):
         (1, "d840709d6eb247615b82c5f241f6043b01f41aaa55e1f4cda707b9586ba5b21c"),
     ("--divergence", "central", "--radius", "3"):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from acousticfd import laurent
 from acousticfd.laurent import (
@@ -385,68 +385,120 @@ def test_moore_symmetry_scan():
         assert (rec["dim"] > 0) == rec["is_averaged"]
     hit = [rec for rec in report if rec["dim"] > 0]
     assert len(hit) == 1 and hit[0]["dim"] == 2
-    # the pencil and the modular certificate agree with each member solved on its own
+    # the reduction of the pencil agrees with each member solved on its own
     for rec in report:
         assert rec["dim"] == len(consistency_nullspace(symmetric_divergence_row(rec["gamma"]), 1))
 
 
+def _member_rows(n, pencil, k):
+    return [[16 * a + k * d for a, d in zip(row[:n], row[n:])] for row in pencil]
+
+
 def test_moore_pencil_gives_each_member_its_own_rows():
-    # 16 row0 + k (row1 - row0) is, up to a positive factor, the row of the same key in the
-    # member's own system, or zero where the member lacks the key
-    ncols, members = laurent._moore_systems()
-    assert ncols == 10
-    assert [g for g, _ in members] == [Fraction(k, 16) for k in range(-8, 17)]
-    for g, rows in members:
-        eqs, _ = laurent._consistency_system(symmetric_divergence_row(g), *laurent._block(1))
-        assert set(distinct_rows(rows)) == set(distinct_rows(list(eqs.values())))
+    # 16 r0 + k d is, up to a positive factor, the row of the same key in the member's own
+    # system, or zero where the member lacks the key
+    n, pencil = laurent._moore_pencil()
+    assert (n, len(pencil), {len(row) for row in pencil}) == (10, 14, {20})
+    for k in range(-8, 17):
+        eqs, _ = laurent._consistency_system(symmetric_divergence_row(Fraction(k, 16)),
+                                             *laurent._block(1))
+        want = set(distinct_rows(list(eqs.values())))
+        assert set(distinct_rows(_member_rows(n, pencil, k))) == want
 
 
-P = laurent._P
-# entries that reduce to 0 or wrap round mod P, among small ones
-_mod_entries = st.one_of(st.integers(-4, 4), st.integers(-3, 3).map(lambda m: m * P),
-                         st.integers(P, 2 * P + 5), st.integers(-2 ** 40, 2 ** 40))
+def test_moore_reduction_facts():
+    # the gamma = 0 rows have full column rank, so one rref brings every member to
+    # [16 I + k B ; k C]; V, the largest B-invariant subspace of ker C, has dimension 4
+    # and B|V the characteristic polynomial x^2 (x + 8)^2
+    n, pencil = laurent._moore_pencil()
+    assert len(rref([row[:n] for row in pencil], n)[1]) == n
+    s, a, det = laurent._moore_reduction()
+    assert len(a) == 4 and {len(row) for row in a} == {4}
+    # a is (s/16) B|V; an independent float characteristic polynomial of 16 a / s
+    charpoly = np.poly(np.array(a, dtype=float) * 16 / s)
+    assert np.allclose(charpoly, [1, 16, 64, 0, 0], atol=1e-9)
+    # so det(16 I + k B|V) = 16384 (k - 2)^2: one double root, gamma = 1/8
+    assert det == [4, -4, 1]
+    assert laurent.moore_family() == {"det_coefficients": [4, -4, 1],
+                                      "singular_gamma": Fraction(1, 8), "nullity": 2}
+
+
+# rational gammas off the scan's sixteenths, and the averaged member itself
+_gammas = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_gammas)
+@example(Fraction(1, 8))
+@example(Fraction(0))
+@example(Fraction(1, 3))
+@example(Fraction(-7, 24))
+@example(Fraction(1, 24))  # k = 2/3: the root's numerator over another denominator
+def test_moore_reduction_gives_every_members_nullity(gamma):
+    s, a, det = laurent._moore_reduction()
+    k = 16 * gamma
+    nullity = laurent._nullity_at(s, a, k)
+    assert nullity == len(consistency_nullspace(symmetric_divergence_row(gamma), 1))
+    # the restricted determinant vanishes exactly where the nullity is positive
+    assert (sum(c * k ** j for j, c in enumerate(det)) == 0) == (nullity > 0)
+
+
+@pytest.mark.parametrize("row", range(10))
+def test_moore_reduction_sees_a_lost_gamma_part(row):
+    # zeroing the gamma part of one of the first ten pencil rows changes the family's answer
+    # against each member solved on its own; the reduction of that broken pencil still gives
+    # the broken pencil's own nullities. (Dropping one row would change nothing: 14 rows
+    # overdetermine the 10 unknowns.)
+    n, pencil = laurent._moore_pencil()
+    broken = [(*r[:n], *[0] * n) if i == row else r for i, r in enumerate(pencil)]
+    s, a = laurent._restrict_pencil(n, broken)
+    got = [laurent._nullity_at(s, a, k) for k in range(-8, 17)]
+    want = [len(consistency_nullspace(symmetric_divergence_row(Fraction(k, 16)), 1))
+            for k in range(-8, 17)]
+    assert got != want
+    assert got == [n - len(rref(_member_rows(n, broken, k), n)[1]) for k in range(-8, 17)]
 
 
 @st.composite
-def _mod_matrices(draw, entries=_mod_entries):
-    ncols = draw(st.integers(1, 10))
-    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=12))
-    return rows, ncols
+def _pencils(draw):
+    """[r0 | d] int rows with r0 of full column rank n, and some rational k."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=2 * n, max_size=2 * n),
+                         min_size=n, max_size=n + 3))
+    assume(len(rref([row[:n] for row in rows], n)[1]) == n)
+    return n, rows, draw(st.fractions(min_value=-40, max_value=40, max_denominator=5))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_mod_matrices())
-@example(([], 3))
-@example(([[P]], 1))
-@example(([[P, 0], [0, 1]], 2))
-@example(([[1, 1], [1, 1 + P]], 2))
-def test_rank_mod_never_exceeds_the_exact_rank(matrix):
-    rows, ncols = matrix
-    before = copy.deepcopy(rows)
-    rank = laurent._rank_mod(rows, ncols)
-    exact = len(rref(rows, ncols)[1])
-    assert rows == before
-    # a minor nonzero mod P is a nonzero integer: a full rank mod P is the exact rank
-    assert rank <= exact
-    assert rank < ncols or exact == ncols
+@given(_pencils())
+@example((1, [[2, 1]], Fraction(-32)))
+@example((2, [[2, 0, 1, 1], [0, 3, 0, 2]], Fraction(-24)))
+@example((2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], Fraction(7, 3)))
+# B = I, and V's basis vectors carry the denominators 2 and 3
+@example((4, [[int(i == j) for j in range(4)] * 2 for i in range(4)]
+          + [[0, 0, 0, 0, 2, 0, 1, 0], [0, 0, 0, 0, 0, 3, 0, 1]], Fraction(-16)))
+def test_restricted_pencil_keeps_every_members_nullity(pencil):
+    # any pencil, pivots and basis denominators other than 1 included: s I + k a has the
+    # nullity of 16 r0 + k d, and its determinant vanishes exactly where that is positive
+    n, rows, k = pencil
+    s, a = laurent._restrict_pencil(n, rows)
+    member = [[16 * k.denominator * x + k.numerator * y for x, y in zip(row[:n], row[n:])]
+              for row in rows]
+    nullity = n - len(rref(member, n)[1])
+    assert laurent._nullity_at(s, a, k) == nullity
+    det = laurent._det_pencil(s, a)
+    assert (sum(c * k ** j for j, c in enumerate(det)) == 0) == (nullity > 0)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_mod_matrices(st.integers(-1, 1)))
-def test_rank_mod_is_exact_on_sign_matrices(matrix):
-    # a minor of at most 10 rows of entries in {-1, 0, 1} is at most 10^5 < P (Hadamard),
-    # so none vanishes mod P alone
-    rows, ncols = matrix
-    assert laurent._rank_mod(rows, ncols) == len(rref(rows, ncols)[1])
-
-
-def test_nullity_falls_back_where_the_rank_drops_only_mod_p():
-    assert laurent._rank_mod([[P]], 1) == 0
-    assert laurent._nullity([[P]], 1) == 0
-    assert laurent._rank_mod([[P, 0], [0, 1]], 2) == 1
-    assert laurent._nullity([[P, 0], [0, 1]], 2) == 0
-    assert laurent._nullity([[1, 2], [2, 4], [0, 0]], 2) == 1
-    assert laurent._nullity([], 3) == 3
+def test_only_root():
+    assert laurent._only_root([4, -4, 1]) == 2
+    assert laurent._only_root([-8, 12, -6, 1]) == 2
+    assert laurent._only_root([1, -6, 12, -8]) == Fraction(1, 2)
+    assert laurent._only_root([-1, 3]) == Fraction(1, 3)
+    # two distinct roots, complex roots, or none at all
+    assert laurent._only_root([2, -3, 1]) is None
+    assert laurent._only_root([1, 0, 1]) is None
+    assert laurent._only_root([5]) is None
 
 
 def test_operator_identity_check():

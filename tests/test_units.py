@@ -57,7 +57,11 @@ def test_analyze_ladder_matches_claim(grid, eps, scheme, capsys):
 # the CFL half of the ladder: dx:dy, the smaller width the unit square's 1/64
 CFL_LADDER = ((1, 1), (1, Fraction(11, 10)), (1, 2), (1, 10), (2, 1), (10, 1))
 # the von Neumann limit of nu = (c/eps) dt / min(dx, dy) at r = max(dx, dy) / min(dx, dy)
-VON_NEUMANN_LIMIT = {"roe": lambda r: r / (1 + r), "multid": lambda r: 1}
+# below theirs lowmach2 and lowmach3 still grow like N, weakly, which the sweep's 500 steps
+# on the vortex do not reach
+VON_NEUMANN_LIMIT = {"roe": lambda r: r / (1 + r), "multid": lambda r: 1,
+                     "lowmach2": lambda r: r / (2 * (1 + r)),
+                     "lowmach3": lambda r: r / (2 * (1 + r))}
 
 
 @pytest.mark.parametrize("scheme", sorted(VON_NEUMANN_LIMIT))
