@@ -14,7 +14,7 @@ from acousticfd import (
     make_scheme,
 )
 
-grid = GridSpec.unit_square(32)
+grid = GridSpec(32, 32)
 params = AcousticParams(c=1.0, eps=0.1)
 phases = generic_phases(200)
 

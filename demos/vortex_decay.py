@@ -8,7 +8,7 @@ import sys
 from acousticfd import AcousticParams, GridSpec, make_scheme, vortex_benchmark
 
 out_dir = sys.argv[1] if len(sys.argv) > 1 else None
-grid = GridSpec.unit_square(50)
+grid = GridSpec(50, 50)
 cfl = 0.45
 
 print("Roe on the %dx%d vortex, horizon 3*eps at cfl %.2f" % (grid.nx, grid.ny, cfl))

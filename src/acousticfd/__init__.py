@@ -9,12 +9,12 @@ from .grid import (AcousticParams, FieldSet, GridSpec, as_fraction,
                    l1_norm_central_diff, write_field_csv)
 from .stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                        averaged_div, central_bracket, central_div,
-                       consistent_diffusion, curl_of, diff_half, dimsplit_div,
+                       consistent_diffusion, diff_half, dimsplit_div,
                        rational_string, second_bracket, smooth_bracket,
                        sum_half, tx, ty)
 from .laurent import (consistency_nullspace, has_rank_two, moore_family,
                       moore_symmetry_scan, operator_identity_check, rref, rref_nullspace,
-                      spans_match, symmetric_divergence_row, taylor_expand)
+                      spans_match, symmetric_divergence_row)
 from .fourier import (KernelDimensionError, det_scan, eigenvalue_scaling_check,
                       generic_phases, kernel_dim, left_kernel, right_kernel,
                       structured_phases)

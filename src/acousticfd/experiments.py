@@ -209,19 +209,12 @@ def write_timeseries_csv(path, times, values, metadata):
     write_json(str(path) + ".meta.json", metadata)
 
 
-def _benchmark_probes(grid):
-    # both read u of a block's states inside the march's ring and share one scratch, sized
-    # at the first sample, which comes after the march is built
-    scratch = []
-
-    def l1(axis):
-        def probe(stack):
-            if not scratch:
-                r = (stack.shape[2] - grid.nx) // 2
-                scratch.extend(l1_scratch(grid, ring_slots(grid, r), r))
-            return l1_norm_central_diff(stack[:, 0], axis, grid, scratch)
-        return probe
-    return {"dux_l1": l1(0), "duy_l1": l1(1)}
+def _benchmark_probes(grid, radius):
+    # both read u of a block's states inside the march's ring, `radius` cells wide, and
+    # share one scratch
+    scratch = l1_scratch(grid, ring_slots(grid, radius), radius)
+    return {"dux_l1": lambda stack: l1_norm_central_diff(stack[:, 0], 0, grid, scratch),
+            "duy_l1": lambda stack: l1_norm_central_diff(stack[:, 0], 1, grid, scratch)}
 
 
 def vortex_benchmark(spec, t_end, cfl, out_dir=None):
@@ -237,8 +230,8 @@ def vortex_benchmark(spec, t_end, cfl, out_dir=None):
     # vortex is sampled, so a run refused as a usage error warns of nothing
     control = StepControl(cfl=cfl, t_end=float(t_end))
     control.steps(cfl_dt(params, grid, cfl))
-    spec.stencil
-    result = run(spec, gresho_vortex(grid), control, probes=_benchmark_probes(grid))
+    probes = _benchmark_probes(grid, spec.stencil.radius)
+    result = run(spec, gresho_vortex(grid), control, probes=probes)
     entry = {"eps": params.eps, "t_end": control.t_end, "n_steps": result.n_steps,
              "dt": result.dt}
     # a probe of a finite state can still overflow: such a value, and a ratio of them that
@@ -285,9 +278,6 @@ def vortex_benchmark(spec, t_end, cfl, out_dir=None):
         write_json(ffield + ".meta.json", dict(meta, kind="final_field"))
         files["final_field"] = fbase
         entry["files"] = files
-        sbase = "%s_summary.json" % name
-        write_json(os.path.join(out_dir, sbase), report)
-        report["summary_file"] = sbase
     return report
 
 

@@ -47,10 +47,6 @@ class GridSpec:
                 raise ValueError("cell widths must be positive and finite, got %s = %r"
                                  % (name, getattr(self, name)))
 
-    @staticmethod
-    def unit_square(nx, ny=None):
-        return GridSpec(nx, nx if ny is None else ny)
-
     # exact binary values of the stored spacings; used to bind stencil
     # coefficients so the float weights are single-rounded
     @property
@@ -128,16 +124,6 @@ class FieldSet:
 
     def norm_inf(self):
         return float(np.max(np.abs(self.q)))
-
-    @staticmethod
-    def zeros(grid):
-        return FieldSet(grid, np.zeros((3, grid.nx, grid.ny)))
-
-    @staticmethod
-    def constant(grid, u=0.0, v=0.0, p=0.0):
-        q = np.empty((3, grid.nx, grid.ny))
-        q[0], q[1], q[2] = u, v, p
-        return FieldSet(grid, q)
 
 
 def l1_norm_central_diff(component, axis, grid, out=None):

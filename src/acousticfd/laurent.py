@@ -365,28 +365,3 @@ def has_rank_two(m):
         return False
     return (any(not f.is_zero() for f in first)
             or any(not cofactor(r, c).is_zero() for r in (1, 2) for c in range(3)))
-
-
-def taylor_expand(row, order):
-    """Taylor rows of a VecStencilRow as exact rationals.
-
-    Returns {(comp, m, n, P, Q): Fraction}: the operator applied to smooth
-    (u, v) is the sum of coef * dx^P dy^Q * d^m/dx^m d^n/dy^n of component
-    comp, for m + n <= order.
-    """
-    if order > 8:
-        raise ValueError("order capped at 8")
-    out = {}
-    for comp, st in (("u", row.bu), ("v", row.bv)):
-        px, py = st.units
-        for (hx, hy), c in st.coeffs.items():
-            ax = Fraction(hx, 2)
-            ay = Fraction(hy, 2)
-            for m in range(order + 1):
-                for nn in range(order + 1 - m):
-                    coef = c * ax ** m * ay ** nn / (math.factorial(m) * math.factorial(nn))
-                    if coef == 0:
-                        continue
-                    key = (comp, m, nn, m + px, nn + py)
-                    out[key] = out.get(key, Fraction(0)) + coef
-    return {k: c for k, c in out.items() if c != 0}

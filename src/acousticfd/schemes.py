@@ -58,7 +58,9 @@ class SchemeSpec:
 
     @property
     def claims(self):
-        """A split scheme preserves stationarity iff a1 = 0; multid always does."""
+        """A split scheme preserves stationarity iff a1 = 0; multid always does.
+        `expected_max_cfl` is the forward-Euler limit on square cells: at aspect ratio
+        r = max(dx, dy)/min(dx, dy), roe's is r/(1+r) and multid's stays 1."""
         claims = {"stationarity_preserving": self.diffusion is None or self.diffusion[0] == 0}
         if self.name in EXPECTED_MAX_CFL:
             claims["expected_max_cfl"] = EXPECTED_MAX_CFL[self.name]

@@ -281,11 +281,6 @@ def consistent_diffusion(c1, c2):
     return VecStencilRow(bu, bv)
 
 
-def curl_of(div_row):
-    """Row for the substitution (u, v) -> (v, -u): bu(u)+bv(v) becomes -bv(u)+bu(v)."""
-    return VecStencilRow(-div_row.bv, div_row.bu)
-
-
 # a march keeps up to 8 states resident: as many as fit in RING_BYTES, and at least two
 RING_BYTES = 1 << 20
 

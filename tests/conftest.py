@@ -6,7 +6,7 @@ from acousticfd import AcousticParams, GridSpec
 
 @pytest.fixture
 def square_grid():
-    return GridSpec.unit_square(16)
+    return GridSpec(16, 16)
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """Test-only helpers that no command runs: a JSON loader that refuses NaN and Infinity, a
 scheme whose symbol has its p-column added to its u-column, the identity stencil, a
 dict-of-Fraction reference model of ScalarStencil, the float application of a divergence
-row and of a vorticity row, the cross-consistency of two divergence rows, the observed
+row and of a vorticity row, the cross-consistency of two divergence rows, the curl of a
+divergence row, the exact Taylor rows of a stencil row, the observed
 convergence order of a divergence row, the scalar Halton phases that
 `fourier.generic_phases` must reproduce bitwise, the unitless continuous generator whose
 SVD checks `det_scan`'s closed-form kernel dimension, the scaling law by rebuilding, the
@@ -21,7 +22,7 @@ import numpy as np
 from acousticfd.fourier import GUARD
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec
 from acousticfd.schemes import make_scheme
-from acousticfd.stencils import ScalarStencil
+from acousticfd.stencils import ScalarStencil, VecStencilRow
 
 SP_NAMES = ("central", "lowmach1", "lowmach2", "lowmach3", "multid")
 
@@ -117,6 +118,36 @@ def cross_consistency(B, A):
     return (B.bu * A.bv - B.bv * A.bu).is_zero()
 
 
+def curl_of(div_row):
+    """Row for the substitution (u, v) -> (v, -u): bu(u)+bv(v) becomes -bv(u)+bu(v)."""
+    return VecStencilRow(-div_row.bv, div_row.bu)
+
+
+def taylor_expand(row, order):
+    """Taylor rows of a VecStencilRow as exact rationals.
+
+    Returns {(comp, m, n, P, Q): Fraction}: the operator applied to smooth
+    (u, v) is the sum of coef * dx^P dy^Q * d^m/dx^m d^n/dy^n of component
+    comp, for m + n <= order.
+    """
+    if order > 8:
+        raise ValueError("order capped at 8")
+    out = {}
+    for comp, st in (("u", row.bu), ("v", row.bv)):
+        px, py = st.units
+        for (hx, hy), c in st.coeffs.items():
+            ax = Fraction(hx, 2)
+            ay = Fraction(hy, 2)
+            for m in range(order + 1):
+                for nn in range(order + 1 - m):
+                    coef = c * ax ** m * ay ** nn / (math.factorial(m) * math.factorial(nn))
+                    if coef == 0:
+                        continue
+                    key = (comp, m, nn, m + px, nn + py)
+                    out[key] = out.get(key, Fraction(0)) + coef
+    return {k: c for k, c in out.items() if c != 0}
+
+
 def divergence_observed_order(row_factory, sizes=(16, 32, 64, 128)):
     """Convergence order of a divergence row against a smooth analytic field.
 
@@ -125,7 +156,7 @@ def divergence_observed_order(row_factory, sizes=(16, 32, 64, 128)):
     """
     errs, hs = [], []
     for n in sizes:
-        grid = GridSpec.unit_square(n)
+        grid = GridSpec(n, n)
         x, y = grid.cell_centers()
         u = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
         v = np.cos(4 * np.pi * x) * np.sin(2 * np.pi * y)

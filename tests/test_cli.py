@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from acousticfd import cli
+from acousticfd import cli, laurent
 from acousticfd.cli import (COMMANDS, EXIT_FAIL, EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, OPTIONS,
                             READS, SUBCOMMANDS, build_parser, main, merge_config, table_parse)
 from acousticfd.experiments import gresho_vortex, write_timeseries_csv
@@ -754,7 +754,7 @@ def test_traced_names_resolve():
 def test_traced_det_scan_counts_resolve():
     # a traced analyze records (samples, generic samples, withheld) from det_scan's result
     tracing = _load_clibench("tracing")
-    spec = make_scheme("multid", AcousticParams(c=1.0, eps=0.01), GridSpec.unit_square(24))
+    spec = make_scheme("multid", AcousticParams(c=1.0, eps=0.01), GridSpec(24, 24))
     scan = det_scan(spec)
     assert tracing.EXTRAS["fourier.det_scan"]((), {}, scan) == [248, 200, 0]
 
@@ -763,7 +763,7 @@ def test_traced_counts_resolve(tmp_path):
     # each other count the tracer records, read off the real arguments and result of its call
     tracing = _load_clibench("tracing")
     extras = tracing.EXTRAS
-    grid = GridSpec.unit_square(8)
+    grid = GridSpec(8, 8)
     spec = make_scheme("roe", AcousticParams(c=1.0, eps=0.5), grid)
     state = gresho_vortex(grid)
     args = (spec.stencil, state.q)
@@ -916,6 +916,21 @@ def test_certify_fails_when_the_family_is_singular_off_the_averaged_member(monke
     doc = strict_json(out)
     assert doc["certified"] is False and doc["moore_family"]["singular_gamma"] is None
     assert "[2, -3, 1]" in err
+
+
+def test_certify_fails_on_the_family_line_alone_when_its_root_moves(monkeypatch, capsys):
+    # det (k - 1)^2 puts the one singular member at gamma = 1/16: the scan, read off the same
+    # determinant, finds no member with a nullspace, and the family check is the one that fails
+    s, a, _ = laurent._moore_reduction()
+    monkeypatch.setattr(laurent, "_moore_reduction", lambda: (s, a, [1, -2, 1]))
+    assert main(["certify"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    doc = strict_json(out)
+    assert doc["moore_family"]["singular_gamma"] == "0.0625"
+    assert len(doc["symmetry_scan"]) == 25
+    assert all(r["dim"] == 0 for r in doc["symmetry_scan"])
+    assert len(doc["failures"]) == 1 and "[1, -2, 1]" in doc["failures"][0]
+    assert err.splitlines() == ["FAIL: " + doc["failures"][0]]
 
 
 def test_certify_identity_only(capsys):

@@ -33,12 +33,11 @@ from acousticfd.schemes import make_scheme
 from acousticfd.stencils import (
     averaged_div,
     central_div,
-    curl_of,
     dimsplit_div,
 )
 
-from helpers import (SP_NAMES, conserved_apply, divergence_observed_order, p_column_added_to_u,
-                     row_apply, weight_norm)
+from helpers import (SP_NAMES, conserved_apply, curl_of, divergence_observed_order,
+                     p_column_added_to_u, row_apply, weight_norm)
 
 
 def _continuous_vortex_velocity(xx, yy):
@@ -53,7 +52,7 @@ def _continuous_vortex_velocity(xx, yy):
 
 
 def test_vortex_far_field_and_peak():
-    grid = GridSpec.unit_square(50)
+    grid = GridSpec(50, 50)
     state = gresho_vortex(grid)
     # corners lie outside r2: quiescent with background pressure
     for i, j in ((0, 0), (0, 49), (49, 0), (49, 49)):
@@ -85,7 +84,7 @@ def test_vortex_analytically_divergence_free():
 
 
 def test_sampled_vortex_not_discretely_stationary():
-    grid = GridSpec.unit_square(50)
+    grid = GridSpec(50, 50)
     state = gresho_vortex(grid)
     resid = np.max(np.abs(row_apply(central_div(), state.u, state.v, grid)))
     # small (the profile is divergence free) but far from machine zero
@@ -111,7 +110,7 @@ def test_vortex_centre_outside_domain_warning():
 def test_stream_velocity_exact_kernel_membership():
     rng = np.random.default_rng(4)
     rows = [averaged_div(), central_div(), dimsplit_div(Fraction(-1, 3) / 2 ** 2)]
-    grids = [GridSpec.unit_square(7), GridSpec(12, 10, 0.05, 0.07),
+    grids = [GridSpec(7, 7), GridSpec(12, 10, 0.05, 0.07),
              GridSpec(9, 16, 0.25, 0.01)]
     for grid in grids:
         psi = rng.standard_normal((grid.nx, grid.ny))
@@ -136,7 +135,7 @@ def test_stationarity_residual_split(square_grid, params):
         assert stationarity_residual(spec, state) <= 1e-12
     roe = make_scheme("roe", params, square_grid)
     assert stationarity_residual(roe, kernel_adapted_state(roe, seed=3)) >= 1e-3
-    assert stationarity_residual(roe, FieldSet.zeros(square_grid)) == 0.0
+    assert stationarity_residual(roe, FieldSet(square_grid, np.zeros((3, 16, 16)))) == 0.0
 
 
 def test_kernel_adapted_dyadic_state(square_grid, params):
@@ -180,7 +179,7 @@ def test_extracted_operator_multid_pressure_weight(square_grid, aniso_grid, para
     assert not an[2].is_zero()
 
 
-MISMATCH_GRIDS = [GridSpec.unit_square(24), GridSpec(12, 7, 1e-3, 0.07)]
+MISMATCH_GRIDS = [GridSpec(24, 24), GridSpec(12, 7, 1e-3, 0.07)]
 
 
 @pytest.mark.parametrize("grid", MISMATCH_GRIDS, ids=["24", "12x7"])
@@ -290,7 +289,7 @@ def test_divergence_observed_order_quick():
 
 
 def test_vortex_benchmark_report(tmp_path):
-    grid = GridSpec.unit_square(24)
+    grid = GridSpec(24, 24)
     spec = make_scheme("roe", AcousticParams(c=1.0, eps=0.5), grid)
     report = vortex_benchmark(spec, 0.05, cfl=0.45, out_dir=str(tmp_path))
     assert report["scheme"] == "roe"
@@ -305,11 +304,19 @@ def test_vortex_benchmark_report(tmp_path):
         assert os.sep not in files[key]
         assert os.path.exists(os.path.join(tmp_path, files[key]))
     assert os.path.exists(os.path.join(tmp_path, files["final_field"] + ".meta.json"))
-    summary = os.path.join(tmp_path, report["summary_file"])
-    with open(summary) as fh:
-        doc = json.load(fh)
-    assert doc["runs"][0]["eps"] == 0.5
     t, v = np.loadtxt(os.path.join(tmp_path, files["dux_l1"]), delimiter=",",
                       skiprows=1, unpack=True)
     assert t[0] == 0.0 and len(t) == len(v) >= 2
     assert v[0] == pytest.approx(run0["initial_dux_l1"])
+
+
+def test_vortex_runs_into_one_directory_write_only_the_files_they_list(tmp_path):
+    # each run's report lists its files, and each file has its .meta.json sidecar; no file
+    # beside them is shared between the runs, so none holds only the last one
+    listed = []
+    for eps in (1.0, 0.1):
+        spec = make_scheme("roe", AcousticParams(c=1.0, eps=eps), GridSpec(16, 16))
+        report = vortex_benchmark(spec, 0.02, cfl=0.45, out_dir=str(tmp_path))
+        listed += report["runs"][0]["files"].values()
+    assert len(set(listed)) == 6
+    assert sorted(os.listdir(tmp_path)) == sorted(listed + [f + ".meta.json" for f in listed])

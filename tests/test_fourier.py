@@ -220,7 +220,7 @@ def test_det_scan_verdicts(square_grid, params):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_sigma_ratio_is_never_negative_zero(name):
     # the full SVD can return the smallest singular value as -0.0
-    spec = make_scheme(name, AcousticParams(c=1.0, eps=1.0), GridSpec.unit_square(24))
+    spec = make_scheme(name, AcousticParams(c=1.0, eps=1.0), GridSpec(24, 24))
     ratios = [r["sigma_min_ratio"] for r in det_scan(spec, phases=generic_phases(200)).records]
     assert not np.signbit(ratios).any()
 

@@ -16,14 +16,14 @@ def test_grid_validation():
     for dx, dy, bad in ((np.inf, 0.1, "dx = inf"), (0.1, np.nan, "dy = nan")):
         with pytest.raises(ValueError, match="positive and finite, got " + bad):
             GridSpec(nx=8, ny=8, dx=dx, dy=dy)
-    g = GridSpec.unit_square(50)
+    g = GridSpec(50, 50)
     assert g.nx == g.ny == 50
     assert g.dx == g.dy == 0.02
     assert g.min_spacing == 0.02
 
 
 def test_grid_exact_spacings():
-    g = GridSpec.unit_square(64)
+    g = GridSpec(64, 64)
     # 1/64 is a binary fraction, exact both ways
     assert g.dx_exact == Fraction(1, 64)
     assert float(g.dx_exact) == g.dx
@@ -55,8 +55,8 @@ def test_params_exact_twins():
 
 
 def test_fieldset_views_and_copy():
-    g = GridSpec.unit_square(4)
-    f = FieldSet.zeros(g)
+    g = GridSpec(4, 4)
+    f = FieldSet(g, np.zeros((3, 4, 4)))
     f.u[1, 1] = 3.0
     assert f.q[0, 1, 1] == 3.0
     f2 = f.copy()
@@ -75,8 +75,8 @@ def test_fieldset_checks_the_shape_of_q():
 
 
 def test_l1_norm_constant_is_zero():
-    g = GridSpec.unit_square(8)
-    f = FieldSet.constant(g, u=7.0)
+    g = GridSpec(8, 8)
+    f = FieldSet(g, np.full((3, 8, 8), 7.0))
     assert l1_norm_central_diff(f.u, 0, g) == 0.0
     assert l1_norm_central_diff(f.u, 1, g) == 0.0
 
@@ -91,7 +91,7 @@ def test_l1_norm_linear_ramp_summation_oracle():
 
 
 def test_l1_norm_sine_refined():
-    g = GridSpec.unit_square(64)
+    g = GridSpec(64, 64)
     x, _ = g.cell_centers()
     u = np.sin(2 * np.pi * x)
     # integral of |2 pi cos(2 pi x)| over the unit square is 4
@@ -99,14 +99,14 @@ def test_l1_norm_sine_refined():
 
 
 def test_l1_norm_homogeneous(rng):
-    g = GridSpec.unit_square(8)
+    g = GridSpec(8, 8)
     u = rng.standard_normal((8, 8))
     base = l1_norm_central_diff(u, 0, g)
     assert l1_norm_central_diff(-2.5 * u, 0, g) == pytest.approx(2.5 * base, rel=1e-13)
 
 
 def test_periodic_translation_invariance(rng):
-    g = GridSpec.unit_square(8)
+    g = GridSpec(8, 8)
     u = rng.standard_normal((8, 8))
     for axis in (0, 1):
         assert l1_norm_central_diff(np.roll(u, 3, axis=axis), axis, g) == \
@@ -262,7 +262,7 @@ def test_l1_norm_rejects_any_non_finite_cell(bad):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_l1_norm_overflow_returns_inf():
     # finite input whose differences overflow is not an error
-    g = GridSpec.unit_square(4)
+    g = GridSpec(4, 4)
     u = np.zeros((4, 4))
     u[0], u[2] = 1e308, -1e308
     assert l1_norm_central_diff(u, 0, g) == np.inf
@@ -276,7 +276,7 @@ def test_l1_norm_overflow_returns_inf():
 
 
 def test_field_csv_roundtrip(tmp_path, rng):
-    g = GridSpec.unit_square(5)
+    g = GridSpec(5, 5)
     f = FieldSet(g, rng.standard_normal((3, 5, 5)))
     path = tmp_path / "field.csv"
     write_field_csv(path, f)

@@ -21,7 +21,6 @@ from acousticfd.laurent import (
     rref_nullspace,
     spans_match,
     symmetric_divergence_row,
-    taylor_expand,
 )
 from acousticfd.schemes import make_scheme
 from acousticfd.stencils import (
@@ -36,7 +35,7 @@ from acousticfd.stencils import (
     ty,
 )
 
-from helpers import cross_consistency
+from helpers import cross_consistency, taylor_expand
 
 
 def test_poly_arithmetic():

@@ -316,7 +316,8 @@ def test_vortex_probes_on_a_blow_up_surface_the_instability(case):
                 raise
         return probe
 
-    probes = {name: watched(fn) for name, fn in _benchmark_probes(spec.grid).items()}
+    probes = _benchmark_probes(spec.grid, spec.stencil.radius)
+    probes = {name: watched(fn) for name, fn in probes.items()}
     step = assert_instability_matches_reference(spec, q0, cfl, 4 * B, probes=probes)
     assert 2 * B < step <= 3 * B
     assert not raised
@@ -381,7 +382,7 @@ def test_vortex_pass_calls_the_l1_probe_3210_times(monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "l1_norm_central_diff", counting)
     assert main(["simulate", "--scheme", "roe", "--grid", "64", "--eps", "0.01",
                  "--t-end", repr(30 * 0.01), "--out", str(tmp_path / "D")]) == 0
-    assert ring_slots(GridSpec.unit_square(64), 1) == 8
+    assert ring_slots(GridSpec(64, 64), 1) == 8
     assert len(calls) == 1070 and sum(calls) == 2 * (1 + 4267)
     assert 3 * len(calls) == 3210
 
@@ -414,7 +415,7 @@ def test_blocks_walk_the_ring_in_full_blocks_and_one_last(n_steps, seed):
 @pytest.mark.parametrize("n, slots", [(64, 8), (200, 2)])
 def test_ring_holds_eight_slots_at_64_and_two_at_200(n, slots):
     # up to 8 states fit in RING_BYTES at 64^2; from about 128^2 up a ring keeps two
-    spec = make_scheme("multid", AcousticParams(c=1.0, eps=0.01), GridSpec.unit_square(n))
+    spec = make_scheme("multid", AcousticParams(c=1.0, eps=0.01), GridSpec(n, n))
     ws = spec.stencil.workspace()
     assert ring_slots(spec.grid, spec.stencil.radius) == slots
     assert ws.ring.shape == (slots, 3, n + 2, n + 2) and ws.ring.flags.c_contiguous
@@ -463,7 +464,8 @@ def test_unstable_simulate_exits_3_without_runtime_warning(tmp_path):
 
 
 # sha256 of every file `simulate --scheme S --grid 16 --out D` writes, recorded before
-# the march planned its views once and the vortex probes read the resident halo
+# the march planned its views once and the vortex probes read the resident halo;
+# simulate_S.json re-recorded when it dropped its `summary_file` key
 SIMULATE_SHA256 = {
     "roe": {
         "roe_eps1_dux_l1.csv": "fb3b1949eb50769b07123264c595942059833ae667f43dad8c530d696a289bac",
@@ -472,8 +474,7 @@ SIMULATE_SHA256 = {
         "roe_eps1_duy_l1.csv.meta.json": "492222da32d9e0e792bc6482a709872213566db606258fb36372aee3f68cc1ff",
         "roe_eps1_final.csv": "6122a83465cb38b19779b481e8c42bbeb50d92f552d035fb4da02f974d4bbe58",
         "roe_eps1_final.csv.meta.json": "be96c18480a2c2b56e3bbb7ff89a03da8cde823a9830c140a7f3f8dfa673667c",
-        "roe_summary.json": "628fdd115c98d1bf45f615dd5c996244039e2b006850a55a7a9163a90aa80d8f",
-        "simulate_roe.json": "48e6ae3ef987951bf7b729afa163f7a56752c8cf76b520695cb55571f0bd3c67",
+        "simulate_roe.json": "628fdd115c98d1bf45f615dd5c996244039e2b006850a55a7a9163a90aa80d8f",
     },
     "multid": {
         "multid_eps1_dux_l1.csv": "b160468a31ac9b3a42689bce83ed778568c9fcb8d3786539efe979bd33ccb933",
@@ -482,8 +483,7 @@ SIMULATE_SHA256 = {
         "multid_eps1_duy_l1.csv.meta.json": "3a7a9dd6f6ec89f58bf98051ee6215722ebc91be4142d9e54024c3cbf82dc855",
         "multid_eps1_final.csv": "1b4af767fba1c4a29639aea0e54eb29ac7b744d3b3616272626d13663376e094",
         "multid_eps1_final.csv.meta.json": "bbad987742d8cf351d1b4ab54f4d2212ad747a3962e752cdc55ab2bc569c007a",
-        "multid_summary.json": "0b63dae6b5e61517523c0ada2e67add6c5d07b3fe0ac8371b1db0a0f85f62737",
-        "simulate_multid.json": "a7b0f2a925d428c5246b850d457774de563fc95b254e3322de0eb77267491f05",
+        "simulate_multid.json": "0b63dae6b5e61517523c0ada2e67add6c5d07b3fe0ac8371b1db0a0f85f62737",
     },
 }
 
@@ -505,7 +505,7 @@ def read_series(path):
         return [tuple(float(x) for x in line.split(",")) for line in fh]
 
 
-@pytest.mark.parametrize("grid", [GridSpec.unit_square(16), GridSpec(12, 10, 1 / 12, 0.1)],
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(12, 10, 1 / 12, 0.1)],
                          ids=["square", "aniso"])
 @pytest.mark.parametrize("scheme", ["roe", "multid", "lowmach3"])
 def test_vortex_probes_match_plain_reference_loop(scheme, grid, tmp_path):
@@ -528,7 +528,7 @@ def test_vortex_probes_match_plain_reference_loop(scheme, grid, tmp_path):
 
 @pytest.mark.parametrize("scheme", ["roe", "multid"])
 def test_march_step_allocates_no_state_sized_block(scheme):
-    grid = GridSpec.unit_square(64)
+    grid = GridSpec(64, 64)
     spec = make_scheme(scheme, AcousticParams(c=1.0, eps=0.01), grid)
     march = March(spec).load(gresho_vortex(grid), cfl_dt(spec.params, grid, 0.45))
     stencil_state = dict(vars(spec.stencil))
@@ -560,9 +560,9 @@ def test_march_step_allocates_no_state_sized_block(scheme):
 def test_run_with_probes_allocates_no_state_sized_block_per_block(scheme):
     # between two calls of the last probe lie one block's steps, checks and benchmark
     # probe calls; none of them allocates a state-sized block
-    grid = GridSpec.unit_square(64)
+    grid = GridSpec(64, 64)
     spec = make_scheme(scheme, AcousticParams(c=1.0, eps=0.01), grid)
-    limit = FieldSet.zeros(grid).q.nbytes
+    limit = np.zeros((3, grid.nx, grid.ny)).nbytes
     grown = []
 
     def watch(stack):
@@ -572,7 +572,7 @@ def test_run_with_probes_allocates_no_state_sized_block_per_block(scheme):
         watch.current = tracemalloc.get_traced_memory()[0]
         return [0.0] * len(stack)
 
-    probes = dict(_benchmark_probes(grid), watch=watch)
+    probes = dict(_benchmark_probes(grid, spec.stencil.radius), watch=watch)
     dt = cfl_dt(spec.params, grid, 0.45)
     tracemalloc.start()
     try:
@@ -604,7 +604,7 @@ def test_zero_state_peak_norm_is_positive_zero(kind, zero, square_grid):
     assert math.copysign(1.0, peak) == 1.0
 
 
-@pytest.mark.parametrize("grid", [GridSpec.unit_square(16), GridSpec(12, 10, 1 / 12, 0.1)],
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(12, 10, 1 / 12, 0.1)],
                          ids=["16", "12x10"])
 @pytest.mark.parametrize("eps", [1.0, 0.01])
 @pytest.mark.parametrize("name", CATALOG_NAMES)

@@ -13,11 +13,11 @@ from acousticfd.schemes import CATALOG_NAMES, make_scheme, rhs
 from acousticfd.timestep import StepControl, cfl_dt, run
 from acousticfd.stencils import (MatrixStencil, ScalarStencil, VecStencilRow,
                                  averaged_div, central_bracket, central_div,
-                                 consistent_diffusion, curl_of, diff_half,
+                                 consistent_diffusion, diff_half,
                                  dimsplit_div, rational_string, second_bracket,
                                  smooth_bracket, sum_half, tx, ty)
 
-from helpers import FractionModel, SP_NAMES, identity_stencil, row_apply
+from helpers import FractionModel, SP_NAMES, curl_of, identity_stencil, row_apply
 from matrix_entries import full_box_entries, matrix_stencil
 
 
@@ -124,7 +124,7 @@ def test_divergence_rows_exact_on_linear_fields():
 
 
 def test_central_div_rigid_rotation_and_checkerboard():
-    g = GridSpec.unit_square(8)
+    g = GridSpec(8, 8)
     x, y = g.cell_centers()
     out = row_apply(central_div(), -(y - 0.5), x - 0.5, g)
     assert np.max(np.abs(out[1:-1, 1:-1])) < 1e-13
@@ -134,7 +134,7 @@ def test_central_div_rigid_rotation_and_checkerboard():
 
 
 def test_curl_rows():
-    g = GridSpec.unit_square(8)
+    g = GridSpec(8, 8)
     x, y = g.cell_centers()
     # rigid rotation u = -y, v = x has curl 2, linear so exact
     out = row_apply(curl_of(dimsplit_div(F(1, 2))), -(y - 0.5), x - 0.5, g)
@@ -144,7 +144,7 @@ def test_curl_rows():
     # wave keeps the mode out of the exact discrete kernel
     errs = []
     for n in (16, 32):
-        gg = GridSpec.unit_square(n)
+        gg = GridSpec(n, n)
         xx, yy = gg.cell_centers()
         phi_x = 2 * np.pi * np.cos(2 * np.pi * (xx + 2 * yy))
         phi_y = 4 * np.pi * np.cos(2 * np.pi * (xx + 2 * yy))
@@ -379,7 +379,7 @@ def test_assembled_stencils_digest_unchanged():
     h = hashlib.sha256()
     rng = np.random.default_rng(7)
     phases = rng.uniform(-np.pi, np.pi, (2, 5))
-    for grid in (GridSpec.unit_square(16), GridSpec(12, 7, 1e-3, 0.07)):
+    for grid in (GridSpec(16, 16), GridSpec(12, 7, 1e-3, 0.07)):
         for eps in (1.0, 1e-2, 1e-6):
             for name, kwargs in ([(n, {}) for n in CATALOG_NAMES]
                                  + [("dimsplit", k) for k in DIGEST_DIMSPLIT]):
@@ -475,7 +475,7 @@ def test_apply_sum_rejects_wrong_shape(square_grid):
 @pytest.mark.parametrize("eps", [1.0, 1e-2])
 @pytest.mark.parametrize("name", SP_NAMES)
 def test_dyadic_kernel_states_are_exact_fixed_points(name, eps):
-    grid = GridSpec.unit_square(32)
+    grid = GridSpec(32, 32)
     params = AcousticParams(c=1.0, eps=eps)
     spec = make_scheme(name, params, grid)
     state = kernel_adapted_state(spec, seed=3, dyadic=True)

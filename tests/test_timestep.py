@@ -38,8 +38,8 @@ def test_step_control_validation():
         with pytest.raises(ValueError):
             StepControl(cfl=0.5, t_end=t_end)
     with pytest.raises(ValueError):
-        run(make_scheme("central", AcousticParams(c=1.0, eps=1.0), GridSpec.unit_square(8)),
-            FieldSet.zeros(GridSpec.unit_square(8)),
+        run(make_scheme("central", AcousticParams(c=1.0, eps=1.0), GridSpec(8, 8)),
+            FieldSet(GridSpec(8, 8), np.zeros((3, 8, 8))),
             StepControl(cfl=0.5, t_end=1e9))
 
 
@@ -54,7 +54,7 @@ def test_forward_euler_fixes_stationary_states_bitwise(square_grid, params):
     assert np.array_equal(stepped.q, base.q + 0.01 * tend)
 
 
-@pytest.mark.parametrize("grid", [GridSpec.unit_square(50), GridSpec(12, 20, 0.05, 0.01)],
+@pytest.mark.parametrize("grid", [GridSpec(50, 50), GridSpec(12, 20, 0.05, 0.01)],
                          ids=["default", "aniso"])
 @pytest.mark.parametrize("eps", [1.0, 1e-2])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -76,7 +76,7 @@ def test_forward_euler_step_is_out_of_place_update_bitwise(name, eps, grid):
 def test_one_product_or_step_allocates_two_halos_not_a_ring(scheme):
     # apply_sum and forward_euler_step fill one halo and multiply into a second; the
     # march's ring holds 8 at 64^2, six more halos (0.6 MiB) than either uses
-    grid = GridSpec.unit_square(64)
+    grid = GridSpec(64, 64)
     spec = make_scheme(scheme, AcousticParams(c=1.0, eps=0.01), grid)
     state = gresho_vortex(grid)
     ws = spec.stencil.workspace()
@@ -100,7 +100,7 @@ def test_one_product_or_step_allocates_two_halos_not_a_ring(scheme):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_forward_euler_step_non_finite_raises_with_step(square_grid, params, bad):
     spec = make_scheme("multid", params, square_grid)
-    state = FieldSet.zeros(square_grid)
+    state = FieldSet(square_grid, np.zeros((3, 16, 16)))
     state.v[5, 2] = bad
     with pytest.raises(InstabilityError) as exc:
         forward_euler_step(spec, state, 0.01, step=7)
@@ -132,7 +132,7 @@ def test_two_half_steps_beat_one_full_step(square_grid, params, rng):
 def test_instability_reports_step_and_time(square_grid):
     params = AcousticParams(c=1.0, eps=1.0)
     spec = make_scheme("roe", params, square_grid)
-    state = FieldSet.zeros(square_grid)
+    state = FieldSet(square_grid, np.zeros((3, 16, 16)))
     state.p[3, 4] = 1.0
     with pytest.raises(InstabilityError) as exc:
         run(spec, state, StepControl(cfl=4.0, t_end=150.0))

@@ -20,6 +20,7 @@ from acousticfd.cli import EXIT_OK, main
 from acousticfd.experiments import extract_conserved_operator, json_document
 from acousticfd.fourier import det_scan, generic_phases
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec
+from acousticfd.laurent import has_rank_two
 from acousticfd.schemes import CATALOG_NAMES, make_scheme, rhs
 
 from helpers import SP_NAMES, conserved_apply, weight_norm
@@ -147,3 +148,20 @@ def test_rescaling_changes_no_verdict(fc, feps, lam):
                 q = rng.standard_normal((3, grid.nx, grid.ny))
                 drift = np.max(np.abs(conserved_apply(op, rhs(spec, FieldSet(grid, t * q)))))
                 assert drift <= 1e-11 * scale * np.max(np.abs(q)), name
+
+
+# each width drawn log-uniformly over six decades on its own, so dy/dx spans 1e-6 .. 1e6
+LOG_WIDTH = st.floats(-6.0, 0.0).map(lambda u: float("%.6g" % 10.0 ** u))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dx=LOG_WIDTH, dy=LOG_WIDTH)
+@example(dx=1e-6, dy=1.0)
+@example(dx=1.0, dy=1e-6)
+@example(dx=0.1, dy=0.11)
+def test_aspect_ratio_changes_no_exact_verdict(dx, dy):
+    grid = GridSpec(BASE_GRID.nx, BASE_GRID.ny, dx, dy)
+    for name in CATALOG_NAMES:
+        spec = make_scheme(name, BASE_PARAMS, grid)
+        assert has_rank_two(spec.unitless) is spec.claims["stationarity_preserving"], name
+        assert spec.claims["stationarity_preserving"] is (name in SP_NAMES), name
