@@ -352,9 +352,8 @@ def cmd_sweep(cfg):
     # so is M beyond the float range, naming its entry: derived before the vortex can warn
     checked(getattr, spec, "stencil")
     result = checked(cfl_sweep, spec, gresho_vortex(grid), cfl_grid)
-    result["scheme"] = spec.name
-    result["eps"] = cfg["eps"]
-    result["grid"] = [grid.nx, grid.ny]
+    result.update(scheme=spec.name, eps=cfg["eps"], grid=[grid.nx, grid.ny],
+                  scan="descending, stops at the first stable point")
     emit_json(result, cfg, "sweep_%s.json" % spec.name)
     return EXIT_OK
 

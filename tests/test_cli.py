@@ -770,8 +770,9 @@ def test_traced_counts_resolve(tmp_path):
     assert extras["stencils.apply_sum"](args, {}, spec.stencil.apply_sum(state.q)) == [64, 5]
     args = (spec, state, StepControl(cfl=0.4, t_end=0.05))
     assert extras["timestep.run"](args, {}, run(*args)) == [2, 64]
+    # the scan runs 2.0 (unstable) and then 0.4 (stable), and stops there
     args = (spec, state, [0.1, 0.4, 2.0])
-    assert extras["timestep.cfl_sweep"](args, {}, cfl_sweep(*args, horizon_steps=20)) == [3, 1, 64]
+    assert extras["timestep.cfl_sweep"](args, {}, cfl_sweep(*args, horizon_steps=20)) == [2, 1, 64]
     path = tmp_path / "field.csv"
     assert extras["grid.write_field_csv"]((path, state), {}, write_field_csv(path, state)) == [
         path.stat().st_size]
@@ -999,11 +1000,13 @@ def test_sweep_command_writes_its_document(tmp_path):
     assert rc == EXIT_OK
     doc = _read_json(tmp_path / "sweep_roe.json")
     assert doc["scheme"] == "roe"
-    assert len(doc["results"]) == 32
+    assert doc["scan"] == "descending, stops at the first stable point"
     assert doc["max_stable_cfl"] is not None
     assert 0.3 <= doc["max_stable_cfl"] <= 0.7
-    stable_cfls = {r["cfl"] for r in doc["results"] if r["stable"]}
-    assert doc["max_stable_cfl"] == max(stable_cfls)
+    # the rows run from 1.6 down to the answer: the last one stable, every other one not
+    cfls = [round(0.05 * k, 2) for k in range(32, 0, -1)]
+    assert [r["cfl"] for r in doc["results"]] == cfls[:cfls.index(doc["max_stable_cfl"]) + 1]
+    assert [r["stable"] for r in doc["results"]] == [False] * (len(doc["results"]) - 1) + [True]
 
 
 def test_catalog_listing(capsys):

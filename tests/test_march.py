@@ -104,7 +104,12 @@ def assert_sweep_matches_reference(spec, q0, horizon_steps, growth_factor=2.0):
     report = cfl_sweep(spec, state, cfl_grid, horizon_steps=horizon_steps,
                        growth_factor=growth_factor)
     assert np.array_equal(state.q, q0)
-    assert report["results"] == reference_sweep(spec, q0, cfl_grid, horizon_steps, growth_factor)
+    # the scan runs the reference's rows from the top down and stops at the first stable one
+    rows = reference_sweep(spec, q0, cfl_grid, horizon_steps, growth_factor)[::-1]
+    ran = next((i + 1 for i, row in enumerate(rows) if row["stable"]), len(rows))
+    assert report["results"] == rows[:ran]
+    stable = [row["cfl"] for row in rows if row["stable"]]
+    assert report["max_stable_cfl"] == (max(stable) if stable else None)
 
 
 GRIDS = dict(nx=st.integers(3, 10), ny=st.integers(3, 10),
@@ -433,11 +438,11 @@ def test_full_box_radius_two_stencil_matches_reference_loop(rng):
     assert_sweep_matches_reference(spec, q0, 20)
 
 
-# sha256 of the `sweep --grid 32` JSON documents, recorded before the march
-# kept its state in the halo
+# sha256 of the `sweep --grid 32` JSON documents, recorded when the scan first ran from the
+# top down; each row is the one the ascending scan wrote for its point
 SWEEP_DIGESTS = {
-    "roe": "3084f2f23c93ca9d6a8c2a58138e319ca089b24532b759615fffd7051dce245a",
-    "multid": "9ce389c409845fc264b416b5c069ca99cdce0df626756851f6626dd46bc01501",
+    "roe": "39608163754bc71cefffc5dc83c1b9fc3ac266edb5171c87f30eda0c6616349e",
+    "multid": "5173568cc403015074406e253b68c018d2a3d3387d08ef6da6a4907c470144e2",
 }
 
 

@@ -147,13 +147,32 @@ def test_cfl_sweep_brackets_stability(square_grid):
     rng = np.random.default_rng(2)
     state = FieldSet(square_grid, 0.01 * rng.standard_normal((3, 16, 16)))
     report = cfl_sweep(spec, state, [0.1, 0.4, 1.5, 3.0], horizon_steps=400)
-    by_cfl = {r["cfl"]: r for r in report["results"]}
-    assert by_cfl[0.1]["stable"] and by_cfl[0.4]["stable"]
-    assert not by_cfl[3.0]["stable"]
-    assert report["max_stable_cfl"] is not None
-    assert report["max_stable_cfl"] < 1.5
+    # from the top down: 3.0 and 1.5 fail, 0.4 holds, and 0.1 is never run
+    assert [(r["cfl"], r["stable"]) for r in report["results"]] == [
+        (3.0, False), (1.5, False), (0.4, True)]
+    assert report["max_stable_cfl"] == 0.4
     assert report["normalization"] == CFL_NORMALIZATION
     assert report["initial_norm"] == pytest.approx(state.norm_inf())
+
+
+def test_cfl_sweep_returns_the_largest_stable_point_when_stability_is_not_monotone(monkeypatch):
+    # a stub point rule where 0.1 and 0.3 hold and 0.2 and 0.4 fail: the scan from the top
+    # answers 0.3 and never runs a point below it
+    grid = GridSpec(8, 8, 1.0, 1.0)
+    spec = make_scheme("roe", AcousticParams(c=1.0, eps=1.0), grid)
+    ran = []
+
+    def point(march, horizon_steps, initial, bound):
+        cfl = -march.neg_dt  # dt is the CFL itself on unit cells at c = eps = 1
+        ran.append(cfl)
+        return cfl in (0.1, 0.3), initial
+
+    monkeypatch.setattr("acousticfd.timestep._sweep_point", point)
+    state = FieldSet(grid, np.random.default_rng(4).standard_normal((3, 8, 8)))
+    report = cfl_sweep(spec, state, [0.1, 0.2, 0.3, 0.4])
+    assert ran == [0.4, 0.3]
+    assert report["max_stable_cfl"] == 0.3
+    assert [(r["cfl"], r["stable"]) for r in report["results"]] == [(0.4, False), (0.3, True)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
