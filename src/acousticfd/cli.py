@@ -5,11 +5,9 @@ Exit codes: 0 pass, 1 certification/verdict failure, 2 usage error,
 3 instability during a simulation.
 """
 
-import argparse
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 
@@ -29,27 +27,29 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSTABLE = 3
 
-# every option once: name -> (default, argparse keywords). The flag is --name with "-"
-# for "_" and the name is also the flat JSON config key.
+# every option once: name -> (default, type, metavar or the tuple of choices). The flag is
+# --name with "-" for "_", and the name is also the flat JSON config key. A bool is a switch.
 OPTIONS = {
-    "scheme": (None, {}),
-    "a1": (0.0, {"type": float}),
-    "a2": (0.0, {"type": float}),
-    "a3": (0.0, {"type": float}),
-    "a4": (0.0, {"type": float}),
-    "eps": (1.0, {"type": float}),
-    "c": (1.0, {"type": float}),
-    "grid": ("50", {"metavar": "NX[,NY]"}),
-    "dx": (None, {"type": float}),
-    "dy": (None, {"type": float}),
-    "cfl": (0.45, {"type": float}),
-    "t_end": (0.3, {"type": float}),
-    "k_samples": (200, {"type": int}),
-    "out": (None, {"metavar": "DIR"}),
-    "divergence": ("both", {"choices": ("central", "averaged", "both")}),
-    "radius": (1, {"type": int}),
-    "identity_only": (False, {"action": "store_true"}),
+    "scheme": (None, str, "SCHEME"),
+    "a1": (0.0, float, "A1"),
+    "a2": (0.0, float, "A2"),
+    "a3": (0.0, float, "A3"),
+    "a4": (0.0, float, "A4"),
+    "eps": (1.0, float, "EPS"),
+    "c": (1.0, float, "C"),
+    "grid": ("50", str, "NX[,NY]"),
+    "dx": (None, float, "DX"),
+    "dy": (None, float, "DY"),
+    "cfl": (0.45, float, "CFL"),
+    "t_end": (0.3, float, "T_END"),
+    "k_samples": (200, int, "K_SAMPLES"),
+    "out": (None, str, "DIR"),
+    "divergence": ("both", str, ("central", "averaged", "both")),
+    "radius": (1, int, "RADIUS"),
+    "identity_only": (False, bool, None),
 }
+# the flags' rows: the options and --config, which names the file that sets them
+ROWS = dict(OPTIONS, config=(None, str, "CONFIG"))
 
 GRID_OPTIONS = ("eps", "c", "grid", "dx", "dy")
 SCHEME_OPTIONS = ("scheme", "a1", "a2", "a3", "a4") + GRID_OPTIONS
@@ -66,117 +66,115 @@ SUBCOMMANDS = (
     ("catalog", "list built-in schemes and their claims", GRID_OPTIONS + ("out",)),
 )
 READS = {name: reads for name, _, reads in SUBCOMMANDS}
-# a token read as a negative number, so a flag takes it as its value: argparse's own
-# pattern misses the exponent forms such as -1e-3, while -inf and -nan stay flags
-NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+HELP_FLAGS = ("-h", "--help")
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def build_parser():
-    """The parser with every subcommand, each with its flags: the options its command reads."""
-    ap = argparse.ArgumentParser(prog="acousticfd",
-                                 description="semi-discrete acoustic schemes: "
-                                             "kernel analysis, exact certification, vortex runs",
-                                 allow_abbrev=False)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text, reads in SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p._negative_number_matcher = NEGATIVE_NUMBER
-        p.add_argument("--config", default=None, help="flat JSON config; flags win")
-        for option in reads:
-            # default None marks "not given", so the config can fill it in
-            p.add_argument("--" + option.replace("_", "-"), dest=option, default=None,
-                           **OPTIONS[option][1])
-    return ap
+    """Each command's flag table, {command: {"--flag": option name}}: --config and the
+    options the command reads."""
+    return {command: {flag(name): name for name in ("config",) + reads}
+            for command, reads in READS.items()}
 
 
-def table_parse(argv):
-    """argv read off OPTIONS and READS, without building argparse, as the Namespace that
-    build_parser().parse_args(argv) returns; None for an argv it cannot read exactly: help, an
-    unknown or dropped flag, a missing or malformed value, a bad choice, or a value token that
-    argparse's _parse_optional reads as a flag: one led by "-", unless it is a lone "-", matches
-    NEGATIVE_NUMBER, or holds a space and neither starts "-h" nor names a flag before an "="."""
-    if not argv or argv[0] not in READS:
-        return None
-    values = dict.fromkeys(("config",) + READS[argv[0]])
-    flags = {"--" + name.replace("_", "-"): name for name in values}
-    tokens = iter(argv[1:])
-    for token in tokens:
-        flag, eq, text = token.partition("=")
-        if flag not in flags:
-            return None
-        name = flags[flag]
-        keywords = OPTIONS[name][1] if name in OPTIONS else {}
-        if keywords.get("action") == "store_true":
-            if eq:  # argparse refuses a value for a switch
-                return None
-            values[name] = True
-            continue
-        if not eq:
-            text = next(tokens, None)
-            if text is None or (text.startswith("-") and text != "-"
-                                and not NEGATIVE_NUMBER.match(text)
-                                and (" " not in text or text[:2] == "-h"
-                                     or text.partition("=")[0] in (*flags, "--help"))):
-                return None
-        elif text == "--":  # a missing value, which argparse reads as an empty list
-            return None
-        try:
-            value = keywords.get("type", str)(text)
-        except ValueError:
-            return None
-        if value not in keywords.get("choices", (value,)):
-            return None
-        values[name] = value
-    return argparse.Namespace(command=argv[0], **values)
+FLAGS = build_parser()
 
 
-def parse_args(argv):
-    """The table's Namespace for argv. A line the table declines runs no command: argparse is
-    built only to print help or its error and exit. It takes one such kind, a flag whose `=`
-    value is exactly "--", read by _get_values as an empty list: that flag exits alone."""
-    args = table_parse(argv)
-    if args is None:
-        parser = build_parser()
-        parser.parse_args(argv)
-        flag = next((t[:-3] for t in argv[1:] if re.fullmatch(r"--[^ =]+=--", t)), None)
-        if flag:
-            parser.parse_args([argv[0], flag])
-        parser.error("cannot read %s" % " ".join(argv))
-    return args
+def help_text(command=None):
+    """The help screen of command, or of the program, rendered from SUBCOMMANDS and ROWS."""
+    if command is None:
+        usage = "[-h] {%s} ..." % ",".join(READS)
+        about = "semi-discrete acoustic schemes: kernel analysis, exact certification, vortex runs"
+        rows = [(name, line) for name, line, _ in SUBCOMMANDS]
+    else:
+        usage = command + " [-h] [--flag VALUE] ..."
+        about = dict((name, line) for name, line, _ in SUBCOMMANDS)[command] + \
+            "\n--config reads a flat JSON object of these options; flags win over it"
+        rows = []
+        for text, name in FLAGS[command].items():
+            default, kind, spec = ROWS[name]
+            if kind is not bool:
+                text += " {%s}" % ",".join(spec) if isinstance(spec, tuple) else " " + spec
+            rows.append((text, "default: %s" % default))
+    width = max(len(text) for text, _ in rows) + 2
+    return "usage: acousticfd %s\n\n%s\n\n%s" % (
+        usage, about, "".join("  %-*s%s\n" % (width, text, note) for text, note in rows))
 
 
-def config_tokens(path, command):
-    """A flat JSON config as `--name=value` tokens for `command`'s parser, which checks them
-    as it checks flags. null means not given; keys only other subcommands read are ignored."""
+def convert(name, text, where):
+    """text as option name's value; where, the flag or config key, names it in an error."""
+    _, kind, spec = ROWS[name]
     try:
-        with open(path) as fh:
-            loaded = json.load(fh)
-    except (OSError, ValueError) as err:
-        raise UsageError("cannot read config %s: %s" % (path, err))
-    if not isinstance(loaded, dict):
-        raise UsageError("config must be a flat JSON object")
-    unknown = sorted(set(loaded) - set(OPTIONS))
-    if unknown:
-        raise UsageError("unknown config keys: %s" % ", ".join(unknown))
-    tokens = []
-    for name in READS[command]:
-        value, flag = loaded.get(name), "--" + name.replace("_", "-")
-        switch = OPTIONS[name][1].get("action") == "store_true"
-        if value is None:
-            continue
-        if switch != isinstance(value, bool) or isinstance(value, (list, dict)):
-            raise UsageError("config %s = %s: %s takes %s" % (name, json.dumps(value), flag,
-                             "true or false" if switch else "a string or a number"))
-        # a switch is its flag when true and nothing when false
-        tokens += ([flag] if value else []) if switch else ["%s=%s" % (flag, value)]
-    return tokens
+        value = kind(text)
+    except ValueError:
+        raise UsageError("%s: invalid %s value: %r" % (where, kind.__name__, text))
+    if isinstance(spec, tuple) and value not in spec:
+        raise UsageError("%s: invalid choice: %r (choose from %s)" % (where, text, ", ".join(spec)))
+    return value
 
 
-def merge_config(args):
-    """The options the command reads: flags win over the config, whose tokens were parsed
-    ahead of them, over defaults."""
-    return {key: OPTIONS[key][0] if getattr(args, key) is None else getattr(args, key)
-            for key in READS[args.command]}
+def parse_line(argv):
+    """argv's command and the options its flags give, {name: value}, read off FLAGS; None
+    once -h or --help, if no flag took it as its value, has printed its help. A flag that takes
+    a value takes the text after its "=", else the next token whatever it starts with."""
+    if not argv or argv[0] not in FLAGS:
+        if argv and argv[0] in HELP_FLAGS:
+            sys.stdout.write(help_text())
+            return None
+        raise UsageError("%s (commands: %s)" % ("unknown command %r" % argv[0] if argv else
+                                                "a command is required", ", ".join(READS)))
+    command, tokens, items, given = argv[0], iter(argv[1:]), [], {}
+    for token in tokens:
+        if token in HELP_FLAGS:
+            sys.stdout.write(help_text(command))
+            return None
+        head, eq, text = token.partition("=")
+        name = FLAGS[command].get(head)
+        if name and ROWS[name][1] is bool:  # a switch is its flag alone, with no "="
+            name = FLAGS[command].get(token)
+        elif name and not eq:
+            text = next(tokens, None)
+        items.append((token, name, text))
+    for token, name, text in items:
+        if name is None:
+            raise UsageError("%s takes no %s" % (command, token))
+        if text is None:
+            raise UsageError("%s needs a value" % token)
+        given[name] = True if ROWS[name][1] is bool else convert(name, text, flag(name))
+    return command, given
+
+
+def options(command, given):
+    """The options command reads: the flags given win over their --config file, a flat JSON
+    object whose values are read as the flags' text would be, which wins over the defaults.
+    null means not given; keys only other subcommands read are ignored."""
+    cfg = {name: OPTIONS[name][0] for name in READS[command]}
+    path = given.get("config")
+    if path:
+        try:
+            with open(path) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as err:
+            raise UsageError("cannot read config %s: %s" % (path, err))
+        if not isinstance(loaded, dict):
+            raise UsageError("config must be a flat JSON object")
+        unknown = sorted(set(loaded) - set(OPTIONS))
+        if unknown:
+            raise UsageError("unknown config keys: %s" % ", ".join(unknown))
+        for name in READS[command]:
+            value, switch = loaded.get(name), OPTIONS[name][1] is bool
+            if value is None:
+                continue
+            if switch != isinstance(value, bool) or isinstance(value, (list, dict)):
+                raise UsageError("config %s = %s: %s takes %s" % (
+                    name, json.dumps(value), flag(name),
+                    "true or false" if switch else "a string or a number"))
+            cfg[name] = value if switch else convert(name, "%s" % value, "config " + name)
+    cfg.update((name, value) for name, value in given.items() if name != "config")
+    return cfg
 
 
 class UsageError(Exception):
@@ -229,7 +227,7 @@ def _scheme_kwargs(cfg):
     """dimsplit's finite a1..a4; any other scheme takes them only at their default 0."""
     kwargs = {key: cfg[key] for key in ("a1", "a2", "a3", "a4")}
     if cfg["scheme"] != "dimsplit":
-        given = ["--" + key for key, value in kwargs.items() if value != 0]
+        given = [flag(key) for key, value in kwargs.items() if value != 0]
         if given:
             raise UsageError("%s set dimsplit coefficients; --scheme %s takes none"
                              % (", ".join(given), cfg["scheme"]))
@@ -396,15 +394,14 @@ def make_out_dir(path):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parse_args(argv)
     try:
-        if args.config:
-            # the config's entries go ahead of the flags, so the flags win
-            args = parse_args(argv[:1] + config_tokens(args.config, args.command) + argv[1:])
-        cfg = merge_config(args)
+        line = parse_line(argv)
+        if line is None:
+            return EXIT_OK
+        command, cfg = line[0], options(*line)
         made = make_out_dir(cfg["out"]) if cfg["out"] else []
         try:
-            return COMMANDS[args.command](cfg)
+            return COMMANDS[command](cfg)
         except UsageError:
             # a usage error leaves nothing behind: the directories made for it go again
             for path in made:

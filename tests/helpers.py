@@ -7,18 +7,22 @@ convergence order of a divergence row, the scalar Halton phases that
 `fourier.generic_phases` must reproduce bitwise, the unitless continuous generator whose
 SVD checks `det_scan`'s closed-form kernel dimension, the scaling law by rebuilding, the
 split scheme's evolution matrix and right kernel written directly in phases, the batched
-run probe made from a per-state one, forward Euler taken per Fourier mode, and the
+run probe made from a per-state one, forward Euler taken per Fourier mode, the
 catalog schemes the paper calls stationarity preserving, written out so that no test
-reads them from the claims."""
+reads them from the claims, and argparse's reading of the command line, the oracle the
+CLI's own grammar is checked against."""
 
+import argparse
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from acousticfd.cli import OPTIONS, READS, SUBCOMMANDS, flag
 from acousticfd.fourier import GUARD
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec
 from acousticfd.schemes import make_scheme
@@ -269,3 +273,39 @@ def dimsplit_right_kernel_formula(params, a3, grid, thx, thy):
     return np.array([(a3 * qy - c2 * sy) / (2 * grid.dy),
                      -(a3 * qx - c2 * sx) / (2 * grid.dx),
                      0.0], dtype=complex)
+
+
+# the tokens the oracle reads as negative numbers, so a flag takes them as its value:
+# argparse's own pattern misses the exponent forms such as -1e-3
+NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
+def argparse_oracle():
+    """argparse's parser for cli.SUBCOMMANDS, each subcommand with --config and the flags of
+    the options its command reads, built from cli.OPTIONS. Every default is None: not given."""
+    ap = argparse.ArgumentParser(prog="acousticfd", allow_abbrev=False)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_text, reads in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p._negative_number_matcher = NEGATIVE_NUMBER
+        p.add_argument("--config", default=None)
+        for option in reads:
+            _, kind, spec = OPTIONS[option]
+            keywords = ({"action": "store_true"} if kind is bool
+                        else dict(type=kind, choices=spec) if isinstance(spec, tuple)
+                        else dict(type=kind, metavar=spec))
+            p.add_argument(flag(option), dest=option, default=None, **keywords)
+    return ap
+
+
+def oracle_given(argv):
+    """argv's command and the options argparse reads off its flags, --config among them:
+    the oracle of cli.parse_line."""
+    args = vars(argparse_oracle().parse_args(argv))
+    return args.pop("command"), {key: value for key, value in args.items() if value is not None}
+
+
+def oracle_options(argv):
+    """The options argparse gives argv's command: its flags over cli.OPTIONS' defaults."""
+    command, given = oracle_given(argv)
+    return {key: given.get(key, OPTIONS[key][0]) for key in READS[command]}

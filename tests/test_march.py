@@ -609,13 +609,12 @@ def test_zero_state_peak_norm_is_positive_zero(kind, zero, square_grid):
     assert math.copysign(1.0, peak) == 1.0
 
 
-@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(12, 10, 1 / 12, 0.1)],
-                         ids=["16", "12x10"])
-@pytest.mark.parametrize("eps", [1.0, 0.01])
-@pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_run_matches_fourier_propagator(name, eps, grid):
+FOURIER_GRIDS = {"16": GridSpec(16, 16), "12x10": GridSpec(12, 10, 1 / 12, 0.1)}
+
+
+def assert_run_matches_fourier_propagator(spec):
     # an oracle that shares only the symbol with the march: 200 steps taken per mode
-    spec = make_scheme(name, AcousticParams(c=1.0, eps=eps), grid)
+    grid = spec.grid
     q0 = np.random.default_rng(29).standard_normal((3, grid.nx, grid.ny))
     cfl = 0.2
     dt = cfl_dt(spec.params, grid, cfl)
@@ -623,3 +622,21 @@ def test_run_matches_fourier_propagator(name, eps, grid):
     assert out.n_steps == 200
     ref = fourier_propagate(spec, q0, dt, 200)
     assert np.max(np.abs(out.final_state.q - ref.real)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid", list(FOURIER_GRIDS.values()), ids=list(FOURIER_GRIDS))
+@pytest.mark.parametrize("eps", [1.0, 0.01])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_run_matches_fourier_propagator(name, eps, grid):
+    assert_run_matches_fourier_propagator(make_scheme(name, AcousticParams(c=1.0, eps=eps), grid))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(a1=st.floats(0, 2), a2=st.floats(-2, 2), a3=st.floats(-2, 2), a4=st.floats(0, 2),
+       eps=st.sampled_from([1.0, 0.01]))
+def test_run_matches_fourier_propagator_on_dimsplit_members(a1, a2, a3, a4, eps):
+    # the split family's random members, each on the square and the anisotropic grid
+    params = AcousticParams(c=1.0, eps=eps)
+    for grid in FOURIER_GRIDS.values():
+        assert_run_matches_fourier_propagator(
+            make_scheme("dimsplit", params, grid, a1=a1, a2=a2, a3=a3, a4=a4))
