@@ -15,7 +15,7 @@ from .fourier import det_scan, eigenvalue_scaling_check, generic_phases
 from .grid import AcousticParams, GridSpec
 from .laurent import (consistency_nullspace, has_rank_two, moore_family, moore_symmetry_scan,
                       operator_identity_check, spans_match)
-from .schemes import CATALOG_NAMES, diffusion_scale, make_scheme
+from .schemes import CATALOG_NAMES, catalog, diffusion_scale, make_scheme
 from .stencils import (averaged_div, central_div, consistent_diffusion,
                        rational_string)
 from .timestep import CFL_NORMALIZATION, InstabilityError, cfl_dt, cfl_sweep, check_dt
@@ -28,7 +28,7 @@ EXIT_USAGE = 2
 EXIT_UNSTABLE = 3
 
 # every option once: name -> (default, type, metavar or the tuple of choices). The flag is
-# --name with "-" for "_", and the name is also the flat JSON config key. A bool is a switch.
+# --name with "-" for "_", and the name is also the flat JSON config key.
 OPTIONS = {
     "scheme": (None, str, "SCHEME"),
     "a1": (0.0, float, "A1"),
@@ -44,9 +44,8 @@ OPTIONS = {
     "t_end": (0.3, float, "T_END"),
     "k_samples": (200, int, "K_SAMPLES"),
     "out": (None, str, "DIR"),
-    "divergence": ("both", str, ("central", "averaged", "both")),
+    "divergence": ("both", str, ("central", "averaged", "both", "none")),
     "radius": (1, int, "RADIUS"),
-    "identity_only": (False, bool, None),
 }
 # the flags' rows: the options and --config, which names the file that sets them
 ROWS = dict(OPTIONS, config=(None, str, "CONFIG"))
@@ -59,7 +58,7 @@ SUBCOMMANDS = (
     ("analyze", "kernel-dimension verdict for one scheme",
      SCHEME_OPTIONS + ("k_samples", "out")),
     ("certify", "exact rational certificates for divergence operators",
-     ("out", "divergence", "radius", "identity_only")),
+     ("out", "divergence", "radius")),
     ("simulate", "vortex run: series, decay fit, final field",
      SCHEME_OPTIONS + ("cfl", "t_end", "out")),
     ("sweep", "max stable CFL scan on vortex data", SCHEME_OPTIONS + ("out",)),
@@ -95,9 +94,8 @@ def help_text(command=None):
             "\n--config reads a flat JSON object of these options; flags win over it"
         rows = []
         for text, name in FLAGS[command].items():
-            default, kind, spec = ROWS[name]
-            if kind is not bool:
-                text += " {%s}" % ",".join(spec) if isinstance(spec, tuple) else " " + spec
+            default, _, spec = ROWS[name]
+            text += " {%s}" % ",".join(spec) if isinstance(spec, tuple) else " " + spec
             rows.append((text, "default: %s" % default))
     width = max(len(text) for text, _ in rows) + 2
     return "usage: acousticfd %s\n\n%s\n\n%s" % (
@@ -118,8 +116,8 @@ def convert(name, text, where):
 
 def parse_line(argv):
     """argv's command and the options its flags give, {name: value}, read off FLAGS; None
-    once -h or --help, if no flag took it as its value, has printed its help. A flag that takes
-    a value takes the text after its "=", else the next token whatever it starts with."""
+    once -h or --help, if no flag took it as its value, has printed its help. Every flag takes
+    a value: the text after its "=", else the next token whatever it starts with."""
     if not argv or argv[0] not in FLAGS:
         if argv and argv[0] in HELP_FLAGS:
             sys.stdout.write(help_text())
@@ -133,9 +131,7 @@ def parse_line(argv):
             return None
         head, eq, text = token.partition("=")
         name = FLAGS[command].get(head)
-        if name and ROWS[name][1] is bool:  # a switch is its flag alone, with no "="
-            name = FLAGS[command].get(token)
-        elif name and not eq:
+        if name and not eq:
             text = next(tokens, None)
         items.append((token, name, text))
     for token, name, text in items:
@@ -143,7 +139,7 @@ def parse_line(argv):
             raise UsageError("%s takes no %s" % (command, token))
         if text is None:
             raise UsageError("%s needs a value" % token)
-        given[name] = True if ROWS[name][1] is bool else convert(name, text, flag(name))
+        given[name] = convert(name, text, flag(name))
     return command, given
 
 
@@ -165,14 +161,13 @@ def options(command, given):
         if unknown:
             raise UsageError("unknown config keys: %s" % ", ".join(unknown))
         for name in READS[command]:
-            value, switch = loaded.get(name), OPTIONS[name][1] is bool
+            value = loaded.get(name)
             if value is None:
                 continue
-            if switch != isinstance(value, bool) or isinstance(value, (list, dict)):
-                raise UsageError("config %s = %s: %s takes %s" % (
-                    name, json.dumps(value), flag(name),
-                    "true or false" if switch else "a string or a number"))
-            cfg[name] = value if switch else convert(name, "%s" % value, "config " + name)
+            if isinstance(value, (bool, list, dict)):
+                raise UsageError("config %s = %s: %s takes a string or a number"
+                                 % (name, json.dumps(value), flag(name)))
+            cfg[name] = convert(name, "%s" % value, "config " + name)
     cfg.update((name, value) for name, value in given.items() if name != "config")
     return cfg
 
@@ -248,7 +243,7 @@ def cmd_analyze(cfg):
     # the exact rank of M^ decides; the float scan's scan_verdict is reported beside it
     verdict, expected = has_rank_two(spec.unitless), spec.claims["stationarity_preserving"]
     doc = dict(scan.to_json_dict(), verdict=verdict, expected=expected)
-    doc["config"] = {k: cfg[k] for k in ("scheme", "eps", "c", "grid", "k_samples")}
+    doc["config"] = {k: cfg[k] for k in cfg if k != "out"}
     doc["eigenvalue_scaling"] = eigenvalue_scaling_check(spec)
 
     if verdict:
@@ -281,38 +276,37 @@ def cmd_certify(cfg):
     if not ident["ok"]:
         failures.append("operator identity: %r" % ident)
 
-    if not cfg["identity_only"]:
-        which = cfg["divergence"]
-        if which in ("central", "both"):
-            basis = consistency_nullspace(central_div(), radius=radius)
-            report["central_nullspace_dim"] = len(basis)
-            if len(basis) != 0:
-                failures.append("central divergence admits a consistent diffusion: dim %d"
-                                % len(basis))
-                report["central_nullspace"] = [r.to_json_dict() for r in basis]
-        if which in ("averaged", "both"):
-            basis = consistency_nullspace(averaged_div(), radius=radius)
-            report["averaged_nullspace_dim"] = len(basis)
-            report["averaged_nullspace"] = [r.to_json_dict() for r in basis]
-            expected = [consistent_diffusion(1, 0), consistent_diffusion(0, 1)]
-            matches = len(basis) == 2 and spans_match(basis, expected, radius=radius)
-            report["averaged_basis_matches_consistent_diffusion"] = matches
-            if not matches:
-                failures.append("averaged-divergence nullspace does not match the "
-                                "consistent diffusion pair")
-        if which == "both":
-            scan = moore_symmetry_scan()
-            report["symmetry_scan"] = [
-                {"gamma": rational_string(*r["gamma"].as_integer_ratio()),
-                 "beta": rational_string(*r["beta"].as_integer_ratio()),
-                 "dim": r["dim"], "is_averaged": r["is_averaged"]} for r in scan]
-            family = moore_family()
-            gamma = family["singular_gamma"]
-            report["moore_family"] = dict(family, singular_gamma=None if gamma is None
-                                          else rational_string(*gamma.as_integer_ratio()))
-            if gamma != Fraction(1, 8):
-                failures.append("the restricted determinant %r in k = 16 gamma does not vanish "
-                                "at gamma = 1/8 alone" % family["det_coefficients"])
+    which = cfg["divergence"]
+    if which in ("central", "both"):
+        basis = consistency_nullspace(central_div(), radius=radius)
+        report["central_nullspace_dim"] = len(basis)
+        if len(basis) != 0:
+            failures.append("central divergence admits a consistent diffusion: dim %d"
+                            % len(basis))
+            report["central_nullspace"] = [r.to_json_dict() for r in basis]
+    if which in ("averaged", "both"):
+        basis = consistency_nullspace(averaged_div(), radius=radius)
+        report["averaged_nullspace_dim"] = len(basis)
+        report["averaged_nullspace"] = [r.to_json_dict() for r in basis]
+        expected = [consistent_diffusion(1, 0), consistent_diffusion(0, 1)]
+        matches = len(basis) == 2 and spans_match(basis, expected, radius=radius)
+        report["averaged_basis_matches_consistent_diffusion"] = matches
+        if not matches:
+            failures.append("averaged-divergence nullspace does not match the "
+                            "consistent diffusion pair")
+    if which == "both":
+        scan = moore_symmetry_scan()
+        report["symmetry_scan"] = [
+            {"gamma": rational_string(*r["gamma"].as_integer_ratio()),
+             "beta": rational_string(*r["beta"].as_integer_ratio()),
+             "dim": r["dim"], "is_averaged": r["is_averaged"]} for r in scan]
+        family = moore_family()
+        gamma = family["singular_gamma"]
+        report["moore_family"] = dict(family, singular_gamma=None if gamma is None
+                                      else rational_string(*gamma.as_integer_ratio()))
+        if gamma != Fraction(1, 8):
+            failures.append("the restricted determinant %r in k = 16 gamma does not vanish "
+                            "at gamma = 1/8 alone" % family["det_coefficients"])
 
     report["failures"] = failures
     report["certified"] = not failures
@@ -350,7 +344,7 @@ def cmd_sweep(cfg):
     # so is M beyond the float range, naming its entry: derived before the vortex can warn
     checked(getattr, spec, "stencil")
     result = checked(cfl_sweep, spec, gresho_vortex(grid), cfl_grid)
-    result.update(scheme=spec.name, eps=cfg["eps"], grid=[grid.nx, grid.ny],
+    result.update(config={k: cfg[k] for k in cfg if k != "out"},
                   scan="descending, stops at the first stable point")
     emit_json(result, cfg, "sweep_%s.json" % spec.name)
     return EXIT_OK
@@ -360,8 +354,7 @@ def cmd_catalog(cfg):
     grid = parse_grid(cfg)
     params = parse_params(cfg)
     doc = {"schemes": [], "normalization": CFL_NORMALIZATION}
-    for name in CATALOG_NAMES:
-        spec = make_scheme(name, params, grid)
+    for name, spec in catalog(params, grid).items():
         entry = {"name": name, "claims": spec.claims,
                  "stationarity_preserving_expected": spec.claims["stationarity_preserving"]}
         if spec.diffusion is not None:

@@ -291,8 +291,7 @@ def argparse_oracle():
         p.add_argument("--config", default=None)
         for option in reads:
             _, kind, spec = OPTIONS[option]
-            keywords = ({"action": "store_true"} if kind is bool
-                        else dict(type=kind, choices=spec) if isinstance(spec, tuple)
+            keywords = (dict(type=kind, choices=spec) if isinstance(spec, tuple)
                         else dict(type=kind, metavar=spec))
             p.add_argument(flag(option), dest=option, default=None, **keywords)
     return ap

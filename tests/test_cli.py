@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -290,7 +291,8 @@ def test_negative_float_literal_follows_its_flag(argv, flag, value, capsys):
 # that a flag takes the next token whatever it starts with, or the text after its "=", and -h
 # that no flag takes prints help: argparse read -inf, -nan, "-h x" and "--eps" after a flag as
 # flags ("expected one argument"), an "=" value of exactly "--" as a missing one, and refused
-# --radius=x before it reached -h. The --out lines make their directories
+# --radius=x before it reached -h. The --out lines make their directories. --identity-only, a
+# switch until it became --divergence none, is no flag, with or without a value
 GRAMMAR_CHANGES = [
     (["analyze", "--scheme", "roe", "--eps", "-inf"], EXIT_USAGE, "",
      "error: eps must be finite, got -inf\n"),
@@ -305,9 +307,12 @@ GRAMMAR_CHANGES = [
      "error: --eps: invalid float value: '--'\n"),
     (["analyze", "--scheme", "roe", "--grid=--"], EXIT_USAGE, "",
      "error: bad --grid '--', want NX or NX,NY\n"),
-    (["certify", "--identity-only", "--config=--"], EXIT_USAGE, "",
+    (["certify", "--divergence", "none", "--config=--"], EXIT_USAGE, "",
      "error: cannot read config --: [Errno 2] No such file or directory: '--'\n"),
     (["certify", "--radius=x", "-h"], EXIT_OK, cli.help_text("certify"), ""),
+    (["certify", "--identity-only"], EXIT_USAGE, "", "error: certify takes no --identity-only\n"),
+    (["certify", "--identity-only", "--config=--"], EXIT_USAGE, "",
+     "error: certify takes no --identity-only\n"),
 ]
 
 
@@ -349,10 +354,9 @@ def test_subcommand_parser_carries_exactly_its_option_rows(command, capsys):
             if line.startswith("  --")]
     assert [row[0] for row in rows] == ["--config", *("--" + n.replace("_", "-") for n in reads)]
     for row, name in zip(rows, ("config", *reads)):
-        default, kind, spec = cli.ROWS[name]
-        shown = [] if kind is bool else ["{%s}" % ",".join(spec) if isinstance(spec, tuple)
-                                         else spec]
-        assert row[1:] == [*shown, "default:", str(default)], row
+        default, _, spec = cli.ROWS[name]
+        shown = "{%s}" % ",".join(spec) if isinstance(spec, tuple) else spec
+        assert row[1:] == [shown, "default:", str(default)], row
 
 
 def test_top_level_help_lists_the_subcommands(capsys):
@@ -414,9 +418,9 @@ DROPPED_PAIRS = [(command, "--" + name.replace("_", "-"))
                  for command, names in DROPPED.items() for name in names]
 
 
-def test_subcommands_take_46_flags():
+def test_subcommands_take_45_flags():
     assert len(DROPPED_PAIRS) == 27
-    assert sum(len(reads) for _, _, reads in SUBCOMMANDS) == 46
+    assert sum(len(reads) for _, _, reads in SUBCOMMANDS) == 45
     for command, _, reads in SUBCOMMANDS:
         assert not set(reads) & set(DROPPED[command])
 
@@ -426,6 +430,16 @@ def test_dropped_flags_are_usage_errors(command, flag, capsys):
     value = "roe" if flag == "--scheme" else "1"
     assert main([command, flag, value]) == EXIT_USAGE
     assert capsys.readouterr() == ("", "error: %s takes no %s\n" % (command, flag))
+
+
+FLAG_PAIRS = [(command, flag) for command, flags in cli.FLAGS.items() for flag in flags]
+
+
+# no flag is a switch: each one alone at the end of a line is missing its value
+@pytest.mark.parametrize("command, flag", FLAG_PAIRS, ids=[" ".join(p) for p in FLAG_PAIRS])
+def test_every_flag_takes_a_value(command, flag, capsys):
+    assert main([command, flag]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: %s needs a value\n" % flag)
 
 
 def _load_clibench(module):
@@ -466,7 +480,8 @@ def _parse_quietly(argv):
 # every flag of every command, the dropped ones too, and --config
 FLAGS = ["--" + name.replace("_", "-") for name in ("config", *OPTIONS)]
 VALUES = ["0.5", "3", "12,7", "-2", "-1e-3", "-.5e1", "-inf", "nan", "1e400", "", "-", "--",
-          "central", "averaged", "x", "1.9", "-x", " -1", "1 2", "-h", "-a b", "-h x", "--eps=1 2"]
+          "central", "averaged", "none", "x", "1.9", "-x", " -1", "1 2", "-h", "-a b", "-h x",
+          "--eps=1 2"]
 # tokens that are no flag of any command
 OTHERS = ["-h", "--help", "--", "--bogus", "-e", "-x1", "--k", "--t_end", "--eps-"]
 
@@ -494,8 +509,8 @@ PLAIN_VALUES = [value for value in VALUES if not value.startswith("-")]
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(argv=command_lines(values=PLAIN_VALUES, others=[]))
 @example(argv=["analyze", "--out=--"])
-@example(argv=["certify", "--identity-only="])
-@example(argv=["certify", "--identity-only", "x"])
+@example(argv=["certify", "--divergence="])
+@example(argv=["certify", "--divergence", "none", "x"])
 @example(argv=["certify", "--divergence=both", "--divergence", "nope"])
 @example(argv=["analyze", "--eps", "-inf"])
 @example(argv=["analyze", "--eps", "--", "1"])
@@ -552,7 +567,7 @@ def test_declined_lines_run_no_command(argv):
 EMPTY_VALUES = [
     (["analyze", "--scheme", "roe", "--eps=--"], "--eps: invalid float value: '--'"),
     (["analyze", "--scheme", "roe", "--grid=--"], "bad --grid '--', want NX or NX,NY"),
-    (["certify", "--identity-only", "--config=--"],
+    (["certify", "--divergence", "none", "--config=--"],
      "cannot read config --: [Errno 2] No such file or directory: '--'"),
     (["analyze", "--scheme", "roe", "--config", "F"], "config eps: invalid float value: '--'"),
 ]
@@ -575,7 +590,7 @@ def test_empty_values_are_usage_errors(argv, message, tmp_path, monkeypatch, cap
 RUN_FLAGS = [flag for flag in FLAGS if flag not in ("--config", "--out")]
 RUN_VALUES = ["0", "1", "-1", "0.5", "2", "3", "8", "5,3", "3,8", "5e-324", "1e-308", "1e-154",
               "1e154", "5e153", "1.7e308", "-1e-3", "nan", "inf", "-inf", "1e400", "central",
-              "averaged", "x", "", "-", "--"]
+              "averaged", "none", "x", "", "-", "--"]
 # the three warnings gresho_vortex gives on purpose, which the README documents
 VORTEX_WARNINGS = ("vortex centre", "vortex radius .* exceeds distance",
                    "vortex radius .* holds no cell centre")
@@ -633,7 +648,8 @@ def test_every_line_exits_0_to_3_with_strict_json(argv):
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--out", "-"], ["sweep", "--grid", "-"], ["analyze", "--a3", "-1e-3"],
-    ["analyze", "--eps=nan", "--eps", "0.5"], ["certify", "--identity-only", "--identity-only"],
+    ["analyze", "--eps=nan", "--eps", "0.5"],
+    ["certify", "--divergence=none", "--divergence", "none"],
     ["certify", "--divergence=averaged", "--radius", "3"], ["catalog", "--out="],
     ["simulate", "--scheme", "roe", "--out", "-run 1"], ["analyze", "--eps", "-inf "],
     ["catalog", "--out", "--x=a b"], ["catalog", "--out", "--scheme=a b"],
@@ -706,11 +722,12 @@ def test_no_line_imports_argparse(tmp_path, monkeypatch, capsys):
     assert [repr(cfg) for cfg in ran] == [repr(cfg) for cfg in expected]
 
 
-# sha256 of each --help screen, rendered from SUBCOMMANDS and OPTIONS at any width
+# sha256 of each --help screen, rendered from SUBCOMMANDS and OPTIONS at any width; certify's
+# was recorded again when --identity-only became --divergence none
 HELP_SHA256 = {
     (): "8580ba3280ba05c3b003b8d4feeea446804a41a39e8caa536e09929da84cc3b1",
     ("analyze",): "ba0f8eee243d6daf08d6a5cce7619cb7b3dcd7a71a4818a5a90c447868249b25",
-    ("certify",): "73835bf64bcd51068ed2685c9fc5e51908038245fd0dc501eea6da207826d0c5",
+    ("certify",): "a0cd3dd7dbf5365e8fbbba571bdd2b099b91de9fdbd8a038ee5f74e8de688b57",
     ("simulate",): "48785153801e19ab03c2f40cabbad20fa4fa4a039ca8ffb417de3a1962cd5808",
     ("sweep",): "8e96f92ece5059888ac04cf5ba4d3fcbadef354cd6387baef7dae41dd17afe79",
     ("catalog",): "380257730827e41024158e86e737058efbbdf2a4d49a51376e0b459328875060",
@@ -721,6 +738,7 @@ PARSE_ERRORS = {
     (): "a command is required" + COMMANDS_NAMED,
     ("bogus",): "unknown command 'bogus'" + COMMANDS_NAMED,
     ("certify", "--bogus"): "certify takes no --bogus",
+    ("certify", "--identity-only=x"): "certify takes no --identity-only=x",
     # no flag abbreviates another: these once read as --config 1 and --k-samples 3
     ("certify", "--c", "1"): "certify takes no --c",
     ("analyze", "--k", "3"): "analyze takes no --k",
@@ -732,6 +750,39 @@ def test_help_screens_unchanged(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "40")
     out = _help([*argv, "--help"], capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[argv]
+
+
+def _readme_flag_table():
+    """{subcommand: its row's cells} off README's table of subcommand flags: each cell is a
+    flag, then its choices or metavar if the README shows one, or `--a1 … --a4`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in text.split("| subcommand | flags |\n", 1)[1].splitlines()[1:]:
+        if not line.startswith("| `"):
+            break
+        command, cells = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
+        rows[command] = re.findall(r"`([^`]+)`", cells)
+    return rows
+
+
+def test_readme_flag_table_matches_the_options():
+    # each row lists its subcommand's flags but --config, in order; a flag with choices shows
+    # them, and any other flag may show its metavar
+    rows = _readme_flag_table()
+    assert list(rows) == list(READS)
+    for command, cells in rows.items():
+        listed = []
+        for cell in cells:
+            if cell == "--a1 … --a4":
+                listed += ["--a1", "--a2", "--a3", "--a4"]
+                continue
+            text, _, shown = cell.partition(" ")
+            assert text in cli.FLAGS[command], (command, cell)
+            spec = cli.ROWS[cli.FLAGS[command][text]][2]
+            choices = "{%s}" % ",".join(spec) if isinstance(spec, tuple) else None
+            assert shown == choices if choices else shown in ("", spec), (command, cell)
+            listed.append(text)
+        assert listed == [flag for flag in cli.FLAGS[command] if flag != "--config"], command
 
 
 @pytest.mark.parametrize("argv", sorted(PARSE_ERRORS), ids=lambda a: " ".join(a) or "none")
@@ -896,9 +947,7 @@ def test_config_merge_precedence(tmp_path):
 # option's converter as the text "%s" % value, so it is checked as a flag's text is
 CONFIG_PROBES = [
     (["certify"], {"divergence": "nope"}, EXIT_USAGE,
-     "config divergence: invalid choice: 'nope' (choose from central, averaged, both)"),
-    (["certify"], {"identity_only": "no"}, EXIT_USAGE,
-     'config identity_only = "no": --identity-only takes true or false'),
+     "config divergence: invalid choice: 'nope' (choose from central, averaged, both, none)"),
     (["certify"], {"radius": 1.9}, EXIT_USAGE, "config radius: invalid int value: '1.9'"),
     (["certify"], {"radius": "x"}, EXIT_USAGE, "config radius: invalid int value: 'x'"),
     (["analyze", "--scheme", "roe"], {"k_samples": "x"}, EXIT_USAGE,
@@ -918,12 +967,19 @@ CONFIG_PROBES = [
     # null means not given, and a flag still beats the config
     (["simulate", "--scheme", "roe", "--grid", "8"], {"t_end": None}, EXIT_OK, None),
     (["certify", "--radius", "1"], {"radius": 3}, EXIT_OK, None),
-    (["certify"], {"identity_only": True}, EXIT_OK, None),
-    (["certify"], {"identity_only": False, "radius": 1}, EXIT_OK, None),
+    (["certify"], {"divergence": "none"}, EXIT_OK, None),
     # keys of other subcommands stay ignored, checked or not
     (["analyze", "--scheme", "roe", "--grid", "8", "--k-samples", "3"],
-     {"radius": "x", "identity_only": "no", "cfl": "x", "t_end": None}, EXIT_OK, None),
+     {"radius": "x", "divergence": "nope", "cfl": "x", "t_end": None}, EXIT_OK, None),
     (["catalog", "--grid", "8"], {"scheme": "nosuch", "a1": 5, "k_samples": 0}, EXIT_OK, None),
+    # identity_only is no key since its switch became --divergence none, for any command
+    (["certify"], {"identity_only": "no"}, EXIT_USAGE, "unknown config keys: identity_only"),
+    (["certify"], {"identity_only": True}, EXIT_USAGE, "unknown config keys: identity_only"),
+    (["certify"], {"identity_only": False, "radius": 1}, EXIT_USAGE,
+     "unknown config keys: identity_only"),
+    (["analyze", "--scheme", "roe", "--grid", "8", "--k-samples", "3"],
+     {"radius": "x", "identity_only": "no", "cfl": "x", "t_end": None}, EXIT_USAGE,
+     "unknown config keys: identity_only"),
 ]
 
 
@@ -942,9 +998,24 @@ def test_config_values_are_checked_like_flags(argv, config, code, message, tmp_p
         if argv[0] == "simulate":
             assert doc["runs"][0]["t_end"] == 0.3
         if argv[0] == "certify":
-            assert ("central_nullspace_dim" in doc) != (config.get("identity_only") is True)
+            assert ("central_nullspace_dim" in doc) != (config.get("divergence") == "none")
     else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+
+# nor is any config key a switch: a JSON true is no value of a key the command reads, and a key
+# of no option is unknown, identity_only among them
+@pytest.mark.parametrize("command", sorted(READS))
+def test_a_json_true_is_no_value_of_any_key(command, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    for key in (*READS[command], "identity_only", "config"):
+        cfgfile.write_text(json.dumps({key: True}))
+        assert main([command, "--config", str(cfgfile)]) == EXIT_USAGE
+        message = ("config %s = true: %s takes a string or a number" % (key, cli.flag(key))
+                   if key in READS[command] else "unknown config keys: " + key)
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_config_values_echo_as_the_flags_give_them(tmp_path, capsys):
@@ -952,11 +1023,34 @@ def test_config_values_echo_as_the_flags_give_them(tmp_path, capsys):
     cfgfile.write_text(json.dumps({"scheme": "roe", "grid": 8, "eps": 1, "k_samples": 3}))
     assert main(["analyze", "--config", str(cfgfile)]) == EXIT_OK
     from_config = json.loads(capsys.readouterr().out)
-    assert from_config["config"] == {"scheme": "roe", "grid": "8", "eps": 1.0, "c": 1.0,
-                                     "k_samples": 3}
+    assert from_config["config"] == {"scheme": "roe", "a1": 0.0, "a2": 0.0, "a3": 0.0,
+                                     "a4": 0.0, "grid": "8", "dx": None, "dy": None,
+                                     "eps": 1.0, "c": 1.0, "k_samples": 3}
     assert main(["analyze", "--scheme", "roe", "--grid", "8", "--eps", "1",
                  "--k-samples", "3"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == from_config
+
+
+# a document records every option that made it: lines that differ in one option, the later
+# of two flags winning, write config blocks that differ in that key alone
+RECORDED_LINES = {
+    "analyze": ["analyze", "--scheme", "dimsplit", "--a2", "0.5", "--grid", "12,7", "--dx", "1e-3",
+                "--dy", "0.07", "--k-samples", "10"],
+    "sweep": ["sweep", "--scheme", "dimsplit", "--a2", "0.5", "--grid", "10", "--dx", "0.1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED_LINES))
+def test_documents_record_the_options_that_made_them(command, capsys):
+    base = RECORDED_LINES[command]
+    configs = []
+    for argv in (base, base + ["--a2", "0.25"], base + ["--dx", "0.125"]):
+        assert main(argv) == EXIT_OK
+        config = strict_json(capsys.readouterr().out)["config"]
+        assert config == {k: v for k, v in options(*parse_line(argv)).items() if k != "out"}
+        configs.append(config)
+    assert [{k for k in config if config[k] != configs[0][k]} for config in configs[1:]] == [
+        {"a2"}, {"dx"}]
 
 
 def test_certify_default(tmp_path, capsys):
@@ -1002,12 +1096,19 @@ def test_certify_fails_on_the_family_line_alone_when_its_root_moves(monkeypatch,
     assert err.splitlines() == ["FAIL: " + doc["failures"][0]]
 
 
+# sha256 of the certify stdout recorded from `certify --identity-only`, before that switch
+# became --divergence none
+IDENTITY_ONLY_SHA256 = "ad3b2381e44e4e5724ff65d1f7719939a1ae46272a529d5cbb1570099fcba0b1"
+
+
 def test_certify_identity_only(capsys):
-    rc = main(["certify", "--identity-only"])
+    rc = main(["certify", "--divergence", "none"])
     assert rc == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert doc["certified"] is True
-    assert "central_nullspace_dim" not in doc
+    assert set(doc) == {"operator_identities", "failures", "certified"}
+    assert hashlib.sha256(out.encode()).hexdigest() == IDENTITY_ONLY_SHA256
 
 
 def test_certify_single_divergence(capsys):
@@ -1065,7 +1166,7 @@ def test_sweep_command_writes_its_document(tmp_path):
     rc = main(["sweep", "--scheme", "roe", "--grid", "16", "--out", str(tmp_path)])
     assert rc == EXIT_OK
     doc = _read_json(tmp_path / "sweep_roe.json")
-    assert doc["scheme"] == "roe"
+    assert doc["config"]["scheme"] == "roe"
     assert doc["scan"] == "descending, stops at the first stable point"
     assert doc["max_stable_cfl"] is not None
     assert 0.3 <= doc["max_stable_cfl"] <= 0.7
@@ -1142,33 +1243,35 @@ def test_simulate_writes_null_for_an_overflowing_probe(n_steps, capsys):
 # multid, samples[].absdet changed; each document now equals its eps = 1 one but config.
 # All were recorded again when the exact rank of M^ became the verdict: only the keys
 # changed, scan_verdict added (equal to verdict in each) and samples_withheld and
-# samples[].non_diagonalizable gone (0 and false in each before)
+# samples[].non_diagonalizable gone (0 and false in each before). All were recorded again
+# when config became every option analyze read but --out: only config changed, gaining a1..a4,
+# dx and dy
 ANALYZE_DIGESTS = {
     ("--scheme", "central", "--eps", "1", "--grid", "24"):
-        "0515f0bb78030e91339471f3bc703d32ca27dd27d5e74bc47a18f6da14863a37",
+        "da7497aae4cfdebdb0f681a872094ce2d94a199486d0bdf0d560f099ec38e645",
     ("--scheme", "central", "--eps", "1e-2", "--grid", "24"):
-        "b9e8b32f7d384cdc99bebc6f97c65105bc28a2593d45b4e6ea85992f0edf58e3",
+        "ac382d0de30b09397cfc2ed644bbe8b8a6aca418093da85c317b77c7d0d1ff6f",
     ("--scheme", "roe", "--eps", "1", "--grid", "24"):
-        "97a67140f90e17dd84e53d8a6111370503d1a4b2e1b0cff3683be440c5576773",
+        "fad99b005b939ec686ce4047f18ddf6e2b09320fc0f40abfb7d464442e1a0f9d",
     ("--scheme", "roe", "--eps", "1e-2", "--grid", "24"):
-        "082baf2b2ef3aa96c9de115f95dff8b394b1bd6d686fcad307b5adb62a77d332",
+        "c0923ecf909691e11985d9f755b0202f68ed77410fbf3692ae769da4b66ae894",
     ("--scheme", "lowmach1", "--eps", "1", "--grid", "24"):
-        "2e58ec82652932019245147a163b25fecdf68e9ca454e07212230802f8ea291b",
+        "0dfb3dbb3d07aa8f5fda7b4f02c677bc7004e838de65cc29aaaae002fb62ac02",
     ("--scheme", "lowmach1", "--eps", "1e-2", "--grid", "24"):
-        "c4b8a5a753f9acc94de9f6b469eff9cd3e5049bf288f5536f3da0ebb943e4479",
+        "409887af96b4594cc88a5e0fff698653e58b92b21db056d8fbae1eef00e5e835",
     ("--scheme", "lowmach2", "--eps", "1", "--grid", "24"):
-        "d76ae77ec6e16e8022d02db6d817caf8096cdee2fb9498d4d4df8bbc89282eff",
+        "1825a75b5275049d376187d82473f11095aa45b4b84db239ef1498e6fb85a550",
     ("--scheme", "lowmach2", "--eps", "1e-2", "--grid", "24"):
-        "889af32c689d57903404bf8769f025d69ada763554faed26f00ab1188714b6a8",
+        "2e4fa04dd98aa41947460b8ff976c838ed9677b257a60a0ca6a104371386ecff",
     ("--scheme", "lowmach3", "--eps", "1", "--grid", "24"):
-        "72ef9b6dae61dc38bdf94b42742be567759c285b918a68256cf1d1edba60db7f",
+        "e3dd570aef3c9eb21360da5eed57374247f72d701f7d29cbdac1f142c0266ee2",
     ("--scheme", "lowmach3", "--eps", "1e-2", "--grid", "24"):
-        "1981a1b7ab50d5e2622f552c95baecf1d5d6be042bb80995ac729faa5fabcd44",
+        "ab28fb9dcdf1294638b95d4975844da82569f6c9aae53cf41a16fbf1a1a7f8e9",
     ("--scheme", "multid", "--eps", "1", "--grid", "24"):
-        "ae19d5711f6382820d73e647939036009ea3e3ac83d0e4acaca68c7d28e792da",
+        "3b098496d57a9d8d7175a5bd203ddc93427e9c48ec0e0823fb243926f5c1d8ba",
     ("--scheme", "multid", "--eps", "1e-2", "--grid", "24"):
-        "0d1f3777152b3cea883e994413cf9bd2577aa13b7bf73c7b221386a14d4eadd8",
-    DIMSPLIT_ARGV: "a24443611e379d94484b21acf6fdfd31e20cc1848e9723436195247ce99bc935",
+        "f10fded713f49f9d5a3dfa1d12bd18e1cf90b60dc40e55ce46225c92c29d836c",
+    DIMSPLIT_ARGV: "2f86d8377849a79a0a68dfce024fda3429673370af064e3b1cdaeb8b77e3eef9",
 }
 
 

@@ -439,10 +439,11 @@ def test_full_box_radius_two_stencil_matches_reference_loop(rng):
 
 
 # sha256 of the `sweep --grid 32` JSON documents, recorded when the scan first ran from the
-# top down; each row is the one the ascending scan wrote for its point
+# top down; each row is the one the ascending scan wrote for its point. Recorded again when the
+# scheme, eps and grid echo became config, every option sweep read but --out; nothing else moved
 SWEEP_DIGESTS = {
-    "roe": "39608163754bc71cefffc5dc83c1b9fc3ac266edb5171c87f30eda0c6616349e",
-    "multid": "5173568cc403015074406e253b68c018d2a3d3387d08ef6da6a4907c470144e2",
+    "roe": "f6bc6343bba5a46db4ec022f3ecca9734eb27e41982a61d4fc9b950d26c36c29",
+    "multid": "b9e47d4b47fb04d3cf5d1cdffad4ea21f946f2435e0a06ffd8d32803480c3371",
 }
 
 
@@ -450,7 +451,7 @@ SWEEP_DIGESTS = {
 def test_sweep_document_digest_unchanged(scheme, capsys):
     assert main(["sweep", "--scheme", scheme, "--grid", "32"]) == 0
     out = capsys.readouterr().out
-    assert strict_json(out)["scheme"] == scheme
+    assert strict_json(out)["config"]["scheme"] == scheme
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[scheme]
 
 
