@@ -266,8 +266,8 @@ def cmd_analyze(cfg):
 
 
 def cmd_certify(cfg):
-    radius = cfg["radius"]
-    if radius < 1:
+    radius, which = cfg["radius"], cfg["divergence"]
+    if radius < 1 and which != "none":
         raise UsageError("--radius must be at least 1, got %d" % radius)
     report, failures = {}, []
 
@@ -276,7 +276,6 @@ def cmd_certify(cfg):
     if not ident["ok"]:
         failures.append("operator identity: %r" % ident)
 
-    which = cfg["divergence"]
     if which in ("central", "both"):
         basis = consistency_nullspace(central_div(), radius=radius)
         report["central_nullspace_dim"] = len(basis)

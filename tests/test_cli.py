@@ -1111,6 +1111,14 @@ def test_certify_identity_only(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == IDENTITY_ONLY_SHA256
 
 
+def test_certify_divergence_none_reads_no_radius(capsys):
+    # --radius sizes the nullspace searches, of which --divergence none runs none
+    assert main(["certify", "--divergence", "none", "--radius", "0"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == IDENTITY_ONLY_SHA256
+    assert main(["certify", "--divergence", "central", "--radius", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --radius must be at least 1, got 0\n"
+
+
 def test_certify_single_divergence(capsys):
     rc = main(["certify", "--divergence", "averaged"])
     assert rc == EXIT_OK
@@ -1174,6 +1182,16 @@ def test_sweep_command_writes_its_document(tmp_path):
     cfls = [round(0.05 * k, 2) for k in range(32, 0, -1)]
     assert [r["cfl"] for r in doc["results"]] == cfls[:cfls.index(doc["max_stable_cfl"]) + 1]
     assert [r["stable"] for r in doc["results"]] == [False] * (len(doc["results"]) - 1) + [True]
+
+
+# at c = eps = 1e-8 M's (u, p) taps are 1e16 times its (u, u) taps; the vortex at pressure 0
+# gives them nothing to swamp the velocity sums with, so the sweep reads its c = eps = 1 rows
+@pytest.mark.parametrize("scheme,max_cfl,n_rows", [("roe", 0.5, 23), ("multid", 1.0, 13)])
+def test_sweep_at_small_c_and_eps_reads_the_unit_scale_answer(scheme, max_cfl, n_rows, capsys):
+    assert main(["sweep", "--scheme", scheme, "--grid", "64", "--c", "1e-8",
+                 "--eps", "1e-8"]) == EXIT_OK
+    doc = strict_json(capsys.readouterr().out)
+    assert doc["max_stable_cfl"] == max_cfl and len(doc["results"]) == n_rows
 
 
 def test_catalog_listing(capsys):

@@ -54,13 +54,13 @@ def _continuous_vortex_velocity(xx, yy):
 def test_vortex_far_field_and_peak():
     grid = GridSpec(50, 50)
     state = gresho_vortex(grid)
-    # corners lie outside r2: quiescent with background pressure
+    # corners lie outside r2: quiescent, at pressure 0 as every cell is
     for i, j in ((0, 0), (0, 49), (49, 0), (49, 49)):
         assert state.u[i, j] == 0.0 and state.v[i, j] == 0.0
-        assert state.p[i, j] == 1.0
+        assert state.p[i, j] == 0.0
     speed = np.hypot(state.u, state.v)
     assert np.max(speed) == pytest.approx(1.0, abs=0.05)
-    assert np.all(state.p == 1.0)
+    assert np.all(state.p == 0.0)
 
 
 def test_vortex_analytically_divergence_free():
@@ -115,17 +115,16 @@ def test_stream_velocity_exact_kernel_membership():
     for grid in grids:
         psi = rng.standard_normal((grid.nx, grid.ny))
         for row in rows:
-            state = stream_velocity(psi, row, grid, p0=2.0)
+            state = stream_velocity(psi, row, grid)
             res = row_apply(row, state.u, state.v, grid)
             scale = np.max(np.abs(psi)) / (grid.dx * grid.dy)
             assert np.max(np.abs(res)) <= 1e-13 * scale
-            assert np.all(state.p == 2.0)
+            assert np.all(state.p == 0.0)
 
 
 def test_stream_velocity_constant_psi_is_quiescent(square_grid):
-    state = stream_velocity(np.ones((16, 16)), averaged_div(), square_grid, p0=0.5)
-    assert np.all(state.u == 0.0) and np.all(state.v == 0.0)
-    assert np.all(state.p == 0.5)
+    state = stream_velocity(np.ones((16, 16)), averaged_div(), square_grid)
+    assert np.all(state.q == 0.0)
 
 
 def test_stationarity_residual_split(square_grid, params):
@@ -142,7 +141,7 @@ def test_kernel_adapted_dyadic_state(square_grid, params):
     spec = make_scheme("lowmach1", params, square_grid)
     state = kernel_adapted_state(spec, seed=5, dyadic=True)
     assert np.all(np.isfinite(state.q))
-    assert np.all(state.p == 1.0)
+    assert np.all(state.p == 0.0)
     # dyadic streamfunction keeps every weight application exact in binary
     assert np.max(np.abs(state.u)) > 0.0
 

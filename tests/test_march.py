@@ -438,12 +438,29 @@ def test_full_box_radius_two_stencil_matches_reference_loop(rng):
     assert_sweep_matches_reference(spec, q0, 20)
 
 
+# every entry of M has taps that sum to 0, so a constant state is a fixed point, and on these
+# grids at c = 1 the packed product gives it bitwise; the vortex, at pressure 0, holds no
+# constant part, so the march meets one only here
+@pytest.mark.parametrize("n", [64, 50])
+@pytest.mark.parametrize("eps", [1.0, 1e-2])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_constant_state_is_a_bitwise_fixed_point(name, eps, n):
+    grid = GridSpec(n, n)
+    spec = make_scheme(name, AcousticParams(c=1.0, eps=eps), grid)
+    q = np.broadcast_to(np.array([0.25, -0.5, 1.0])[:, None, None], (3, n, n))
+    control = StepControl(cfl=0.4, t_end=100 * cfl_dt(spec.params, grid, 0.4))
+    out = run(spec, FieldSet(grid, q), control)
+    assert out.n_steps == 100 and np.array_equal(out.final_state.q, q)
+
+
 # sha256 of the `sweep --grid 32` JSON documents, recorded when the scan first ran from the
 # top down; each row is the one the ascending scan wrote for its point. Recorded again when the
-# scheme, eps and grid echo became config, every option sweep read but --out; nothing else moved
+# scheme, eps and grid echo became config, every option sweep read but --out; nothing else moved.
+# Recorded again when the vortex lost its background pressure 1: every (cfl, stable) row and
+# max_stable_cfl kept, initial_norm and each peak_norm now max|q| of the state at pressure 0
 SWEEP_DIGESTS = {
-    "roe": "f6bc6343bba5a46db4ec022f3ecca9734eb27e41982a61d4fc9b950d26c36c29",
-    "multid": "b9e47d4b47fb04d3cf5d1cdffad4ea21f946f2435e0a06ffd8d32803480c3371",
+    "roe": "489ff74722c799e5bde00367521ced37c0314c3b2b970dce120806375f466a96",
+    "multid": "8a7768a4061fd090f58e8e247f61e60b51249d6f33137f0dcd6cb9b9a555a9cd",
 }
 
 
@@ -471,25 +488,28 @@ def test_unstable_simulate_exits_3_without_runtime_warning(tmp_path):
 
 # sha256 of every file `simulate --scheme S --grid 16 --out D` writes, recorded before
 # the march planned its views once and the vortex probes read the resident halo;
-# simulate_S.json re-recorded when it dropped its `summary_file` key
+# simulate_S.json re-recorded when it dropped its `summary_file` key. Every series, final
+# field and multid's document recorded again when the vortex lost its background pressure 1:
+# the probes moved by at most 3.2e-16 relative, and each final p is the old one less 1 within
+# 2.8e-16
 SIMULATE_SHA256 = {
     "roe": {
-        "roe_eps1_dux_l1.csv": "fb3b1949eb50769b07123264c595942059833ae667f43dad8c530d696a289bac",
+        "roe_eps1_dux_l1.csv": "b7ab445fd2e474dee1f4f68559ab918575fbc5ccd31d3b8d98af76de4b717f66",
         "roe_eps1_dux_l1.csv.meta.json": "550e3eb5bb9bb9bcd23bbba9bb920fc9f4d5739eaf564c414f396bb89e9bf5bf",
-        "roe_eps1_duy_l1.csv": "3661cf4f41f674d92cc8b33895f3dc4ed0d139ee639dd6e7d8657720e46b0d3f",
+        "roe_eps1_duy_l1.csv": "7f03d051985897d8be259ce7755061de94d0ad52df65960044a6099df4f195fa",
         "roe_eps1_duy_l1.csv.meta.json": "492222da32d9e0e792bc6482a709872213566db606258fb36372aee3f68cc1ff",
-        "roe_eps1_final.csv": "6122a83465cb38b19779b481e8c42bbeb50d92f552d035fb4da02f974d4bbe58",
+        "roe_eps1_final.csv": "2e22e5afddcd407067fa8f6a556a1056a00c66db8303675d9486302d1e168049",
         "roe_eps1_final.csv.meta.json": "be96c18480a2c2b56e3bbb7ff89a03da8cde823a9830c140a7f3f8dfa673667c",
         "simulate_roe.json": "628fdd115c98d1bf45f615dd5c996244039e2b006850a55a7a9163a90aa80d8f",
     },
     "multid": {
-        "multid_eps1_dux_l1.csv": "b160468a31ac9b3a42689bce83ed778568c9fcb8d3786539efe979bd33ccb933",
+        "multid_eps1_dux_l1.csv": "daa5d608098f31c90ae7df79a08344b3febd51d777865735baf9951b20c7d24c",
         "multid_eps1_dux_l1.csv.meta.json": "e72de28fd3c46fb0625a7f9c8ee00b78ca53bd970f413c35e189bd35fb95ada3",
-        "multid_eps1_duy_l1.csv": "82ee96ed1d37e9be87b61dccefc749bd1bdf12bd7b9b6ac29a8961e3684782ee",
+        "multid_eps1_duy_l1.csv": "a64b8879f7e8c0085ddad504d6630f32c44953a4d1f246dd8fb9b26a6bb861de",
         "multid_eps1_duy_l1.csv.meta.json": "3a7a9dd6f6ec89f58bf98051ee6215722ebc91be4142d9e54024c3cbf82dc855",
-        "multid_eps1_final.csv": "1b4af767fba1c4a29639aea0e54eb29ac7b744d3b3616272626d13663376e094",
+        "multid_eps1_final.csv": "ccc676cb49f8f39470c446f3cdf982d37bb2c6ef50f6847f076cbd8c0aa42080",
         "multid_eps1_final.csv.meta.json": "bbad987742d8cf351d1b4ab54f4d2212ad747a3962e752cdc55ab2bc569c007a",
-        "simulate_multid.json": "0b63dae6b5e61517523c0ada2e67add6c5d07b3fe0ac8371b1db0a0f85f62737",
+        "simulate_multid.json": "2a9c588e96ad612ecb18ff9bf27878694809220768460b1b096348d1ba15ddd0",
     },
 }
 

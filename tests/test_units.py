@@ -3,7 +3,9 @@
 Every catalog symbol is M = (c/eps) T M^ T^-1 with T = diag(1, 1, c eps) and
 a unitless M^ that depends only on dy/dx, so the kernel verdict, each
 sample's kernel dimensions and the conserved-operator check must come out
-the same at every scale.
+the same at every scale. At c/eps = 1 a march is one acoustic problem at every
+c eps, so the sweep's verdicts, the probe series and the stationarity residual
+must come out the same too.
 """
 
 import io
@@ -17,11 +19,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acousticfd.cli import EXIT_OK, main
-from acousticfd.experiments import extract_conserved_operator, json_document
+from acousticfd.experiments import (extract_conserved_operator, gresho_vortex, json_document,
+                                    kernel_adapted_state, stationarity_residual)
 from acousticfd.fourier import det_scan, generic_phases
-from acousticfd.grid import AcousticParams, FieldSet, GridSpec
+from acousticfd.grid import AcousticParams, FieldSet, GridSpec, l1_norm_central_diff
 from acousticfd.laurent import has_rank_two
 from acousticfd.schemes import CATALOG_NAMES, make_scheme, rhs
+from acousticfd.timestep import StepControl, cfl_dt, cfl_sweep, run
 
 from helpers import SP_NAMES, conserved_apply, weight_norm
 
@@ -165,3 +169,49 @@ def test_aspect_ratio_changes_no_exact_verdict(dx, dy):
         spec = make_scheme(name, BASE_PARAMS, grid)
         assert has_rank_two(spec.unitless) is spec.claims["stationarity_preserving"], name
         assert spec.claims["stationarity_preserving"] is (name in SP_NAMES), name
+
+
+# c = eps: M's (u, p) taps carry 1/(c eps) against the (u, u) taps, which the vortex at
+# pressure 0 never sums against its velocity
+DYNAMIC_SCALES = (1.0, 1e-8, 1e-16, 1e-100)
+SWEEP_CFLS = [round(0.05 * k, 2) for k in range(1, 33)]
+
+
+@cache
+def vortex_dynamics(scheme, scale):
+    """sweep's (cfl, stable) rows and max_stable_cfl, and 15 steps of run's dux_l1 at CFL
+    0.4, on the 64^2 vortex at c = eps = scale."""
+    grid = GridSpec(64, 64)
+    spec = make_scheme(scheme, AcousticParams(c=scale, eps=scale), grid)
+    sweep = cfl_sweep(spec, gresho_vortex(grid), SWEEP_CFLS)
+    rows = [(r["cfl"], r["stable"]) for r in sweep["results"]]
+    probes = {"dux_l1": lambda stack: l1_norm_central_diff(stack[:, 0], 0, grid)}
+    control = StepControl(cfl=0.4, t_end=15 * cfl_dt(spec.params, grid, 0.4))
+    series = run(spec, gresho_vortex(grid), control, probes=probes).series["dux_l1"]
+    assert len(series) == 16
+    return sweep["max_stable_cfl"], rows, series
+
+
+@pytest.mark.parametrize("scale", DYNAMIC_SCALES[1:])
+@pytest.mark.parametrize("scheme", ["roe", "multid"])
+def test_vortex_dynamics_are_independent_of_the_scale(scheme, scale):
+    max_cfl, rows, series = vortex_dynamics(scheme, scale)
+    unit_max_cfl, unit_rows, unit_series = vortex_dynamics(scheme, 1.0)
+    assert (max_cfl, rows) == (unit_max_cfl, unit_rows)
+    np.testing.assert_allclose(series, unit_series, rtol=1e-12, atol=0)
+
+
+# (c, eps): c = eps down to 1e-100, and c/eps away from 1, where p = c eps p^ is far from u
+RESIDUAL_SCALES = ((1.0, 1.0), (1e-8, 1e-8), (1e-16, 1e-16), (1e-100, 1e-100),
+                   (1.0, 1e-8), (1e-8, 1.0), (1e8, 1e-8), (1e100, 1e100))
+
+
+@pytest.mark.parametrize("scheme", SP_NAMES)
+def test_stationarity_residual_is_independent_of_the_scale(scheme):
+    grid = GridSpec(16, 16)
+    resids = []
+    for c, eps in RESIDUAL_SCALES:
+        spec = make_scheme(scheme, AcousticParams(c=c, eps=eps), grid)
+        resids.append(stationarity_residual(spec, kernel_adapted_state(spec, seed=3)))
+    assert max(resids) <= 1e-12, resids
+    assert all(resids[0] / 10 <= r <= resids[0] * 10 for r in resids), resids
