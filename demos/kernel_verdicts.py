@@ -9,21 +9,19 @@ from acousticfd import (
     CATALOG_NAMES,
     GridSpec,
     det_scan,
-    generic_phases,
     has_rank_two,
     make_scheme,
 )
 
 grid = GridSpec(32, 32)
 params = AcousticParams(c=1.0, eps=0.1)
-phases = generic_phases(200)
 
 print("scheme     claim  exact  scan   min sigma ratio  max sigma ratio")
 for name in CATALOG_NAMES:
     spec = make_scheme(name, params, grid)
     claim = spec.claims["stationarity_preserving"]
     exact = has_rank_two(spec.unitless)
-    out = det_scan(spec, phases=phases)
+    out = det_scan(spec)
     ratios = [r["sigma_min_ratio"] for r in out.generic_records()]
     agree = "ok" if exact == claim else "MISMATCH"
     print("%-9s  %-5s  %-5s  %-5s  %.3e        %.3e  %s"
@@ -38,6 +36,6 @@ print("ratios of order one mean the symbol is uniformly invertible there.")
 print()
 for a1 in (0.0, 0.3, 1e-154):
     spec = make_scheme("dimsplit", params, grid, a1=a1, a2=0.5, a3=0.25, a4=0.4)
-    out = det_scan(spec, phases=generic_phases(50))
+    out = det_scan(spec)
     print("dimsplit a1=%-6.3g: stationarity preserving = %-5s (scan: %s)"
           % (a1, has_rank_two(spec.unitless), out.scan_verdict))

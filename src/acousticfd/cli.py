@@ -11,7 +11,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .fourier import det_scan, eigenvalue_scaling_check, generic_phases
+from .fourier import det_scan, eigenvalue_scaling_check
 from .grid import AcousticParams, GridSpec
 from .laurent import (consistency_nullspace, has_rank_two, moore_family, moore_symmetry_scan,
                       operator_identity_check, spans_match)
@@ -42,7 +42,6 @@ OPTIONS = {
     "dy": (None, float, "DY"),
     "cfl": (0.45, float, "CFL"),
     "t_end": (0.3, float, "T_END"),
-    "k_samples": (200, int, "K_SAMPLES"),
     "out": (None, str, "DIR"),
     "divergence": ("both", str, ("central", "averaged", "both", "none")),
     "radius": (1, int, "RADIUS"),
@@ -56,7 +55,7 @@ SCHEME_OPTIONS = ("scheme", "a1", "a2", "a3", "a4") + GRID_OPTIONS
 # (name, help line, the options its command reads)
 SUBCOMMANDS = (
     ("analyze", "kernel-dimension verdict for one scheme",
-     SCHEME_OPTIONS + ("k_samples", "out")),
+     SCHEME_OPTIONS + ("out",)),
     ("certify", "exact rational certificates for divergence operators",
      ("out", "divergence", "radius")),
     ("simulate", "vortex run: series, decay fit, final field",
@@ -177,11 +176,14 @@ class UsageError(Exception):
 
 
 def checked(make, *args, **kwargs):
-    """Run make; a value it rejects, or an exact value beyond the float range, is a usage error."""
+    """Run make; a value it rejects, an exact value beyond the float range, or an array too
+    large to allocate, which only the grid's size asks for, is a usage error."""
     try:
         return make(*args, **kwargs)
     except (ValueError, OverflowError) as err:
         raise UsageError(str(err))
+    except MemoryError as err:
+        raise UsageError("--grid is too large: %s" % err)
 
 
 def parse_grid(cfg):
@@ -235,11 +237,8 @@ def _scheme_kwargs(cfg):
 
 def cmd_analyze(cfg):
     spec = build_scheme(cfg, parse_grid(cfg), parse_params(cfg))
-    k_samples = cfg["k_samples"]
-    if k_samples < 1:
-        raise UsageError("--k-samples must be at least 1, got %d" % k_samples)
     # M^ beyond the float range, or a float symbol whose sum overflows, is a usage error
-    scan = checked(det_scan, spec, phases=generic_phases(k_samples))
+    scan = checked(det_scan, spec)
     # the exact rank of M^ decides; the float scan's scan_verdict is reported beside it
     verdict, expected = has_rank_two(spec.unitless), spec.claims["stationarity_preserving"]
     doc = dict(scan.to_json_dict(), verdict=verdict, expected=expected)
@@ -342,7 +341,7 @@ def cmd_sweep(cfg):
         checked(check_dt, cfl_dt(spec.params, grid, cfl))
     # so is M beyond the float range, naming its entry: derived before the vortex can warn
     checked(getattr, spec, "stencil")
-    result = checked(cfl_sweep, spec, gresho_vortex(grid), cfl_grid)
+    result = checked(cfl_sweep, spec, checked(gresho_vortex, grid), cfl_grid)
     result.update(config={k: cfg[k] for k in cfg if k != "out"},
                   scan="descending, stops at the first stable point")
     emit_json(result, cfg, "sweep_%s.json" % spec.name)

@@ -16,6 +16,9 @@ import numpy as np
 from .stencils import MatrixStencil
 
 GUARD = 0.1  # phases closer than this to 0 or pi are degenerate lattice modes
+GENERIC_SAMPLES = 200  # the Halton pairs every scan reads, before the 48 structured phases
+# a singular value at or below this times the largest counts as zero
+TOL_REL = 1e-12
 
 
 class KernelDimensionError(ValueError):
@@ -24,34 +27,34 @@ class KernelDimensionError(ValueError):
         self.dim = dim
 
 
-def _svd_kernel(mat, tol_rel):
+def _svd_kernel(mat):
     """One full SVD of a (..., n, n) stack: kernel dimensions, singular values, u, vh.
 
-    The kernel dimension counts singular values at or below tol_rel times the
+    The kernel dimension counts singular values at or below TOL_REL times the
     largest (all n of them when the matrix is zero). Dimension and kernel
     vectors come from the same factorization, so they cannot disagree.
     """
     u, s, vh = np.linalg.svd(mat)
-    dim = np.sum(s <= tol_rel * s[..., :1], axis=-1)
+    dim = np.sum(s <= TOL_REL * s[..., :1], axis=-1)
     return dim, s, u, vh
 
 
-def kernel_dim(mat, tol_rel=1e-12):
-    """Number of singular values at or below tol_rel times the largest."""
-    return int(_svd_kernel(mat, tol_rel)[0])
+def kernel_dim(mat):
+    """Number of singular values at or below TOL_REL times the largest."""
+    return int(_svd_kernel(mat)[0])
 
 
-def right_kernel(E, tol_rel=1e-12):
+def right_kernel(E):
     """Unit right-kernel vector of a kernel-dimension-1 matrix."""
-    dim, s, u, vh = _svd_kernel(E, tol_rel)
+    dim, s, u, vh = _svd_kernel(E)
     if dim != 1:
         raise KernelDimensionError(int(dim))
     return vh[-1].conj()
 
 
-def left_kernel(E, tol_rel=1e-12):
+def left_kernel(E):
     """Unit row w with w E = 0 for a kernel-dimension-1 matrix."""
-    dim, s, u, vh = _svd_kernel(E, tol_rel)
+    dim, s, u, vh = _svd_kernel(E)
     if dim != 1:
         raise KernelDimensionError(int(dim))
     return u[:, -1].conj()
@@ -76,13 +79,13 @@ def _fold(u):
     return np.where(u < 0.5, 1.0, -1.0) * (GUARD + w * (math.pi - 2.0 * GUARD))
 
 
-def generic_phases(n=200):
-    """Deterministic quasi-random phases avoiding the degenerate guard bands.
+def generic_phases():
+    """The GENERIC_SAMPLES deterministic quasi-random phases, clear of the degenerate guard bands.
 
     Phase i is the folded Halton pair of index i in bases 2 and 3.
     """
-    return list(zip(_fold(_radical_inverse(n, 2)).tolist(),
-                    _fold(_radical_inverse(n, 3)).tolist()))
+    return list(zip(_fold(_radical_inverse(GENERIC_SAMPLES, 2)).tolist(),
+                    _fold(_radical_inverse(GENERIC_SAMPLES, 3)).tolist()))
 
 
 def structured_phases():
@@ -110,13 +113,13 @@ class SpectralVerdict:
                 "samples": self.records}
 
 
-def det_scan(spec, phases=None):
-    """Kernel-dimension scan of a scheme over generic phases, then the 48 structured ones.
+def det_scan(spec):
+    """Kernel-dimension scan of a scheme over the generic phases, then the 48 structured ones.
 
     Its scan_verdict is true when dim ker E^ equals dim ker J.k at every generic
     sample. The unitless J.k, rows (0, 0, kx), (0, 0, ky), (kx, ky, 0), has rank
-    2 for k != 0, so its kernel dimension is 1, or 3 at theta = 0. Structured
-    axis/diagonal samples are degenerate lattice phases and never enter it.
+    2 for k != 0, and no phase is 0, so its kernel dimension is 1 at every sample.
+    Structured axis/diagonal samples are degenerate lattice phases and never enter it.
     Every sample quantity comes from E^ = -i M^(theta), M^ rounded once to
     floats: one symbol call for the stack, and per sample one SVD (kernel
     dimension and sigma ratio) and one determinant. Each sample is its JSON row,
@@ -124,22 +127,16 @@ def det_scan(spec, phases=None):
     the float range but whose float sum does not (at subnormal cell widths) is a
     ValueError.
     """
-    if phases is None:
-        phases = generic_phases()
-    samples = [("generic", ph) for ph in phases] + structured_phases()
-
-    thx = np.array([ph[0] for _, ph in samples], dtype=float)
-    thy = np.array([ph[1] for _, ph in samples], dtype=float)
-    if not np.all((-math.pi < thx) & (thx <= math.pi) & (-math.pi < thy) & (thy <= math.pi)):
-        raise ValueError("phases must lie in (-pi, pi]")
+    samples = [("generic", ph) for ph in generic_phases()] + structured_phases()
+    thx = np.array([ph[0] for _, ph in samples])
+    thy = np.array([ph[1] for _, ph in samples])
     # an overflow is reported once, by the check below, and not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         E = -1j * MatrixStencil(spec.grid, spec.unitless).symbol(thx, thy)
     if not np.isfinite(E).all():
         raise ValueError("the float symbol of %s overflows: its sum over the stencil "
                          "leaves the float range" % spec.name)
-    # a singular value at or below 1e-12 times the largest counts as zero
-    dims, s = _svd_kernel(E, 1e-12)[:2]
+    dims, s = _svd_kernel(E)[:2]
     smax = s[:, 0]
     # LAPACK may return the smallest singular value as -0.0; report the ratio as +0.0
     ratios = np.divide(np.abs(s[:, -1]), smax, out=np.zeros_like(smax), where=smax > 0)
@@ -148,14 +145,13 @@ def det_scan(spec, phases=None):
     # without warnings on stderr
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         absdets = np.abs(np.linalg.det(E))
-    cdims = np.where((thx == 0) & (thy == 0), 3, 1)
 
-    columns = zip(samples, absdets.tolist(), ratios.tolist(), dims.tolist(), cdims.tolist())
+    columns = zip(samples, absdets.tolist(), ratios.tolist(), dims.tolist())
     records = [{"thx": phx, "thy": phy, "kind": kind,
                 "absdet": absdet if math.isfinite(absdet) else None, "sigma_min_ratio": ratio,
-                "kernel_dim": dim, "continuous_dim": cdim}
-               for (kind, (phx, phy)), absdet, ratio, dim, cdim in columns]
-    ok = all(r["kernel_dim"] == r["continuous_dim"] for r in records if r["kind"] == "generic")
+                "kernel_dim": dim, "continuous_dim": 1}
+               for (kind, (phx, phy)), absdet, ratio, dim in columns]
+    ok = all(r["kernel_dim"] == 1 for r in records if r["kind"] == "generic")
     return SpectralVerdict(scheme=spec.name, scan_verdict=ok, records=records)
 
 

@@ -47,7 +47,8 @@ class StepControl:
         check_dt(dt, self.t_end)
         n = max(1, math.ceil(self.t_end / dt - 1e-12)) if self.t_end > 0 else 0
         if n > MAX_STEPS:
-            raise ValueError("run wants %d steps, max_steps is %d" % (n, MAX_STEPS))
+            raise ValueError("run to t_end wants %.3g steps of dt = cfl*min(dx,dy)*eps/c, over "
+                             "the limit of %d: raise --cfl or lower --t-end" % (n, MAX_STEPS))
         return n
 
 

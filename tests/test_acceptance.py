@@ -15,11 +15,7 @@ from acousticfd.experiments import (
     stationarity_residual,
     vortex_benchmark,
 )
-from acousticfd.fourier import (
-    det_scan,
-    generic_phases,
-    right_kernel,
-)
+from acousticfd.fourier import det_scan, right_kernel
 from acousticfd.grid import AcousticParams, GridSpec, l1_norm_central_diff
 from acousticfd.laurent import (
     consistency_nullspace,
@@ -64,9 +60,7 @@ def test_criterion_2_symbol_verdicts():
     failures = []
     grid = GridSpec(16, 16)
     params = AcousticParams(c=2.0, eps=0.5)
-    phases = generic_phases(200)
-
-    verdict = det_scan(make_scheme("roe", params, grid), phases=phases)
+    verdict = det_scan(make_scheme("roe", params, grid))
     bad = [r for r in verdict.generic_records()
            if r["kernel_dim"] != 0 or r["sigma_min_ratio"] < 1e-3]
     if bad:
@@ -78,7 +72,7 @@ def test_criterion_2_symbol_verdicts():
         a2, a3, a4 = rng.uniform(-1.0, 1.0, size=3)
         specs.append(make_scheme("dimsplit", params, grid, a1=0.0, a2=a2, a3=a3, a4=a4))
     for spec in specs:
-        out = det_scan(spec, phases=phases)
+        out = det_scan(spec)
         bad = [r for r in out.generic_records()
                if r["kernel_dim"] != 1 or r["sigma_min_ratio"] > 1e-12]
         if bad:

@@ -35,8 +35,7 @@ def _read_json(path):
 
 
 def test_analyze_roe_matches_claim(tmp_path):
-    rc = main(["analyze", "--scheme", "roe", "--grid", "16",
-               "--k-samples", "25", "--out", str(tmp_path)])
+    rc = main(["analyze", "--scheme", "roe", "--grid", "16", "--out", str(tmp_path)])
     assert rc == EXIT_OK
     doc = _read_json(tmp_path / "analyze_roe.json")
     assert doc["verdict"] is False and doc["expected"] is False
@@ -46,8 +45,7 @@ def test_analyze_roe_matches_claim(tmp_path):
 
 
 def test_analyze_sp_scheme_includes_operator(tmp_path):
-    rc = main(["analyze", "--scheme", "lowmach2", "--grid", "12",
-               "--k-samples", "10", "--eps", "0.5", "--c", "2.0",
+    rc = main(["analyze", "--scheme", "lowmach2", "--grid", "12", "--eps", "0.5", "--c", "2.0",
                "--out", str(tmp_path)])
     assert rc == EXIT_OK
     doc = _read_json(tmp_path / "analyze_lowmach2.json")
@@ -59,8 +57,7 @@ def test_analyze_sp_scheme_includes_operator(tmp_path):
 
 def test_analyze_dimsplit_verdict_follows_a1(tmp_path):
     rc = main(["analyze", "--scheme", "dimsplit", "--a1", "0.0", "--a2", "0.5",
-               "--a3", "0.25", "--a4", "0.1", "--grid", "12",
-               "--k-samples", "10", "--out", str(tmp_path)])
+               "--a3", "0.25", "--a4", "0.1", "--grid", "12", "--out", str(tmp_path)])
     assert rc == EXIT_OK
     doc = _read_json(tmp_path / "analyze_dimsplit.json")
     assert doc["verdict"] is True
@@ -74,7 +71,7 @@ def test_analyze_dimsplit_verdict_follows_a1(tmp_path):
 ], ids=["square-8", "aniso-12x7"])
 def test_analyze_multid_reports_primitive_vorticity_row(grid, radius, has_wp, capsys):
     # the primitive row has radius 1 on square cells and 2 otherwise, so small grids hold it
-    assert main(["analyze", "--scheme", "multid", "--k-samples", "10", *grid]) == EXIT_OK
+    assert main(["analyze", "--scheme", "multid", *grid]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert "conserved_operator_error" not in doc
     op = doc["conserved_operator"]
@@ -86,7 +83,7 @@ def test_analyze_multid_reports_primitive_vorticity_row(grid, radius, has_wp, ca
 def test_analyze_small_eps_reports_json(tmp_path, scheme):
     # the scan runs on the unitless symbol, so eps = 1e-6 judges like eps = 1
     rc = main(["analyze", "--scheme", scheme, "--eps", "0.000001", "--grid", "16",
-               "--k-samples", "25", "--out", str(tmp_path)])
+               "--out", str(tmp_path)])
     assert rc == EXIT_OK
     doc = _read_json(tmp_path / ("analyze_%s.json" % scheme))
     assert doc["verdict"] is True
@@ -110,8 +107,10 @@ OUT_OF_RANGE = [
     (["analyze", "--scheme", "roe", "--eps", "0"], "eps > 0"),
     (["analyze", "--scheme", "roe", "--c", "-1"], "c > 0"),
     (["analyze", "--scheme", "roe", "--dx", "0"], "cell widths must be positive"),
-    (["analyze", "--scheme", "roe", "--k-samples", "0"], "--k-samples"),
-    (["analyze", "--scheme", "roe", "--k-samples", "-5"], "--k-samples"),
+    # the scan is one fixed procedure of 200 generic phases: --k-samples is no flag at all
+    (["analyze", "--scheme", "roe", "--k-samples", "0"], "analyze takes no --k-samples"),
+    (["analyze", "--scheme", "roe", "--k-samples", "-5"], "analyze takes no --k-samples"),
+    (["analyze", "--scheme", "roe", "--k-samples", "3"], "analyze takes no --k-samples"),
     (["catalog", "--grid", "1"], "at least 3x3"),
     # a zero size is refused before the default spacing 1/n divides by it
     (["analyze", "--scheme", "roe", "--grid", "0"], "grid must be at least 3x3, got 0x0"),
@@ -175,6 +174,16 @@ OUT_OF_RANGE = [
      "the initial state has a non-finite cell"),
     (["sweep", "--scheme", "roe", "--grid", "8", "--dx", "1e308", "--dy", "1e308"],
      "the initial state has a non-finite cell"),
+    # a grid too large for memory names --grid; the first array each line asks for, 711 PiB
+    # and 142 PiB, is beyond any 57-bit address space, so neither allocates anything large
+    (["sweep", "--scheme", "roe", "--grid", "3,100000000000000000"],
+     "error: --grid is too large: Unable to allocate 711. PiB"),
+    (["simulate", "--scheme", "roe", "--grid", "100000000", "--t-end", "0.001"],
+     "error: --grid is too large: Unable to allocate 142. PiB"),
+    # a step count past the limit is written short, beside the flags that set it
+    (["simulate", "--scheme", "roe", "--grid", "8", "--cfl", "1e-300", "--t-end", "1"],
+     "error: run to t_end wants 8e+300 steps of dt = cfl*min(dx,dy)*eps/c, over the limit of "
+     "10000000: raise --cfl or lower --t-end\n"),
     # non-finite spacings and scales name their option
     (["catalog", "--dx", "inf"], "cell widths must be positive and finite, got dx = inf"),
     (["analyze", "--scheme", "roe", "--grid", "8", "--dx", "inf"],
@@ -186,7 +195,7 @@ OUT_OF_RANGE = [
     (["analyze", "--scheme", "roe", "--eps", "nan"], "eps must be finite, got nan"),
     (["catalog", "--eps", "1e400"], "eps must be finite, got inf"),
     # exact entries in range whose float symbol sums past it: 1/(8 dx) fits, their sum not
-    (["analyze", "--scheme", "multid", "--grid", "8", "--dx", "5e-309", "--k-samples", "3"],
+    (["analyze", "--scheme", "multid", "--grid", "8", "--dx", "5e-309"],
      "the float symbol of multid overflows: its sum over the stencil leaves the float range"),
     # an --out that cannot be a directory is refused before any work
     (["analyze", "--scheme", "roe", "--grid", "8", "--out", "/dev/null/x"],
@@ -216,7 +225,7 @@ def test_out_of_range_values_are_usage_errors(argv, message, capsys):
 # converge) and |det M^| (Infinity in the JSON)
 UNITLESS_SCALES = {
     "multid-c1e200-eps1e-200": ["--scheme", "multid", "--c", "1e200", "--eps", "1e-200"],
-    "roe-c5e153": ["--scheme", "roe", "--c", "5e153", "--grid", "8", "--k-samples", "3"],
+    "roe-c5e153": ["--scheme", "roe", "--c", "5e153", "--grid", "8"],
     "multid-c5e153-eps0.5": ["--scheme", "multid", "--c", "5e153", "--eps", "0.5", "--grid", "8"],
     "central-eps2e-154": ["--scheme", "central", "--eps", "2e-154", "--grid", "8"],
     "dimsplit-a1-0.5-c5e153": ["--scheme", "dimsplit", "--a1", "0.5", "--a2", "0.5",
@@ -260,7 +269,7 @@ def test_analyze_writes_no_unchecked_divergence_row(grid, monkeypatch, capsys):
     build = cli.make_scheme
     monkeypatch.setattr(cli, "make_scheme",
                         lambda *args, **kwargs: p_column_added_to_u(build(*args, **kwargs)))
-    assert main(["analyze", "--scheme", "lowmach1", "--k-samples", "10", *grid]) == EXIT_OK
+    assert main(["analyze", "--scheme", "lowmach1", *grid]) == EXIT_OK
     doc = strict_json(capsys.readouterr().out)
     assert doc["verdict"] is True
     assert "divergence_row" not in doc
@@ -387,7 +396,7 @@ class RecordingConfig(dict):
 
 # one cheap run of each command; the scheme commands use dimsplit, which reads a1..a4
 READ_RUNS = {
-    "analyze": ["--scheme", "dimsplit", "--a4", "0.5", "--grid", "4", "--k-samples", "3"],
+    "analyze": ["--scheme", "dimsplit", "--a4", "0.5", "--grid", "4"],
     "certify": [],
     "simulate": ["--scheme", "dimsplit", "--a4", "0.5", "--grid", "4", "--t-end", "0.05"],
     "sweep": ["--scheme", "dimsplit", "--a4", "0.5", "--grid", "4"],
@@ -405,9 +414,10 @@ def test_each_command_reads_every_option_it_takes(command, reads, capsys):
     assert cfg.read == set(cfg) == set(reads)
 
 
-# the (command, flag) pairs that every subcommand once took and its command never read
+# the (command, flag) pairs that every subcommand once took and its command never read, and
+# --k-samples, which no command reads since the scan became one fixed procedure
 DROPPED = {
-    "analyze": ("cfl", "t_end"),
+    "analyze": ("cfl", "t_end", "k_samples"),
     "certify": ("scheme", "a1", "a2", "a3", "a4", "eps", "c", "grid", "dx", "dy", "cfl",
                 "t_end", "k_samples"),
     "simulate": ("k_samples",),
@@ -418,9 +428,9 @@ DROPPED_PAIRS = [(command, "--" + name.replace("_", "-"))
                  for command, names in DROPPED.items() for name in names]
 
 
-def test_subcommands_take_45_flags():
-    assert len(DROPPED_PAIRS) == 27
-    assert sum(len(reads) for _, _, reads in SUBCOMMANDS) == 45
+def test_subcommands_take_44_flags():
+    assert len(DROPPED_PAIRS) == 28
+    assert sum(len(reads) for _, _, reads in SUBCOMMANDS) == 44
     for command, _, reads in SUBCOMMANDS:
         assert not set(reads) & set(DROPPED[command])
 
@@ -598,19 +608,19 @@ VORTEX_WARNINGS = ("vortex centre", "vortex radius .* exceeds distance",
 
 @st.composite
 def runnable_lines(draw):
-    """command_lines over the run pools, after a scheme, a grid up to 8, --k-samples 8 and
-    --t-end 0.005 for the commands that read them; the drawn tokens may override these."""
+    """command_lines over the run pools, after a scheme, a grid up to 8 and --t-end 0.005 for
+    the commands that read them; the drawn tokens may override these."""
     argv = draw(command_lines(flags=RUN_FLAGS, values=RUN_VALUES, others=[]))
     given_first = {"scheme": draw(st.sampled_from(CATALOG_NAMES + ("dimsplit",))),
                    "grid": draw(st.sampled_from(["3", "8", "5,3"])),
-                   "k_samples": "8", "t_end": "0.005"}
+                   "t_end": "0.005"}
     return argv[:1] + [token for name, value in given_first.items() if name in READS[argv[0]]
                        for token in ("--" + name.replace("_", "-"), value)] + argv[1:]
 
 
 def _cheap(argv):
     """--t-end at most 0.01, a simulate run of at most 2,000 steps by cfl_dt, and --radius at
-    most 2; the pools bound grids and --k-samples to 8. A line that does not parse is cheap."""
+    most 2; the pools bound grids to 8. A line that does not parse is cheap."""
     line = _parse_quietly(argv)
     if line is None:
         return True
@@ -723,10 +733,11 @@ def test_no_line_imports_argparse(tmp_path, monkeypatch, capsys):
 
 
 # sha256 of each --help screen, rendered from SUBCOMMANDS and OPTIONS at any width; certify's
-# was recorded again when --identity-only became --divergence none
+# was recorded again when --identity-only became --divergence none, and analyze's when
+# --k-samples went
 HELP_SHA256 = {
     (): "8580ba3280ba05c3b003b8d4feeea446804a41a39e8caa536e09929da84cc3b1",
-    ("analyze",): "ba0f8eee243d6daf08d6a5cce7619cb7b3dcd7a71a4818a5a90c447868249b25",
+    ("analyze",): "9befa1b5e3531d47e023f944f651c3866f0575dbbda9909dea8a896a98d34d8d",
     ("certify",): "a0cd3dd7dbf5365e8fbbba571bdd2b099b91de9fdbd8a038ee5f74e8de688b57",
     ("simulate",): "48785153801e19ab03c2f40cabbad20fa4fa4a039ca8ffb417de3a1962cd5808",
     ("sweep",): "8e96f92ece5059888ac04cf5ba4d3fcbadef354cd6387baef7dae41dd17afe79",
@@ -797,8 +808,8 @@ def test_run_longer_than_max_steps_is_usage_error(tmp_path, capsys):
                "--out", str(out)])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: run wants 35555555556 steps, max_steps is 10000000")
-    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err == ("error: run to t_end wants 3.56e+10 steps of dt = cfl*min(dx,dy)*eps/c, "
+                   "over the limit of 10000000: raise --cfl or lower --t-end\n")
     assert os.listdir(tmp_path) == []
 
 
@@ -930,8 +941,7 @@ def test_unknown_config_key_rejected(tmp_path):
 
 def test_config_merge_precedence(tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"scheme": "central", "eps": 0.25,
-                                   "grid": "12", "k_samples": 8}))
+    cfgfile.write_text(json.dumps({"scheme": "central", "eps": 0.25, "grid": "12"}))
     out = tmp_path / "out"
     rc = main(["analyze", "--config", str(cfgfile), "--eps", "0.5",
                "--out", str(out)])
@@ -940,7 +950,7 @@ def test_config_merge_precedence(tmp_path):
     # flag beats config; config beats default
     assert doc["config"]["eps"] == 0.5
     assert doc["config"]["scheme"] == "central"
-    assert doc["config"]["k_samples"] == 8
+    assert doc["config"]["grid"] == "12"
 
 
 # (command line, config, exit code, what stderr names): each config value goes through its
@@ -950,8 +960,11 @@ CONFIG_PROBES = [
      "config divergence: invalid choice: 'nope' (choose from central, averaged, both, none)"),
     (["certify"], {"radius": 1.9}, EXIT_USAGE, "config radius: invalid int value: '1.9'"),
     (["certify"], {"radius": "x"}, EXIT_USAGE, "config radius: invalid int value: 'x'"),
+    # k_samples is no key since the scan became one fixed procedure, whatever its value
     (["analyze", "--scheme", "roe"], {"k_samples": "x"}, EXIT_USAGE,
-     "config k_samples: invalid int value: 'x'"),
+     "unknown config keys: k_samples"),
+    (["analyze", "--scheme", "roe", "--grid", "8"], {"k_samples": 200}, EXIT_USAGE,
+     "unknown config keys: k_samples"),
     (["simulate", "--scheme", "roe", "--grid", "8"], {"cfl": "x"}, EXIT_USAGE,
      "config cfl: invalid float value: 'x'"),
     (["analyze", "--scheme", "roe"], {"dx": "x"}, EXIT_USAGE,
@@ -969,15 +982,17 @@ CONFIG_PROBES = [
     (["certify", "--radius", "1"], {"radius": 3}, EXIT_OK, None),
     (["certify"], {"divergence": "none"}, EXIT_OK, None),
     # keys of other subcommands stay ignored, checked or not
-    (["analyze", "--scheme", "roe", "--grid", "8", "--k-samples", "3"],
+    (["analyze", "--scheme", "roe", "--grid", "8"],
      {"radius": "x", "divergence": "nope", "cfl": "x", "t_end": None}, EXIT_OK, None),
-    (["catalog", "--grid", "8"], {"scheme": "nosuch", "a1": 5, "k_samples": 0}, EXIT_OK, None),
+    (["catalog", "--grid", "8"], {"scheme": "nosuch", "a1": 5}, EXIT_OK, None),
+    (["catalog", "--grid", "8"], {"scheme": "nosuch", "a1": 5, "k_samples": 0}, EXIT_USAGE,
+     "unknown config keys: k_samples"),
     # identity_only is no key since its switch became --divergence none, for any command
     (["certify"], {"identity_only": "no"}, EXIT_USAGE, "unknown config keys: identity_only"),
     (["certify"], {"identity_only": True}, EXIT_USAGE, "unknown config keys: identity_only"),
     (["certify"], {"identity_only": False, "radius": 1}, EXIT_USAGE,
      "unknown config keys: identity_only"),
-    (["analyze", "--scheme", "roe", "--grid", "8", "--k-samples", "3"],
+    (["analyze", "--scheme", "roe", "--grid", "8"],
      {"radius": "x", "identity_only": "no", "cfl": "x", "t_end": None}, EXIT_USAGE,
      "unknown config keys: identity_only"),
 ]
@@ -1020,14 +1035,13 @@ def test_a_json_true_is_no_value_of_any_key(command, tmp_path, capsys):
 
 def test_config_values_echo_as_the_flags_give_them(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"scheme": "roe", "grid": 8, "eps": 1, "k_samples": 3}))
+    cfgfile.write_text(json.dumps({"scheme": "roe", "grid": 8, "eps": 1}))
     assert main(["analyze", "--config", str(cfgfile)]) == EXIT_OK
     from_config = json.loads(capsys.readouterr().out)
     assert from_config["config"] == {"scheme": "roe", "a1": 0.0, "a2": 0.0, "a3": 0.0,
                                      "a4": 0.0, "grid": "8", "dx": None, "dy": None,
-                                     "eps": 1.0, "c": 1.0, "k_samples": 3}
-    assert main(["analyze", "--scheme", "roe", "--grid", "8", "--eps", "1",
-                 "--k-samples", "3"]) == EXIT_OK
+                                     "eps": 1.0, "c": 1.0}
+    assert main(["analyze", "--scheme", "roe", "--grid", "8", "--eps", "1"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == from_config
 
 
@@ -1035,7 +1049,7 @@ def test_config_values_echo_as_the_flags_give_them(tmp_path, capsys):
 # of two flags winning, write config blocks that differ in that key alone
 RECORDED_LINES = {
     "analyze": ["analyze", "--scheme", "dimsplit", "--a2", "0.5", "--grid", "12,7", "--dx", "1e-3",
-                "--dy", "0.07", "--k-samples", "10"],
+                "--dy", "0.07"],
     "sweep": ["sweep", "--scheme", "dimsplit", "--a2", "0.5", "--grid", "10", "--dx", "0.1"],
 }
 
@@ -1263,33 +1277,34 @@ def test_simulate_writes_null_for_an_overflowing_probe(n_steps, capsys):
 # changed, scan_verdict added (equal to verdict in each) and samples_withheld and
 # samples[].non_diagonalizable gone (0 and false in each before). All were recorded again
 # when config became every option analyze read but --out: only config changed, gaining a1..a4,
-# dx and dy
+# dx and dy. All were recorded again when --k-samples went and the scan became one fixed
+# procedure of 200 generic phases: only config changed, losing k_samples (200 in each)
 ANALYZE_DIGESTS = {
     ("--scheme", "central", "--eps", "1", "--grid", "24"):
-        "da7497aae4cfdebdb0f681a872094ce2d94a199486d0bdf0d560f099ec38e645",
+        "87bc82196cde70df771f92e8cd8196222845b0831dab71d4acfb5f13ddb3facd",
     ("--scheme", "central", "--eps", "1e-2", "--grid", "24"):
-        "ac382d0de30b09397cfc2ed644bbe8b8a6aca418093da85c317b77c7d0d1ff6f",
+        "95f0436c7395ebdb5dce80da7ea9d7c1ead56506302c30e33d325e623ed3b2b6",
     ("--scheme", "roe", "--eps", "1", "--grid", "24"):
-        "fad99b005b939ec686ce4047f18ddf6e2b09320fc0f40abfb7d464442e1a0f9d",
+        "ce662630d67f1bf00870d1b3c52332a45f5ca1486fdbeec8b054043763301add",
     ("--scheme", "roe", "--eps", "1e-2", "--grid", "24"):
-        "c0923ecf909691e11985d9f755b0202f68ed77410fbf3692ae769da4b66ae894",
+        "9b63e4a7f749bc970c157ea131ebe6890f2fc80dd149b72fa294562cbcf2d551",
     ("--scheme", "lowmach1", "--eps", "1", "--grid", "24"):
-        "0dfb3dbb3d07aa8f5fda7b4f02c677bc7004e838de65cc29aaaae002fb62ac02",
+        "95a3c3b783a48c1992153da57209b4f5b2eeb848890bd5c99c9a59cecda15dd0",
     ("--scheme", "lowmach1", "--eps", "1e-2", "--grid", "24"):
-        "409887af96b4594cc88a5e0fff698653e58b92b21db056d8fbae1eef00e5e835",
+        "ec99f08c489d4a3fff1cbf3762e0a6e92aacc5b932cf481c06a6f5cd7e89703a",
     ("--scheme", "lowmach2", "--eps", "1", "--grid", "24"):
-        "1825a75b5275049d376187d82473f11095aa45b4b84db239ef1498e6fb85a550",
+        "cc7b621747e6e7a25b4fbf13372e450b79314c647f3e6c7e2313629fee376f4f",
     ("--scheme", "lowmach2", "--eps", "1e-2", "--grid", "24"):
-        "2e4fa04dd98aa41947460b8ff976c838ed9677b257a60a0ca6a104371386ecff",
+        "5faa9cb62d5bd8afc4b618e6140b9f9d7b5f1d6324cc092909d6d73cf05743d9",
     ("--scheme", "lowmach3", "--eps", "1", "--grid", "24"):
-        "e3dd570aef3c9eb21360da5eed57374247f72d701f7d29cbdac1f142c0266ee2",
+        "966cff101f40c2ce5ea855ef8d61701b3b752ea49ac3edb7e3a666d5b8603052",
     ("--scheme", "lowmach3", "--eps", "1e-2", "--grid", "24"):
-        "ab28fb9dcdf1294638b95d4975844da82569f6c9aae53cf41a16fbf1a1a7f8e9",
+        "179a87b3c8788c491a935917922ef569723581437c1727b0db272dc8d32dba6e",
     ("--scheme", "multid", "--eps", "1", "--grid", "24"):
-        "3b098496d57a9d8d7175a5bd203ddc93427e9c48ec0e0823fb243926f5c1d8ba",
+        "777e0c27cf0c83992056e2c3a5149b3df345990859975da22a2f4d9f56a0c990",
     ("--scheme", "multid", "--eps", "1e-2", "--grid", "24"):
-        "f10fded713f49f9d5a3dfa1d12bd18e1cf90b60dc40e55ce46225c92c29d836c",
-    DIMSPLIT_ARGV: "2f86d8377849a79a0a68dfce024fda3429673370af064e3b1cdaeb8b77e3eef9",
+        "6d1720e2ad8189af574366f071923a3b4e622c5bd8fa84f84ae46cb324275aaf",
+    DIMSPLIT_ARGV: "6d5877cbbb0e9b1798fde9818b5687c39af6895f1954c1702993205e4a2db89b",
 }
 
 
@@ -1342,9 +1357,9 @@ def test_certify_document_digest_unchanged(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, derivations", [
-    (["analyze", "--scheme", "roe", "--grid", "8", "--k-samples", "3"], 1),
-    (["analyze", "--scheme", "multid", "--grid", "8", "--k-samples", "3"], 1),
-    (["analyze", *DIMSPLIT_ARGV, "--k-samples", "3"], 1),
+    (["analyze", "--scheme", "roe", "--grid", "8"], 1),
+    (["analyze", "--scheme", "multid", "--grid", "8"], 1),
+    (["analyze", *DIMSPLIT_ARGV], 1),
     (["catalog"], 0),
     (["sweep", "--scheme", "roe", "--grid", "8"], 1),
     (["simulate", "--scheme", "multid", "--grid", "8", "--t-end", "0.05"], 1),
@@ -1371,7 +1386,7 @@ def test_float_stencil_derivations(argv, derivations, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, builds", [
-    (["analyze", "--scheme", "roe", "--grid", "8", "--k-samples", "3"], 1),
+    (["analyze", "--scheme", "roe", "--grid", "8"], 1),
     (["simulate", "--scheme", "multid", "--grid", "8", "--t-end", "0.05"], 1),
     (["simulate", "--scheme", "dimsplit", "--a2", "0.5", "--grid", "8", "--t-end", "0.001"], 1),
     (["sweep", "--scheme", "roe", "--grid", "8"], 1),
@@ -1411,7 +1426,7 @@ def test_simulate_warning_leaves_stdout_one_document():
 # near the float limit: tracebacks while the scaling check rebuilt float stencils
 @pytest.mark.parametrize("c", ["3.5e153", "4e153", "4.5e153"])
 def test_scaling_check_derives_no_floats_near_the_float_limit(c, capsys):
-    argv = ["analyze", "--scheme", "roe", "--c", c, "--grid", "8", "--k-samples", "3"]
+    argv = ["analyze", "--scheme", "roe", "--c", c, "--grid", "8"]
     assert main(argv) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] is False and doc["eigenvalue_scaling"]["passed"] is True

@@ -17,15 +17,10 @@ KNOBS = {
     "SchemeSpec": {"diffusion": None},  # make_scheme
     "cfl_sweep": {"horizon_steps": 500, "growth_factor": 2.0},  # tests only
     "consistency_nullspace": {"radius": 1},  # certify's --radius
-    "det_scan": {"phases": None},  # analyze's --k-samples, the demos
     "forward_euler_step": {"step": None},  # tests only
-    "generic_phases": {"n": 200},  # analyze's --k-samples, the demos
     "kernel_adapted_state": {"seed": 3, "dyadic": False},  # tests only
-    "kernel_dim": {"tol_rel": 1e-12},  # tests only
     "l1_norm_central_diff": {"out": None},  # vortex_benchmark's probes
-    "left_kernel": {"tol_rel": 1e-12},  # tests only
     "make_scheme": {"a1": 0, "a2": 0, "a3": 0, "a4": 0},  # the CLI's --a1 .. --a4
-    "right_kernel": {"tol_rel": 1e-12},  # tests only
     "run": {"probes": None},  # vortex_benchmark
     "spans_match": {"radius": 1},  # certify's --radius
     "symmetric_divergence_row": {"beta": None},  # tests only

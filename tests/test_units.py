@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from acousticfd.cli import EXIT_OK, main
 from acousticfd.experiments import (extract_conserved_operator, gresho_vortex, json_document,
                                     kernel_adapted_state, stationarity_residual)
-from acousticfd.fourier import det_scan, generic_phases
+from acousticfd.fourier import det_scan
 from acousticfd.grid import AcousticParams, FieldSet, GridSpec, l1_norm_central_diff
 from acousticfd.laurent import has_rank_two
 from acousticfd.schemes import CATALOG_NAMES, make_scheme, rhs
@@ -87,7 +87,7 @@ def analyze_without_config(scheme, c, eps):
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["analyze", "--scheme", scheme, "--c", repr(c), "--eps", repr(eps),
-                     "--grid", "8", "--k-samples", "12"]) == EXIT_OK
+                     "--grid", "8"]) == EXIT_OK
     doc = json.loads(out.getvalue())
     del doc["config"]
     return json_document(doc)
@@ -110,11 +110,10 @@ def test_analyze_document_is_independent_of_c_and_eps(c, eps):
 
 BASE_GRID = GridSpec(nx=10, ny=9, dx=0.1, dy=0.13)
 BASE_PARAMS = AcousticParams(c=2.0, eps=0.5)
-PHASES = generic_phases(8)
 
 
 def scan_summary(spec):
-    out = det_scan(spec, phases=PHASES)
+    out = det_scan(spec)
     dims = [(r["kernel_dim"], r["continuous_dim"]) for r in out.generic_records()]
     return out.scan_verdict, dims
 
